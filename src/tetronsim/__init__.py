@@ -62,7 +62,6 @@ from .model import (
     RampProtocol,
     band_gap,
     build_chain_bdg,
-    build_tetron_bdg,
     bulk_energy,
     diagonalize_chain,
     is_topological,

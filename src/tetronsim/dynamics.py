@@ -1,28 +1,29 @@
 """Time evolution of the tetron Gaussian state and an exact small-N oracle.
 
 A trajectory starts from the equal superposition of the two even-parity
-ground states at mu_in, is propagated in the site basis with the frozen
-Hamiltonian of each step,
+ground states at mu_in.  Its real site-basis Majorana covariance is
+propagated with the frozen Hamiltonian of each step,
 
-    Gamma(t + dt) = e^{i H(t) dt} Gamma(t) e^{-i H(t) dt},
+    M(t + dt) = O M(t) O^T,   O = Omega* e^{i H(t) dt} Omega^T,
 
-and is sampled by rotating into the instantaneous quasiparticle basis where
-the parity Pfaffian and the ground-state overlaps give the leakage split.
+where O is real orthogonal and acts on each chain alike.  Samples rotate M
+into the instantaneous quasiparticle basis, where the parity Pfaffian and the
+ground-state overlaps give the leakage split.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import gaussian
 from .errors import InvalidParameterError, StepSizeTooCoarse
 from .gaussian import (
-    CorrelationMatrix,
+    CovarianceMatrix,
     QubitStateLabel,
+    conjugate_chains,
     covariance_from_correlation,
     ground_state_qp_correlation,
     overlap_sq,
@@ -91,12 +92,16 @@ class Trajectory(list):
 
 
 def _chain_propagator(params: ChainParams, mu: float, dt: float) -> np.ndarray:
-    """Exact e^{i H dt} for one chain.
+    """Exact one-chain step O = Omega* e^{i H dt} Omega^T in the Majorana basis.
 
-    Exploits the block structure H = [[A, B], [-B, -A]] with real A, B: in the
-    half-sum/half-difference frame the exponential reduces to the SVD of
-    S = A + B, which is cheaper than diagonalizing the full 2N x 2N matrix
-    and agrees with it to machine precision.
+    With H = [[A, B], [-B, -A]] and real A, B, the SVD S = A + B = U Sigma V^T
+    gives the real orthogonal
+
+        O = [[ V cos(Sigma dt) V^T, V sin(Sigma dt) U^T ],
+             [-U sin(Sigma dt) V^T, U cos(Sigma dt) U^T ]],
+
+    which is cheaper than diagonalizing the full 2N x 2N matrix and agrees
+    with it to machine precision.
     """
     h = _chain_matrix(params, mu)
     n = params.n_sites
@@ -105,19 +110,15 @@ def _chain_propagator(params: ChainParams, mu: float, dt: float) -> np.ndarray:
     v = vt.T
     cos = np.cos(sig * dt)
     sin = np.sin(sig * dt)
-    m11 = (v * cos) @ v.T
-    m22 = (u * cos) @ u.T
-    m12 = 1j * (v * sin) @ u.T
-    m21 = 1j * (u * sin) @ v.T
     return np.block([
-        [0.5 * (m11 + m21 + m12 + m22), 0.5 * (m11 + m21 - m12 - m22)],
-        [0.5 * (m11 - m21 + m12 - m22), 0.5 * (m11 - m21 - m12 + m22)],
+        [(v * cos) @ vt, (v * sin) @ u.T],
+        [-(u * sin) @ vt, (u * cos) @ u.T],
     ])
 
 
 def _segment_propagator(params: ChainParams, protocol: RampProtocol,
                         t_a: float, t_b: float, dmu: float) -> np.ndarray:
-    """Accumulated single-chain propagator over [t_a, t_b].
+    """Accumulated one-chain Majorana-basis step over [t_a, t_b].
 
     The chemical potential is frozen at the left endpoint of each sub-step,
     and the number of sub-steps keeps the per-step mu change below dmu.
@@ -125,25 +126,25 @@ def _segment_propagator(params: ChainParams, protocol: RampProtocol,
     span = abs(protocol.mu_at(t_b) - protocol.mu_at(t_a))
     n_steps = max(1, math.ceil(span / dmu - 1e-12))
     dt = (t_b - t_a) / n_steps
-    w = np.eye(2 * params.n_sites, dtype=complex)
+    o = np.eye(2 * params.n_sites)
     for i in range(n_steps):
         mu = protocol.mu_at(t_a + i * dt)
-        w = _chain_propagator(params, mu, dt) @ w
-    return w
+        o = _chain_propagator(params, mu, dt) @ o
+    return o
 
 
-def initial_plus_state(params: ChainParams, mu_in: float) -> Tuple[CorrelationMatrix, ModeBasis]:
-    """Site-basis correlation matrix of |+> at mu_in and the basis it was built in."""
+def initial_plus_state(params: ChainParams, mu_in: float) -> Tuple[CovarianceMatrix, ModeBasis]:
+    """Site-basis covariance of |+> at mu_in and the basis it was built in."""
     basis = resolved_basis(params, mu_in)
-    upsilon = ground_state_qp_correlation(params.n_sites, QubitStateLabel.PLUS)
-    return rotate_to_site_basis(upsilon, basis), basis
+    plus = covariance_from_correlation(
+        ground_state_qp_correlation(params.n_sites, QubitStateLabel.PLUS))
+    return rotate_to_site_basis(plus, basis), basis
 
 
-def measure_leakage(gamma: CorrelationMatrix, basis: ModeBasis,
+def measure_leakage(state: CovarianceMatrix, basis: ModeBasis,
                     t: float = 0.0) -> LeakageRecord:
     """Leakage split of a site-basis state against an instantaneous basis."""
-    upsilon = rotate_to_qp_basis(gamma, basis)
-    xi = covariance_from_correlation(upsilon)
+    xi = rotate_to_qp_basis(state, basis)
     parity = parity_expectation(xi)
     l_odd = 0.5 * (1.0 - parity)
     o0 = overlap_sq(xi, qp_vacuum_covariance(basis.params.n_sites))
@@ -178,24 +179,16 @@ def _normalize_samples(sample_times, duration: float) -> np.ndarray:
 
 def _evolve_once(params: ChainParams, protocol: RampProtocol, dmu: float,
                  samples: np.ndarray, purity_tol: float) -> Trajectory:
-    gamma, basis = initial_plus_state(params, protocol.mu_in)
+    state, basis = initial_plus_state(params, protocol.mu_in)
     records = Trajectory()
-    records.append(measure_leakage(gamma, basis, t=0.0))
+    records.append(measure_leakage(state, basis, t=0.0))
     _check_purity(records[-1], purity_tol)
     prev_basis = basis
-    mat = gamma.matrix
-    n2 = 2 * params.n_sites
     for t_a, t_b in zip(samples[:-1], samples[1:]):
         if t_b <= t_a:
             continue
-        w = _segment_propagator(params, protocol, t_a, t_b, dmu)
-        wc = w.conj().T
-        # chains are uncoupled: conjugate each 2N x 2N block separately
-        blocks = [[w @ mat[i * n2:(i + 1) * n2, j * n2:(j + 1) * n2] @ wc
-                   for j in range(2)] for i in range(2)]
-        mat = np.block(blocks)
-        state = CorrelationMatrix(matrix=mat, basis=gaussian.SITE,
-                                  n_sites=params.n_sites, n_chains=2)
+        o = _segment_propagator(params, protocol, t_a, t_b, dmu)
+        state = replace(state, matrix=conjugate_chains(o, state.matrix))
         cur_basis = resolved_basis(params, protocol.mu_at(t_b), previous=prev_basis)
         records.append(measure_leakage(state, cur_basis, t=float(t_b)))
         _check_purity(records[-1], purity_tol)
@@ -243,9 +236,9 @@ def sudden_quench(params: ChainParams, mu_in: float, mu_fin: float) -> LeakageRe
     for mu in (mu_in, mu_fin):
         if not is_topological(mu, params.hopping, params.pairing):
             raise InvalidParameterError("mu=%g is outside the topological phase" % mu)
-    gamma, basis_in = initial_plus_state(params, mu_in)
+    state, basis_in = initial_plus_state(params, mu_in)
     basis_fin = resolved_basis(params, mu_fin, previous=basis_in)
-    return measure_leakage(gamma, basis_fin, t=0.0)
+    return measure_leakage(state, basis_fin, t=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +306,7 @@ class FockSpace:
 
     def ground_states(self, basis: ModeBasis):
         """Vacuum |0_t>, paired-excitation |1_t>, and the MZM-parity operator."""
-        v = basis.chains[0].vectors
+        v = basis.modes.vectors
         n = self.params.n_sites
         d_ops = [self.qp_annihilator(v[:, k], lam) for lam in range(2) for k in range(n)]
         number = sum(op.conj().T @ op for op in d_ops)

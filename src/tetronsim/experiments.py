@@ -218,7 +218,12 @@ def _n_grid(cp) -> Tuple[int, ...]:
 
 
 def parse_config(path: Path) -> ExperimentConfig:
-    """Parse and validate an INI experiment file."""
+    """Parse and validate an INI experiment file.
+
+    ``[stepping] steps_per_span`` fixes one mu step for the whole run, taken
+    from the largest ``|mu_fin - mu_in|`` span: with ``mu_fin_list = 0.03, 0.1``
+    and 1000 steps per span (preset ``fig2-main``) the 0.03 ramps run 300 steps.
+    """
     cp = configparser.ConfigParser()
     read = cp.read([str(path)])
     if not read:
@@ -405,22 +410,33 @@ def _run_ramp(cfg: ExperimentConfig) -> ResultTable:
     return table
 
 
-def _final_record(cfg: ExperimentConfig, n_sites: int, mu_fin: float, v: float):
+def _final_trajectory(cfg: ExperimentConfig, n_sites: int, mu_fin: float, v: float):
     params = ChainParams(n_sites, cfg.params.hopping, cfg.params.pairing)
     protocol = RampProtocol(cfg.mu_in, mu_fin, v)
-    records = dynamics.evolve_ramp(params, protocol, cfg.policy,
-                                   sample_times=[protocol.duration])
-    return records[-1]
+    return dynamics.evolve_ramp(params, protocol, cfg.policy,
+                                sample_times=[protocol.duration])
+
+
+def _final_cells(trajectory) -> tuple:
+    return _record_cells(None if trajectory is None else trajectory[-1])
+
+
+def _sweep_metadata(table: ResultTable, cfg: ExperimentConfig, trajectories, statuses) -> None:
+    """Row statuses, plus each row's Richardson defect (null if the row failed)."""
+    table.metadata["row_status"] = statuses
+    if cfg.policy.richardson:
+        table.metadata["row_richardson_defect"] = [
+            None if traj is None else traj.richardson_defect for traj in trajectories]
 
 
 def _run_sweep_rate(cfg: ExperimentConfig) -> ResultTable:
     points = sorted((v, mu) for v in cfg.v_grid for mu in cfg.mu_fins)
     results, statuses = _run_points(
-        points, lambda p: _final_record(cfg, cfg.params.n_sites, p[1], p[0]), cfg.threads)
-    rows = [(v, mu) + _record_cells(rec) for (v, mu), rec in zip(points, results)]
+        points, lambda p: _final_trajectory(cfg, cfg.params.n_sites, p[1], p[0]), cfg.threads)
+    rows = [(v, mu) + _final_cells(traj) for (v, mu), traj in zip(points, results)]
     table = ResultTable(kind="sweep-rate", columns=("v", "mu_fin") + _leakage_columns(),
                         rows=rows)
-    table.metadata["row_status"] = statuses
+    _sweep_metadata(table, cfg, results, statuses)
     return table
 
 
@@ -428,11 +444,11 @@ def _run_sweep_length(cfg: ExperimentConfig) -> ResultTable:
     mu_fin = cfg.mu_fins[0]
     points = sorted(cfg.n_grid)
     results, statuses = _run_points(
-        points, lambda n: _final_record(cfg, n, mu_fin, cfg.rate), cfg.threads)
-    rows = [(n,) + _record_cells(rec) for n, rec in zip(points, results)]
+        points, lambda n: _final_trajectory(cfg, n, mu_fin, cfg.rate), cfg.threads)
+    rows = [(n,) + _final_cells(traj) for n, traj in zip(points, results)]
     table = ResultTable(kind="sweep-length", columns=("n_sites",) + _leakage_columns(),
                         rows=rows)
-    table.metadata["row_status"] = statuses
+    _sweep_metadata(table, cfg, results, statuses)
     return table
 
 

@@ -1,18 +1,24 @@
-"""Fermionic Gaussian states as correlation and covariance matrices.
+"""Fermionic Gaussian states of the tetron as real Majorana covariances.
 
-Correlation matrices follow the block layout
+A state is held as the real antisymmetric covariance M of the rescaled
+Majoranas r_i = (c_i + c_i^dag)/sqrt(2), r_{i+N} = (c_i - c_i^dag)/(i sqrt(2))
+of each chain, chains stacked (dimension 4N).  Quasiparticle-basis
+covariances use the same layout with the site operators replaced by the
+instantaneous Bogoliubov modes (zero mode first).  The two bases are related
+by the real orthogonal per-chain rotation R of :class:`tetronsim.model.ModeBasis`,
+
+    M_qp = R M_site R^T,
+
+and a frozen-Hamiltonian time step is the same kind of map, M <- O M O^T.
+
+The computational states |0>, |1>, |+> are defined through their complex
+correlation matrices in the block layout
 
     Gamma = [[ <c^dag c>, <c^dag c^dag> ],
              [ <c c>,     <c c^dag>     ]]        (per chain, chains stacked),
 
-matching the operator ordering of :mod:`tetronsim.model`.  The covariance
-matrix lives in the rescaled-Majorana basis r_i = (c_i + c_i^dag)/sqrt(2),
-r_{i+N} = (c_i - c_i^dag)/(i sqrt(2)) and is obtained from
-
-    M = -i Omega* (2 Gamma - 1) Omega^T.
-
-Quasiparticle-basis quantities use the same formulas with the site operators
-replaced by the instantaneous Bogoliubov modes (zero mode first).
+matching the operator ordering of :mod:`tetronsim.model`, and converted once
+with M = -i Omega* (2 Gamma - 1) Omega^T.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ class CorrelationMatrix:
     matrix: np.ndarray
     basis: str
     n_sites: int
-    n_chains: int = 2
 
     @property
     def dim(self) -> int:
@@ -63,7 +68,6 @@ class CovarianceMatrix:
     matrix: np.ndarray
     basis: str
     n_sites: int
-    n_chains: int = 2
 
     @property
     def dim(self) -> int:
@@ -113,57 +117,58 @@ def ground_state_qp_correlation(n_sites: int, label) -> CorrelationMatrix:
             cross[n, 2 * n] = 1j
             cross[0, 3 * n] = 1j
             mat = 0.5 * (u0 + u1 + cross + cross.conj().T)
-    return CorrelationMatrix(matrix=mat, basis=QP, n_sites=n, n_chains=2)
+    return CorrelationMatrix(matrix=mat, basis=QP, n_sites=n)
 
 
-def _check_dims(matrix_dim: int, basis: ModeBasis) -> None:
-    expected = basis.n_chains * 2 * basis.params.n_sites
-    if matrix_dim != expected:
+def _check_dims(m: CovarianceMatrix, basis: ModeBasis) -> None:
+    expected = 4 * basis.params.n_sites
+    if m.dim != expected:
         raise BasisMismatchError(
-            "matrix dimension %d does not match basis dimension %d" % (matrix_dim, expected)
+            "matrix dimension %d does not match basis dimension %d" % (m.dim, expected)
         )
 
 
-def rotate_to_site_basis(u: CorrelationMatrix, basis: ModeBasis) -> CorrelationMatrix:
-    """Gamma = V* Upsilon V^T: quasiparticle-basis correlations to site basis."""
-    if u.basis != QP:
+def conjugate_chains(o: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """O M O^T with O = diag(o, o): the same 2N x 2N map on both chains."""
+    n2 = o.shape[0]
+    blocks = m.reshape(2, n2, 2, n2).swapaxes(1, 2)
+    return (o @ blocks @ o.T).swapaxes(1, 2).reshape(2 * n2, 2 * n2)
+
+
+def rotate_to_site_basis(m: CovarianceMatrix, basis: ModeBasis) -> CovarianceMatrix:
+    """M_site = R^T M_qp R: quasiparticle-basis covariance to site basis."""
+    if m.basis != QP:
         raise BasisMismatchError("input must be in the quasiparticle basis")
-    _check_dims(u.dim, basis)
-    v = basis.mode_matrix
-    return CorrelationMatrix(matrix=v.conj() @ u.matrix @ v.T, basis=SITE,
-                             n_sites=u.n_sites, n_chains=u.n_chains)
+    _check_dims(m, basis)
+    return CovarianceMatrix(matrix=conjugate_chains(basis.rotation.T, m.matrix), basis=SITE,
+                            n_sites=m.n_sites)
 
 
-def rotate_to_qp_basis(g: CorrelationMatrix, basis: ModeBasis) -> CorrelationMatrix:
-    """Inverse rotation of :func:`rotate_to_site_basis`."""
-    if g.basis != SITE:
+def rotate_to_qp_basis(m: CovarianceMatrix, basis: ModeBasis) -> CovarianceMatrix:
+    """Inverse rotation of :func:`rotate_to_site_basis`, M_qp = R M_site R^T."""
+    if m.basis != SITE:
         raise BasisMismatchError("input must be in the site basis")
-    _check_dims(g.dim, basis)
-    v = basis.mode_matrix
-    return CorrelationMatrix(matrix=v.T @ g.matrix @ v.conj(), basis=QP,
-                             n_sites=g.n_sites, n_chains=g.n_chains)
+    _check_dims(m, basis)
+    return CovarianceMatrix(matrix=conjugate_chains(basis.rotation, m.matrix), basis=QP,
+                            n_sites=m.n_sites)
 
 
-def majorana_rotation(n_sites: int, n_chains: int = 2) -> np.ndarray:
-    """Matrix Omega with r = Omega c for the rescaled Majorana operators."""
-    n = n_sites
-    eye = np.eye(n)
+def majorana_rotation(n_sites: int) -> np.ndarray:
+    """Matrix Omega with r = Omega c for the rescaled Majoranas of both chains."""
+    eye = np.eye(n_sites)
     block = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / np.sqrt(2.0)
-    if n_chains == 1:
-        return block
-    z = np.zeros_like(block)
-    return np.block([[block, z], [z, block]])
+    return np.kron(np.eye(2), block)
 
 
 def covariance_from_correlation(g: CorrelationMatrix) -> CovarianceMatrix:
     """M = -i Omega* (2 Gamma - 1) Omega^T in the matching Majorana basis."""
-    omega = majorana_rotation(g.n_sites, g.n_chains)
+    omega = majorana_rotation(g.n_sites)
     m = -1j * omega.conj() @ (2.0 * g.matrix - np.eye(g.dim)) @ omega.T
     residue = float(np.max(np.abs(m.imag)))
     if residue > 1e-8:
         raise BasisMismatchError("non-physical correlation matrix: imaginary residue %g" % residue)
     return CovarianceMatrix(matrix=np.ascontiguousarray(m.real), basis=g.basis,
-                            n_sites=g.n_sites, n_chains=g.n_chains)
+                            n_sites=g.n_sites)
 
 
 def qp_vacuum_covariance(n_sites: int) -> CovarianceMatrix:
@@ -174,7 +179,7 @@ def qp_vacuum_covariance(n_sites: int) -> CovarianceMatrix:
         for i in range(n):
             m[off + i, off + n + i] = 1.0
             m[off + n + i, off + i] = -1.0
-    return CovarianceMatrix(matrix=m, basis=QP, n_sites=n, n_chains=2)
+    return CovarianceMatrix(matrix=m, basis=QP, n_sites=n)
 
 
 def qp_occupied_pair_covariance(n_sites: int) -> CovarianceMatrix:
@@ -185,7 +190,7 @@ def qp_occupied_pair_covariance(n_sites: int) -> CovarianceMatrix:
     for off in (0, 2 * n):
         m[off, off + n] = -1.0
         m[off + n, off] = 1.0
-    return CovarianceMatrix(matrix=m, basis=QP, n_sites=n, n_chains=2)
+    return CovarianceMatrix(matrix=m, basis=QP, n_sites=n)
 
 
 def pfaffian4(a: np.ndarray) -> float:

@@ -1,14 +1,18 @@
-"""Kitaev-chain and tetron BdG Hamiltonians and their mode structure.
+"""Kitaev-chain BdG Hamiltonian and the mode structure of the tetron.
 
-The single-particle (BdG) matrix acts on the doubled operator space ordered as
-(c_1 .. c_N, c_1^dag .. c_N^dag) per chain, chains concatenated.  With that
-ordering the Hamiltonian of one chain is
+The single-particle (BdG) matrix of one chain acts on the doubled operator
+space ordered as (c_1 .. c_N, c_1^dag .. c_N^dag).  With that ordering
 
     H = [[ A,  B ],
          [-B*, -A*]],   A_jj = -mu,  A_j,j+1 = -w,  B_j+1,j = +Delta,
 
 which is Hermitian and particle-hole symmetric: (tau_x K) H (tau_x K) = -H,
 where tau_x swaps the particle and hole blocks and K conjugates.
+
+The tetron is two identical, uncoupled copies of this chain, so its mode
+basis holds the decomposition of one chain.  The basis exposes that chain's
+real orthogonal Majorana rotation, which maps site-basis covariances onto the
+instantaneous quasiparticle modes.
 """
 
 from __future__ import annotations
@@ -76,15 +80,10 @@ class BdGMatrix:
     matrix: np.ndarray
     mu: float
     params: ChainParams
-    n_chains: int
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def chain_block(self, chain: int) -> np.ndarray:
-        n = 2 * self.params.n_sites
-        return self.matrix[chain * n:(chain + 1) * n, chain * n:(chain + 1) * n]
 
 
 def _chain_matrix(params: ChainParams, mu: float) -> np.ndarray:
@@ -102,14 +101,7 @@ def _chain_matrix(params: ChainParams, mu: float) -> np.ndarray:
 
 def build_chain_bdg(params: ChainParams, mu: float) -> BdGMatrix:
     """2N x 2N BdG matrix of a single open Kitaev chain at chemical potential mu."""
-    return BdGMatrix(matrix=_chain_matrix(params, mu), mu=mu, params=params, n_chains=1)
-
-
-def build_tetron_bdg(params: ChainParams, mu: float) -> BdGMatrix:
-    """4N x 4N block-diagonal BdG matrix of two identical uncoupled chains."""
-    h = _chain_matrix(params, mu)
-    z = np.zeros_like(h)
-    return BdGMatrix(matrix=np.block([[h, z], [z, h]]), mu=mu, params=params, n_chains=2)
+    return BdGMatrix(matrix=_chain_matrix(params, mu), mu=mu, params=params)
 
 
 def ph_apply(v: np.ndarray) -> np.ndarray:
@@ -146,13 +138,18 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 
 def _majorana_normalize(u: np.ndarray) -> np.ndarray:
-    """Project u onto a unit PH-invariant (tau_x K v = v) combination."""
-    m = u + ph_apply(u)
-    nrm = np.linalg.norm(m)
-    if nrm < 1e-6:
-        m = 1j * (u - ph_apply(u))
-        nrm = np.linalg.norm(m)
-    return m / nrm
+    """Project u onto a unit PH-invariant (tau_x K v = v) combination.
+
+    Both u + tau_x K u and i (u - tau_x K u) are PH-invariant, and their
+    squared norms add up to 4 |u|^2.  The longer one is taken, so the
+    projection never cancels to a short vector that has lost digits.
+    """
+    su = ph_apply(u)
+    m = u + su
+    alt = 1j * (u - su)
+    if np.linalg.norm(alt) > np.linalg.norm(m):
+        m = alt
+    return m / np.linalg.norm(m)
 
 
 @dataclass(frozen=True)
@@ -177,39 +174,38 @@ class ChainModes:
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Mode decomposition of a chain or tetron BdG matrix."""
+    """Mode decomposition of the tetron: one chain's modes, used for both chains."""
 
     params: ChainParams
     mu: float
-    chains: Tuple[ChainModes, ...]
-
-    @property
-    def n_chains(self) -> int:
-        return len(self.chains)
-
-    @property
-    def energies(self) -> np.ndarray:
-        """Per-chain energy arrays stacked as shape (n_chains, N)."""
-        return np.stack([c.energies for c in self.chains])
-
-    @property
-    def mode_matrix(self) -> np.ndarray:
-        """Block-diagonal eigenvector matrix over all chains."""
-        if self.n_chains == 1:
-            return self.chains[0].vectors
-        v = self.chains[0].vectors
-        z = np.zeros_like(v)
-        return np.block([[v, z], [z, self.chains[1].vectors]])
+    modes: ChainModes
 
     @property
     def mzm_vectors(self) -> Tuple[np.ndarray, ...]:
         """Majorana vectors ordered (left, right) per chain, in chain coordinates."""
-        out = []
-        for c in self.chains:
-            if c.mzm_left is None or c.mzm_right is None:
-                raise DegenerateSubspaceError("MZMs not resolved; call resolve_mzms first")
-            out.extend([c.mzm_left, c.mzm_right])
-        return tuple(out)
+        m = self.modes
+        if m.mzm_left is None or m.mzm_right is None:
+            raise DegenerateSubspaceError("MZMs not resolved; call resolve_mzms first")
+        return (m.mzm_left, m.mzm_right) * 2
+
+    @property
+    def rotation(self) -> np.ndarray:
+        """Real orthogonal R = Omega* V^T Omega^T of one chain.
+
+        Omega maps (c, c^dag) onto the rescaled Majoranas of
+        :mod:`tetronsim.gaussian`, so R carries a site-basis covariance of the
+        chain into the quasiparticle basis, M_qp = R M_site R^T.  With the
+        particle-hole paired columns V = [[P, Q*], [Q, P*]] the product is real:
+
+            R = [[ Re(P + Q)^T, Im(P - Q)^T ],
+                 [-Im(P + Q)^T, Re(P - Q)^T ]].
+        """
+        n = self.params.n_sites
+        p = self.modes.vectors[:n, :n]
+        q = self.modes.vectors[n:, :n]
+        plus = (p + q).T
+        minus = (p - q).T
+        return np.block([[plus.real, minus.imag], [-plus.imag, minus.real]])
 
 
 def _pair_subspace_column(m1: np.ndarray, m2: np.ndarray, phi_raw: np.ndarray,
@@ -228,9 +224,15 @@ def _pair_subspace_column(m1: np.ndarray, m2: np.ndarray, phi_raw: np.ndarray,
     return (m1 - 1j * sign * m2) / np.sqrt(2.0)
 
 
-def _diagonalize_block(h: np.ndarray) -> ChainModes:
-    n = h.shape[0] // 2
-    evals, evecs = np.linalg.eigh(h)
+def diagonalize_chain(h: BdGMatrix) -> ModeBasis:
+    """Particle-hole-consistent eigendecomposition of one chain.
+
+    Each positive-energy eigenvector is stored with its tau_x K partner at the
+    mirrored column, so the returned matrix rotates site operators into
+    quasiparticle operators ordered (d_0 .. d_{N-1}, d_0^dag .. d_{N-1}^dag).
+    """
+    n = h.params.n_sites
+    evals, evecs = np.linalg.eigh(h.matrix)
     evecs = evecs.astype(complex)
     energies = evals[n:].copy()
     phi = evecs[:, n:].copy()
@@ -257,24 +259,8 @@ def _diagonalize_block(h: np.ndarray) -> ChainModes:
     phi[:, 0] = _pair_subspace_column(m1, m2, phi[:, 0], energies[0])
 
     partners = np.column_stack([ph_apply(phi[:, k]) for k in range(n)])
-    vectors = np.hstack([phi, partners])
-    return ChainModes(energies=energies, vectors=vectors)
-
-
-def diagonalize_chain(h: BdGMatrix) -> ModeBasis:
-    """Particle-hole-consistent eigendecomposition, chains treated independently.
-
-    Each positive-energy eigenvector is stored with its tau_x K partner at the
-    mirrored column, so the returned matrix rotates site operators into
-    quasiparticle operators ordered (d_0 .. d_{N-1}, d_0^dag .. d_{N-1}^dag).
-    """
-    modes = _diagonalize_block(h.chain_block(0))
-    if h.n_chains == 1:
-        chains: Tuple[ChainModes, ...] = (modes,)
-    else:
-        # Identical chains by construction; reuse the decomposition.
-        chains = (modes, modes)
-    return ModeBasis(params=h.params, mu=h.mu, chains=chains)
+    modes = ChainModes(energies=energies, vectors=np.hstack([phi, partners]))
+    return ModeBasis(params=h.params, mu=h.mu, modes=modes)
 
 
 def _left_weight_operator(n: int) -> np.ndarray:
@@ -285,7 +271,23 @@ def _left_weight_operator(n: int) -> np.ndarray:
     return diag
 
 
-def _localize_pair(modes: ChainModes) -> ChainModes:
+def _with_mzms(modes: ChainModes, ga: np.ndarray, gb: np.ndarray) -> ChainModes:
+    """Modes whose near-zero column and its partner are rebuilt from an MZM pair."""
+    n = modes.n_sites
+    vectors = modes.vectors.astype(complex, copy=True)
+    vectors[:, 0] = _pair_subspace_column(ga, gb, modes.vectors[:, 0], modes.energies[0])
+    vectors[:, n] = ph_apply(vectors[:, 0])
+    return ChainModes(energies=modes.energies, vectors=vectors, mzm_left=ga, mzm_right=gb)
+
+
+def resolve_mzms(basis: ModeBasis) -> ModeBasis:
+    """Rotate the chain's near-zero pair onto maximally localized Majoranas.
+
+    The left mode maximizes total weight on the first half of the chain and
+    the right mode is its orthogonal complement; signs are fixed so the
+    largest-magnitude component of each Majorana vector leads positive.
+    """
+    modes = basis.modes
     n = modes.n_sites
     u = modes.vectors[:, 0]
     su = ph_apply(u)
@@ -310,28 +312,7 @@ def _localize_pair(modes: ChainModes) -> ChainModes:
 
     if left_weight(gb) > left_weight(ga):
         ga, gb = gb, ga
-    ga = _fix_sign(ga)
-    gb = _fix_sign(gb)
-
-    vectors = modes.vectors.astype(complex, copy=True)
-    vectors[:, 0] = _pair_subspace_column(ga, gb, modes.vectors[:, 0], modes.energies[0])
-    vectors[:, n] = ph_apply(vectors[:, 0])
-    return ChainModes(energies=modes.energies, vectors=vectors, mzm_left=ga, mzm_right=gb)
-
-
-def resolve_mzms(basis: ModeBasis) -> ModeBasis:
-    """Rotate each chain's near-zero pair onto maximally localized Majoranas.
-
-    The left mode maximizes total weight on the first half of the chain and
-    the right mode is its orthogonal complement; signs are fixed so the
-    largest-magnitude component of each Majorana vector leads positive.
-    """
-    localized = _localize_pair(basis.chains[0])
-    if basis.n_chains == 1:
-        chains: Tuple[ChainModes, ...] = (localized,)
-    else:
-        chains = (localized, localized)
-    return ModeBasis(params=basis.params, mu=basis.mu, chains=chains)
+    return replace(basis, modes=_with_mzms(modes, _fix_sign(ga), _fix_sign(gb)))
 
 
 def align_mzm_gauge(basis: ModeBasis, previous: ModeBasis) -> ModeBasis:
@@ -340,8 +321,8 @@ def align_mzm_gauge(basis: ModeBasis, previous: ModeBasis) -> ModeBasis:
     Without this, the deterministic sign convention can hop between samples of
     a ramp and flip the measured parity spuriously.
     """
-    prev = previous.chains[0]
-    cur = basis.chains[0]
+    prev = previous.modes
+    cur = basis.modes
     if prev.mzm_left is None or cur.mzm_left is None:
         raise DegenerateSubspaceError("both bases must have resolved MZMs")
     ga, gb = cur.mzm_left, cur.mzm_right
@@ -353,19 +334,13 @@ def align_mzm_gauge(basis: ModeBasis, previous: ModeBasis) -> ModeBasis:
         gb = -gb
     if ga is cur.mzm_left and gb is cur.mzm_right:
         return basis
-    n = cur.n_sites
-    vectors = cur.vectors.copy()
-    vectors[:, 0] = _pair_subspace_column(ga, gb, cur.vectors[:, 0], cur.energies[0])
-    vectors[:, n] = ph_apply(vectors[:, 0])
-    chain = ChainModes(energies=cur.energies, vectors=vectors, mzm_left=ga, mzm_right=gb)
-    chains = (chain,) * basis.n_chains
-    return ModeBasis(params=basis.params, mu=basis.mu, chains=chains)
+    return replace(basis, modes=_with_mzms(cur, ga, gb))
 
 
 def resolved_basis(params: ChainParams, mu: float,
                    previous: Optional[ModeBasis] = None) -> ModeBasis:
     """Tetron mode basis at mu with localized MZMs, optionally gauge-continuous."""
-    basis = resolve_mzms(diagonalize_chain(build_tetron_bdg(params, mu)))
+    basis = resolve_mzms(diagonalize_chain(build_chain_bdg(params, mu)))
     if previous is not None:
         basis = align_mzm_gauge(basis, previous)
     return basis

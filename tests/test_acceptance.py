@@ -326,7 +326,9 @@ def test_criterion_10_invariants():
     checks.append(("purity-drift", drift <= 1e-6, "%.1e" % drift))
     sum_ok = all(r.l_g == r.l_odd + r.l_even for r in records)
     bounds_ok = all(-1e-9 <= r.l_odd and r.l_g <= 1 + 1e-9 for r in records)
-    checks.append(("leakage-sum", sum_ok and bounds_ok, "exact identity"))
+    min_even = min(r.l_even for r in records)
+    checks.append(("leakage-sum", sum_ok and bounds_ok and min_even >= -1e-9,
+                   "exact identity, min l_even %.1e" % min_even))
 
     # length independence of the sudden parity-sector prediction
     p20 = sudden_prediction(params(20), 0.0, 0.03).l_odd_tilde

@@ -77,6 +77,25 @@ steps_per_span = 200
 path = {out}
 """
 
+LENGTH_INI = """
+[experiment]
+kind = sweep-length
+
+[protocol]
+mu_in = 0.0
+mu_fin = 0.05
+rate = 2e-2
+
+[grid]
+n_list = 4, 6
+
+[stepping]
+steps_per_span = 150
+
+[output]
+path = {out}
+"""
+
 
 class TestConfigValidation:
     def test_unknown_kind(self):
@@ -178,6 +197,22 @@ class TestRunCommand:
         for name in ("l_odd", "l_even", "l_g"):
             col = table.column(name)
             assert np.all(col >= -1e-9) and np.all(col <= 1 + 1e-9)
+
+    @pytest.mark.parametrize("template", [SWEEP_INI, LENGTH_INI], ids=["rate", "length"])
+    def test_sweep_sidecar_carries_richardson_defects(self, tmp_path, template):
+        plain, checked = tmp_path / "plain.csv", tmp_path / "checked.csv"
+        ini1 = write_ini(tmp_path / "plain.ini", template.format(out=plain))
+        ini2 = write_ini(tmp_path / "checked.ini", template.format(out=checked).replace(
+            "steps_per_span = 150", "steps_per_span = 150\nrichardson = true"))
+        assert main(["run", "--config", str(ini1), "--quiet"]) == EXIT_OK
+        assert main(["run", "--config", str(ini2), "--quiet"]) == EXIT_OK
+        assert plain.read_bytes() == checked.read_bytes()
+        plain_meta = json.loads(plain.with_suffix(".csv.meta.json").read_text())
+        meta = json.loads(checked.with_suffix(".csv.meta.json").read_text())
+        assert "row_richardson_defect" not in plain_meta
+        defects = meta["row_richardson_defect"]
+        assert len(defects) == len(meta["row_status"]) == len(read_table(checked).rows)
+        assert all(0.0 <= d < 1e-2 for d in defects)
 
     def test_per_row_numerical_failure_exit_code(self, tmp_path):
         # an unsatisfiable purity budget trips every sweep point

@@ -37,6 +37,9 @@ class TestRampBasics:
             assert r.l_g == r.l_odd + r.l_even
             assert -1e-9 <= r.l_odd <= 1 + 1e-9
             assert -1e-9 <= r.l_g <= 1 + 1e-9
+            # independent of the identity above: overlaps and parity could
+            # disagree and push the even-sector remainder below zero
+            assert r.l_even >= -1e-9
 
     def test_purity_preserved(self):
         proto = RampProtocol(0.0, 0.1, 5e-3)

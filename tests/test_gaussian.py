@@ -15,11 +15,11 @@ from tetronsim.gaussian import (
     rotate_to_qp_basis,
     rotate_to_site_basis,
 )
-from tetronsim.model import ChainParams, build_tetron_bdg, diagonalize_chain, resolve_mzms
+from tetronsim.model import ChainParams, resolved_basis
 
 
 def tetron_basis(n, mu):
-    return resolve_mzms(diagonalize_chain(build_tetron_bdg(ChainParams(n, 0.5, 0.5), mu)))
+    return resolved_basis(ChainParams(n, 0.5, 0.5), mu)
 
 
 class TestStateConstruction:
@@ -49,37 +49,41 @@ class TestStateConstruction:
         assert ups.purity_defect() < 1e-12
 
 
+def plus_covariance(n):
+    return covariance_from_correlation(ground_state_qp_correlation(n, "plus"))
+
+
 class TestRotations:
     def test_eigenvalues_preserved(self):
         basis = tetron_basis(4, 0.1)
-        ups = ground_state_qp_correlation(4, "plus")
-        gamma = rotate_to_site_basis(ups, basis)
-        ev_in = np.sort(np.linalg.eigvalsh(ups.matrix))
-        ev_out = np.sort(np.linalg.eigvalsh(gamma.matrix))
+        plus = plus_covariance(4)
+        site = rotate_to_site_basis(plus, basis)
+        # i M is Hermitian for real antisymmetric M
+        ev_in = np.sort(np.linalg.eigvalsh(1j * plus.matrix))
+        ev_out = np.sort(np.linalg.eigvalsh(1j * site.matrix))
         assert np.max(np.abs(ev_in - ev_out)) < 1e-10
 
     def test_round_trip(self):
         basis = tetron_basis(3, 0.2)
-        ups = ground_state_qp_correlation(3, "plus")
-        back = rotate_to_qp_basis(rotate_to_site_basis(ups, basis), basis)
-        assert np.max(np.abs(back.matrix - ups.matrix)) < 1e-10
+        plus = plus_covariance(3)
+        back = rotate_to_qp_basis(rotate_to_site_basis(plus, basis), basis)
+        assert np.max(np.abs(back.matrix - plus.matrix)) < 1e-10
 
     def test_identity_rotation(self):
         from tetronsim.model import ChainModes, ModeBasis
 
         n = 3
         chain = ChainModes(energies=np.zeros(n), vectors=np.eye(2 * n, dtype=complex))
-        basis = ModeBasis(params=ChainParams(n, 0.5, 0.5), mu=0.0, chains=(chain, chain))
-        ups = ground_state_qp_correlation(n, "plus")
-        gamma = rotate_to_site_basis(ups, basis)
-        assert gamma.basis == "site"
-        assert np.max(np.abs(gamma.matrix - ups.matrix)) == 0.0
+        basis = ModeBasis(params=ChainParams(n, 0.5, 0.5), mu=0.0, modes=chain)
+        plus = plus_covariance(n)
+        site = rotate_to_site_basis(plus, basis)
+        assert site.basis == "site"
+        assert np.max(np.abs(site.matrix - plus.matrix)) == 0.0
 
     def test_dimension_mismatch(self):
         basis = tetron_basis(3, 0.2)
-        ups = ground_state_qp_correlation(4, "zero")
         with pytest.raises(BasisMismatchError):
-            rotate_to_site_basis(ups, basis)
+            rotate_to_site_basis(plus_covariance(4), basis)
 
 
 class TestCovariance:
@@ -137,7 +141,7 @@ class TestParityAndOverlap:
         ups[n, n] = 0.0
         from tetronsim.gaussian import CorrelationMatrix
 
-        state = CorrelationMatrix(matrix=ups, basis="qp", n_sites=n, n_chains=2)
+        state = CorrelationMatrix(matrix=ups, basis="qp", n_sites=n)
         assert parity_expectation(covariance_from_correlation(state)) == pytest.approx(-1.0)
 
     def test_overlap_normalization(self):

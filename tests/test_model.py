@@ -7,7 +7,6 @@ from tetronsim.model import (
     RampProtocol,
     band_gap,
     build_chain_bdg,
-    build_tetron_bdg,
     bulk_energy,
     diagonalize_chain,
     is_topological,
@@ -78,25 +77,8 @@ class TestBuildChain:
         evals = np.sort(np.linalg.eigvalsh(h.matrix))
         assert np.max(np.abs(evals + evals[::-1])) < 1e-10
 
-
-class TestBuildTetron:
-    def test_blocks_match_chain(self):
-        ht = build_tetron_bdg(SWEET, 0.2)
-        hc = build_chain_bdg(SWEET, 0.2)
-        assert np.array_equal(ht.chain_block(0), hc.matrix)
-        assert np.array_equal(ht.chain_block(1), hc.matrix)
-        off = ht.matrix[:8, 8:]
-        assert np.all(off == 0)
-
-    def test_doubled_multiplicity(self):
-        ht = build_tetron_bdg(SWEET, 0.2)
-        hc = build_chain_bdg(SWEET, 0.2)
-        et = np.sort(np.linalg.eigvalsh(ht.matrix))
-        ec = np.sort(np.linalg.eigvalsh(hc.matrix))
-        assert et == pytest.approx(np.sort(np.concatenate([ec, ec])), abs=1e-12)
-
     def test_long_chain_near_zero_modes(self):
-        h = build_tetron_bdg(ChainParams(40, 0.5, 0.5), 0.03)
+        h = build_chain_bdg(ChainParams(40, 0.5, 0.5), 0.03)
         evals = np.linalg.eigvalsh(h.matrix)
         smallest_positive = np.min(np.abs(evals))
         assert smallest_positive < 1e-10
@@ -105,7 +87,7 @@ class TestBuildTetron:
 class TestDiagonalize:
     def test_sweet_spot_energies(self):
         basis = diagonalize_chain(build_chain_bdg(SWEET, 0.0))
-        eps = basis.chains[0].energies
+        eps = basis.modes.energies
         assert abs(eps[0]) < 1e-12
         assert eps[1:] == pytest.approx(np.full(3, 1.0), abs=1e-10)
 
@@ -114,12 +96,19 @@ class TestDiagonalize:
         for _ in range(20):
             params, mu = random_params(rng, resolvable=True)
             basis = diagonalize_chain(build_chain_bdg(params, mu))
-            v = basis.chains[0].vectors
+            v = basis.modes.vectors
             assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))) < 1e-12
 
+    def test_unitarity_at_degenerate_pair(self):
+        # near mu = 0 the zero-mode pair is degenerate to rounding, and eigh's
+        # pair vectors can sit almost anti-invariant under tau_x K
+        params = ChainParams(7, 0.625, 0.60546875)
+        v = resolved_basis(params, -1.0722505367690361e-135).modes.vectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(14))) < 1e-12
+
     def test_tetron_chains_identical(self):
-        basis = diagonalize_chain(build_tetron_bdg(SWEET, 0.1))
-        assert np.array_equal(basis.chains[0].energies, basis.chains[1].energies)
+        left_1, right_1, left_2, right_2 = resolved_basis(SWEET, 0.1).mzm_vectors
+        assert left_1 is left_2 and right_1 is right_2
 
     def test_mode_completeness(self):
         rng = np.random.default_rng(7)
@@ -127,7 +116,7 @@ class TestDiagonalize:
             params, mu = random_params(rng, resolvable=True)
             h = build_chain_bdg(params, mu)
             basis = diagonalize_chain(h)
-            chain = basis.chains[0]
+            chain = basis.modes
             n = params.n_sites
             full = np.concatenate([chain.energies, -chain.energies])
             rebuilt = (chain.vectors * full) @ chain.vectors.conj().T
@@ -135,7 +124,7 @@ class TestDiagonalize:
 
     def test_partner_columns_are_ph_images(self):
         basis = diagonalize_chain(build_chain_bdg(ChainParams(6, 0.5, 0.5), 0.2))
-        v = basis.chains[0].vectors
+        v = basis.modes.vectors
         n = 6
         for k in range(n):
             partner = np.concatenate([v[n:, k], v[:n, k]]).conj()
@@ -151,22 +140,22 @@ class TestDiagonalize:
 class TestResolveMzms:
     def test_sweet_spot_single_site(self):
         basis = resolve_mzms(diagonalize_chain(build_chain_bdg(SWEET, 0.0)))
-        left = basis.chains[0].mzm_left
+        left = basis.modes.mzm_left
         n = 4
         weight_site_1 = abs(left[0]) ** 2 + abs(left[n]) ** 2
         assert weight_site_1 == pytest.approx(1.0, abs=1e-12)
 
     def test_orthonormal_pair(self):
         basis = resolve_mzms(diagonalize_chain(build_chain_bdg(SWEET, 0.0)))
-        left = basis.chains[0].mzm_left
-        right = basis.chains[0].mzm_right
+        left = basis.modes.mzm_left
+        right = basis.modes.mzm_right
         assert abs(left.conj() @ right) < 1e-12
         assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-12)
 
     def test_exponential_localization(self):
         params = ChainParams(40, 0.5, 0.5)
         basis = resolve_mzms(diagonalize_chain(build_chain_bdg(params, 0.03)))
-        left = basis.chains[0].mzm_left
+        left = basis.modes.mzm_left
         n = 40
         left_half = np.sum(np.abs(left[:20]) ** 2) + np.sum(np.abs(left[n:n + 20]) ** 2)
         assert left_half > 0.999
@@ -185,7 +174,7 @@ class TestResolveMzms:
         for n in (2, 3, 5, 12, 41):
             params = ChainParams(n, 0.5, 0.5)
             basis = diagonalize_chain(build_chain_bdg(params, 0.0))
-            eps = basis.chains[0].energies
+            eps = basis.modes.energies
             assert abs(eps[0]) < 1e-12
             assert np.max(np.abs(eps[1:] - 1.0)) < 1e-10
 
