@@ -63,9 +63,7 @@ from .model import (
     band_gap,
     build_chain_bdg,
     bulk_energy,
-    diagonalize_chain,
     is_topological,
-    resolve_mzms,
     resolved_basis,
 )
 from .qpwalk import (

@@ -6,9 +6,12 @@ propagated with the frozen Hamiltonian of each step,
 
     M(t + dt) = O M(t) O^T,   O = Omega* e^{i H(t) dt} Omega^T,
 
-where O is real orthogonal and acts on each chain alike.  Samples rotate M
-into the instantaneous quasiparticle basis, where the parity Pfaffian and the
-ground-state overlaps give the leakage split.
+where O is real orthogonal and acts on each chain alike.  Steps and samples
+share one decomposition, the real SVD S(mu) = U Sigma V^T of
+:func:`tetronsim.model.chain_s`: it gives O in closed form, and a sample
+rotates M with R = diag(V^T, U^T) into the instantaneous quasiparticle basis,
+where the parity Pfaffian and the ground-state overlaps give the leakage
+split.
 """
 
 from __future__ import annotations
@@ -33,14 +36,7 @@ from .gaussian import (
     rotate_to_qp_basis,
     rotate_to_site_basis,
 )
-from .model import (
-    ChainParams,
-    ModeBasis,
-    RampProtocol,
-    _chain_matrix,
-    is_topological,
-    resolved_basis,
-)
+from .model import ChainParams, ModeBasis, RampProtocol, chain_s, is_topological, resolved_basis
 
 DEFAULT_STEPS_PER_SPAN = 2000
 DEFAULT_SAMPLE_COUNT = 200
@@ -61,10 +57,11 @@ class SteppingPolicy:
     richardson: bool = False
 
     def __post_init__(self):
-        if self.max_dmu_per_step is not None and self.max_dmu_per_step <= 0:
-            raise InvalidParameterError("max_dmu_per_step must be positive")
-        if self.purity_tol <= 0:
-            raise InvalidParameterError("purity_tol must be positive")
+        for name in ("max_dmu_per_step", "purity_tol"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise InvalidParameterError("%s must be positive and finite, got %r"
+                                            % (name, value))
 
     def resolved_dmu(self, span: float) -> float:
         if self.max_dmu_per_step is not None:
@@ -103,10 +100,7 @@ def _chain_propagator(params: ChainParams, mu: float, dt: float) -> np.ndarray:
     which is cheaper than diagonalizing the full 2N x 2N matrix and agrees
     with it to machine precision.
     """
-    h = _chain_matrix(params, mu)
-    n = params.n_sites
-    s = h[:n, :n] + h[:n, n:]
-    u, sig, vt = np.linalg.svd(s)
+    u, sig, vt = np.linalg.svd(chain_s(params, mu))
     v = vt.T
     cos = np.cos(sig * dt)
     sin = np.sin(sig * dt)
@@ -306,7 +300,7 @@ class FockSpace:
 
     def ground_states(self, basis: ModeBasis):
         """Vacuum |0_t>, paired-excitation |1_t>, and the MZM-parity operator."""
-        v = basis.modes.vectors
+        v = basis.vectors
         n = self.params.n_sites
         d_ops = [self.qp_annihilator(v[:, k], lam) for lam in range(2) for k in range(n)]
         number = sum(op.conj().T @ op for op in d_ops)

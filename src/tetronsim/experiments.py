@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -186,14 +187,17 @@ def _get_list(cp, section, key, cast):
 def _v_grid(cp) -> Tuple[float, ...]:
     explicit = _get_list(cp, "grid", "v_list", float)
     if explicit:
+        if not all(0 < v < math.inf for v in explicit):
+            raise ConfigError("grid.v_list: rates must be positive and finite, got %r"
+                              % (explicit,))
         return explicit
     v_min = _get(cp, "grid", "v_min", float)
     v_max = _get(cp, "grid", "v_max", float)
     count = _get(cp, "grid", "v_count", int)
     if v_min is None or v_max is None or count is None:
         return ()
-    if v_min <= 0 or v_max <= 0 or v_min > v_max:
-        raise ConfigError("grid.v_min/v_max: need 0 < v_min <= v_max")
+    if not 0 < v_min <= v_max < math.inf:
+        raise ConfigError("grid.v_min/v_max: need 0 < v_min <= v_max, both finite")
     if count < 1:
         raise ConfigError("grid.v_count: must be >= 1")
     return tuple(float(x) for x in np.geomspace(v_min, v_max, count))
@@ -289,6 +293,8 @@ def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
             raise ConfigError("stepping: %s" % exc)
         cfg.sample_count = _get(cp, "samples", "count", int,
                                 default=dynamics.DEFAULT_SAMPLE_COUNT)
+        if cfg.sample_count < 0:
+            raise ConfigError("samples.count: must be >= 0")
 
         cfg.v_grid = _v_grid(cp)
         cfg.n_grid = _n_grid(cp)
@@ -334,6 +340,8 @@ def _validate_physics(cfg: ExperimentConfig) -> None:
             raise ConfigError("protocol: mu=%g is outside the topological phase" % mu)
     if kind in ("ramp", "sweep-length") and cfg.rate is None:
         raise ConfigError("protocol.rate: required for kind %s" % kind)
+    if cfg.rate is not None and not 0 < cfg.rate < math.inf:
+        raise ConfigError("protocol.rate: must be positive and finite, got %r" % cfg.rate)
     if kind == "sweep-rate" and not cfg.v_grid:
         raise ConfigError("grid: a rate grid (v_list or v_min/v_max/v_count) is required")
     if kind in ("sweep-length", "sudden") and not cfg.n_grid:

@@ -5,7 +5,8 @@ Majoranas r_i = (c_i + c_i^dag)/sqrt(2), r_{i+N} = (c_i - c_i^dag)/(i sqrt(2))
 of each chain, chains stacked (dimension 4N).  Quasiparticle-basis
 covariances use the same layout with the site operators replaced by the
 instantaneous Bogoliubov modes (zero mode first).  The two bases are related
-by the real orthogonal per-chain rotation R of :class:`tetronsim.model.ModeBasis`,
+by the real orthogonal per-chain rotation of :class:`tetronsim.model.ModeBasis`,
+R = diag(V^T, U^T) from the singular value decomposition S = A + B = U Sigma V^T,
 
     M_qp = R M_site R^T,
 
@@ -174,23 +175,21 @@ def covariance_from_correlation(g: CorrelationMatrix) -> CovarianceMatrix:
 def qp_vacuum_covariance(n_sites: int) -> CovarianceMatrix:
     """Covariance of the quasiparticle vacuum |0> in its own Majorana basis."""
     n = n_sites
+    # slot i pairs with slot i + n, per chain
+    i = np.concatenate([np.arange(n), np.arange(2 * n, 3 * n)])
     m = np.zeros((4 * n, 4 * n))
-    for off in (0, 2 * n):
-        for i in range(n):
-            m[off + i, off + n + i] = 1.0
-            m[off + n + i, off + i] = -1.0
+    m[i, i + n] = 1.0
+    m[i + n, i] = -1.0
     return CovarianceMatrix(matrix=m, basis=QP, n_sites=n)
 
 
 def qp_occupied_pair_covariance(n_sites: int) -> CovarianceMatrix:
     """Covariance of |1> (zero mode occupied on each chain) in the QP basis."""
-    base = qp_vacuum_covariance(n_sites)
-    m = base.matrix.copy()
-    n = n_sites
-    for off in (0, 2 * n):
-        m[off, off + n] = -1.0
-        m[off + n, off] = 1.0
-    return CovarianceMatrix(matrix=m, basis=QP, n_sites=n)
+    m = qp_vacuum_covariance(n_sites).matrix
+    a, b, c, d = _zero_mode_slots(n_sites)
+    m[[a, c], [b, d]] = -1.0
+    m[[b, d], [a, c]] = 1.0
+    return CovarianceMatrix(matrix=m, basis=QP, n_sites=n_sites)
 
 
 def pfaffian4(a: np.ndarray) -> float:

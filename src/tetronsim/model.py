@@ -9,14 +9,21 @@ space ordered as (c_1 .. c_N, c_1^dag .. c_N^dag).  With that ordering
 which is Hermitian and particle-hole symmetric: (tau_x K) H (tau_x K) = -H,
 where tau_x swaps the particle and hole blocks and K conjugates.
 
+A is real symmetric and B real antisymmetric, so the chain is fixed by the
+real N x N matrix S = A + B.  Its singular value decomposition
+S = U Sigma V^T is the chiral decomposition of Lieb, Schultz & Mattis
+(Ann. Phys. 16, 407 (1961)): the columns (P; Q) with P = (v + u)/2 and
+Q = (v - u)/2 are the eigenvectors of H at +Sigma, and in the Majorana basis
+of :mod:`tetronsim.gaussian` the mode rotation is R = diag(V^T, U^T).  The
+zero singular vectors v_0 and u_0 are the two Majorana zero modes.
+
 The tetron is two identical, uncoupled copies of this chain, so its mode
-basis holds the decomposition of one chain.  The basis exposes that chain's
-real orthogonal Majorana rotation, which maps site-basis covariances onto the
-instantaneous quasiparticle modes.
+basis holds the decomposition of one chain.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -53,6 +60,8 @@ class RampProtocol:
     rate: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.mu_in, self.mu_fin, self.rate)):
+            raise InvalidParameterError("ramp values must be finite, got %r" % (self,))
         if self.rate <= 0.0:
             raise InvalidParameterError("ramp rate must be positive, got %r" % (self.rate,))
 
@@ -104,12 +113,6 @@ def build_chain_bdg(params: ChainParams, mu: float) -> BdGMatrix:
     return BdGMatrix(matrix=_chain_matrix(params, mu), mu=mu, params=params)
 
 
-def ph_apply(v: np.ndarray) -> np.ndarray:
-    """Apply the particle-hole operation tau_x K to a single-chain vector."""
-    n = v.shape[0] // 2
-    return np.concatenate([v[n:], v[:n]]).conj()
-
-
 def ph_conjugate(h: np.ndarray) -> np.ndarray:
     """Return (tau_x K) H (tau_x K)^-1 for a single-chain matrix."""
     n = h.shape[0] // 2
@@ -119,228 +122,111 @@ def ph_conjugate(h: np.ndarray) -> np.ndarray:
     return tx @ h.conj() @ tx
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    """Flip a real-structure vector so its largest-magnitude entry leads positive."""
-    i = int(np.argmax(np.abs(v)))
-    c = complex(v[i])
-    if c.real < 0 or (c.real == 0 and c.imag < 0):
-        return -v
-    return v
+def chain_s(params: ChainParams, mu: float) -> np.ndarray:
+    """S = A + B of one chain: -mu on the diagonal, Delta - w below, -(w + Delta) above."""
+    n = params.n_sites
+    w, delta = params.hopping, params.pairing
+    return (np.diag(np.full(n, -mu)) + np.diag(np.full(n - 1, delta - w), -1)
+            + np.diag(np.full(n - 1, -(w + delta)), 1))
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a complex vector so its largest-magnitude entry is positive real."""
-    i = int(np.argmax(np.abs(v)))
-    c = complex(v[i])
-    if abs(c) == 0.0:
-        return v
-    return v * (abs(c) / c)
+def chain_svd(params: ChainParams, mu: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, Sigma, V) with S = U diag(Sigma) V^T and Sigma ascending."""
+    u, sig, vt = np.linalg.svd(chain_s(params, mu))
+    return u[:, ::-1], sig[::-1], vt[::-1].T
 
 
-def _majorana_normalize(u: np.ndarray) -> np.ndarray:
-    """Project u onto a unit PH-invariant (tau_x K v = v) combination.
-
-    Both u + tau_x K u and i (u - tau_x K u) are PH-invariant, and their
-    squared norms add up to 4 |u|^2.  The longer one is taken, so the
-    projection never cancels to a short vector that has lost digits.
-    """
-    su = ph_apply(u)
-    m = u + su
-    alt = 1j * (u - su)
-    if np.linalg.norm(alt) > np.linalg.norm(m):
-        m = alt
-    return m / np.linalg.norm(m)
-
-
-@dataclass(frozen=True)
-class ChainModes:
-    """Eigenmodes of one chain.
-
-    ``energies`` holds the N non-negative eigenvalues in ascending order;
-    ``vectors`` the 2N x 2N unitary whose first N columns are the positive
-    modes and whose last N columns are their particle-hole partners.  The
-    Majorana pair is populated by :func:`resolve_mzms`.
-    """
-
-    energies: np.ndarray
-    vectors: np.ndarray
-    mzm_left: Optional[np.ndarray] = None
-    mzm_right: Optional[np.ndarray] = None
-
-    @property
-    def n_sites(self) -> int:
-        return self.energies.shape[0]
+def _fix_sign(x: np.ndarray) -> np.ndarray:
+    """Flip a real vector so its largest-magnitude entry is positive."""
+    return -x if x[np.argmax(np.abs(x))] < 0 else x
 
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Mode decomposition of the tetron: one chain's modes, used for both chains."""
+    """Modes of one chain at mu, used for both chains of the tetron.
+
+    ``energies`` holds the N singular values of S in ascending order (the
+    near-zero mode first), and the columns of ``u`` and ``v`` the matching
+    left and right singular vectors.  ``mzm_left`` and ``mzm_right`` are the
+    Majorana zero modes in chain coordinates (c, c^dag).
+    """
 
     params: ChainParams
     mu: float
-    modes: ChainModes
+    energies: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    mzm_left: Optional[np.ndarray] = None
+    mzm_right: Optional[np.ndarray] = None
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Unitary [[P, Q], [Q, P]] with P = (v + u)/2, Q = (v - u)/2.
+
+        The first N columns are the modes of energy +energies, the last N
+        their tau_x K partners at -energies.
+        """
+        p = (self.v + self.u) / 2.0
+        q = (self.v - self.u) / 2.0
+        return np.block([[p, q], [q, p]])
 
     @property
     def mzm_vectors(self) -> Tuple[np.ndarray, ...]:
         """Majorana vectors ordered (left, right) per chain, in chain coordinates."""
-        m = self.modes
-        if m.mzm_left is None or m.mzm_right is None:
-            raise DegenerateSubspaceError("MZMs not resolved; call resolve_mzms first")
-        return (m.mzm_left, m.mzm_right) * 2
+        if self.mzm_left is None or self.mzm_right is None:
+            raise DegenerateSubspaceError("MZMs not resolved; use resolved_basis")
+        return (self.mzm_left, self.mzm_right) * 2
 
     @property
     def rotation(self) -> np.ndarray:
-        """Real orthogonal R = Omega* V^T Omega^T of one chain.
+        """Real orthogonal R = diag(V^T, U^T) of one chain.
 
-        Omega maps (c, c^dag) onto the rescaled Majoranas of
-        :mod:`tetronsim.gaussian`, so R carries a site-basis covariance of the
-        chain into the quasiparticle basis, M_qp = R M_site R^T.  With the
-        particle-hole paired columns V = [[P, Q*], [Q, P*]] the product is real:
-
-            R = [[ Re(P + Q)^T, Im(P - Q)^T ],
-                 [-Im(P + Q)^T, Re(P - Q)^T ]].
+        R carries a site-basis covariance of the chain into the quasiparticle
+        basis, M_qp = R M_site R^T.
         """
-        n = self.params.n_sites
-        p = self.modes.vectors[:n, :n]
-        q = self.modes.vectors[n:, :n]
-        plus = (p + q).T
-        minus = (p - q).T
-        return np.block([[plus.real, minus.imag], [-plus.imag, minus.real]])
-
-
-def _pair_subspace_column(m1: np.ndarray, m2: np.ndarray, phi_raw: np.ndarray,
-                          eps0: float) -> np.ndarray:
-    """Exact positive-energy eigenvector of the near-zero pair subspace.
-
-    For PH-invariant m1, m2 the restricted Hamiltonian is [[0, is], [-is, 0]]
-    with real s, so the positive eigenvector is (m1 -/+ i m2)/sqrt(2) with the
-    sign of s.  s is recovered from the spectral projector of the raw pair,
-    which avoids the partner mixing eigh introduces at small splittings.
-    """
-    sphi = ph_apply(phi_raw)
-    s = eps0 * ((m1.conj() @ phi_raw) * (phi_raw.conj() @ m2)
-                - (m1.conj() @ sphi) * (sphi.conj() @ m2))
-    sign = 1.0 if s.imag >= 0 else -1.0
-    return (m1 - 1j * sign * m2) / np.sqrt(2.0)
-
-
-def diagonalize_chain(h: BdGMatrix) -> ModeBasis:
-    """Particle-hole-consistent eigendecomposition of one chain.
-
-    Each positive-energy eigenvector is stored with its tau_x K partner at the
-    mirrored column, so the returned matrix rotates site operators into
-    quasiparticle operators ordered (d_0 .. d_{N-1}, d_0^dag .. d_{N-1}^dag).
-    """
-    n = h.params.n_sites
-    evals, evecs = np.linalg.eigh(h.matrix)
-    evecs = evecs.astype(complex)
-    energies = evals[n:].copy()
-    phi = evecs[:, n:].copy()
-    scale = max(float(np.abs(evals).max()), 1e-300)
-
-    if energies[0] < -1e-10 * scale:
-        raise DegenerateSubspaceError("spectrum not symmetric about zero")
-    energies[0] = max(energies[0], 0.0)
-    if n >= 2 and energies[0] > ZERO_MODE_RATIO * energies[1]:
-        raise DegenerateSubspaceError(
-            "no isolated near-zero pair: eps0=%g, eps1=%g" % (energies[0], energies[1])
-        )
-
-    for k in range(1, n):
-        phi[:, k] = _fix_phase(phi[:, k])
-
-    # The +/- near-zero pair comes back from eigh with some particle-hole
-    # partner mixing; rebuild it from PH-invariant vectors of its subspace.
-    m1 = _majorana_normalize(evecs[:, n - 1])
-    m2_raw = phi[:, 0] - m1 * (m1.conj() @ phi[:, 0])
-    m2 = _majorana_normalize(m2_raw)
-    if abs(m1.conj() @ m2) > 1e-8:
-        raise DegenerateSubspaceError("could not split the near-zero pair")
-    phi[:, 0] = _pair_subspace_column(m1, m2, phi[:, 0], energies[0])
-
-    partners = np.column_stack([ph_apply(phi[:, k]) for k in range(n)])
-    modes = ChainModes(energies=energies, vectors=np.hstack([phi, partners]))
-    return ModeBasis(params=h.params, mu=h.mu, modes=modes)
-
-
-def _left_weight_operator(n: int) -> np.ndarray:
-    half = n // 2
-    diag = np.zeros(2 * n)
-    diag[:half] = 1.0
-    diag[n:n + half] = 1.0
-    return diag
-
-
-def _with_mzms(modes: ChainModes, ga: np.ndarray, gb: np.ndarray) -> ChainModes:
-    """Modes whose near-zero column and its partner are rebuilt from an MZM pair."""
-    n = modes.n_sites
-    vectors = modes.vectors.astype(complex, copy=True)
-    vectors[:, 0] = _pair_subspace_column(ga, gb, modes.vectors[:, 0], modes.energies[0])
-    vectors[:, n] = ph_apply(vectors[:, 0])
-    return ChainModes(energies=modes.energies, vectors=vectors, mzm_left=ga, mzm_right=gb)
-
-
-def resolve_mzms(basis: ModeBasis) -> ModeBasis:
-    """Rotate the chain's near-zero pair onto maximally localized Majoranas.
-
-    The left mode maximizes total weight on the first half of the chain and
-    the right mode is its orthogonal complement; signs are fixed so the
-    largest-magnitude component of each Majorana vector leads positive.
-    """
-    modes = basis.modes
-    n = modes.n_sites
-    u = modes.vectors[:, 0]
-    su = ph_apply(u)
-    m1 = _majorana_normalize(u)
-    m2_raw = su - m1 * (m1.conj() @ su)
-    m2 = _majorana_normalize(m2_raw)
-    if abs(m1.conj() @ m2) > 1e-8:
-        raise DegenerateSubspaceError("near-zero subspace is not particle-hole closed")
-
-    # Left-half weight of cos(t) m1 + sin(t) m2 is c0 + c1 cos(2t) + c2 sin(2t);
-    # its maximizer is available in closed form.
-    pl = _left_weight_operator(n)
-    wa = float(np.sum(pl * np.abs(m1) ** 2))
-    wb = float(np.sum(pl * np.abs(m2) ** 2))
-    cross = float(np.real(np.sum(pl * m1.conj() * m2)))
-    theta = 0.5 * np.arctan2(2.0 * cross, wa - wb)
-    ga = np.cos(theta) * m1 + np.sin(theta) * m2
-    gb = -np.sin(theta) * m1 + np.cos(theta) * m2
-
-    def left_weight(v):
-        return float(np.sum(pl * np.abs(v) ** 2))
-
-    if left_weight(gb) > left_weight(ga):
-        ga, gb = gb, ga
-    return replace(basis, modes=_with_mzms(modes, _fix_sign(ga), _fix_sign(gb)))
+        zero = np.zeros_like(self.v)
+        return np.block([[self.v.T, zero], [zero, self.u.T]])
 
 
 def align_mzm_gauge(basis: ModeBasis, previous: ModeBasis) -> ModeBasis:
     """Match MZM pairing and signs to a previous basis for gauge continuity.
 
     Without this, the deterministic sign convention can hop between samples of
-    a ramp and flip the measured parity spuriously.
+    a ramp and flip the MZM overlaps spuriously.
     """
-    prev = previous.modes
-    cur = basis.modes
-    if prev.mzm_left is None or cur.mzm_left is None:
-        raise DegenerateSubspaceError("both bases must have resolved MZMs")
-    ga, gb = cur.mzm_left, cur.mzm_right
-    if abs(prev.mzm_left.conj() @ ga) < abs(prev.mzm_left.conj() @ gb):
+    pa, pb = previous.mzm_left, previous.mzm_right
+    ga, gb = basis.mzm_left, basis.mzm_right
+    if abs(pa.conj() @ ga) < abs(pa.conj() @ gb):
         ga, gb = gb, ga
-    if (prev.mzm_left.conj() @ ga).real < 0:
+    if (pa.conj() @ ga).real < 0:
         ga = -ga
-    if (prev.mzm_right.conj() @ gb).real < 0:
+    if (pb.conj() @ gb).real < 0:
         gb = -gb
-    if ga is cur.mzm_left and gb is cur.mzm_right:
-        return basis
-    return replace(basis, modes=_with_mzms(cur, ga, gb))
+    return replace(basis, mzm_left=ga, mzm_right=gb)
 
 
 def resolved_basis(params: ChainParams, mu: float,
                    previous: Optional[ModeBasis] = None) -> ModeBasis:
-    """Tetron mode basis at mu with localized MZMs, optionally gauge-continuous."""
-    basis = resolve_mzms(diagonalize_chain(build_chain_bdg(params, mu)))
+    """Tetron mode basis at mu with localized MZMs, optionally gauge-continuous.
+
+    The MZMs are the zero singular vectors, (v_0, v_0)/sqrt(2) and
+    (-i u_0, i u_0)/sqrt(2); the one with more weight on the first half of
+    the chain is the left one, and each real v_0, u_0 has its largest entry
+    positive.
+    """
+    u, sig, v = chain_svd(params, mu)
+    if sig[0] > ZERO_MODE_RATIO * sig[1]:
+        raise DegenerateSubspaceError(
+            "no isolated near-zero pair: eps0=%g, eps1=%g" % (sig[0], sig[1])
+        )
+    v0, u0 = _fix_sign(v[:, 0]), _fix_sign(u[:, 0])
+    left = np.concatenate([v0, v0]) / np.sqrt(2.0)
+    right = np.concatenate([-1j * u0, 1j * u0]) / np.sqrt(2.0)
+    half = params.n_sites // 2
+    if np.sum(u0[:half] ** 2) > np.sum(v0[:half] ** 2):
+        left, right = right, left
+    basis = ModeBasis(params=params, mu=mu, energies=sig, u=u, v=v,
+                      mzm_left=left, mzm_right=right)
     if previous is not None:
         basis = align_mzm_gauge(basis, previous)
     return basis

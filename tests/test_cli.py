@@ -137,6 +137,39 @@ class TestConfigValidation:
                 "grid": {"v_min": "1e-3", "v_max": "1e-2", "v_count": "0"},
             })
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("stepping", "purity_tol", "nan"),
+        ("stepping", "max_dmu_per_step", "nan"),
+        ("protocol", "rate", "nan"),
+        ("protocol", "rate", "inf"),
+        ("protocol", "rate", "-1"),
+        ("grid", "v_list", "1e-2, nan"),
+        ("grid", "v_list", "1e-2, -1e-3"),
+        ("grid", "v_list", "inf"),
+        ("grid", "v_max", "inf"),
+        ("samples", "count", "-1"),
+    ])
+    def test_bad_numbers_are_config_errors(self, tmp_path, section, key, value):
+        mapping = {
+            "experiment": {"kind": "ramp"},
+            "model": {"n_sites": "4"},
+            "protocol": {"mu_fin": "0.05", "rate": "1e-2"},
+            "grid": {"v_list": "1e-2"},
+        }
+        if section == "grid":
+            mapping["experiment"]["kind"] = "sweep-rate"
+            if key == "v_max":
+                mapping["grid"] = {"v_min": "1e-3", "v_max": value, "v_count": "3"}
+        mapping.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping(mapping)
+        ini = tmp_path / "bad.ini"
+        ini.write_text("".join("[%s]\n" % sec + "".join("%s = %s\n" % kv for kv in keys.items())
+                               for sec, keys in mapping.items()), encoding="utf-8")
+        out = tmp_path / "never.csv"
+        assert main(["run", "--config", str(ini), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_no_output_file_on_invalid_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         ini = write_ini(tmp_path / "bad.ini", """

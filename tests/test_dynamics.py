@@ -58,6 +58,12 @@ class TestRampBasics:
         with pytest.raises(InvalidParameterError):
             evolve_ramp(params(4), proto)
 
+    @pytest.mark.parametrize("field", ["max_dmu_per_step", "purity_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_policy_rejects_bad_values(self, field, value):
+        with pytest.raises(InvalidParameterError, match=field):
+            SteppingPolicy(**{field: value})
+
     def test_richardson_defect_reported(self):
         proto = RampProtocol(0.0, 0.03, 2e-2)
         pol = SteppingPolicy(max_dmu_per_step=0.03 / 400, richardson=True)

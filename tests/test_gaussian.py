@@ -70,11 +70,11 @@ class TestRotations:
         assert np.max(np.abs(back.matrix - plus.matrix)) < 1e-10
 
     def test_identity_rotation(self):
-        from tetronsim.model import ChainModes, ModeBasis
+        from tetronsim.model import ModeBasis
 
         n = 3
-        chain = ChainModes(energies=np.zeros(n), vectors=np.eye(2 * n, dtype=complex))
-        basis = ModeBasis(params=ChainParams(n, 0.5, 0.5), mu=0.0, modes=chain)
+        basis = ModeBasis(params=ChainParams(n, 0.5, 0.5), mu=0.0, energies=np.zeros(n),
+                          u=np.eye(n), v=np.eye(n))
         plus = plus_covariance(n)
         site = rotate_to_site_basis(plus, basis)
         assert site.basis == "site"
@@ -87,6 +87,20 @@ class TestRotations:
 
 
 class TestCovariance:
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    def test_reference_covariances_match_loop_build(self, n):
+        vacuum = np.zeros((4 * n, 4 * n))
+        for off in (0, 2 * n):
+            for i in range(n):
+                vacuum[off + i, off + n + i] = 1.0
+                vacuum[off + n + i, off + i] = -1.0
+        pair = vacuum.copy()
+        for off in (0, 2 * n):
+            pair[off, off + n] = -1.0
+            pair[off + n, off] = 1.0
+        assert qp_vacuum_covariance(n).matrix.tobytes() == vacuum.tobytes()
+        assert qp_occupied_pair_covariance(n).matrix.tobytes() == pair.tobytes()
+
     def test_vacuum_block_pattern(self):
         n = 3
         m = covariance_from_correlation(ground_state_qp_correlation(n, "zero"))

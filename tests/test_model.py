@@ -8,10 +8,9 @@ from tetronsim.model import (
     band_gap,
     build_chain_bdg,
     bulk_energy,
-    diagonalize_chain,
+    chain_s,
     is_topological,
     ph_conjugate,
-    resolve_mzms,
     resolved_basis,
 )
 
@@ -50,6 +49,13 @@ class TestChainParams:
         with pytest.raises(InvalidParameterError):
             RampProtocol(0.0, 0.03, 0.0)
 
+    @pytest.mark.parametrize("mu_in, mu_fin, rate", [
+        (0.0, 0.03, float("nan")), (0.0, 0.03, float("inf")), (float("nan"), 0.03, 1e-2),
+        (0.0, float("-inf"), 1e-2)])
+    def test_ramp_rejects_non_finite(self, mu_in, mu_fin, rate):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            RampProtocol(mu_in, mu_fin, rate)
+
     def test_ramp_topological_guard(self):
         proto = RampProtocol(0.0, 1.2, 1e-2)
         with pytest.raises(InvalidParameterError):
@@ -77,6 +83,12 @@ class TestBuildChain:
         evals = np.sort(np.linalg.eigvalsh(h.matrix))
         assert np.max(np.abs(evals + evals[::-1])) < 1e-10
 
+    def test_chain_s_is_a_plus_b(self):
+        params = ChainParams(40, 0.5, 0.3)
+        for mu in (0.0, 0.07, -0.4):
+            h = build_chain_bdg(params, mu).matrix
+            assert chain_s(params, mu).tobytes() == (h[:40, :40] + h[:40, 40:]).tobytes()
+
     def test_long_chain_near_zero_modes(self):
         h = build_chain_bdg(ChainParams(40, 0.5, 0.5), 0.03)
         evals = np.linalg.eigvalsh(h.matrix)
@@ -86,8 +98,7 @@ class TestBuildChain:
 
 class TestDiagonalize:
     def test_sweet_spot_energies(self):
-        basis = diagonalize_chain(build_chain_bdg(SWEET, 0.0))
-        eps = basis.modes.energies
+        eps = resolved_basis(SWEET, 0.0).energies
         assert abs(eps[0]) < 1e-12
         assert eps[1:] == pytest.approx(np.full(3, 1.0), abs=1e-10)
 
@@ -95,15 +106,13 @@ class TestDiagonalize:
         rng = np.random.default_rng(3)
         for _ in range(20):
             params, mu = random_params(rng, resolvable=True)
-            basis = diagonalize_chain(build_chain_bdg(params, mu))
-            v = basis.modes.vectors
+            v = resolved_basis(params, mu).vectors
             assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))) < 1e-12
 
     def test_unitarity_at_degenerate_pair(self):
-        # near mu = 0 the zero-mode pair is degenerate to rounding, and eigh's
-        # pair vectors can sit almost anti-invariant under tau_x K
+        # near mu = 0 the zero-mode pair is degenerate to rounding
         params = ChainParams(7, 0.625, 0.60546875)
-        v = resolved_basis(params, -1.0722505367690361e-135).modes.vectors
+        v = resolved_basis(params, -1.0722505367690361e-135).vectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(14))) < 1e-12
 
     def test_tetron_chains_identical(self):
@@ -115,16 +124,13 @@ class TestDiagonalize:
         for _ in range(20):
             params, mu = random_params(rng, resolvable=True)
             h = build_chain_bdg(params, mu)
-            basis = diagonalize_chain(h)
-            chain = basis.modes
-            n = params.n_sites
-            full = np.concatenate([chain.energies, -chain.energies])
-            rebuilt = (chain.vectors * full) @ chain.vectors.conj().T
+            basis = resolved_basis(params, mu)
+            full = np.concatenate([basis.energies, -basis.energies])
+            rebuilt = (basis.vectors * full) @ basis.vectors.conj().T
             assert np.max(np.abs(rebuilt - h.matrix)) < 1e-10
 
     def test_partner_columns_are_ph_images(self):
-        basis = diagonalize_chain(build_chain_bdg(ChainParams(6, 0.5, 0.5), 0.2))
-        v = basis.modes.vectors
+        v = resolved_basis(ChainParams(6, 0.5, 0.5), 0.2).vectors
         n = 6
         for k in range(n):
             partner = np.concatenate([v[n:, k], v[:n, k]]).conj()
@@ -134,28 +140,25 @@ class TestDiagonalize:
         # at mu = 2w the transition closes the gap and no isolated pair exists
         params = ChainParams(30, 0.5, 0.5)
         with pytest.raises(DegenerateSubspaceError):
-            diagonalize_chain(build_chain_bdg(params, 1.0))
+            resolved_basis(params, 1.0)
 
 
 class TestResolveMzms:
     def test_sweet_spot_single_site(self):
-        basis = resolve_mzms(diagonalize_chain(build_chain_bdg(SWEET, 0.0)))
-        left = basis.modes.mzm_left
+        left = resolved_basis(SWEET, 0.0).mzm_left
         n = 4
         weight_site_1 = abs(left[0]) ** 2 + abs(left[n]) ** 2
         assert weight_site_1 == pytest.approx(1.0, abs=1e-12)
 
     def test_orthonormal_pair(self):
-        basis = resolve_mzms(diagonalize_chain(build_chain_bdg(SWEET, 0.0)))
-        left = basis.modes.mzm_left
-        right = basis.modes.mzm_right
+        basis = resolved_basis(SWEET, 0.0)
+        left, right = basis.mzm_left, basis.mzm_right
         assert abs(left.conj() @ right) < 1e-12
         assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-12)
 
     def test_exponential_localization(self):
         params = ChainParams(40, 0.5, 0.5)
-        basis = resolve_mzms(diagonalize_chain(build_chain_bdg(params, 0.03)))
-        left = basis.modes.mzm_left
+        left = resolved_basis(params, 0.03).mzm_left
         n = 40
         left_half = np.sum(np.abs(left[:20]) ** 2) + np.sum(np.abs(left[n:n + 20]) ** 2)
         assert left_half > 0.999
@@ -173,8 +176,7 @@ class TestResolveMzms:
     def test_sweet_spot_exactness_all_lengths(self):
         for n in (2, 3, 5, 12, 41):
             params = ChainParams(n, 0.5, 0.5)
-            basis = diagonalize_chain(build_chain_bdg(params, 0.0))
-            eps = basis.modes.energies
+            eps = resolved_basis(params, 0.0).energies
             assert abs(eps[0]) < 1e-12
             assert np.max(np.abs(eps[1:] - 1.0)) < 1e-10
 
