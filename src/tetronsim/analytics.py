@@ -102,16 +102,18 @@ def sudden_odd_prediction(basis_in: ModeBasis, basis_fin: ModeBasis) -> float:
 
 
 def sudden_prediction(params: ChainParams, mu_in: float, mu_fin: float) -> SuddenPrediction:
-    """Convenience bundle of both sudden-limit estimates for one quench."""
+    """Convenience bundle of both sudden-limit estimates for one quench.
+
+    Raises InvalidParameterError, as :func:`sudden_odd_prediction` does, when
+    an MZM overlap is below 0.5.
+    """
     basis_in = resolved_basis(params, mu_in)
     basis_fin = resolved_basis(params, mu_fin, previous=basis_in)
-    alphas = mzm_overlaps(basis_in, basis_fin)
-    prod = float(np.prod(alphas))
     return SuddenPrediction(
         l_even_tilde=sudden_even_integral(params.n_sites, mu_in, mu_fin,
                                           params.hopping, params.pairing),
-        l_odd_tilde=0.5 * (1.0 - prod),
-        overlaps=tuple(alphas),
+        l_odd_tilde=sudden_odd_prediction(basis_in, basis_fin),
+        overlaps=mzm_overlaps(basis_in, basis_fin),
     )
 
 

@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="INI experiment file")
         p.add_argument("--preset", help="built-in preset name (see 'presets')")
         p.add_argument("--out", type=Path, help="output CSV path")
-        p.add_argument("--threads", type=int, help="worker threads for sweep points")
         p.add_argument("--seed", type=int, help="override the experiment seed")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
@@ -62,10 +61,6 @@ def _load_config(args) -> ExperimentConfig:
     if (args.config is None) == (args.preset is None):
         raise ConfigError("provide exactly one of --config or --preset")
     cfg = parse_config(args.config) if args.config else preset_config(args.preset)
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        cfg.threads = args.threads
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:

@@ -161,14 +161,14 @@ def default_sample_times(duration: float, count: int = DEFAULT_SAMPLE_COUNT) -> 
 
 
 def _normalize_samples(sample_times, duration: float) -> np.ndarray:
+    """Sorted, duplicate-free sample times in [0, T] that include 0 and T."""
     if sample_times is None:
-        return default_sample_times(duration)
+        sample_times = default_sample_times(duration)
     ts = np.atleast_1d(np.asarray(sample_times, dtype=float))
     if ts.size and (ts.min() < -1e-12 or ts.max() > duration * (1 + 1e-12)):
         raise InvalidParameterError("sample times must lie within [0, T]")
     ts = np.clip(ts, 0.0, duration)
-    ts = np.union1d(ts, [0.0, duration])
-    return ts
+    return np.union1d(ts, [0.0, duration])
 
 
 def _evolve_once(params: ChainParams, protocol: RampProtocol, dmu: float,
@@ -179,8 +179,6 @@ def _evolve_once(params: ChainParams, protocol: RampProtocol, dmu: float,
     _check_purity(records[-1], purity_tol)
     prev_basis = basis
     for t_a, t_b in zip(samples[:-1], samples[1:]):
-        if t_b <= t_a:
-            continue
         o = _segment_propagator(params, protocol, t_a, t_b, dmu)
         state = replace(state, matrix=conjugate_chains(o, state.matrix))
         cur_basis = resolved_basis(params, protocol.mu_at(t_b), previous=prev_basis)
@@ -376,8 +374,6 @@ def fock_oracle(params: ChainParams,
     records.append(space.measure(psi, basis, t=0.0))
     prev_basis = basis
     for t_a, t_b in zip(samples[:-1], samples[1:]):
-        if t_b <= t_a:
-            continue
         span = abs(protocol.mu_at(t_b) - protocol.mu_at(t_a))
         n_steps = max(1, math.ceil(span / dmu - 1e-12))
         dt = (t_b - t_a) / n_steps

@@ -12,7 +12,6 @@ import configparser
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -107,7 +106,6 @@ class ExperimentConfig:
     policy: dynamics.SteppingPolicy = field(default_factory=dynamics.SteppingPolicy)
     sample_count: int = dynamics.DEFAULT_SAMPLE_COUNT
     seed: int = 0
-    threads: int = 1
     out_path: Optional[str] = None
     # walk
     walk_lengths: Tuple[int, ...] = ()
@@ -131,7 +129,6 @@ class ExperimentConfig:
             "n_grid": list(self.n_grid),
             "sample_count": self.sample_count,
             "seed": self.seed,
-            "threads": self.threads,
             "out_path": self.out_path,
             "policy": {
                 "max_dmu_per_step": self.policy.max_dmu_per_step,
@@ -249,9 +246,6 @@ def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
 
     cfg = ExperimentConfig(kind=kind)
     cfg.seed = _get(cp, "experiment", "seed", int, default=0)
-    cfg.threads = _get(cp, "experiment", "threads", int, default=1)
-    if cfg.threads < 1:
-        raise ConfigError("experiment.threads: must be >= 1")
     cfg.out_path = _get(cp, "output", "path", str)
 
     needs_model = kind in ("ramp", "sweep-rate", "sweep-length", "sudden", "oracle-check")
@@ -358,24 +352,21 @@ def _validate_physics(cfg: ExperimentConfig) -> None:
 _NAN = float("nan")
 
 
-def _run_points(points, worker, threads: int):
-    """Evaluate worker over points, tolerating per-point failures.
+def _run_points(points, worker):
+    """Evaluate worker over points in order, tolerating per-point failures.
 
-    Returns (results, statuses) in the order of ``points`` regardless of the
-    execution schedule.
+    Returns (results, statuses) aligned with ``points``; a failed point gives
+    result None and status "failed: <reason>".
     """
-    def safe(point):
+    results, statuses = [], []
+    for point in points:
         try:
-            return worker(point), "ok"
+            results.append(worker(point))
+            statuses.append("ok")
         except Exception as exc:  # noqa: BLE001 - reported per row
-            return None, "failed: %s" % exc
-
-    if threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(safe, points))
-    else:
-        outcomes = [safe(p) for p in points]
-    return [o[0] for o in outcomes], [o[1] for o in outcomes]
+            results.append(None)
+            statuses.append("failed: %s" % exc)
+    return results, statuses
 
 
 def _leakage_columns():
@@ -440,7 +431,7 @@ def _sweep_metadata(table: ResultTable, cfg: ExperimentConfig, trajectories, sta
 def _run_sweep_rate(cfg: ExperimentConfig) -> ResultTable:
     points = sorted((v, mu) for v in cfg.v_grid for mu in cfg.mu_fins)
     results, statuses = _run_points(
-        points, lambda p: _final_trajectory(cfg, cfg.params.n_sites, p[1], p[0]), cfg.threads)
+        points, lambda p: _final_trajectory(cfg, cfg.params.n_sites, p[1], p[0]))
     rows = [(v, mu) + _final_cells(traj) for (v, mu), traj in zip(points, results)]
     table = ResultTable(kind="sweep-rate", columns=("v", "mu_fin") + _leakage_columns(),
                         rows=rows)
@@ -452,7 +443,7 @@ def _run_sweep_length(cfg: ExperimentConfig) -> ResultTable:
     mu_fin = cfg.mu_fins[0]
     points = sorted(cfg.n_grid)
     results, statuses = _run_points(
-        points, lambda n: _final_trajectory(cfg, n, mu_fin, cfg.rate), cfg.threads)
+        points, lambda n: _final_trajectory(cfg, n, mu_fin, cfg.rate))
     rows = [(n,) + _final_cells(traj) for n, traj in zip(points, results)]
     table = ResultTable(kind="sweep-length", columns=("n_sites",) + _leakage_columns(),
                         rows=rows)
@@ -475,7 +466,7 @@ def _run_sudden(cfg: ExperimentConfig) -> ResultTable:
             odd_pred = _NAN
         return record, even_pred, odd_pred
 
-    results, statuses = _run_points(points, worker, cfg.threads)
+    results, statuses = _run_points(points, worker)
     rows = []
     for (n, mu), res in zip(points, results):
         record, even_pred, odd_pred = res if res is not None else (None, _NAN, _NAN)
@@ -495,7 +486,7 @@ def _run_walk(cfg: ExperimentConfig) -> ResultTable:
         config = qpwalk.WalkConfig(length=length, trials=cfg.walk_trials, seed=cfg.seed)
         return qpwalk.simulate_pair_walks(config)
 
-    results, statuses = _run_points(points, worker, cfg.threads)
+    results, statuses = _run_points(points, worker)
     rows = []
     for length, res in zip(points, results):
         if res is None:
@@ -563,30 +554,26 @@ def run_oracle_check(cfg: ExperimentConfig) -> ResultTable:
         for v in cfg.v_grid:
             cases.append(("ramp", v, mu_fin))
 
-    rows = []
-    statuses = []
-    worst = 0.0
-    for case, v, mu_fin in cases:
-        try:
-            if case == "sudden":
-                cov = dynamics.sudden_quench(cfg.params, cfg.mu_in, mu_fin)
-                ork = dynamics.fock_oracle(cfg.params, quench=(cfg.mu_in, mu_fin))[-1]
-            else:
-                protocol = RampProtocol(cfg.mu_in, mu_fin, v)
-                times = np.linspace(0.0, protocol.duration, 11)
-                cov = dynamics.evolve_ramp(cfg.params, protocol, cfg.policy,
-                                           sample_times=times)[-1]
-                ork = dynamics.fock_oracle(cfg.params, protocol=protocol, policy=cfg.policy,
-                                           sample_times=times)[-1]
-            diff = max(abs(cov.l_odd - ork.l_odd), abs(cov.l_even - ork.l_even),
-                       abs(cov.l_g - ork.l_g))
-            worst = max(worst, diff)
-            rows.append((case, v, mu_fin, cov.l_odd, ork.l_odd, cov.l_even, ork.l_even,
-                         cov.l_g, ork.l_g, diff))
-            statuses.append("ok")
-        except Exception as exc:  # noqa: BLE001 - reported per row
-            rows.append((case, v, mu_fin) + (_NAN,) * 7)
-            statuses.append("failed: %s" % exc)
+    def worker(point):
+        case, v, mu_fin = point
+        if case == "sudden":
+            cov = dynamics.sudden_quench(cfg.params, cfg.mu_in, mu_fin)
+            ork = dynamics.fock_oracle(cfg.params, quench=(cfg.mu_in, mu_fin))[-1]
+        else:
+            protocol = RampProtocol(cfg.mu_in, mu_fin, v)
+            times = np.linspace(0.0, protocol.duration, 11)
+            cov = dynamics.evolve_ramp(cfg.params, protocol, cfg.policy,
+                                       sample_times=times)[-1]
+            ork = dynamics.fock_oracle(cfg.params, protocol=protocol, policy=cfg.policy,
+                                       sample_times=times)[-1]
+        diff = max(abs(cov.l_odd - ork.l_odd), abs(cov.l_even - ork.l_even),
+                   abs(cov.l_g - ork.l_g))
+        return (cov.l_odd, ork.l_odd, cov.l_even, ork.l_even, cov.l_g, ork.l_g, diff)
+
+    results, statuses = _run_points(cases, worker)
+    rows = [point + (cells if cells is not None else (_NAN,) * 7)
+            for point, cells in zip(cases, results)]
+    worst = max([0.0] + [cells[-1] for cells in results if cells is not None])
     table = ResultTable(
         kind="oracle-check",
         columns=("case", "v", "mu_fin", "l_odd_cov", "l_odd_oracle", "l_even_cov",

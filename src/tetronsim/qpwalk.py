@@ -17,10 +17,11 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-# Trials are split over this many deterministic sub-streams (fewer when there
-# are fewer trials).  Partitioning work over threads must keep the per-chunk
-# streams, so results do not depend on the executor.
-N_CHUNKS = 64
+# Trials are walked this many at a time.  Each block loops until its slowest
+# walker is absorbed, so small blocks cost Python iterations; one block of all
+# trials costs memory instead (about 30 MB more peak RSS at L=40 and 10**6
+# trials, at the same speed).
+BLOCK = 2 ** 16
 
 # Absorbing walks take O(L^2) expected steps; this cap only trips on bugs.
 MAX_STEPS_PER_WALKER = 10 ** 9
@@ -103,29 +104,19 @@ def _walk_to_ends(rng: np.random.Generator, pos: np.ndarray, length: int) -> np.
     return pos == length
 
 
-def _chunk_sizes(trials: int, n_chunks: int):
-    base, extra = divmod(trials, n_chunks)
-    return [base + (1 if i < extra else 0) for i in range(n_chunks)]
-
-
 def simulate_pair_walks(config: WalkConfig) -> WalkResult:
     """Monte Carlo estimate of the average opposite-end absorption probability.
 
-    Per trial the common starting point is drawn uniformly on {0..L}, then the
-    two walkers are advanced independently (walker A fully, then walker B).
-    The trial set is split over ``N_CHUNKS`` PCG64 streams spawned from the
-    seed, so the result depends only on the seed, not on how chunks are
-    scheduled.
+    All trials draw from one PCG64 stream seeded with ``config.seed``, in
+    consecutive blocks of ``BLOCK`` trials.  Per block the common starting
+    points are drawn uniformly on {0..L}, then walker A is advanced until
+    every trial's A is absorbed, then walker B.
     """
     length = config.length
-    seq = np.random.SeedSequence(config.seed)
-    n_chunks = min(N_CHUNKS, config.trials)
-    children = seq.spawn(n_chunks)
+    rng = np.random.default_rng(config.seed)
     opposite = 0
-    for child, n in zip(children, _chunk_sizes(config.trials, n_chunks)):
-        if n == 0:
-            continue
-        rng = np.random.default_rng(child)
+    for first in range(0, config.trials, BLOCK):
+        n = min(BLOCK, config.trials - first)
         start = rng.integers(0, length + 1, size=n, dtype=np.int64)
         end_a = _walk_to_ends(rng, start, length)
         end_b = _walk_to_ends(rng, start, length)

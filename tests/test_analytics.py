@@ -63,6 +63,8 @@ class TestSuddenOdd:
         basis_fin = resolved_basis(params, 0.8, previous=basis_in)
         with pytest.raises(InvalidParameterError):
             sudden_odd_prediction(basis_in, basis_fin)
+        with pytest.raises(InvalidParameterError):
+            sudden_prediction(params, -0.8, 0.8)
 
 
 class TestNearAdiabaticForms:

@@ -210,13 +210,43 @@ class TestRunCommand:
         assert main(["run", "--config", str(ini2), "--quiet"]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_threading_matches_serial(self, tmp_path):
-        out1, out2 = tmp_path / "s.csv", tmp_path / "t.csv"
-        ini1 = write_ini(tmp_path / "s.ini", SWEEP_INI.format(out=out1))
-        ini2 = write_ini(tmp_path / "t.ini", SWEEP_INI.format(out=out2))
-        assert main(["run", "--config", str(ini1), "--quiet"]) == EXIT_OK
-        assert main(["run", "--config", str(ini2), "--threads", "4", "--quiet"]) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
+        ini = write_ini(tmp_path / "s.ini", SWEEP_INI.format(out=tmp_path / "s.csv"))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(ini), "--threads", "4", "--quiet"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_sudden_prediction_out_of_range_is_nan(self, tmp_path):
+        # at mu_fin = 0.9 the N=20 MZM overlaps are 0.45, below the 0.5 the
+        # parity-sector prediction needs; the simulated row itself is fine
+        out = tmp_path / "sudden.csv"
+        ini = write_ini(tmp_path / "sudden.ini", """
+[experiment]
+kind = sudden
+
+[model]
+n_sites = 20
+
+[protocol]
+mu_in = 0.0
+mu_fin_list = 0.03, 0.9
+
+[grid]
+n_list = 20
+
+[output]
+path = {out}
+""".format(out=out))
+        assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_OK
+        table = read_table(out)
+        meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
+        assert meta["row_status"] == ["ok", "ok"]
+        assert list(table.column("mu_fin")) == [0.03, 0.9]
+        pred = table.column("l_odd_pred")
+        assert np.isfinite(pred[0]) and np.isnan(pred[1])
+        assert np.all(np.isfinite(table.column("l_odd")))
 
     def test_sweep_rows_sorted_and_consistent(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -28,6 +28,15 @@ class TestRampBasics:
         assert first.l_even == pytest.approx(0.0, abs=1e-10)
         assert first.parity == pytest.approx(1.0, abs=1e-10)
 
+    def test_one_record_per_distinct_sample_time(self):
+        # repeated times, and the default grid of a zero-length ramp, collapse
+        proto = RampProtocol(0.0, 0.05, 1e-2)
+        records = evolve_ramp(params(4), proto, sample_times=[0.0, 1.0, 1.0, proto.duration])
+        assert [r.t for r in records] == [0.0, 1.0, proto.duration]
+        still = RampProtocol(0.05, 0.05, 1e-2)
+        assert len(evolve_ramp(params(4), still)) == 1
+        assert len(fock_oracle(params(2), protocol=still)) == 1
+
     def test_leakage_sum_identity(self):
         proto = RampProtocol(0.0, 0.1, 5e-3)
         records = evolve_ramp(params(6), proto,

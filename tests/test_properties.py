@@ -57,6 +57,8 @@ def test_propagator_is_real_orthogonal_exponential(chain, dt):
     o = _chain_propagator(params, mu, dt)
     assert o.dtype == np.float64
     assert orthogonality_defect(o) < 1e-12
+    # Pf(O M O^T) = det(O) Pf(M): a proper rotation conserves total fermion parity
+    assert abs(np.linalg.det(o) - 1.0) < 1e-12
     n2 = 2 * params.n_sites
     omega = majorana_rotation(params.n_sites)[:n2, :n2]
     exact = omega.conj() @ scipy.linalg.expm(1j * _chain_matrix(params, mu) * dt) @ omega.T
