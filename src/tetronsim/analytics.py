@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import least_squares
 
 from .errors import FitConvergenceError, InvalidParameterError
 from .model import ChainParams, ModeBasis, band_gap, bulk_energy, resolved_basis
@@ -63,6 +61,8 @@ def sudden_even_integral(n_sites: int, mu_in: float, mu_fin: float,
     delta_k = 2 Delta sin k; the leakage is the bulk-count prefactor
     (N - 2)/(2 pi) times the integral of |beta_k|^2 over the zone.
     """
+    # scipy is imported here, not at module level, so importing the CLI stays light
+    from scipy import integrate
     dmu = mu_fin - mu_in
 
     def integrand(k):
@@ -161,6 +161,8 @@ def fit_half_lz(samples: Sequence[Tuple[float, float]],
     amplitudes solved linearly; stage two refines all five parameters from
     the best grid point.  Both stages are deterministic.
     """
+    # scipy is imported here, not at module level, so importing the CLI stays light
+    from scipy.optimize import least_squares
     data = np.asarray(samples, dtype=float)
     if data.shape[0] < 20:
         raise FitConvergenceError("need at least 20 samples, got %d" % data.shape[0])

@@ -12,6 +12,12 @@ share one decomposition, the real SVD S(mu) = U Sigma V^T of
 rotates M with R = diag(V^T, U^T) into the instantaneous quasiparticle basis,
 where the parity Pfaffian and the ground-state overlaps give the leakage
 split.
+
+The oracle, :func:`fock_oracle`, steps the full two-chain Fock-space state
+vector of a chain of at most 3 sites on the same frozen-Hamiltonian grid.  Its
+Hamiltonian is real and linear in mu, H(mu) = H0 + mu H1, with both parts
+built once per :class:`FockSpace`, so each step is one real symmetric
+``eigh``.
 """
 
 from __future__ import annotations
@@ -219,17 +225,23 @@ def evolve_ramp(params: ChainParams, protocol: RampProtocol,
     return records
 
 
+def prepare_quench(params: ChainParams, mu_in: float,
+                   mu_fin: float) -> Tuple[CovarianceMatrix, ModeBasis, ModeBasis]:
+    """|+> built at mu_in, its basis, and the gauge-aligned basis at mu_fin."""
+    for mu in (mu_in, mu_fin):
+        if not is_topological(mu, params.hopping, params.pairing):
+            raise InvalidParameterError("mu=%g is outside the topological phase" % mu)
+    state, basis_in = initial_plus_state(params, mu_in)
+    return state, basis_in, resolved_basis(params, mu_fin, previous=basis_in)
+
+
 def sudden_quench(params: ChainParams, mu_in: float, mu_fin: float) -> LeakageRecord:
     """Leakage of |+> built at mu_in when re-read in the mu_fin basis.
 
     This is the infinite-rate limit of the ramp: no time evolution happens,
     only the instantaneous computational basis changes.
     """
-    for mu in (mu_in, mu_fin):
-        if not is_topological(mu, params.hopping, params.pairing):
-            raise InvalidParameterError("mu=%g is outside the topological phase" % mu)
-    state, basis_in = initial_plus_state(params, mu_in)
-    basis_fin = resolved_basis(params, mu_fin, previous=basis_in)
+    state, _, basis_fin = prepare_quench(params, mu_in, mu_fin)
     return measure_leakage(state, basis_fin, t=0.0)
 
 
@@ -244,7 +256,10 @@ class FockSpace:
     """Dense many-body operators for a tetron with at most 3 sites per chain.
 
     Jordan-Wigner ordering runs through chain 1's sites then chain 2's, the
-    same layout as the single-particle operator vector.
+    same layout as the single-particle operator vector.  Every operator is
+    real.  The Hamiltonian is linear in mu, H(mu) = H0 + mu H1, with H0 the
+    hopping and pairing terms of both chains and H1 = -sum_j (n_j - 1/2);
+    both are built once here from the same operator products.
     """
 
     def __init__(self, params: ChainParams):
@@ -253,11 +268,12 @@ class FockSpace:
                 "Fock oracle limited to n_sites <= %d" % MAX_ORACLE_SITES
             )
         self.params = params
-        n_modes = 2 * params.n_sites
+        n = params.n_sites
+        n_modes = 2 * n
         self.dim = 2 ** n_modes
-        lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        zmat = np.diag([1.0, -1.0]).astype(complex)
-        eye2 = np.eye(2, dtype=complex)
+        lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+        zmat = np.diag([1.0, -1.0])
+        eye2 = np.eye(2)
         self.c = []
         for j in range(n_modes):
             ops = [zmat] * j + [lower] + [eye2] * (n_modes - j - 1)
@@ -265,35 +281,29 @@ class FockSpace:
             for op in ops[1:]:
                 mat = np.kron(mat, op)
             self.c.append(mat)
-        self.cdag = [m.conj().T for m in self.c]
-        parity = np.eye(self.dim, dtype=complex)
-        for j in range(n_modes):
-            parity = parity @ (np.eye(self.dim) - 2.0 * self.cdag[j] @ self.c[j])
-        self.total_parity_op = parity
+        self.cdag = [m.T for m in self.c]
+        c, cdag = self.c, self.cdag
+        occupation = np.array([np.diag(cdag[j] @ c[j]) for j in range(n_modes)])
+        self.total_parity_op = np.diag(np.prod(1.0 - 2.0 * occupation, axis=0))
+        w, delta = params.hopping, params.pairing
+        self._h0 = np.zeros((self.dim, self.dim))
+        for off in (0, n):
+            for j in range(off, off + n - 1):
+                self._h0 += -w * (cdag[j] @ c[j + 1] + cdag[j + 1] @ c[j])
+                self._h0 += delta * (c[j] @ c[j + 1] + cdag[j + 1] @ cdag[j])
+        self._h1 = np.diag(-np.sum(occupation - 0.5, axis=0))
 
     def hamiltonian(self, mu: float) -> np.ndarray:
-        n = self.params.n_sites
-        w, delta = self.params.hopping, self.params.pairing
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        eye = np.eye(self.dim)
-        for lam in range(2):
-            off = lam * n
-            for j in range(n):
-                h += -mu * (self.cdag[off + j] @ self.c[off + j] - 0.5 * eye)
-            for j in range(n - 1):
-                h += -w * (self.cdag[off + j] @ self.c[off + j + 1]
-                           + self.cdag[off + j + 1] @ self.c[off + j])
-                h += delta * (self.c[off + j] @ self.c[off + j + 1]
-                              + self.cdag[off + j + 1] @ self.cdag[off + j])
-        return h
+        """Real symmetric H(mu) = H0 + mu H1 on the full two-chain Fock space."""
+        return self._h0 + mu * self._h1
 
     def qp_annihilator(self, column: np.ndarray, chain: int) -> np.ndarray:
         n = self.params.n_sites
         off = chain * n
-        op = np.zeros((self.dim, self.dim), dtype=complex)
+        op = np.zeros((self.dim, self.dim))
         for i in range(n):
-            op += column[i].conj() * self.c[off + i]
-            op += column[n + i].conj() * self.cdag[off + i]
+            op += column[i] * self.c[off + i]
+            op += column[n + i] * self.cdag[off + i]
         return op
 
     def ground_states(self, basis: ModeBasis):
@@ -301,27 +311,24 @@ class FockSpace:
         v = basis.vectors
         n = self.params.n_sites
         d_ops = [self.qp_annihilator(v[:, k], lam) for lam in range(2) for k in range(n)]
-        number = sum(op.conj().T @ op for op in d_ops)
+        number = sum(op.T @ op for op in d_ops)
         evals, evecs = np.linalg.eigh(number)
         if evals[0] > 1e-8 or evals[1] < 0.5:
             raise InvalidParameterError("quasiparticle vacuum is not isolated")
         vac = evecs[:, 0]
         d0_1 = d_ops[0]
         d0_2 = d_ops[n]
-        one = d0_1.conj().T @ (d0_2.conj().T @ vac)
+        one = d0_1.T @ (d0_2.T @ vac)
         one = one / np.linalg.norm(one)
-        g1 = d0_1 + d0_1.conj().T
-        g2 = 1j * (d0_1 - d0_1.conj().T)
-        g3 = d0_2 + d0_2.conj().T
-        g4 = 1j * (d0_2 - d0_2.conj().T)
-        parity_op = -g1 @ g2 @ g3 @ g4
+        # MZM parity -g1 g2 g3 g4 with Majoranas d + d^T and i(d - d^T); i * i cancels the minus
+        parity_op = (d0_1 + d0_1.T) @ (d0_1 - d0_1.T) @ (d0_2 + d0_2.T) @ (d0_2 - d0_2.T)
         return vac, one, parity_op
 
     def measure(self, psi: np.ndarray, basis: ModeBasis, t: float) -> LeakageRecord:
         vac, one, parity_op = self.ground_states(basis)
         parity = float((psi.conj() @ (parity_op @ psi)).real)
         l_odd = 0.5 * (1.0 - parity)
-        l_g_raw = 1.0 - abs(vac.conj() @ psi) ** 2 - abs(one.conj() @ psi) ** 2
+        l_g_raw = 1.0 - abs(vac @ psi) ** 2 - abs(one @ psi) ** 2
         l_even = l_g_raw - l_odd
         return LeakageRecord(
             t=t,
@@ -380,7 +387,7 @@ def fock_oracle(params: ChainParams,
         for i in range(n_steps):
             mu = protocol.mu_at(t_a + i * dt)
             evals, q = np.linalg.eigh(space.hamiltonian(mu))
-            psi = q @ (np.exp(-1j * evals * dt) * (q.conj().T @ psi))
+            psi = q @ (np.exp(-1j * evals * dt) * (q.T @ psi))
         cur_basis = resolved_basis(params, protocol.mu_at(t_b), previous=prev_basis)
         records.append(space.measure(psi, cur_basis, t=float(t_b)))
         prev_basis = cur_basis

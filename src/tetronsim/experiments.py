@@ -457,11 +457,12 @@ def _run_sudden(cfg: ExperimentConfig) -> ResultTable:
     def worker(point):
         n, mu_fin = point
         params = ChainParams(n, cfg.params.hopping, cfg.params.pairing)
-        record = dynamics.sudden_quench(params, cfg.mu_in, mu_fin)
+        state, basis_in, basis_fin = dynamics.prepare_quench(params, cfg.mu_in, mu_fin)
+        record = dynamics.measure_leakage(state, basis_fin, t=0.0)
         even_pred = analytics.sudden_even_integral(n, cfg.mu_in, mu_fin,
                                                    params.hopping, params.pairing)
         try:
-            odd_pred = analytics.sudden_prediction(params, cfg.mu_in, mu_fin).l_odd_tilde
+            odd_pred = analytics.sudden_odd_prediction(basis_in, basis_fin)
         except InvalidParameterError:
             odd_pred = _NAN
         return record, even_pred, odd_pred

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tetronsim
 from tetronsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from tetronsim.errors import ConfigError
 from tetronsim.experiments import (
@@ -188,6 +191,18 @@ path = should_not_exist.csv
         code = main(["run", "--config", str(ini), "--quiet"])
         assert code == EXIT_CONFIG
         assert not (tmp_path / "should_not_exist.csv").exists()
+
+
+def test_cli_import_and_config_parse_leave_scipy_unloaded(tmp_path):
+    # scipy costs most of the start-up time; only quadrature and fitting need it
+    ini = write_ini(tmp_path / "s.ini", SWEEP_INI.format(out=tmp_path / "s.csv"))
+    code = ("import sys\nfrom pathlib import Path\nimport tetronsim.cli\n"
+            "from tetronsim.experiments import parse_config\n"
+            "parse_config(Path(sys.argv[1]))\nprint('scipy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(tetronsim.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, str(ini)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestRunCommand:

@@ -1,4 +1,4 @@
-"""Property tests of the real Majorana-basis maps on random topological chains."""
+"""Property tests of the real Majorana-basis maps and the Fock oracle on random chains."""
 
 from dataclasses import replace
 
@@ -8,7 +8,15 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetronsim.dynamics import _chain_propagator, measure_leakage
+from tetronsim.dynamics import (
+    FockSpace,
+    SteppingPolicy,
+    _chain_propagator,
+    evolve_ramp,
+    fock_oracle,
+    measure_leakage,
+)
+from tetronsim.experiments import ORACLE_TOLERANCE
 from tetronsim.gaussian import (
     CovarianceMatrix,
     majorana_rotation,
@@ -18,6 +26,7 @@ from tetronsim.gaussian import (
 )
 from tetronsim.model import (
     ChainParams,
+    RampProtocol,
     _chain_matrix,
     build_chain_bdg,
     chain_s,
@@ -147,3 +156,69 @@ def test_leakage_ignores_zero_mode_reflection(chain, seed):
         rec = measure_leakage(state, replace(basis, **{name: flipped}))
         for field in ("l_odd", "l_even", "l_g", "parity"):
             assert abs(getattr(rec, field) - getattr(ref, field)) < 1e-12
+
+
+def reference_fock_hamiltonian(params, mu):
+    """Complex Jordan-Wigner operators and H(mu) summed term by term.
+
+    Returns (H, total parity) built as the oracle did before H = H0 + mu H1.
+    """
+    n = params.n_sites
+    n_modes = 2 * n
+    dim = 2 ** n_modes
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    zmat = np.diag([1.0, -1.0]).astype(complex)
+    eye2 = np.eye(2, dtype=complex)
+    c = []
+    for j in range(n_modes):
+        ops = [zmat] * j + [lower] + [eye2] * (n_modes - j - 1)
+        mat = ops[0]
+        for op in ops[1:]:
+            mat = np.kron(mat, op)
+        c.append(mat)
+    cdag = [m.conj().T for m in c]
+    parity = np.eye(dim, dtype=complex)
+    for j in range(n_modes):
+        parity = parity @ (np.eye(dim) - 2.0 * cdag[j] @ c[j])
+    w, delta = params.hopping, params.pairing
+    h = np.zeros((dim, dim), dtype=complex)
+    eye = np.eye(dim)
+    for off in (0, n):
+        for j in range(n):
+            h += -mu * (cdag[off + j] @ c[off + j] - 0.5 * eye)
+        for j in range(n - 1):
+            h += -w * (cdag[off + j] @ c[off + j + 1] + cdag[off + j + 1] @ c[off + j])
+            h += delta * (c[off + j] @ c[off + j + 1] + cdag[off + j + 1] @ cdag[off + j])
+    return h, parity
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3]), st.floats(0.1, 1.0), st.floats(0.1, 1.0),
+       st.floats(-2.0, 2.0))
+def test_fock_hamiltonian_is_real_linear_and_parity_even(n, w, delta, mu):
+    params = ChainParams(n, w, delta)
+    space = FockSpace(params)
+    h = space.hamiltonian(mu)
+    ref_h, ref_parity = reference_fock_hamiltonian(params, mu)
+    assert h.dtype == np.float64 and space.total_parity_op.dtype == np.float64
+    assert np.array_equal(h, h.T)
+    assert np.max(np.abs(h - ref_h)) < 1e-13
+    assert np.array_equal(space.total_parity_op, ref_parity.real)
+    p = space.total_parity_op
+    assert np.max(np.abs(h @ p - p @ h)) < 1e-13
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3]), st.floats(0.2, 1.0), st.floats(0.7, 1.4),
+       st.floats(0.05, 0.5), st.sampled_from([-1.0, 1.0]), st.floats(1e-3, 1.0))
+def test_covariance_matches_fock_oracle(n, w, delta_ratio, mu_ratio, sign, v):
+    params = ChainParams(n, w, w * delta_ratio)
+    protocol = RampProtocol(0.0, sign * w * mu_ratio, v)
+    policy = SteppingPolicy(max_dmu_per_step=w * mu_ratio / 200)
+    times = np.linspace(0.0, protocol.duration, 5)
+    cov = evolve_ramp(params, protocol, policy, sample_times=times)
+    ork = fock_oracle(params, protocol=protocol, policy=policy, sample_times=times)
+    assert len(cov) == len(ork) == len(times)
+    for a, b in zip(cov, ork):
+        for field in ("l_odd", "l_even", "l_g"):
+            assert abs(getattr(a, field) - getattr(b, field)) < ORACLE_TOLERANCE
