@@ -28,6 +28,7 @@ from .dynamics import (
     SteppingPolicy,
     Trajectory,
     evolve_ramp,
+    evolve_rates,
     fock_oracle,
     initial_plus_state,
     measure_leakage,

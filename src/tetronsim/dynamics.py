@@ -11,7 +11,9 @@ share one decomposition, the real SVD S(mu) = U Sigma V^T of
 :func:`tetronsim.model.chain_s`: it gives O in closed form, and a sample
 rotates M with R = diag(V^T, U^T) into the instantaneous quasiparticle basis,
 where the parity Pfaffian and the ground-state overlaps give the leakage
-split.
+split.  The step grid in mu does not depend on the ramp rate, so the rates
+of a sweep step together and share one SVD per step (:func:`evolve_rates`);
+:func:`evolve_ramp` is the one-rate case of the same loop.
 
 The oracle, :func:`fock_oracle`, steps the full two-chain Fock-space state
 vector of a chain of at most 3 sites on the same frozen-Hamiltonian grid.  Its
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,43 +96,50 @@ class Trajectory(list):
     richardson_defect: Optional[float] = None
 
 
-def _chain_propagator(params: ChainParams, mu: float, dt: float) -> np.ndarray:
+# One rate's result: its trajectory, or the purity failure that stopped it.
+Outcome = Union[Trajectory, StepSizeTooCoarse]
+
+
+def _chain_propagator(factors: Tuple[np.ndarray, np.ndarray, np.ndarray],
+                      dt: float) -> np.ndarray:
     """Exact one-chain step O = Omega* e^{i H dt} Omega^T in the Majorana basis.
 
-    With H = [[A, B], [-B, -A]] and real A, B, the SVD S = A + B = U Sigma V^T
-    gives the real orthogonal
+    ``factors`` is the SVD (U, Sigma, V^T) of S = A + B, as ``np.linalg.svd``
+    returns it, for the H = [[A, B], [-B, -A]] frozen at one mu.  It gives the
+    real orthogonal
 
         O = [[ V cos(Sigma dt) V^T, V sin(Sigma dt) U^T ],
              [-U sin(Sigma dt) V^T, U cos(Sigma dt) U^T ]],
 
     which is cheaper than diagonalizing the full 2N x 2N matrix and agrees
-    with it to machine precision.
+    with it to machine precision.  Only dt depends on the ramp rate, so the
+    rates of a sweep share one decomposition per step.
     """
-    u, sig, vt = np.linalg.svd(chain_s(params, mu))
+    u, sig, vt = factors
     v = vt.T
     cos = np.cos(sig * dt)
     sin = np.sin(sig * dt)
-    return np.block([
-        [(v * cos) @ vt, (v * sin) @ u.T],
-        [-(u * sin) @ vt, (u * cos) @ u.T],
-    ])
-
-
-def _segment_propagator(params: ChainParams, protocol: RampProtocol,
-                        t_a: float, t_b: float, dmu: float) -> np.ndarray:
-    """Accumulated one-chain Majorana-basis step over [t_a, t_b].
-
-    The chemical potential is frozen at the left endpoint of each sub-step,
-    and the number of sub-steps keeps the per-step mu change below dmu.
-    """
-    span = abs(protocol.mu_at(t_b) - protocol.mu_at(t_a))
-    n_steps = max(1, math.ceil(span / dmu - 1e-12))
-    dt = (t_b - t_a) / n_steps
-    o = np.eye(2 * params.n_sites)
-    for i in range(n_steps):
-        mu = protocol.mu_at(t_a + i * dt)
-        o = _chain_propagator(params, mu, dt) @ o
+    n = sig.size
+    o = np.empty((2 * n, 2 * n))
+    np.matmul(v * cos, vt, out=o[:n, :n])
+    np.matmul(v * sin, u.T, out=o[:n, n:])
+    np.matmul(-(u * sin), vt, out=o[n:, :n])
+    np.matmul(u * cos, u.T, out=o[n:, n:])
     return o
+
+
+def _step_mus(mu_a: float, mu_b: float, dmu: float) -> np.ndarray:
+    """Left endpoints of the equal steps from mu_a to mu_b, each at most dmu long.
+
+    The grid depends on mu alone, not on the ramp rate.
+    """
+    n_steps = max(1, math.ceil(abs(mu_b - mu_a) / dmu - 1e-12))
+    return mu_a + np.arange(n_steps) * ((mu_b - mu_a) / n_steps)
+
+
+def _sample_mus(protocol: RampProtocol, samples: np.ndarray) -> list:
+    """mu at each sample time, with the last sample at mu_fin exactly."""
+    return [protocol.mu_at(t) for t in samples[:-1]] + [protocol.mu_fin]
 
 
 def initial_plus_state(params: ChainParams, mu_in: float) -> Tuple[CovarianceMatrix, ModeBasis]:
@@ -177,29 +186,80 @@ def _normalize_samples(sample_times, duration: float) -> np.ndarray:
     return np.union1d(ts, [0.0, duration])
 
 
-def _evolve_once(params: ChainParams, protocol: RampProtocol, dmu: float,
-                 samples: np.ndarray, purity_tol: float) -> Trajectory:
-    state, basis = initial_plus_state(params, protocol.mu_in)
-    records = Trajectory()
-    records.append(measure_leakage(state, basis, t=0.0))
-    _check_purity(records[-1], purity_tol)
-    prev_basis = basis
-    for t_a, t_b in zip(samples[:-1], samples[1:]):
-        o = _segment_propagator(params, protocol, t_a, t_b, dmu)
-        state = replace(state, matrix=conjugate_chains(o, state.matrix))
-        cur_basis = resolved_basis(params, protocol.mu_at(t_b), previous=prev_basis)
-        records.append(measure_leakage(state, cur_basis, t=float(t_b)))
-        _check_purity(records[-1], purity_tol)
-        prev_basis = cur_basis
-    return records
-
-
 def _check_purity(record: LeakageRecord, tol: float) -> None:
     if record.purity_defect > tol:
         raise StepSizeTooCoarse(
             "purity defect %g exceeds tolerance %g at t=%g"
             % (record.purity_defect, tol, record.t)
         )
+
+
+def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[np.ndarray],
+                     dmu: float, purity_tol: float) -> List[Outcome]:
+    """Step one mu path at several rates together.
+
+    Every rate is sampled at the chemical potentials ``mus``; ``times[j]``
+    holds rate j's sample times.  Each step takes one SVD of S(mu) on the
+    rate-independent grid of :func:`_step_mus` and advances the propagator of
+    every rate still running from it, with that rate's own dt.  |+> and the
+    basis of each sample are built once for all rates.
+
+    Returns, per rate, its Trajectory or the StepSizeTooCoarse that stopped
+    it.  Failures of the shared work (|+>, a basis resolve) raise.
+    """
+    state, basis = initial_plus_state(params, mus[0])
+    states = [state] * len(times)
+    outcomes = [Trajectory() for _ in times]
+
+    def measure(j: int, k: int) -> None:
+        record = measure_leakage(states[j], basis, t=float(times[j][k]))
+        try:
+            _check_purity(record, purity_tol)
+        except StepSizeTooCoarse as exc:
+            outcomes[j] = exc
+        else:
+            outcomes[j].append(record)
+
+    for j in range(len(times)):
+        measure(j, 0)
+    for k in range(len(mus) - 1):
+        live = [j for j, out in enumerate(outcomes) if isinstance(out, Trajectory)]
+        if not live:
+            break
+        grid = _step_mus(mus[k], mus[k + 1], dmu)
+        dts = [(times[j][k + 1] - times[j][k]) / len(grid) for j in live]
+        props = [np.eye(2 * params.n_sites)] * len(live)
+        for mu in grid:
+            factors = np.linalg.svd(chain_s(params, mu))
+            props = [_chain_propagator(factors, dt) @ o for dt, o in zip(dts, props)]
+        basis = resolved_basis(params, mus[k + 1], previous=basis)
+        for j, o in zip(live, props):
+            states[j] = replace(states[j], matrix=conjugate_chains(o, states[j].matrix))
+            measure(j, k + 1)
+    return outcomes
+
+
+def _evolve(params: ChainParams, mus: Sequence[float], times: Sequence[np.ndarray],
+            policy: SteppingPolicy) -> List[Outcome]:
+    """:func:`_evolve_lockstep` with the policy's step, plus its Richardson rerun.
+
+    A rate whose rerun at half the step fails takes the rerun's failure.
+    """
+    dmu = policy.resolved_dmu(mus[-1] - mus[0])
+    outcomes = _evolve_lockstep(params, mus, times, dmu, policy.purity_tol)
+    ok = [j for j, out in enumerate(outcomes) if isinstance(out, Trajectory)]
+    if policy.richardson and ok:
+        fine = _evolve_lockstep(params, mus, [times[j] for j in ok], dmu / 2.0,
+                                policy.purity_tol)
+        for j, rerun in zip(ok, fine):
+            if not isinstance(rerun, Trajectory):
+                outcomes[j] = rerun
+                continue
+            coarse_lg = outcomes[j][-1].l_g
+            fine_lg = rerun[-1].l_g
+            scale = max(abs(fine_lg), 1e-300)
+            outcomes[j].richardson_defect = abs(coarse_lg - fine_lg) / scale
+    return outcomes
 
 
 def evolve_ramp(params: ChainParams, protocol: RampProtocol,
@@ -210,19 +270,32 @@ def evolve_ramp(params: ChainParams, protocol: RampProtocol,
     Returns one LeakageRecord per sample time (t=0 and t=T always included).
     The ramp must stay inside the topological phase throughout.
     """
-    policy = policy or SteppingPolicy()
     protocol.validate_topological(params)
-    duration = protocol.duration
-    samples = _normalize_samples(sample_times, duration)
-    dmu = policy.resolved_dmu(protocol.mu_fin - protocol.mu_in)
-    records = _evolve_once(params, protocol, dmu, samples, policy.purity_tol)
-    if policy.richardson:
-        fine = _evolve_once(params, protocol, dmu / 2.0, samples, policy.purity_tol)
-        coarse_lg = records[-1].l_g
-        fine_lg = fine[-1].l_g
-        scale = max(abs(fine_lg), 1e-300)
-        records.richardson_defect = abs(coarse_lg - fine_lg) / scale
-    return records
+    samples = _normalize_samples(sample_times, protocol.duration)
+    [outcome] = _evolve(params, _sample_mus(protocol, samples), [samples],
+                        policy or SteppingPolicy())
+    if not isinstance(outcome, Trajectory):
+        raise outcome
+    return outcome
+
+
+def evolve_rates(params: ChainParams, mu_in: float, mu_fin: float, rates: Sequence[float],
+                 policy: Optional[SteppingPolicy] = None) -> List[Outcome]:
+    """End-of-ramp leakage of one mu_in -> mu_fin ramp at each of several rates.
+
+    The rates share the mu grid, so one SVD per step serves all of them.
+    Returns one entry per rate, in order: the Trajectory that
+    :func:`evolve_ramp` gives for that rate with ``sample_times=[duration]``
+    (records at t = 0 and t = T, and ``richardson_defect`` if the policy
+    asks for it), or the StepSizeTooCoarse that stopped that rate.
+    """
+    protocols = [RampProtocol(mu_in, mu_fin, v) for v in rates]
+    if not protocols:
+        return []
+    protocols[0].validate_topological(params)
+    times = [_normalize_samples([p.duration], p.duration) for p in protocols]
+    return _evolve(params, _sample_mus(protocols[0], times[0]), times,
+                   policy or SteppingPolicy())
 
 
 def prepare_quench(params: ChainParams, mu_in: float,
@@ -371,24 +444,20 @@ def fock_oracle(params: ChainParams,
         return records
 
     protocol.validate_topological(params)
-    duration = protocol.duration
-    samples = _normalize_samples(sample_times, duration)
+    samples = _normalize_samples(sample_times, protocol.duration)
+    mus = _sample_mus(protocol, samples)
     dmu = policy.resolved_dmu(protocol.mu_fin - protocol.mu_in)
-    basis = resolved_basis(params, protocol.mu_in)
+    basis = resolved_basis(params, mus[0])
     vac, one, _ = space.ground_states(basis)
     psi = (vac + one) / np.sqrt(2.0)
     records = Trajectory()
     records.append(space.measure(psi, basis, t=0.0))
-    prev_basis = basis
-    for t_a, t_b in zip(samples[:-1], samples[1:]):
-        span = abs(protocol.mu_at(t_b) - protocol.mu_at(t_a))
-        n_steps = max(1, math.ceil(span / dmu - 1e-12))
-        dt = (t_b - t_a) / n_steps
-        for i in range(n_steps):
-            mu = protocol.mu_at(t_a + i * dt)
+    for k in range(len(samples) - 1):
+        grid = _step_mus(mus[k], mus[k + 1], dmu)
+        dt = (samples[k + 1] - samples[k]) / len(grid)
+        for mu in grid:
             evals, q = np.linalg.eigh(space.hamiltonian(mu))
             psi = q @ (np.exp(-1j * evals * dt) * (q.T @ psi))
-        cur_basis = resolved_basis(params, protocol.mu_at(t_b), previous=prev_basis)
-        records.append(space.measure(psi, cur_basis, t=float(t_b)))
-        prev_basis = cur_basis
+        basis = resolved_basis(params, mus[k + 1], previous=basis)
+        records.append(space.measure(psi, basis, t=float(samples[k + 1])))
     return records

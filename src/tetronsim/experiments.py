@@ -429,9 +429,23 @@ def _sweep_metadata(table: ResultTable, cfg: ExperimentConfig, trajectories, sta
 
 
 def _run_sweep_rate(cfg: ExperimentConfig) -> ResultTable:
+    """All rates of one mu_fin step together (:func:`dynamics.evolve_rates`).
+
+    A row that fails on its own (purity check or Richardson rerun) is flagged
+    alone; a failure of its group's shared work flags every row of the group.
+    """
     points = sorted((v, mu) for v in cfg.v_grid for mu in cfg.mu_fins)
-    results, statuses = _run_points(
-        points, lambda p: _final_trajectory(cfg, cfg.params.n_sites, p[1], p[0]))
+    rates = sorted(set(cfg.v_grid))
+    outcomes = {}
+    for mu_fin in sorted(set(cfg.mu_fins)):
+        try:
+            group = dynamics.evolve_rates(cfg.params, cfg.mu_in, mu_fin, rates, cfg.policy)
+        except Exception as exc:  # noqa: BLE001 - reported per row
+            group = [exc] * len(rates)
+        outcomes.update(((v, mu_fin), out) for v, out in zip(rates, group))
+    results = [outcomes[p] for p in points]
+    statuses = ["failed: %s" % out if isinstance(out, Exception) else "ok" for out in results]
+    results = [None if isinstance(out, Exception) else out for out in results]
     rows = [(v, mu) + _final_cells(traj) for (v, mu), traj in zip(points, results)]
     table = ResultTable(kind="sweep-rate", columns=("v", "mu_fin") + _leakage_columns(),
                         rows=rows)

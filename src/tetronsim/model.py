@@ -35,6 +35,9 @@ from .errors import DegenerateSubspaceError, InvalidParameterError
 # as a resolvable two-dimensional near-zero subspace.
 ZERO_MODE_RATIO = 0.25
 
+# Singular-vector entries below this are dropped as rounding residue (eps^2).
+NEGLIGIBLE = np.finfo(float).eps ** 2
+
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -130,10 +133,21 @@ def chain_s(params: ChainParams, mu: float) -> np.ndarray:
             + np.diag(np.full(n - 1, -(w + delta)), 1))
 
 
+def _flush_negligible(x: np.ndarray) -> np.ndarray:
+    """Zero the entries of orthonormal columns that lie below eps^2 in magnitude.
+
+    At mu = 0 LAPACK leaves singular-vector entries down to 1e-321, and every
+    operation on a state built from subnormal numbers runs several times
+    slower.  An entry of a unit vector below eps^2 lies far below the
+    rounding of any result it enters.
+    """
+    return np.where(np.abs(x) < NEGLIGIBLE, 0.0, x)
+
+
 def chain_svd(params: ChainParams, mu: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U, Sigma, V) with S = U diag(Sigma) V^T and Sigma ascending."""
+    """(U, Sigma, V) with S = U diag(Sigma) V^T, Sigma ascending, negligible entries zeroed."""
     u, sig, vt = np.linalg.svd(chain_s(params, mu))
-    return u[:, ::-1], sig[::-1], vt[::-1].T
+    return _flush_negligible(u[:, ::-1]), sig[::-1], _flush_negligible(vt[::-1].T)
 
 
 def _fix_sign(x: np.ndarray) -> np.ndarray:

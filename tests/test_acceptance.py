@@ -19,7 +19,13 @@ from tetronsim.analytics import (
     sudden_even_prediction,
     sudden_prediction,
 )
-from tetronsim.dynamics import SteppingPolicy, evolve_ramp, fock_oracle, sudden_quench
+from tetronsim.dynamics import (
+    SteppingPolicy,
+    evolve_ramp,
+    evolve_rates,
+    fock_oracle,
+    sudden_quench,
+)
 from tetronsim.gaussian import (
     CovarianceMatrix,
     covariance_from_correlation,
@@ -41,15 +47,24 @@ def params(n):
     return ChainParams(n, W, W)
 
 
-def final_record(n, mu_fin, v, steps=800):
-    """Cached end-of-ramp record for mu_in = 0."""
-    key = (n, mu_fin, v, steps)
-    if key not in _ramp_cache:
-        proto = RampProtocol(0.0, mu_fin, v)
+def final_records(n, mu_fin, vs, steps=800):
+    """Cached end-of-ramp records for mu_in = 0, one per rate in vs.
+
+    The rates not cached yet run together through evolve_rates, which
+    takes one SVD per step for all of them.
+    """
+    missing = sorted({v for v in vs if (n, mu_fin, v, steps) not in _ramp_cache})
+    if missing:
         pol = SteppingPolicy(max_dmu_per_step=mu_fin / steps)
-        _ramp_cache[key] = evolve_ramp(params(n), proto, pol,
-                                       sample_times=[proto.duration])[-1]
-    return _ramp_cache[key]
+        for v, traj in zip(missing, evolve_rates(params(n), 0.0, mu_fin, missing, pol)):
+            if isinstance(traj, Exception):
+                raise traj
+            _ramp_cache[(n, mu_fin, v, steps)] = traj[-1]
+    return [_ramp_cache[(n, mu_fin, v, steps)] for v in vs]
+
+
+def final_record(n, mu_fin, v, steps=800):
+    return final_records(n, mu_fin, [v], steps)[0]
 
 
 def sudden_record(n, mu_fin):
@@ -122,10 +137,10 @@ def _node_averaged_slope(mu_fin, centers):
     """
     omega = dynamic_phase_frequency(mu_fin)
     period = 2.0 * np.pi / omega
+    grid = [1.0 / vc + period * np.array([-0.375, -0.125, 0.125, 0.375]) for vc in centers]
+    final_records(40, mu_fin, [1.0 / u for us in grid for u in us])
     averaged = []
-    for vc in centers:
-        u_center = 1.0 / vc
-        us = u_center + period * np.array([-0.375, -0.125, 0.125, 0.375])
+    for vc, us in zip(centers, grid):
         values = [final_record(40, mu_fin, 1.0 / u).l_g for u in us]
         averaged.append((vc, float(np.mean(values))))
     data = np.asarray(averaged)
@@ -187,7 +202,7 @@ def test_criterion_6_sudden_approach_exponent():
     for mu_fin in (0.01, 0.03, 0.1):
         omega = dynamic_phase_frequency(mu_fin)
         vs = np.geomspace(6 * omega, 60 * omega, 10)
-        records = [final_record(40, mu_fin, v, steps=2000) for v in vs]
+        records = final_records(40, mu_fin, vs, steps=2000)
         ref = sudden_record(40, mu_fin)
         fit_odd = fit_power_approach([(v, r.l_odd) for v, r in zip(vs, records)],
                                      l_inf=ref.l_odd)
@@ -207,7 +222,7 @@ def test_criterion_6_sudden_approach_exponent():
 def test_criterion_7_half_lz_oscillations():
     mu_fin = 0.03
     vs = np.geomspace(4e-4, 1e-3, 80)
-    records = [final_record(40, mu_fin, v) for v in vs]
+    records = final_records(40, mu_fin, vs)
     fit_odd = fit_half_lz([(v, r.l_odd) for v, r in zip(vs, records)])
     fit_even = fit_half_lz([(v, r.l_even) for v, r in zip(vs, records)])
     omega_odd = fit_odd["omega"]
@@ -238,10 +253,9 @@ def test_criterion_8_even_sector_envelope():
         v_crest = omega_even / ((2 * m + 1) * np.pi)
         v_scan.extend(np.linspace(0.88 * v_crest, 1.12 * v_crest, 9))
     crest_best = {m: 0.0 for m in (3, 4, 5)}
-    for v in sorted(v_scan):
-        if not 1e-4 <= v <= 1e-3:
-            continue
-        l_even = final_record(40, mu_fin, v).l_even
+    v_scan = [v for v in sorted(v_scan) if 1e-4 <= v <= 1e-3]
+    for v, record in zip(v_scan, final_records(40, mu_fin, v_scan)):
+        l_even = record.l_even
         envelope = near_adiabatic_even_envelope(40, v)
         worst_ratio = max(worst_ratio, l_even / envelope)
         if l_even > 1.10 * envelope:

@@ -303,10 +303,10 @@ kind = sweep-rate
 n_sites = 4
 
 [protocol]
-mu_fin = 0.05
+mu_fin_list = 0.05, 0.1
 
 [grid]
-v_list = 1e-2
+v_list = 1e-2, 3e-2
 
 [stepping]
 steps_per_span = 100
@@ -317,10 +317,13 @@ path = {out}
 """.format(out=out))
         code = main(["run", "--config", str(ini), "--quiet"])
         assert code == EXIT_NUMERICAL
-        table = read_table(out)  # table still written, row flagged
+        table = read_table(out)  # table still written, every row flagged
         meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
-        assert meta["row_status"][0].startswith("failed")
-        assert len(table.rows) == 1
+        assert len(meta["row_status"]) == len(table.rows) == 4
+        assert all(s.startswith("failed: purity defect") for s in meta["row_status"])
+        assert list(table.column("v")) == [1e-2, 1e-2, 3e-2, 3e-2]
+        assert list(table.column("mu_fin")) == [0.05, 0.1, 0.05, 0.1]
+        assert np.all(np.isnan(table.column("l_g")))
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TETRONSIM_OUTDIR", str(tmp_path / "results"))

@@ -1,15 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from tetronsim import dynamics, model
 from tetronsim.analytics import sudden_even_prediction, sudden_prediction
 from tetronsim.dynamics import (
     FockSpace,
     SteppingPolicy,
     evolve_ramp,
+    evolve_rates,
     fock_oracle,
     sudden_quench,
 )
-from tetronsim.errors import InvalidParameterError
+from tetronsim.errors import DegenerateSubspaceError, InvalidParameterError
+from tetronsim.experiments import ORACLE_TOLERANCE, config_from_mapping, run_experiment
 from tetronsim.model import ChainParams, RampProtocol
 
 W = 0.5
@@ -79,6 +84,117 @@ class TestRampBasics:
         records = evolve_ramp(params(8), proto, pol, sample_times=[proto.duration])
         assert records.richardson_defect is not None
         assert records.richardson_defect < 1e-4
+
+
+class TestSubnormalFlush:
+    def test_leakage_unchanged_by_flush(self, monkeypatch):
+        # the flushed mu = 0 basis gives the leakage of the raw LAPACK vectors
+        proto = RampProtocol(0.0, 0.03, 1e-3)
+        pol = SteppingPolicy(max_dmu_per_step=0.03 / 200)
+        times = np.linspace(0.0, proto.duration, 5)
+        flushed = evolve_ramp(params(40), proto, pol, sample_times=times)
+        monkeypatch.setattr(model, "NEGLIGIBLE", 0.0)
+        raw = evolve_ramp(params(40), proto, pol, sample_times=times)
+        for a, b in zip(flushed, raw):
+            assert abs(a.l_odd - b.l_odd) < 1e-13
+            assert abs(a.l_even - b.l_even) < 1e-13
+            assert abs(a.l_g - b.l_g) < 1e-13
+
+
+RATES = (3e-3, 7e-3, 2e-2, 6e-2)
+MU_FINS = (0.05, 0.1)
+
+
+def sweep_table(n):
+    """A Richardson-checked rate sweep over RATES x MU_FINS: (config, table)."""
+    cfg = config_from_mapping({
+        "experiment": {"kind": "sweep-rate"},
+        "model": {"n_sites": str(n)},
+        "protocol": {"mu_in": "0.0", "mu_fin_list": ", ".join(map(repr, MU_FINS))},
+        "grid": {"v_list": ", ".join(map(repr, RATES))},
+        "stepping": {"steps_per_span": "120", "richardson": "true"},
+    })
+    return cfg, run_experiment(cfg)
+
+
+class TestRateSharedSweep:
+    POINTS = [(v, mu) for v in RATES for mu in MU_FINS]
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_matches_row_by_row_evolve_ramp(self, n):
+        cfg, table = sweep_table(n)
+        assert table.metadata["row_status"] == ["ok"] * len(self.POINTS)
+        assert list(zip(table.column("v"), table.column("mu_fin"))) == self.POINTS
+        defects = table.metadata["row_richardson_defect"]
+        assert len(defects) == len(self.POINTS)
+        for row, defect in zip(table.rows, defects):
+            v, mu_fin = row[:2]
+            proto = RampProtocol(0.0, mu_fin, v)
+            ref = evolve_ramp(params(n), proto, cfg.policy, sample_times=[proto.duration])
+            expected = (ref[-1].l_odd, ref[-1].l_even, ref[-1].l_g)
+            assert max(abs(a - b) for a, b in zip(row[2:5], expected)) < 1e-12
+            assert defect == pytest.approx(ref.richardson_defect, rel=1e-9)
+            assert defect > 0.0
+
+    def test_rates_match_fock_oracle(self):
+        pol = SteppingPolicy(max_dmu_per_step=0.1 / 200)
+        rates = (1e-2, 5e-2, 0.2)
+        shared = evolve_rates(params(3), 0.0, 0.1, rates, pol)
+        for v, traj in zip(rates, shared):
+            proto = RampProtocol(0.0, 0.1, v)
+            ork = fock_oracle(params(3), protocol=proto, policy=pol,
+                              sample_times=[proto.duration])[-1]
+            assert [r.t for r in traj] == [0.0, proto.duration]
+            assert abs(traj[-1].l_odd - ork.l_odd) < ORACLE_TOLERANCE
+            assert abs(traj[-1].l_even - ork.l_even) < ORACLE_TOLERANCE
+        assert evolve_rates(params(3), 0.0, 0.1, [], pol) == []
+
+    @pytest.mark.parametrize("failing_pass", [1, 2], ids=["coarse", "richardson"])
+    def test_purity_failure_flags_its_row_only(self, monkeypatch, failing_pass):
+        _, clean = sweep_table(6)
+        bad = self.POINTS.index((RATES[1], 0.1))
+        end = RampProtocol(0.0, 0.1, RATES[1]).duration
+        measure = dynamics.measure_leakage
+        seen = []
+
+        def spoiled(state, basis, t=0.0):
+            record = measure(state, basis, t)
+            if t == end:
+                seen.append(t)
+                if len(seen) == failing_pass:
+                    return replace(record, purity_defect=1.0)
+            return record
+
+        monkeypatch.setattr(dynamics, "measure_leakage", spoiled)
+        _, table = sweep_table(6)
+        statuses = table.metadata["row_status"]
+        defects = table.metadata["row_richardson_defect"]
+        assert statuses[bad].startswith("failed: purity defect 1 exceeds")
+        assert defects[bad] is None
+        assert np.all(np.isnan(table.rows[bad][2:]))
+        assert list(zip(table.column("v"), table.column("mu_fin"))) == self.POINTS
+        for i, (row, ref) in enumerate(zip(table.rows, clean.rows)):
+            if i != bad:
+                assert statuses[i] == "ok"
+                assert row == ref
+                assert defects[i] == clean.metadata["row_richardson_defect"][i]
+
+    def test_basis_failure_flags_its_group(self, monkeypatch):
+        resolve = dynamics.resolved_basis
+
+        def failing(chain, mu, previous=None):
+            if mu == 0.05:
+                raise DegenerateSubspaceError("no isolated near-zero pair")
+            return resolve(chain, mu, previous)
+
+        monkeypatch.setattr(dynamics, "resolved_basis", failing)
+        _, table = sweep_table(6)
+        for (v, mu), status, defect in zip(self.POINTS, table.metadata["row_status"],
+                                           table.metadata["row_richardson_defect"]):
+            if mu == 0.05:
+                assert status == "failed: no isolated near-zero pair" and defect is None
+            else:
+                assert status == "ok" and defect > 0.0
 
 
 class TestStepConvergence:

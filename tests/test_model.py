@@ -136,6 +136,15 @@ class TestDiagonalize:
             partner = np.concatenate([v[n:, k], v[:n, k]]).conj()
             assert np.max(np.abs(v[:, n + k] - partner)) < 1e-12
 
+    @pytest.mark.parametrize("mu", [0.0, -0.0])
+    def test_no_subnormal_entries_at_zero_mu(self, mu):
+        # LAPACK leaves entries down to 1e-321 at the ideal point; they are flushed
+        basis = resolved_basis(ChainParams(40, 0.5, 0.5), mu)
+        tiny = np.finfo(float).tiny
+        for x in (basis.u, basis.v, basis.rotation):
+            assert not np.any((x != 0) & (np.abs(x) < tiny))
+        assert np.max(np.abs(basis.rotation @ basis.rotation.T - np.eye(80))) < 1e-14
+
     def test_rejects_gapless_chain(self):
         # at mu = 2w the transition closes the gap and no isolated pair exists
         params = ChainParams(30, 0.5, 0.5)

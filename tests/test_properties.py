@@ -63,7 +63,7 @@ def orthogonality_defect(o):
 @given(topological_chains(), st.floats(1e-3, 5.0))
 def test_propagator_is_real_orthogonal_exponential(chain, dt):
     params, mu = chain
-    o = _chain_propagator(params, mu, dt)
+    o = _chain_propagator(np.linalg.svd(chain_s(params, mu)), dt)
     assert o.dtype == np.float64
     assert orthogonality_defect(o) < 1e-12
     # Pf(O M O^T) = det(O) Pf(M): a proper rotation conserves total fermion parity
