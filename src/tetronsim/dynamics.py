@@ -112,8 +112,10 @@ def _chain_propagator(factors: Tuple[np.ndarray, np.ndarray, np.ndarray],
              [-U sin(Sigma dt) V^T, U cos(Sigma dt) U^T ]],
 
     which is cheaper than diagonalizing the full 2N x 2N matrix and agrees
-    with it to machine precision.  Only dt depends on the ramp rate, so the
-    rates of a sweep share one decomposition per step.
+    with it to machine precision.  The order of the modes does not matter, so
+    the factors of a resolved basis, (u, energies, v^T), serve as well.  Only
+    dt depends on the ramp rate, so the rates of a sweep share one
+    decomposition per step.
     """
     u, sig, vt = factors
     v = vt.T
@@ -201,27 +203,27 @@ def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[
     Every rate is sampled at the chemical potentials ``mus``; ``times[j]``
     holds rate j's sample times.  Each step takes one SVD of S(mu) on the
     rate-independent grid of :func:`_step_mus` and advances the propagator of
-    every rate still running from it, with that rate's own dt.  |+> and the
-    basis of each sample are built once for all rates.
+    every rate still running from it, with that rate's own dt.  A segment's
+    first step sits at the sample mu just resolved, so it takes its factors
+    from that basis.  |+>, the basis of each sample and the record at t = 0,
+    where every rate starts, are built once for all rates.
 
     Returns, per rate, its Trajectory or the StepSizeTooCoarse that stopped
     it.  Failures of the shared work (|+>, a basis resolve) raise.
     """
     state, basis = initial_plus_state(params, mus[0])
     states = [state] * len(times)
-    outcomes = [Trajectory() for _ in times]
 
-    def measure(j: int, k: int) -> None:
-        record = measure_leakage(states[j], basis, t=float(times[j][k]))
+    def checked(record: LeakageRecord, trajectory: Trajectory) -> Outcome:
         try:
             _check_purity(record, purity_tol)
         except StepSizeTooCoarse as exc:
-            outcomes[j] = exc
-        else:
-            outcomes[j].append(record)
+            return exc
+        trajectory.append(record)
+        return trajectory
 
-    for j in range(len(times)):
-        measure(j, 0)
+    first = measure_leakage(state, basis, t=float(times[0][0]))
+    outcomes = [checked(first, Trajectory()) for _ in times]
     for k in range(len(mus) - 1):
         live = [j for j, out in enumerate(outcomes) if isinstance(out, Trajectory)]
         if not live:
@@ -229,13 +231,15 @@ def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[
         grid = _step_mus(mus[k], mus[k + 1], dmu)
         dts = [(times[j][k + 1] - times[j][k]) / len(grid) for j in live]
         props = [np.eye(2 * params.n_sites)] * len(live)
-        for mu in grid:
-            factors = np.linalg.svd(chain_s(params, mu))
+        for i, mu in enumerate(grid):
+            factors = ((basis.u, basis.energies, basis.v.T) if i == 0
+                       else np.linalg.svd(chain_s(params, mu)))
             props = [_chain_propagator(factors, dt) @ o for dt, o in zip(dts, props)]
         basis = resolved_basis(params, mus[k + 1], previous=basis)
         for j, o in zip(live, props):
             states[j] = replace(states[j], matrix=conjugate_chains(o, states[j].matrix))
-            measure(j, k + 1)
+            record = measure_leakage(states[j], basis, t=float(times[j][k + 1]))
+            outcomes[j] = checked(record, outcomes[j])
     return outcomes
 
 

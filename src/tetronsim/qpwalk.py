@@ -19,8 +19,8 @@ from .errors import InvalidParameterError
 
 # Trials are walked this many at a time.  Each block loops until its slowest
 # walker is absorbed, so small blocks cost Python iterations; one block of all
-# trials costs memory instead (about 30 MB more peak RSS at L=40 and 10**6
-# trials, at the same speed).
+# trials costs memory instead: at L=40 and 10**6 trials about 43 MB more peak
+# RSS, for at most 10 % less time.
 BLOCK = 2 ** 16
 
 # Absorbing walks take O(L^2) expected steps; this cap only trips on bugs.
@@ -90,14 +90,27 @@ def average_opposite(length: int) -> float:
 
 
 def _walk_to_ends(rng: np.random.Generator, pos: np.ndarray, length: int) -> np.ndarray:
-    """Advance every walker until absorption; returns True where absorbed at L."""
+    """Advance every walker until absorption; returns True where absorbed at L.
+
+    Only the live walkers are kept: their indices, in ascending order, and
+    their positions.  Each iteration draws one +/-1 step per live walker in
+    index order, and an absorbed walker is written back and dropped.  A live
+    walker moves by one site from inside (0, L), so a lookup in
+    ``absorbing`` tells whether it has reached an end.
+    """
     pos = pos.astype(np.int64, copy=True)
-    active = (pos > 0) & (pos < length)
+    absorbing = np.zeros(length + 1, dtype=bool)
+    absorbing[[0, length]] = True
+    live = np.flatnonzero((pos > 0) & (pos < length))
+    x = pos[live]
     sweeps = 0
-    while np.any(active):
-        steps = rng.integers(0, 2, size=int(active.sum()), dtype=np.int64) * 2 - 1
-        pos[active] += steps
-        active = (pos > 0) & (pos < length)
+    while live.size:
+        x += rng.integers(0, 2, size=live.size, dtype=np.int64) * 2 - 1
+        done = absorbing.take(x)
+        if np.count_nonzero(done):
+            pos[live[done]] = x[done]
+            keep = ~done
+            live, x = live[keep], x[keep]
         sweeps += 1
         if sweeps > MAX_STEPS_PER_WALKER:
             raise RuntimeError("walker exceeded the %d-step cap" % MAX_STEPS_PER_WALKER)

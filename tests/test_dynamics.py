@@ -13,7 +13,7 @@ from tetronsim.dynamics import (
     fock_oracle,
     sudden_quench,
 )
-from tetronsim.errors import DegenerateSubspaceError, InvalidParameterError
+from tetronsim.errors import DegenerateSubspaceError, InvalidParameterError, StepSizeTooCoarse
 from tetronsim.experiments import ORACLE_TOLERANCE, config_from_mapping, run_experiment
 from tetronsim.model import ChainParams, RampProtocol
 
@@ -195,6 +195,66 @@ class TestRateSharedSweep:
                 assert status == "failed: no isolated near-zero pair" and defect is None
             else:
                 assert status == "ok" and defect > 0.0
+
+
+class TestSharedWork:
+    """Work done once and shared: the t = 0 record of a group, a sample's SVD."""
+
+    @pytest.mark.parametrize("richardson", [False, True])
+    def test_one_initial_measurement_per_group(self, monkeypatch, richardson):
+        pol = SteppingPolicy(max_dmu_per_step=0.1 / 120, richardson=richardson)
+        protocols = [RampProtocol(0.0, 0.1, v) for v in RATES]
+        one_by_one = [evolve_ramp(params(6), p, pol, sample_times=[p.duration])
+                      for p in protocols]
+        initial = dynamics.measure_leakage(*dynamics.initial_plus_state(params(6), 0.0))
+        measure = dynamics.measure_leakage
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "measure_leakage", counted)
+        shared = evolve_rates(params(6), 0.0, 0.1, RATES, pol)
+        assert len(calls) == (2 if richardson else 1) * (len(RATES) + 1)
+        for traj, ref in zip(shared, one_by_one):
+            assert traj[0] == initial
+            assert list(traj) == list(ref)
+            assert traj.richardson_defect == ref.richardson_defect
+
+    def test_initial_purity_failure_stops_every_rate(self, monkeypatch):
+        measure = dynamics.measure_leakage
+
+        def spoiled(state, basis, t=0.0):
+            record = measure(state, basis, t)
+            return replace(record, purity_defect=1.0) if t == 0.0 else record
+
+        monkeypatch.setattr(dynamics, "measure_leakage", spoiled)
+        outcomes = evolve_rates(params(6), 0.0, 0.1, RATES, SteppingPolicy())
+        assert len(outcomes) == len(RATES)
+        assert all(isinstance(out, StepSizeTooCoarse) for out in outcomes)
+
+    def test_sampled_ramp_takes_one_svd_per_step_and_one_more(self, monkeypatch):
+        proto = RampProtocol(0.0, 0.1, 5e-3)
+        pol = SteppingPolicy(max_dmu_per_step=0.1 / 90)
+        samples = np.linspace(0.0, proto.duration, 11)
+        svd, propagator = np.linalg.svd, dynamics._chain_propagator
+        counts = {"svd": 0, "steps": 0}
+
+        def counted_svd(*args, **kwargs):
+            counts["svd"] += 1
+            return svd(*args, **kwargs)
+
+        def counted_step(*args, **kwargs):
+            counts["steps"] += 1
+            return propagator(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(dynamics, "_chain_propagator", counted_step)
+        records = evolve_ramp(params(8), proto, pol, sample_times=samples)
+        assert len(records) == len(samples)
+        assert counts["steps"] >= 90
+        assert counts["svd"] == counts["steps"] + 1
 
 
 class TestStepConvergence:

@@ -1,9 +1,14 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tetronsim import qpwalk
 from tetronsim.errors import InvalidParameterError
 from tetronsim.qpwalk import (
+    BLOCK,
     WalkConfig,
     absorb_prob_right,
     average_opposite,
@@ -91,3 +96,66 @@ class TestMonteCarlo:
             WalkConfig(length=0, trials=10, seed=0)
         with pytest.raises(InvalidParameterError):
             WalkConfig(length=5, trials=0, seed=0)
+
+
+def masked_walk_to_ends(rng, pos, length):
+    """Reference walk: recompute the live mask over the whole block every step.
+
+    Hands the k-th draw of an iteration to the k-th live walker in index
+    order, which fixes the random realisation of every walk result.
+    """
+    pos = pos.astype(np.int64, copy=True)
+    active = (pos > 0) & (pos < length)
+    sweeps = 0
+    while np.any(active):
+        steps = rng.integers(0, 2, size=int(active.sum()), dtype=np.int64) * 2 - 1
+        pos[active] += steps
+        active = (pos > 0) & (pos < length)
+        sweeps += 1
+        if sweeps > qpwalk.MAX_STEPS_PER_WALKER:
+            raise RuntimeError("walker exceeded the %d-step cap" % qpwalk.MAX_STEPS_PER_WALKER)
+    return pos == length
+
+
+def reference_walks(config):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qpwalk, "_walk_to_ends", masked_walk_to_ends)
+        return simulate_pair_walks(config)
+
+
+class TestWalkRealisation:
+    """The compact walk reproduces the masked reference draw for draw."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 10, 40])
+    def test_matches_reference_across_a_block_boundary(self, length):
+        config = WalkConfig(length=length, trials=BLOCK + 3, seed=length)
+        assert simulate_pair_walks(config) == reference_walks(config)
+
+    @pytest.mark.parametrize("length", [1, 2, 7])
+    def test_absorbed_starts_draw_nothing(self, length):
+        # walkers starting at 0 or L take no step and leave the stream alone
+        start = np.array([0, length, 0, length], dtype=np.int64)
+        rng = np.random.default_rng(5)
+        assert list(qpwalk._walk_to_ends(rng, start, length)) == [False, True, False, True]
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+    def test_walk_matches_reference_and_consumes_the_same_stream(self, length, n, seed):
+        # starting points cover the absorbed ends 0 and L as well as the interior
+        start = np.random.default_rng(seed).integers(0, length + 1, size=n, dtype=np.int64)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = qpwalk._walk_to_ends(rng, start, length)
+        assert np.array_equal(got, masked_walk_to_ends(ref_rng, start, length))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
+    def test_estimate_matches_reference(self, length, trials, seed):
+        config = WalkConfig(length=length, trials=trials, seed=seed)
+        assert simulate_pair_walks(config) == reference_walks(config)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(qpwalk, "MAX_STEPS_PER_WALKER", 3)
+        with pytest.raises(RuntimeError, match="3-step cap"):
+            simulate_pair_walks(WalkConfig(length=40, trials=100, seed=0))
