@@ -18,8 +18,9 @@ of a sweep step together and share one SVD per step (:func:`evolve_rates`);
 The oracle, :func:`fock_oracle`, steps the full two-chain Fock-space state
 vector of a chain of at most 3 sites on the same frozen-Hamiltonian grid.  Its
 Hamiltonian is real and linear in mu, H(mu) = H0 + mu H1, with both parts
-built once per :class:`FockSpace`, so each step is one real symmetric
-``eigh``.
+built once per :class:`FockSpace`.  It conserves the fermion parity of each
+chain, so each step is one batched real symmetric ``eigh`` of its four
+chain-parity blocks (16 x 16 at N = 3), applied block by block to the state.
 """
 
 from __future__ import annotations
@@ -91,8 +92,9 @@ class LeakageRecord:
 
 
 class Trajectory(list):
-    """Sequence of LeakageRecord with an optional step-halving diagnostic."""
+    """Sequence of LeakageRecord with its step count and a step-halving diagnostic."""
 
+    n_steps: Optional[int] = None
     richardson_defect: Optional[float] = None
 
 
@@ -208,8 +210,9 @@ def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[
     from that basis.  |+>, the basis of each sample and the record at t = 0,
     where every rate starts, are built once for all rates.
 
-    Returns, per rate, its Trajectory or the StepSizeTooCoarse that stopped
-    it.  Failures of the shared work (|+>, a basis resolve) raise.
+    Returns, per rate, its Trajectory, with ``n_steps`` the number of steps
+    it took, or the StepSizeTooCoarse that stopped it.  Failures of the
+    shared work (|+>, a basis resolve) raise.
     """
     state, basis = initial_plus_state(params, mus[0])
     states = [state] * len(times)
@@ -224,11 +227,13 @@ def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[
 
     first = measure_leakage(state, basis, t=float(times[0][0]))
     outcomes = [checked(first, Trajectory()) for _ in times]
+    n_steps = 0
     for k in range(len(mus) - 1):
         live = [j for j, out in enumerate(outcomes) if isinstance(out, Trajectory)]
         if not live:
             break
         grid = _step_mus(mus[k], mus[k + 1], dmu)
+        n_steps += len(grid)
         dts = [(times[j][k + 1] - times[j][k]) / len(grid) for j in live]
         props = [np.eye(2 * params.n_sites)] * len(live)
         for i, mu in enumerate(grid):
@@ -240,6 +245,9 @@ def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[
             states[j] = replace(states[j], matrix=conjugate_chains(o, states[j].matrix))
             record = measure_leakage(states[j], basis, t=float(times[j][k + 1]))
             outcomes[j] = checked(record, outcomes[j])
+    for out in outcomes:
+        if isinstance(out, Trajectory):
+            out.n_steps = n_steps
     return outcomes
 
 
@@ -337,6 +345,12 @@ class FockSpace:
     real.  The Hamiltonian is linear in mu, H(mu) = H0 + mu H1, with H0 the
     hopping and pairing terms of both chains and H1 = -sum_j (n_j - 1/2);
     both are built once here from the same operator products.
+
+    H0 and H1 conserve the fermion parity of each chain, so in this basis they
+    are block-diagonal over the four chain-parity sectors (even/odd on chain 1
+    x even/odd on chain 2).  ``sectors[s]`` lists the basis states of sector
+    s, 4^(N-1) of them; construction checks that no entry of H0 or H1 joins
+    two sectors, and the oracle diagonalizes sector by sector.
     """
 
     def __init__(self, params: ChainParams):
@@ -364,15 +378,39 @@ class FockSpace:
         self.total_parity_op = np.diag(np.prod(1.0 - 2.0 * occupation, axis=0))
         w, delta = params.hopping, params.pairing
         self._h0 = np.zeros((self.dim, self.dim))
-        for off in (0, n):
-            for j in range(off, off + n - 1):
-                self._h0 += -w * (cdag[j] @ c[j + 1] + cdag[j + 1] @ c[j])
-                self._h0 += delta * (c[j] @ c[j + 1] + cdag[j + 1] @ cdag[j])
+        for i, j in self._bonds():
+            self._h0 += -w * (cdag[i] @ c[j] + cdag[j] @ c[i])
+            self._h0 += delta * (c[i] @ c[j] + cdag[j] @ cdag[i])
         self._h1 = np.diag(-np.sum(occupation - 0.5, axis=0))
+        odd = np.sum(occupation.reshape(2, n, self.dim), axis=1) % 2
+        label = (2 * odd[0] + odd[1]).astype(int)
+        self.sectors = np.argsort(label, kind="stable").reshape(4, -1)
+        self._block_index = self.sectors[:, :, None] * self.dim + self.sectors[:, None, :]
+        coupling = label[:, None] != label[None, :]
+        if np.any(self._h0[coupling] != 0.0) or np.any(self._h1[coupling] != 0.0):
+            raise InvalidParameterError("Hamiltonian couples different chain-parity sectors")
+
+    def _bonds(self) -> List[Tuple[int, int]]:
+        """Mode pairs (j, j + 1) joined by hopping and pairing, within each chain."""
+        n = self.params.n_sites
+        return [(j, j + 1) for off in (0, n) for j in range(off, off + n - 1)]
 
     def hamiltonian(self, mu: float) -> np.ndarray:
         """Real symmetric H(mu) = H0 + mu H1 on the full two-chain Fock space."""
         return self._h0 + mu * self._h1
+
+    def sector_blocks(self, op: np.ndarray) -> np.ndarray:
+        """The four diagonal blocks of a sector-conserving operator, shape (4, d, d)."""
+        return op.take(self._block_index)
+
+    def step(self, psi: np.ndarray, mu: float, dt: float) -> np.ndarray:
+        """exp(-i H(mu) dt) psi, with one batched ``eigh`` of the four sector blocks."""
+        evals, q = np.linalg.eigh(self.sector_blocks(self.hamiltonian(mu)))
+        blocks = psi[self.sectors, None]
+        blocks = q @ (np.exp(-1j * evals * dt)[..., None] * (q.transpose(0, 2, 1) @ blocks))
+        out = np.empty(self.dim, dtype=complex)
+        out[self.sectors] = blocks[..., 0]
+        return out
 
     def qp_annihilator(self, column: np.ndarray, chain: int) -> np.ndarray:
         n = self.params.n_sites
@@ -384,26 +422,39 @@ class FockSpace:
         return op
 
     def ground_states(self, basis: ModeBasis):
-        """Vacuum |0_t>, paired-excitation |1_t>, and the MZM-parity operator."""
+        """Vacuum |0_t>, paired-excitation |1_t>, and the four zero-mode Majoranas.
+
+        The number operator sum d^dag d conserves each chain's parity, so it
+        is diagonalized sector by sector; the vacuum must be its one zero
+        eigenvalue across all sectors.  The Majoranas of chain l are returned
+        as the real matrices d_l + d_l^T and d_l - d_l^T, the second being
+        gamma / i.  The MZM parity -gamma1 gamma2 gamma3 gamma4 is then their
+        plain product in order: i * i cancels the minus.
+        """
         v = basis.vectors
         n = self.params.n_sites
         d_ops = [self.qp_annihilator(v[:, k], lam) for lam in range(2) for k in range(n)]
         number = sum(op.T @ op for op in d_ops)
-        evals, evecs = np.linalg.eigh(number)
-        if evals[0] > 1e-8 or evals[1] < 0.5:
+        evals, evecs = np.linalg.eigh(self.sector_blocks(number))
+        lowest = np.sort(evals, axis=None)
+        if lowest[0] > 1e-8 or lowest[1] < 0.5:
             raise InvalidParameterError("quasiparticle vacuum is not isolated")
-        vac = evecs[:, 0]
+        sector = int(np.argmin(evals[:, 0]))
+        vac = np.zeros(self.dim)
+        vac[self.sectors[sector]] = evecs[sector, :, 0]
         d0_1 = d_ops[0]
         d0_2 = d_ops[n]
         one = d0_1.T @ (d0_2.T @ vac)
         one = one / np.linalg.norm(one)
-        # MZM parity -g1 g2 g3 g4 with Majoranas d + d^T and i(d - d^T); i * i cancels the minus
-        parity_op = (d0_1 + d0_1.T) @ (d0_1 - d0_1.T) @ (d0_2 + d0_2.T) @ (d0_2 - d0_2.T)
-        return vac, one, parity_op
+        majoranas = (d0_1 + d0_1.T, d0_1 - d0_1.T, d0_2 + d0_2.T, d0_2 - d0_2.T)
+        return vac, one, majoranas
 
     def measure(self, psi: np.ndarray, basis: ModeBasis, t: float) -> LeakageRecord:
-        vac, one, parity_op = self.ground_states(basis)
-        parity = float((psi.conj() @ (parity_op @ psi)).real)
+        vac, one, majoranas = self.ground_states(basis)
+        image = psi
+        for gamma in reversed(majoranas):
+            image = gamma @ image
+        parity = float((psi.conj() @ image).real)
         l_odd = 0.5 * (1.0 - parity)
         l_g_raw = 1.0 - abs(vac @ psi) ** 2 - abs(one @ psi) ** 2
         l_even = l_g_raw - l_odd
@@ -460,8 +511,7 @@ def fock_oracle(params: ChainParams,
         grid = _step_mus(mus[k], mus[k + 1], dmu)
         dt = (samples[k + 1] - samples[k]) / len(grid)
         for mu in grid:
-            evals, q = np.linalg.eigh(space.hamiltonian(mu))
-            psi = q @ (np.exp(-1j * evals * dt) * (q.T @ psi))
+            psi = space.step(psi, mu, dt)
         basis = resolved_basis(params, mus[k + 1], previous=basis)
         records.append(space.measure(psi, basis, t=float(samples[k + 1])))
     return records

@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -224,6 +225,7 @@ def parse_config(path: Path) -> ExperimentConfig:
     ``[stepping] steps_per_span`` fixes one mu step for the whole run, taken
     from the largest ``|mu_fin - mu_in|`` span: with ``mu_fin_list = 0.03, 0.1``
     and 1000 steps per span (preset ``fig2-main``) the 0.03 ramps run 300 steps.
+    Sweep sidecars record each row's count as ``row_n_steps``.
     """
     cp = configparser.ConfigParser()
     read = cp.read([str(path)])
@@ -379,6 +381,29 @@ def _record_cells(record) -> tuple:
     return (record.l_odd, record.l_even, record.l_g, record.parity, record.purity_defect)
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_environment() -> Dict:
+    """numpy, BLAS and LAPACK versions, BLAS thread variables, usable CPU count."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        libs = {k: "%s %s" % (deps[k].get("name"), deps[k].get("version", "?"))
+                for k in ("blas", "lapack")}
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        libs = {"blas": "unknown", "lapack": "unknown"}
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        cpus = os.cpu_count()
+    return {
+        "numpy": np.__version__,
+        **libs,
+        "threads_env": {k: os.environ.get(k) for k in _THREAD_VARS},
+        "cpu_count": cpus,
+    }
+
+
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     started = time.time()
     runner = {
@@ -393,6 +418,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     table = runner(cfg)
     table.metadata.setdefault("config", cfg.resolved())
     table.metadata["version"] = __version__
+    table.metadata["environment"] = run_environment()
     table.metadata["wall_clock_s"] = round(time.time() - started, 3)
     return table
 
@@ -404,6 +430,8 @@ def _run_ramp(cfg: ExperimentConfig) -> ResultTable:
     rows = [(r.t, r.mu) + _record_cells(r) for r in records]
     table = ResultTable(kind="ramp", columns=("t", "mu") + _leakage_columns(), rows=rows)
     table.metadata["row_status"] = ["ok"] * len(rows)
+    table.metadata["n_steps"] = records.n_steps
+    table.metadata["dmu"] = _run_dmu(cfg, [protocol.mu_fin])
     if records.richardson_defect is not None:
         table.metadata["richardson_defect"] = records.richardson_defect
     return table
@@ -420,9 +448,25 @@ def _final_cells(trajectory) -> tuple:
     return _record_cells(None if trajectory is None else trajectory[-1])
 
 
-def _sweep_metadata(table: ResultTable, cfg: ExperimentConfig, trajectories, statuses) -> None:
-    """Row statuses, plus each row's Richardson defect (null if the row failed)."""
+def _run_dmu(cfg: ExperimentConfig, mu_fins) -> float:
+    """The mu step of the run's longest ramp.
+
+    It is every row's step when the config fixes one (``steps_per_span`` or
+    ``max_dmu_per_step``); otherwise shorter ramps of a sweep step finer.
+    """
+    return cfg.policy.resolved_dmu(max(abs(mu - cfg.mu_in) for mu in mu_fins))
+
+
+def _sweep_metadata(table: ResultTable, cfg: ExperimentConfig, mu_fins, trajectories,
+                    statuses) -> None:
+    """Row statuses and step counts, the run's dmu, and each row's Richardson defect.
+
+    Per-row values are null for a failed row.
+    """
     table.metadata["row_status"] = statuses
+    table.metadata["row_n_steps"] = [None if traj is None else traj.n_steps
+                                     for traj in trajectories]
+    table.metadata["dmu"] = _run_dmu(cfg, mu_fins)
     if cfg.policy.richardson:
         table.metadata["row_richardson_defect"] = [
             None if traj is None else traj.richardson_defect for traj in trajectories]
@@ -449,7 +493,7 @@ def _run_sweep_rate(cfg: ExperimentConfig) -> ResultTable:
     rows = [(v, mu) + _final_cells(traj) for (v, mu), traj in zip(points, results)]
     table = ResultTable(kind="sweep-rate", columns=("v", "mu_fin") + _leakage_columns(),
                         rows=rows)
-    _sweep_metadata(table, cfg, results, statuses)
+    _sweep_metadata(table, cfg, cfg.mu_fins, results, statuses)
     return table
 
 
@@ -461,7 +505,7 @@ def _run_sweep_length(cfg: ExperimentConfig) -> ResultTable:
     rows = [(n,) + _final_cells(traj) for n, traj in zip(points, results)]
     table = ResultTable(kind="sweep-length", columns=("n_sites",) + _leakage_columns(),
                         rows=rows)
-    _sweep_metadata(table, cfg, results, statuses)
+    _sweep_metadata(table, cfg, [mu_fin], results, statuses)
     return table
 
 

@@ -129,8 +129,13 @@ def chain_s(params: ChainParams, mu: float) -> np.ndarray:
     """S = A + B of one chain: -mu on the diagonal, Delta - w below, -(w + Delta) above."""
     n = params.n_sites
     w, delta = params.hopping, params.pairing
-    return (np.diag(np.full(n, -mu)) + np.diag(np.full(n - 1, delta - w), -1)
-            + np.diag(np.full(n - 1, -(w + delta)), 1))
+    s = np.zeros((n, n))
+    flat = s.reshape(-1)
+    # + 0.0 turns -0.0 into 0.0, as the sum of three diagonal matrices does
+    flat[::n + 1] = -mu + 0.0
+    flat[n::n + 1] = (delta - w) + 0.0
+    flat[1::n + 1] = -(w + delta) + 0.0
+    return s
 
 
 def _flush_negligible(x: np.ndarray) -> np.ndarray:

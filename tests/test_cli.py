@@ -225,6 +225,48 @@ class TestRunCommand:
         assert main(["run", "--config", str(ini2), "--quiet"]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_sidecar_records_run_environment(self, tmp_path):
+        out = tmp_path / "s.csv"
+        ini = write_ini(tmp_path / "s.ini", SWEEP_INI.format(out=out))
+        assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_OK
+        env = json.loads(out.with_suffix(".csv.meta.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["blas"], str) and isinstance(env["lapack"], str)
+        assert set(env["threads_env"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["cpu_count"] >= 1
+
+    def test_sweep_sidecar_counts_steps_per_row(self, tmp_path):
+        # steps_per_span comes from the 0.1 span, so the 0.03 ramp runs 300 steps
+        out = tmp_path / "s.csv"
+        ini = write_ini(tmp_path / "s.ini", SWEEP_INI.format(out=out).replace(
+            "mu_fin_list = 0.05, 0.1", "mu_fin_list = 0.03, 0.1").replace(
+            "v_list = 5e-3, 2e-2", "v_list = 0.5").replace(
+            "steps_per_span = 150", "steps_per_span = 1000"))
+        assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_OK
+        meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
+        assert list(read_table(out).column("mu_fin")) == [0.03, 0.1]
+        assert meta["row_n_steps"] == [300, 1000]
+        assert meta["dmu"] == pytest.approx(1e-4, rel=1e-12)
+
+    def test_length_and_ramp_sidecars_count_steps(self, tmp_path):
+        out = tmp_path / "length.csv"
+        ini = write_ini(tmp_path / "length.ini", LENGTH_INI.format(out=out))
+        assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_OK
+        meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
+        assert meta["row_n_steps"] == [150, 150]
+        ramp = config_from_mapping({
+            "experiment": {"kind": "ramp"},
+            "model": {"n_sites": "4"},
+            "protocol": {"mu_in": "0.0", "mu_fin": "0.05", "rate": "2e-2"},
+            "stepping": {"steps_per_span": "150"},
+            "samples": {"count": "7"},
+        })
+        meta = run_experiment(ramp).metadata
+        # 7 sample segments of 150/7 = 21.4 steps each, rounded up to 22
+        assert meta["n_steps"] == 7 * 22
+        assert meta["dmu"] == pytest.approx(0.05 / 150, rel=1e-12)
+
     def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "s.ini", SWEEP_INI.format(out=tmp_path / "s.csv"))
         with pytest.raises(SystemExit) as exc:
@@ -321,6 +363,7 @@ path = {out}
         meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
         assert len(meta["row_status"]) == len(table.rows) == 4
         assert all(s.startswith("failed: purity defect") for s in meta["row_status"])
+        assert meta["row_n_steps"] == [None] * 4
         assert list(table.column("v")) == [1e-2, 1e-2, 3e-2, 3e-2]
         assert list(table.column("mu_fin")) == [0.05, 0.1, 0.05, 0.1]
         assert np.all(np.isnan(table.column("l_g")))

@@ -84,10 +84,14 @@ class TestBuildChain:
         assert np.max(np.abs(evals + evals[::-1])) < 1e-10
 
     def test_chain_s_is_a_plus_b(self):
-        params = ChainParams(40, 0.5, 0.3)
-        for mu in (0.0, 0.07, -0.4):
-            h = build_chain_bdg(params, mu).matrix
-            assert chain_s(params, mu).tobytes() == (h[:40, :40] + h[:40, 40:]).tobytes()
+        # byte for byte, -0.0 included: mu = -0.0 and w = Delta give zeros
+        for n in (3, 40):
+            for w, delta in ((0.5, 0.5), (0.5, 0.3)):
+                params = ChainParams(n, w, delta)
+                for mu in (0.0, -0.0, 0.03, -0.2, 0.07, -0.4):
+                    h = build_chain_bdg(params, mu).matrix
+                    assert (chain_s(params, mu).tobytes()
+                            == (h[:n, :n] + h[:n, n:]).tobytes()), (n, w, delta, mu)
 
     def test_long_chain_near_zero_modes(self):
         h = build_chain_bdg(ChainParams(40, 0.5, 0.5), 0.03)

@@ -16,6 +16,7 @@ from tetronsim.dynamics import (
     fock_oracle,
     measure_leakage,
 )
+from tetronsim.errors import InvalidParameterError
 from tetronsim.experiments import ORACLE_TOLERANCE
 from tetronsim.gaussian import (
     CovarianceMatrix,
@@ -206,6 +207,77 @@ def test_fock_hamiltonian_is_real_linear_and_parity_even(n, w, delta, mu):
     assert np.array_equal(space.total_parity_op, ref_parity.real)
     p = space.total_parity_op
     assert np.max(np.abs(h @ p - p @ h)) < 1e-13
+
+
+def dense_fock_step(space, psi, mu, dt):
+    """One oracle step with a dense eigh of the full Fock-space H(mu)."""
+    evals, q = np.linalg.eigh(space.hamiltonian(mu))
+    return q @ (np.exp(-1j * evals * dt) * (q.T @ psi))
+
+
+def dense_mzm_parity(space, basis):
+    """The MZM parity -g1 g2 g3 g4 as one dense Fock-space matrix."""
+    d1 = space.qp_annihilator(basis.vectors[:, 0], 0)
+    d2 = space.qp_annihilator(basis.vectors[:, 0], 1)
+    return (d1 + d1.T) @ (d1 - d1.T) @ (d2 + d2.T) @ (d2 - d2.T)
+
+
+def random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3]), st.floats(0.1, 1.0), st.floats(0.1, 1.0),
+       st.floats(-2.0, 2.0), st.floats(1e-3, 5.0), st.integers(0, 2 ** 32 - 1))
+def test_blocked_fock_step_matches_dense_eigh(n, w, delta, mu, dt, seed):
+    space = FockSpace(ChainParams(n, w, delta))
+    psi = random_state(space.dim, seed)
+    assert np.max(np.abs(space.step(psi, mu, dt) - dense_fock_step(space, psi, mu, dt))) < 1e-13
+
+
+class ChainCoupledFockSpace(FockSpace):
+    """Hops across the junction of the two chains, breaking each chain's parity."""
+
+    def _bonds(self):
+        n = self.params.n_sites
+        return super()._bonds() + [(n - 1, n)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fock_space_rejects_coupling_between_sectors(n):
+    with pytest.raises(InvalidParameterError, match="sectors"):
+        ChainCoupledFockSpace(ChainParams(n, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fock_sectors_split_by_chain_parity(n):
+    space = FockSpace(ChainParams(n, 0.5, 0.4))
+    sectors = space.sectors
+    assert sectors.shape == (4, 4 ** (n - 1))
+    assert np.array_equal(np.sort(sectors, axis=None), np.arange(space.dim))
+    basis = resolved_basis(space.params, 0.05)
+    vac, one, _ = space.ground_states(basis)
+    homes = []
+    for state in (vac, one):
+        weight = np.sum(np.abs(state[sectors]) ** 2, axis=1)
+        home = int(np.argmax(weight))
+        assert weight[home] == pytest.approx(1.0, abs=1e-14)
+        assert np.all(np.delete(weight, home) == 0.0)
+        homes.append(home)
+    assert homes[0] != homes[1]
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3]), st.floats(0.2, 1.0), st.floats(0.7, 1.4),
+       st.floats(-0.5, 0.5), st.integers(0, 2 ** 32 - 1))
+def test_fock_parity_matches_dense_parity_operator(n, w, delta_ratio, mu_ratio, seed):
+    space = FockSpace(ChainParams(n, w, w * delta_ratio))
+    basis = resolved_basis(space.params, w * mu_ratio)
+    psi = random_state(space.dim, seed)
+    expected = (psi.conj() @ (dense_mzm_parity(space, basis) @ psi)).real
+    assert abs(space.measure(psi, basis, t=0.0).parity - expected) < 1e-13
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
