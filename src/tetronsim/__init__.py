@@ -25,6 +25,7 @@ from .analytics import (
 from .dynamics import (
     FockSpace,
     LeakageRecord,
+    PlusState,
     SteppingPolicy,
     Trajectory,
     evolve_ramp,
@@ -51,6 +52,7 @@ from .gaussian import (
     overlap_sq,
     parity_expectation,
     pfaffian4,
+    qp_chain_references,
     qp_occupied_pair_covariance,
     qp_vacuum_covariance,
     rotate_to_qp_basis,

@@ -1,19 +1,24 @@
 """Time evolution of the tetron Gaussian state and an exact small-N oracle.
 
-A trajectory starts from the equal superposition of the two even-parity
-ground states at mu_in.  Its real site-basis Majorana covariance is
-propagated with the frozen Hamiltonian of each step,
+A trajectory starts from the equal superposition |+> of the two even-parity
+ground states at mu_in.  The two chains are identical, uncoupled and each
+conserves its fermion parity, so the evolution is U x U and the evolved state
+stays (|E>|E> + |O>|O>)/sqrt(2): E is one chain's evolved quasiparticle
+vacuum and O the same chain with the zero mode occupied.  :class:`PlusState`
+carries their real site-basis Majorana covariances, each propagated with the
+frozen Hamiltonian of each step,
 
     M(t + dt) = O M(t) O^T,   O = Omega* e^{i H(t) dt} Omega^T,
 
-where O is real orthogonal and acts on each chain alike.  Steps and samples
-share one decomposition, the real SVD S(mu) = U Sigma V^T of
-:func:`tetronsim.model.chain_s`: it gives O in closed form, and a sample
-rotates M with R = diag(V^T, U^T) into the instantaneous quasiparticle basis,
-where the parity Pfaffian and the ground-state overlaps give the leakage
-split.  The step grid in mu does not depend on the ramp rate, so the rates
-of a sweep step together and share one SVD per step (:func:`evolve_rates`);
-:func:`evolve_ramp` is the one-rate case of the same loop.
+where O is real orthogonal.  Steps and samples share one decomposition, the
+real SVD S(mu) = U Sigma V^T of :func:`tetronsim.model.chain_s`: it gives O in
+closed form, and a sample rotates both covariances with R = diag(V^T, U^T)
+into the instantaneous quasiparticle basis, where their zero-mode entries
+give the MZM parity and their single-chain ground-state overlaps the leakage
+split (:func:`measure_leakage`).  The step grid in mu does not depend on the
+ramp rate, so the rates of a sweep step together and share one SVD per step
+(:func:`evolve_rates`); :func:`evolve_ramp` is the one-rate case of the same
+loop.
 
 The oracle, :func:`fock_oracle`, steps the full two-chain Fock-space state
 vector of a chain of at most 3 sites on the same frozen-Hamiltonian grid.  Its
@@ -34,14 +39,8 @@ import numpy as np
 from .errors import InvalidParameterError, StepSizeTooCoarse
 from .gaussian import (
     CovarianceMatrix,
-    QubitStateLabel,
-    conjugate_chains,
-    covariance_from_correlation,
-    ground_state_qp_correlation,
     overlap_sq,
-    parity_expectation,
-    qp_occupied_pair_covariance,
-    qp_vacuum_covariance,
+    qp_chain_references,
     rotate_to_qp_basis,
     rotate_to_site_basis,
 )
@@ -97,6 +96,11 @@ class Trajectory(list):
     n_steps: Optional[int] = None
     richardson_defect: Optional[float] = None
 
+    @property
+    def max_purity_defect(self) -> float:
+        """The largest purity defect of the sampled records."""
+        return max(r.purity_defect for r in self)
+
 
 # One rate's result: its trajectory, or the purity failure that stopped it.
 Outcome = Union[Trajectory, StepSizeTooCoarse]
@@ -146,23 +150,51 @@ def _sample_mus(protocol: RampProtocol, samples: np.ndarray) -> list:
     return [protocol.mu_at(t) for t in samples[:-1]] + [protocol.mu_fin]
 
 
-def initial_plus_state(params: ChainParams, mu_in: float) -> Tuple[CovarianceMatrix, ModeBasis]:
-    """Site-basis covariance of |+> at mu_in and the basis it was built in."""
+@dataclass(frozen=True)
+class PlusState:
+    """|+> as the two single-chain states E and O that it is made of.
+
+    ``chains`` holds their site-basis covariances as a (2, 2N, 2N) stack, E
+    first.  ``orientation`` is the :attr:`ModeBasis.orientation` of the basis
+    they were built in: E has the fermion parity of that basis's vacuum, O
+    the opposite one.
+    """
+
+    chains: CovarianceMatrix
+    orientation: int
+
+    def propagated(self, o: np.ndarray) -> "PlusState":
+        """Both chain states after the one-chain step O: M <- O M O^T."""
+        return replace(self, chains=replace(self.chains, matrix=o @ self.chains.matrix @ o.T))
+
+
+def initial_plus_state(params: ChainParams, mu_in: float) -> Tuple[PlusState, ModeBasis]:
+    """|+> at mu_in, as its two site-basis chain states, and the basis it was built in."""
     basis = resolved_basis(params, mu_in)
-    plus = covariance_from_correlation(
-        ground_state_qp_correlation(params.n_sites, QubitStateLabel.PLUS))
-    return rotate_to_site_basis(plus, basis), basis
+    chains = rotate_to_site_basis(qp_chain_references(params.n_sites), basis)
+    return PlusState(chains, basis.orientation), basis
 
 
-def measure_leakage(state: CovarianceMatrix, basis: ModeBasis,
-                    t: float = 0.0) -> LeakageRecord:
-    """Leakage split of a site-basis state against an instantaneous basis."""
-    xi = rotate_to_qp_basis(state, basis)
-    parity = parity_expectation(xi)
+def measure_leakage(state: PlusState, basis: ModeBasis, t: float = 0.0) -> LeakageRecord:
+    """Leakage split of |+> against an instantaneous basis.
+
+    With xi = R M R^T for each chain state and p = xi[0, N], the MZM parity
+    is (p_E^2 + p_O^2)/2 and the ground-state weight (F_E^2 + F_O^2)/2, where
+    F is a state's squared overlap with the one reference of its own fermion
+    parity: the vacuum of ``basis`` for E when the orientations of the two
+    bases agree, the occupied state otherwise, and the other one for O.  The
+    purity defect is the larger of the two states' defects.
+    """
+    n = basis.params.n_sites
+    xi = rotate_to_qp_basis(state.chains, basis)
+    p = xi.matrix[:, 0, n]
+    parity = 0.5 * float(p @ p)
     l_odd = 0.5 * (1.0 - parity)
-    o0 = overlap_sq(xi, qp_vacuum_covariance(basis.params.n_sites))
-    o1 = overlap_sq(xi, qp_occupied_pair_covariance(basis.params.n_sites))
-    l_g_raw = 1.0 - o0 - o1
+    refs = qp_chain_references(n)
+    if basis.orientation != state.orientation:
+        refs = replace(refs, matrix=refs.matrix[::-1])
+    f = overlap_sq(xi, refs)
+    l_g_raw = 1.0 - 0.5 * float(f @ f)
     l_even = l_g_raw - l_odd
     return LeakageRecord(
         t=t,
@@ -242,7 +274,7 @@ def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[
             props = [_chain_propagator(factors, dt) @ o for dt, o in zip(dts, props)]
         basis = resolved_basis(params, mus[k + 1], previous=basis)
         for j, o in zip(live, props):
-            states[j] = replace(states[j], matrix=conjugate_chains(o, states[j].matrix))
+            states[j] = states[j].propagated(o)
             record = measure_leakage(states[j], basis, t=float(times[j][k + 1]))
             outcomes[j] = checked(record, outcomes[j])
     for out in outcomes:
@@ -311,7 +343,7 @@ def evolve_rates(params: ChainParams, mu_in: float, mu_fin: float, rates: Sequen
 
 
 def prepare_quench(params: ChainParams, mu_in: float,
-                   mu_fin: float) -> Tuple[CovarianceMatrix, ModeBasis, ModeBasis]:
+                   mu_fin: float) -> Tuple[PlusState, ModeBasis, ModeBasis]:
     """|+> built at mu_in, its basis, and the gauge-aligned basis at mu_fin."""
     for mu in (mu_in, mu_fin):
         if not is_topological(mu, params.hopping, params.pairing):
@@ -476,16 +508,22 @@ def fock_oracle(params: ChainParams,
                 protocol: Optional[RampProtocol] = None,
                 quench: Optional[Tuple[float, float]] = None,
                 policy: Optional[SteppingPolicy] = None,
-                sample_times: Optional[Sequence[float]] = None) -> Trajectory:
+                sample_times: Optional[Sequence[float]] = None,
+                space: Optional[FockSpace] = None) -> Trajectory:
     """Exact state-vector reference computation on the full Fock space.
 
     Exactly one of ``protocol`` (linear ramp) or ``quench`` ((mu_in, mu_fin))
     must be given.  Ramps use the same left-endpoint frozen-Hamiltonian grid
     as :func:`evolve_ramp`, so the two methods are directly comparable.
+    ``space`` lets several calls share one :class:`FockSpace` of ``params``;
+    without it each call builds its own.
     """
     if (protocol is None) == (quench is None):
         raise InvalidParameterError("provide exactly one of protocol or quench")
-    space = FockSpace(params)
+    if space is None:
+        space = FockSpace(params)
+    elif space.params != params:
+        raise InvalidParameterError("Fock space built for %r, not %r" % (space.params, params))
     policy = policy or SteppingPolicy()
 
     if quench is not None:

@@ -431,6 +431,7 @@ def _run_ramp(cfg: ExperimentConfig) -> ResultTable:
     table = ResultTable(kind="ramp", columns=("t", "mu") + _leakage_columns(), rows=rows)
     table.metadata["row_status"] = ["ok"] * len(rows)
     table.metadata["n_steps"] = records.n_steps
+    table.metadata["max_purity_defect"] = records.max_purity_defect
     table.metadata["dmu"] = _run_dmu(cfg, [protocol.mu_fin])
     if records.richardson_defect is not None:
         table.metadata["richardson_defect"] = records.richardson_defect
@@ -459,13 +460,16 @@ def _run_dmu(cfg: ExperimentConfig, mu_fins) -> float:
 
 def _sweep_metadata(table: ResultTable, cfg: ExperimentConfig, mu_fins, trajectories,
                     statuses) -> None:
-    """Row statuses and step counts, the run's dmu, and each row's Richardson defect.
+    """Row statuses, step counts and maximum purity defects, the run's dmu, and
+    each row's Richardson defect.
 
     Per-row values are null for a failed row.
     """
     table.metadata["row_status"] = statuses
     table.metadata["row_n_steps"] = [None if traj is None else traj.n_steps
                                      for traj in trajectories]
+    table.metadata["row_max_purity_defect"] = [
+        None if traj is None else traj.max_purity_defect for traj in trajectories]
     table.metadata["dmu"] = _run_dmu(cfg, mu_fins)
     if cfg.policy.richardson:
         table.metadata["row_richardson_defect"] = [
@@ -606,25 +610,30 @@ def run_fit(cfg: ExperimentConfig) -> ResultTable:
 
 
 def run_oracle_check(cfg: ExperimentConfig) -> ResultTable:
-    """Side-by-side covariance vs Fock-oracle leakages for every grid point."""
+    """Side-by-side covariance vs Fock-oracle leakages for every grid point.
+
+    All points share one :class:`dynamics.FockSpace`.
+    """
     cases = []
     for mu_fin in cfg.mu_fins:
         cases.append(("sudden", _NAN, mu_fin))
         for v in cfg.v_grid:
             cases.append(("ramp", v, mu_fin))
 
+    space = dynamics.FockSpace(cfg.params)
+
     def worker(point):
         case, v, mu_fin = point
         if case == "sudden":
             cov = dynamics.sudden_quench(cfg.params, cfg.mu_in, mu_fin)
-            ork = dynamics.fock_oracle(cfg.params, quench=(cfg.mu_in, mu_fin))[-1]
+            ork = dynamics.fock_oracle(cfg.params, quench=(cfg.mu_in, mu_fin), space=space)[-1]
         else:
             protocol = RampProtocol(cfg.mu_in, mu_fin, v)
             times = np.linspace(0.0, protocol.duration, 11)
             cov = dynamics.evolve_ramp(cfg.params, protocol, cfg.policy,
                                        sample_times=times)[-1]
             ork = dynamics.fock_oracle(cfg.params, protocol=protocol, policy=cfg.policy,
-                                       sample_times=times)[-1]
+                                       sample_times=times, space=space)[-1]
         diff = max(abs(cov.l_odd - ork.l_odd), abs(cov.l_even - ork.l_even),
                    abs(cov.l_g - ork.l_g))
         return (cov.l_odd, ork.l_odd, cov.l_even, ork.l_even, cov.l_g, ork.l_g, diff)

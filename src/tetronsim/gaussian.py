@@ -2,18 +2,24 @@
 
 A state is held as the real antisymmetric covariance M of the rescaled
 Majoranas r_i = (c_i + c_i^dag)/sqrt(2), r_{i+N} = (c_i - c_i^dag)/(i sqrt(2))
-of each chain, chains stacked (dimension 4N).  Quasiparticle-basis
-covariances use the same layout with the site operators replaced by the
-instantaneous Bogoliubov modes (zero mode first).  The two bases are related
-by the real orthogonal per-chain rotation of :class:`tetronsim.model.ModeBasis`,
-R = diag(V^T, U^T) from the singular value decomposition S = A + B = U Sigma V^T,
+of a chain (dimension 2N), or of both chains stacked (dimension 4N).
+Quasiparticle-basis covariances use the same layout with the site operators
+replaced by the instantaneous Bogoliubov modes (zero mode first).  The two
+bases are related by the real orthogonal per-chain rotation of
+:class:`tetronsim.model.ModeBasis`, R = diag(V^T, U^T) from the singular value
+decomposition S = A + B = U Sigma V^T,
 
     M_qp = R M_site R^T,
 
 and a frozen-Hamiltonian time step is the same kind of map, M <- O M O^T.
+A :class:`CovarianceMatrix` may also hold a stack of chain covariances,
+shape (k, 2N, 2N); the rotations and :func:`overlap_sq` then act on each.
 
-The computational states |0>, |1>, |+> are defined through their complex
-correlation matrices in the block layout
+The two chains are identical and uncoupled, so the dynamics carries |+> as
+two single-chain states (:func:`qp_chain_references` gives them at the start).
+The 4N tetron construction below is kept as the reference that the chain
+form is tested against: the computational states |0>, |1>, |+> are defined
+through their complex correlation matrices in the block layout
 
     Gamma = [[ <c^dag c>, <c^dag c^dag> ],
              [ <c c>,     <c c^dag>     ]]        (per chain, chains stacked),
@@ -64,7 +70,10 @@ class CorrelationMatrix:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Real antisymmetric Majorana-basis form of a Gaussian state."""
+    """Real antisymmetric Majorana-basis form of a Gaussian state, or a stack of them.
+
+    The defects are the largest over the stack.
+    """
 
     matrix: np.ndarray
     basis: str
@@ -72,13 +81,14 @@ class CovarianceMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def antisymmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix + self.matrix.T)))
+        return float(np.max(np.abs(self.matrix + self.matrix.swapaxes(-1, -2))))
 
     def purity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix @ self.matrix.T - np.eye(self.dim))))
+        m = self.matrix
+        return float(np.max(np.abs(m @ m.swapaxes(-1, -2) - np.eye(self.dim))))
 
 
 def _zero_mode_slots(n: int):
@@ -121,12 +131,28 @@ def ground_state_qp_correlation(n_sites: int, label) -> CorrelationMatrix:
     return CorrelationMatrix(matrix=mat, basis=QP, n_sites=n)
 
 
-def _check_dims(m: CovarianceMatrix, basis: ModeBasis) -> None:
-    expected = 4 * basis.params.n_sites
-    if m.dim != expected:
-        raise BasisMismatchError(
-            "matrix dimension %d does not match basis dimension %d" % (m.dim, expected)
-        )
+def _rotate(m: CovarianceMatrix, basis: ModeBasis, inverse: bool) -> np.ndarray:
+    """R M R^T, or R^T M R if ``inverse``, for the rotation R of ``basis``.
+
+    On a chain covariance or a stack of them R = diag(V^T, U^T) acts block by
+    block, half the work of the dense product; a tetron covariance takes
+    diag(R, R).
+    """
+    n = basis.params.n_sites
+    if m.n_sites == n and m.dim == 2 * n:
+        a, b = (basis.v, basis.u) if inverse else (basis.v.T, basis.u.T)
+        x = np.empty_like(m.matrix)
+        np.matmul(a, m.matrix[..., :n, :], out=x[..., :n, :])
+        np.matmul(b, m.matrix[..., n:, :], out=x[..., n:, :])
+        out = np.empty_like(x)
+        np.matmul(x[..., :n], a.T, out=out[..., :n])
+        np.matmul(x[..., n:], b.T, out=out[..., n:])
+        return out
+    if m.n_sites == n and m.dim == 4 * n and m.matrix.ndim == 2:
+        r = basis.rotation
+        return conjugate_chains(r.T if inverse else r, m.matrix)
+    raise BasisMismatchError("%d-site matrix of dimension %d does not match a %d-site basis"
+                             % (m.n_sites, m.dim, n))
 
 
 def conjugate_chains(o: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -140,8 +166,7 @@ def rotate_to_site_basis(m: CovarianceMatrix, basis: ModeBasis) -> CovarianceMat
     """M_site = R^T M_qp R: quasiparticle-basis covariance to site basis."""
     if m.basis != QP:
         raise BasisMismatchError("input must be in the quasiparticle basis")
-    _check_dims(m, basis)
-    return CovarianceMatrix(matrix=conjugate_chains(basis.rotation.T, m.matrix), basis=SITE,
+    return CovarianceMatrix(matrix=_rotate(m, basis, inverse=True), basis=SITE,
                             n_sites=m.n_sites)
 
 
@@ -149,8 +174,7 @@ def rotate_to_qp_basis(m: CovarianceMatrix, basis: ModeBasis) -> CovarianceMatri
     """Inverse rotation of :func:`rotate_to_site_basis`, M_qp = R M_site R^T."""
     if m.basis != SITE:
         raise BasisMismatchError("input must be in the site basis")
-    _check_dims(m, basis)
-    return CovarianceMatrix(matrix=conjugate_chains(basis.rotation, m.matrix), basis=QP,
+    return CovarianceMatrix(matrix=_rotate(m, basis, inverse=False), basis=QP,
                             n_sites=m.n_sites)
 
 
@@ -180,6 +204,22 @@ def qp_vacuum_covariance(n_sites: int) -> CovarianceMatrix:
     m = np.zeros((4 * n, 4 * n))
     m[i, i + n] = 1.0
     m[i + n, i] = -1.0
+    return CovarianceMatrix(matrix=m, basis=QP, n_sites=n)
+
+
+def qp_chain_references(n_sites: int) -> CovarianceMatrix:
+    """One chain's quasiparticle vacuum and its occupied-zero-mode state, stacked.
+
+    Shape (2, 2N, 2N), in the quasiparticle basis: the vacuum pairs slot i
+    with slot i + N, and the occupied state reverses the zero-mode pair.
+    """
+    n = n_sites
+    i = np.arange(n)
+    m = np.zeros((2, 2 * n, 2 * n))
+    m[:, i, i + n] = 1.0
+    m[:, i + n, i] = -1.0
+    m[1, 0, n] = -1.0
+    m[1, n, 0] = 1.0
     return CovarianceMatrix(matrix=m, basis=QP, n_sites=n)
 
 
@@ -214,21 +254,21 @@ def parity_expectation(m: CovarianceMatrix) -> float:
     return pfaffian4(m.matrix[np.ix_(idx, idx)])
 
 
-def overlap_sq(ma: CovarianceMatrix, mb: CovarianceMatrix) -> float:
+def overlap_sq(ma: CovarianceMatrix, mb: CovarianceMatrix):
     """Squared overlap of two pure Gaussian states from their covariances.
 
     |<A|B>|^2 = 2^(-n_modes) sqrt(det(M_A + M_B)), evaluated through slogdet
     so large systems do not overflow.  A significantly negative determinant
-    means the two matrices were not expressed in the same basis.
+    means the two matrices were not expressed in the same basis.  Two stacks
+    of the same shape give the array of overlaps of matching entries.
     """
-    if ma.dim != mb.dim or ma.basis != mb.basis:
+    if ma.matrix.shape != mb.matrix.shape or ma.basis != mb.basis:
         raise BasisMismatchError("covariance matrices disagree in dimension or basis")
     n_modes = ma.dim // 2
     sign, logdet = np.linalg.slogdet(ma.matrix + mb.matrix)
-    if sign == 0:
-        return 0.0
-    # normalized determinant det/2^(2 n_modes) = |overlap|^4
+    # normalized determinant det/2^(2 n_modes) = |overlap|^4; 0 where sign == 0
     q = sign * np.exp(logdet - 2.0 * n_modes * np.log(2.0))
-    if q < -1e-10:
-        raise BasisMismatchError("negative overlap determinant: %g" % q)
-    return float(np.sqrt(max(q, 0.0)))
+    if np.any(q < -1e-10):
+        raise BasisMismatchError("negative overlap determinant: %g" % np.min(q))
+    f = np.sqrt(np.maximum(q, 0.0))
+    return float(f) if f.ndim == 0 else f

@@ -203,8 +203,23 @@ class ModeBasis:
         R carries a site-basis covariance of the chain into the quasiparticle
         basis, M_qp = R M_site R^T.
         """
-        zero = np.zeros_like(self.v)
-        return np.block([[self.v.T, zero], [zero, self.u.T]])
+        n = self.v.shape[0]
+        r = np.zeros((2 * n, 2 * n))
+        r[:n, :n] = self.v.T
+        r[n:, n:] = self.u.T
+        return r
+
+    @property
+    def orientation(self) -> int:
+        """Sign of det R = det U det V.
+
+        A pure state's fermion parity is the sign of the Pfaffian of its
+        site-basis covariance, and Pf(R^T M R) = det R Pf(M): the
+        quasiparticle vacua of two bases have the same parity exactly when
+        their orientations agree.  Flipping a zero singular vector, whose
+        sign is arbitrary, flips the orientation.
+        """
+        return 1 if np.linalg.det(self.u) * np.linalg.det(self.v) > 0 else -1
 
 
 def align_mzm_gauge(basis: ModeBasis, previous: ModeBasis) -> ModeBasis:

@@ -267,6 +267,45 @@ class TestRunCommand:
         assert meta["n_steps"] == 7 * 22
         assert meta["dmu"] == pytest.approx(0.05 / 150, rel=1e-12)
 
+    def test_sidecars_record_max_purity_defect(self, tmp_path):
+        out = tmp_path / "s.csv"
+        ini = write_ini(tmp_path / "s.ini", SWEEP_INI.format(out=out))
+        assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_OK
+        meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
+        defects = meta["row_max_purity_defect"]
+        assert len(defects) == len(meta["row_status"]) == 4
+        # the maximum over the row's samples bounds its final-sample cell,
+        # which the CSV holds to 13 significant digits
+        for defect, final in zip(defects, read_table(out).column("purity_defect")):
+            assert final <= defect * (1 + 1e-12) and defect < 1e-10
+        ramp = tmp_path / "r.csv"
+        ini = write_ini(tmp_path / "r.ini", """
+[experiment]
+kind = ramp
+
+[model]
+n_sites = 4
+
+[protocol]
+mu_in = 0.0
+mu_fin = 0.05
+rate = 2e-2
+
+[stepping]
+steps_per_span = 150
+
+[samples]
+count = 7
+
+[output]
+path = {out}
+""".format(out=ramp))
+        assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_OK
+        meta = json.loads(ramp.with_suffix(".csv.meta.json").read_text())
+        cells = read_table(ramp).column("purity_defect")
+        assert meta["max_purity_defect"] == pytest.approx(max(cells), rel=1e-12)
+        assert "max_purity_defect" not in read_table(ramp).columns
+
     def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "s.ini", SWEEP_INI.format(out=tmp_path / "s.csv"))
         with pytest.raises(SystemExit) as exc:
@@ -364,6 +403,7 @@ path = {out}
         assert len(meta["row_status"]) == len(table.rows) == 4
         assert all(s.startswith("failed: purity defect") for s in meta["row_status"])
         assert meta["row_n_steps"] == [None] * 4
+        assert meta["row_max_purity_defect"] == [None] * 4
         assert list(table.column("v")) == [1e-2, 1e-2, 3e-2, 3e-2]
         assert list(table.column("mu_fin")) == [0.05, 0.1, 0.05, 0.1]
         assert np.all(np.isnan(table.column("l_g")))
@@ -428,6 +468,25 @@ class TestOracleCommand:
         assert main(["oracle-check", "--config", str(ini), "--quiet"]) == EXIT_OK
         table = read_table(out)
         assert max(table.column("max_abs_diff")) < 1e-8
+
+    def test_oracle_check_builds_one_fock_space_per_run(self, tmp_path, monkeypatch):
+        from tetronsim.dynamics import FockSpace
+
+        init = FockSpace.__init__
+        built = []
+
+        def counted(self, params):
+            built.append(params)
+            init(self, params)
+
+        monkeypatch.setattr(FockSpace, "__init__", counted)
+        out = tmp_path / "oracle.csv"
+        text = ORACLE_INI.format(out=out).replace("mu_fin = 0.1", "mu_fin_list = 0.05, 0.1")
+        ini = write_ini(tmp_path / "oracle.ini", text.replace("v_list = 1e-2", "v_list = 1e-2, 0.1"))
+        for run in (1, 2):
+            assert main(["oracle-check", "--config", str(ini), "--quiet"]) == EXIT_OK
+            assert len(built) == run
+        assert len(read_table(out).rows) == 6
 
     def test_diff_failure_exit_code(self, tmp_path, monkeypatch):
         from tetronsim import cli as cli_mod

@@ -335,6 +335,18 @@ class TestFockOracle:
             psi = q @ (np.exp(-1j * evals * dt) * (q.conj().T @ psi))
         assert space.total_parity(psi) == pytest.approx(start, abs=1e-10)
 
+    def test_shared_space_gives_the_same_records(self):
+        proto = RampProtocol(0.0, 0.1, 1e-2)
+        pol = SteppingPolicy(max_dmu_per_step=0.1 / 100)
+        times = np.linspace(0, proto.duration, 4)
+        space = FockSpace(params(2))
+        for kwargs in ({"quench": (0.0, 0.1)},
+                       {"protocol": proto, "policy": pol, "sample_times": times}):
+            shared = fock_oracle(params(2), space=space, **kwargs)
+            assert shared == fock_oracle(params(2), **kwargs)
+        with pytest.raises(InvalidParameterError, match="Fock space"):
+            fock_oracle(params(3), quench=(0.0, 0.1), space=space)
+
     def test_size_limit(self):
         with pytest.raises(InvalidParameterError):
             fock_oracle(params(4), quench=(0.0, 0.1))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from tetronsim.gaussian import (
     overlap_sq,
     parity_expectation,
     pfaffian4,
+    qp_chain_references,
     qp_occupied_pair_covariance,
     qp_vacuum_covariance,
     rotate_to_qp_basis,
@@ -192,3 +195,49 @@ class TestParityAndOverlap:
         site = CovarianceMatrix(m0.matrix, basis="site", n_sites=3)
         with pytest.raises(BasisMismatchError):
             overlap_sq(m0, site)
+
+
+class TestChainStack:
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    def test_references_are_the_tetron_chain_blocks(self, n):
+        refs = qp_chain_references(n).matrix
+        assert refs.shape == (2, 2 * n, 2 * n)
+        for ref, tetron in zip(refs, (qp_vacuum_covariance(n), qp_occupied_pair_covariance(n))):
+            for off in (0, 2 * n):
+                assert np.array_equal(ref, tetron.matrix[off:off + 2 * n, off:off + 2 * n])
+
+    def test_rotation_acts_on_each_chain_state(self):
+        basis = tetron_basis(5, 0.1)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 10, 10))
+        stack = CovarianceMatrix(x - x.swapaxes(1, 2), basis="site", n_sites=5)
+        qp = rotate_to_qp_basis(stack, basis)
+        r = basis.rotation
+        for got, m in zip(qp.matrix, stack.matrix):
+            assert np.max(np.abs(got - r @ m @ r.T)) < 1e-14
+        back = rotate_to_site_basis(qp, basis)
+        assert np.max(np.abs(back.matrix - stack.matrix)) < 1e-13
+
+    def test_tetron_of_the_basis_size_only(self):
+        # a 2-site tetron has the dimension of a 4-site chain
+        with pytest.raises(BasisMismatchError):
+            rotate_to_site_basis(qp_vacuum_covariance(2), tetron_basis(4, 0.1))
+        with pytest.raises(BasisMismatchError):
+            rotate_to_site_basis(qp_chain_references(3), tetron_basis(4, 0.1))
+
+    def test_stacked_overlaps_match_one_by_one(self):
+        rng = np.random.default_rng(29)
+        n = 4
+        refs = qp_chain_references(n)
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2 * n, 2 * n)))
+        states = CovarianceMatrix(q @ refs.matrix @ q.swapaxes(1, 2), basis="qp", n_sites=n)
+        stacked = overlap_sq(states, refs)
+        assert stacked.shape == (2,)
+        for k in range(2):
+            one = overlap_sq(CovarianceMatrix(states.matrix[k], "qp", n),
+                             CovarianceMatrix(refs.matrix[k], "qp", n))
+            assert stacked[k] == one
+        # the vacuum and the occupied state have opposite parity
+        assert np.array_equal(overlap_sq(refs, replace(refs, matrix=refs.matrix[::-1])),
+                              [0.0, 0.0])
+        assert refs.purity_defect() == 0.0 and refs.antisymmetry_defect() == 0.0

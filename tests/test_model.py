@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,24 @@ class TestDiagonalize:
         params = ChainParams(30, 0.5, 0.5)
         with pytest.raises(DegenerateSubspaceError):
             resolved_basis(params, 1.0)
+
+
+class TestRotation:
+    @pytest.mark.parametrize("n", [3, 40])
+    @pytest.mark.parametrize("pairing", [0.5, 0.3])
+    def test_rotation_is_the_block_diagonal_of_vt_and_ut(self, n, pairing):
+        basis = resolved_basis(ChainParams(n, 0.5, pairing), 0.05)
+        zero = np.zeros_like(basis.v)
+        expected = np.block([[basis.v.T, zero], [zero, basis.u.T]])
+        assert basis.rotation.tobytes() == expected.tobytes()
+
+    def test_orientation_is_the_sign_of_det_r(self):
+        basis = resolved_basis(ChainParams(6, 0.5, 0.4), 0.05)
+        assert basis.orientation == np.sign(np.linalg.det(basis.rotation))
+        for name in ("u", "v"):
+            flipped = getattr(basis, name).copy()
+            flipped[:, 0] *= -1.0
+            assert replace(basis, **{name: flipped}).orientation == -basis.orientation
 
 
 class TestResolveMzms:

@@ -14,6 +14,7 @@ from tetronsim.dynamics import (
     _chain_propagator,
     evolve_ramp,
     fock_oracle,
+    initial_plus_state,
     measure_leakage,
 )
 from tetronsim.errors import InvalidParameterError
@@ -21,7 +22,6 @@ from tetronsim.experiments import ORACLE_TOLERANCE
 from tetronsim.gaussian import (
     CovarianceMatrix,
     majorana_rotation,
-    qp_vacuum_covariance,
     rotate_to_qp_basis,
     rotate_to_site_basis,
 )
@@ -137,19 +137,20 @@ def test_mzm_vectors_are_ph_invariant(chain):
 @PROPERTY
 @given(topological_chains(resolvable=True), st.integers(0, 2 ** 32 - 1))
 def test_leakage_ignores_zero_mode_reflection(chain, seed):
-    """Flipping u_0 or v_0 reflects the zero-mode plane of R on both chains.
+    """Flipping u_0 or v_0 reflects the zero-mode plane of R.
 
-    The parity Pfaffian is unchanged and the vacuum and occupied-pair overlaps
-    trade places, so no measured number may move.
+    It reverses the basis orientation, so each chain state trades its
+    reference for the other one, which the reflection has turned into the
+    state of the same parity; no measured number may move.
     """
     params, mu = chain
     n = params.n_sites
-    basis = resolved_basis(params, mu)
-    # a vacuum rotated a little: the two overlaps differ, so a swap would show
-    x = np.random.default_rng(seed).normal(size=(4 * n,) * 2)
-    q = scipy.linalg.expm(0.1 / np.sqrt(n) * (x - x.T))
-    vacuum = rotate_to_site_basis(qp_vacuum_covariance(n), basis)
-    state = replace(vacuum, matrix=q @ vacuum.matrix @ q.T)
+    state, basis = initial_plus_state(params, mu)
+    # each chain state rotated a little on its own: a wrong reference would show
+    x = np.random.default_rng(seed).normal(size=(2,) + (2 * n,) * 2)
+    q = scipy.linalg.expm(0.1 / np.sqrt(n) * (x - x.swapaxes(1, 2)))
+    m = state.chains.matrix
+    state = replace(state, chains=replace(state.chains, matrix=q @ m @ q.swapaxes(1, 2)))
     ref = measure_leakage(state, basis)
     for name in ("u", "v"):
         flipped = getattr(basis, name).copy()
