@@ -11,14 +11,16 @@ frozen Hamiltonian of each step,
     M(t + dt) = O M(t) O^T,   O = Omega* e^{i H(t) dt} Omega^T,
 
 where O is real orthogonal.  Steps and samples share one decomposition, the
-real SVD S(mu) = U Sigma V^T of :func:`tetronsim.model.chain_s`: it gives O in
-closed form, and a sample rotates both covariances with R = diag(V^T, U^T)
-into the instantaneous quasiparticle basis, where their zero-mode entries
-give the MZM parity and their single-chain ground-state overlaps the leakage
-split (:func:`measure_leakage`).  The step grid in mu does not depend on the
-ramp rate, so the rates of a sweep step together and share one SVD per step
-(:func:`evolve_rates`); :func:`evolve_ramp` is the one-rate case of the same
-loop.
+SVD S(mu) = U Sigma V^T of :func:`tetronsim.model.chain_s`, which
+:func:`tetronsim.model.chain_svd` takes from one symmetric ``eigh`` of the
+persymmetric S: it gives O in closed form, and a sample rotates both
+covariances with R = diag(V^T, U^T) into the instantaneous quasiparticle
+basis, where their zero-mode entries give the MZM parity and their
+single-chain ground-state overlaps the leakage split
+(:func:`measure_leakage`).  The step grid in mu does not depend on the ramp
+rate, so the rates of a sweep step together and share one decomposition per
+step (:func:`evolve_rates`); :func:`evolve_ramp` is the one-rate case of the
+same loop.
 
 The oracle, :func:`fock_oracle`, steps the full two-chain Fock-space state
 vector of a chain of at most 3 sites on the same frozen-Hamiltonian grid.  Its
@@ -44,7 +46,7 @@ from .gaussian import (
     rotate_to_qp_basis,
     rotate_to_site_basis,
 )
-from .model import ChainParams, ModeBasis, RampProtocol, chain_s, is_topological, resolved_basis
+from .model import ChainParams, ModeBasis, RampProtocol, chain_svd, is_topological, resolved_basis
 
 DEFAULT_STEPS_PER_SPAN = 2000
 DEFAULT_SAMPLE_COUNT = 200
@@ -110,9 +112,10 @@ def _chain_propagator(factors: Tuple[np.ndarray, np.ndarray, np.ndarray],
                       dt: float) -> np.ndarray:
     """Exact one-chain step O = Omega* e^{i H dt} Omega^T in the Majorana basis.
 
-    ``factors`` is the SVD (U, Sigma, V^T) of S = A + B, as ``np.linalg.svd``
-    returns it, for the H = [[A, B], [-B, -A]] frozen at one mu.  It gives the
-    real orthogonal
+    ``factors`` is an SVD (U, Sigma, V^T) of S = A + B, for the
+    H = [[A, B], [-B, -A]] frozen at one mu: ``np.linalg.svd`` returns one,
+    and :func:`tetronsim.model.chain_svd` gives (U, Sigma, V) from one
+    ``eigh``.  It gives the real orthogonal
 
         O = [[ V cos(Sigma dt) V^T, V sin(Sigma dt) U^T ],
              [-U sin(Sigma dt) V^T, U cos(Sigma dt) U^T ]],
@@ -235,12 +238,12 @@ def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[
     """Step one mu path at several rates together.
 
     Every rate is sampled at the chemical potentials ``mus``; ``times[j]``
-    holds rate j's sample times.  Each step takes one SVD of S(mu) on the
-    rate-independent grid of :func:`_step_mus` and advances the propagator of
-    every rate still running from it, with that rate's own dt.  A segment's
-    first step sits at the sample mu just resolved, so it takes its factors
-    from that basis.  |+>, the basis of each sample and the record at t = 0,
-    where every rate starts, are built once for all rates.
+    holds rate j's sample times.  Each step takes one :func:`chain_svd` of
+    S(mu) on the rate-independent grid of :func:`_step_mus` and advances the
+    propagator of every rate still running from it, with that rate's own dt.
+    A segment's first step sits at the sample mu just resolved, so it takes
+    its factors from that basis.  |+>, the basis of each sample and the
+    record at t = 0, where every rate starts, are built once for all rates.
 
     Returns, per rate, its Trajectory, with ``n_steps`` the number of steps
     it took, or the StepSizeTooCoarse that stopped it.  Failures of the
@@ -269,9 +272,8 @@ def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[
         dts = [(times[j][k + 1] - times[j][k]) / len(grid) for j in live]
         props = [np.eye(2 * params.n_sites)] * len(live)
         for i, mu in enumerate(grid):
-            factors = ((basis.u, basis.energies, basis.v.T) if i == 0
-                       else np.linalg.svd(chain_s(params, mu)))
-            props = [_chain_propagator(factors, dt) @ o for dt, o in zip(dts, props)]
+            u, sig, v = (basis.u, basis.energies, basis.v) if i == 0 else chain_svd(params, mu)
+            props = [_chain_propagator((u, sig, v.T), dt) @ o for dt, o in zip(dts, props)]
         basis = resolved_basis(params, mus[k + 1], previous=basis)
         for j, o in zip(live, props):
             states[j] = states[j].propagated(o)
@@ -327,7 +329,7 @@ def evolve_rates(params: ChainParams, mu_in: float, mu_fin: float, rates: Sequen
                  policy: Optional[SteppingPolicy] = None) -> List[Outcome]:
     """End-of-ramp leakage of one mu_in -> mu_fin ramp at each of several rates.
 
-    The rates share the mu grid, so one SVD per step serves all of them.
+    The rates share the mu grid, so one decomposition per step serves all of them.
     Returns one entry per rate, in order: the Trajectory that
     :func:`evolve_ramp` gives for that rate with ``sample_times=[duration]``
     (records at t = 0 and t = T, and ``richardson_defect`` if the policy

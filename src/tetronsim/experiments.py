@@ -9,6 +9,8 @@ table bit-identically.
 from __future__ import annotations
 
 import configparser
+import contextlib
+import functools
 import json
 import math
 import os
@@ -384,8 +386,58 @@ def _record_cells(record) -> tuple:
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+@functools.lru_cache(maxsize=None)
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
+
+    numpy's wheels vendor it as ``numpy.libs/libscipy_openblas64_*.so``;
+    loading that file again returns the library already in the process.
+    """
+    import ctypes
+
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get, set_count = (lib.scipy_openblas_get_num_threads64_,
+                              lib.scipy_openblas_set_num_threads64_)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_count.argtypes, set_count.restype = [ctypes.c_int], None
+        return get, set_count
+    return None
+
+
+@contextlib.contextmanager
+def serial_blas():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its count.
+
+    The matrices of a run are at most a few hundred wide, where a second BLAS
+    thread adds CPU time without shortening the run.  Does nothing when the
+    library is not found.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_count = threads
+    before = get()
+    set_count(1)
+    try:
+        yield
+    finally:
+        set_count(before)
+
+
+def blas_threads() -> Optional[int]:
+    """Thread count of numpy's OpenBLAS now, or None if it is not found."""
+    threads = _openblas_threads()
+    return None if threads is None else threads[0]()
+
+
 def run_environment() -> Dict:
-    """numpy, BLAS and LAPACK versions, BLAS thread variables, usable CPU count."""
+    """numpy, BLAS and LAPACK versions, BLAS threads in use and their variables, CPUs."""
     try:
         deps = np.show_config(mode="dicts")["Build Dependencies"]
         libs = {k: "%s %s" % (deps[k].get("name"), deps[k].get("version", "?"))
@@ -399,6 +451,7 @@ def run_environment() -> Dict:
     return {
         "numpy": np.__version__,
         **libs,
+        "blas_threads": blas_threads(),
         "threads_env": {k: os.environ.get(k) for k in _THREAD_VARS},
         "cpu_count": cpus,
     }
@@ -415,10 +468,11 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
         "fit": run_fit,
         "oracle-check": run_oracle_check,
     }[cfg.kind]
-    table = runner(cfg)
+    with serial_blas():
+        table = runner(cfg)
+        table.metadata["environment"] = run_environment()
     table.metadata.setdefault("config", cfg.resolved())
     table.metadata["version"] = __version__
-    table.metadata["environment"] = run_environment()
     table.metadata["wall_clock_s"] = round(time.time() - started, 3)
     return table
 

@@ -7,7 +7,8 @@ Quasiparticle-basis covariances use the same layout with the site operators
 replaced by the instantaneous Bogoliubov modes (zero mode first).  The two
 bases are related by the real orthogonal per-chain rotation of
 :class:`tetronsim.model.ModeBasis`, R = diag(V^T, U^T) from the singular value
-decomposition S = A + B = U Sigma V^T,
+decomposition S = A + B = U Sigma V^T (taken from one symmetric ``eigh`` of
+the persymmetric S, :func:`tetronsim.model.chain_svd`),
 
     M_qp = R M_site R^T,
 
@@ -31,6 +32,7 @@ with M = -i Omega* (2 Gamma - 1) Omega^T.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,11 +209,13 @@ def qp_vacuum_covariance(n_sites: int) -> CovarianceMatrix:
     return CovarianceMatrix(matrix=m, basis=QP, n_sites=n)
 
 
+@functools.lru_cache(maxsize=16)
 def qp_chain_references(n_sites: int) -> CovarianceMatrix:
     """One chain's quasiparticle vacuum and its occupied-zero-mode state, stacked.
 
     Shape (2, 2N, 2N), in the quasiparticle basis: the vacuum pairs slot i
     with slot i + N, and the occupied state reverses the zero-mode pair.
+    The stack is built once per N and is read-only.
     """
     n = n_sites
     i = np.arange(n)
@@ -220,6 +224,7 @@ def qp_chain_references(n_sites: int) -> CovarianceMatrix:
     m[:, i + n, i] = -1.0
     m[1, 0, n] = -1.0
     m[1, n, 0] = 1.0
+    m.setflags(write=False)
     return CovarianceMatrix(matrix=m, basis=QP, n_sites=n)
 
 

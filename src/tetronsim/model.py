@@ -17,6 +17,11 @@ Q = (v - u)/2 are the eigenvectors of H at +Sigma, and in the Majorana basis
 of :mod:`tetronsim.gaussian` the mode rotation is R = diag(V^T, U^T).  The
 zero singular vectors v_0 and u_0 are the two Majorana zero modes.
 
+S has constant diagonals, so it is Toeplitz and therefore persymmetric,
+J S J = S^T with J the exchange matrix (Golub & Van Loan, Matrix
+Computations, section 4.7).  J S is then real symmetric, and
+:func:`chain_svd` takes the SVD from its one symmetric ``eigh``.
+
 The tetron is two identical, uncoupled copies of this chain, so its mode
 basis holds the decomposition of one chain.
 """
@@ -150,9 +155,18 @@ def _flush_negligible(x: np.ndarray) -> np.ndarray:
 
 
 def chain_svd(params: ChainParams, mu: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U, Sigma, V) with S = U diag(Sigma) V^T, Sigma ascending, negligible entries zeroed."""
-    u, sig, vt = np.linalg.svd(chain_s(params, mu))
-    return _flush_negligible(u[:, ::-1]), sig[::-1], _flush_negligible(vt[::-1].T)
+    """(U, Sigma, V) with S = U diag(Sigma) V^T, Sigma ascending, negligible entries zeroed.
+
+    S is Toeplitz, hence persymmetric, so J S (S with its rows reversed) is
+    real symmetric.  One ``eigh``, J S = Q diag(lambda) Q^T, gives the SVD
+    S = (J Q sign(lambda)) |lambda| Q^T: Sigma = |lambda|, V = Q and
+    U = J Q sign(lambda), with sign(0) taken as +1.
+    """
+    lam, q = np.linalg.eigh(chain_s(params, mu)[::-1])
+    order = np.argsort(np.abs(lam), kind="stable")
+    lam = lam[order]
+    v = _flush_negligible(q[:, order])
+    return v[::-1] * np.where(lam < 0.0, -1.0, 1.0), np.abs(lam), v
 
 
 def _fix_sign(x: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tetronsim
+from tetronsim import experiments
 from tetronsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from tetronsim.errors import ConfigError
 from tetronsim.experiments import (
@@ -234,6 +235,7 @@ class TestRunCommand:
         assert isinstance(env["blas"], str) and isinstance(env["lapack"], str)
         assert set(env["threads_env"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["blas_threads"] == (None if experiments.blas_threads() is None else 1)
         assert env["cpu_count"] >= 1
 
     def test_sweep_sidecar_counts_steps_per_row(self, tmp_path):
@@ -413,6 +415,40 @@ path = {out}
         ini = write_ini(tmp_path / "walk.ini", WALK_INI.format(out="walk.csv"))
         assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_OK
         assert (tmp_path / "results" / "walk.csv").exists()
+
+
+@pytest.mark.skipif(experiments.blas_threads() is None, reason="numpy's OpenBLAS not found")
+class TestSerialBlas:
+    @pytest.fixture
+    def threads(self):
+        # start from two threads, so that the scope has a count to restore
+        get, set_count = experiments._openblas_threads()
+        before = get()
+        set_count(2)
+        yield get
+        set_count(before)
+
+    def test_scope_runs_on_one_thread_and_restores(self, threads):
+        prior = threads()
+        with experiments.serial_blas():
+            assert threads() == 1
+        assert threads() == prior
+
+    def test_scope_restores_after_an_error(self, threads):
+        prior = threads()
+        with pytest.raises(RuntimeError):
+            with experiments.serial_blas():
+                raise RuntimeError("inside")
+        assert threads() == prior
+
+    def test_run_is_serial_and_restores(self, threads, tmp_path):
+        prior = threads()
+        out = tmp_path / "s.csv"
+        ini = write_ini(tmp_path / "s.ini", SWEEP_INI.format(out=out))
+        assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_OK
+        env = json.loads(out.with_suffix(".csv.meta.json").read_text())["environment"]
+        assert env["blas_threads"] == 1
+        assert threads() == prior
 
 
 class TestFitCommand:

@@ -31,6 +31,7 @@ from tetronsim.model import (
     _chain_matrix,
     build_chain_bdg,
     chain_s,
+    chain_svd,
     resolved_basis,
 )
 
@@ -109,6 +110,48 @@ def test_chain_s_is_the_a_plus_b_slice(chain):
     n = params.n_sites
     h = build_chain_bdg(params, mu).matrix
     assert chain_s(params, mu).tobytes() == (h[:n, :n] + h[:n, n:]).tobytes()
+
+
+@st.composite
+def any_chains(draw):
+    """(params, mu) with 2 to 60 sites, w = Delta or not, mu = 0 or not, any phase."""
+    n = draw(st.integers(2, 60))
+    w = draw(st.floats(0.2, 1.0))
+    delta = draw(st.one_of(st.just(w), st.floats(0.2, 1.0)))
+    mu = draw(st.one_of(st.just(0.0), st.floats(-2.5, 2.5).map(lambda x: x * w)))
+    return ChainParams(n, w, delta), mu
+
+
+@PROPERTY
+@given(any_chains())
+def test_chain_s_is_persymmetric(chain):
+    js = chain_s(*chain)[::-1]
+    assert np.array_equal(js, js.T)
+
+
+@PROPERTY
+@given(any_chains())
+def test_chain_svd_factors_s(chain):
+    params, mu = chain
+    s = chain_s(params, mu)
+    u, sig, v = chain_svd(params, mu)
+    assert orthogonality_defect(u) < 1e-13
+    assert orthogonality_defect(v) < 1e-13
+    assert np.all(sig >= 0.0)
+    assert np.all(np.diff(sig) >= 0.0)
+    assert np.max(np.abs((u * sig) @ v.T - s)) < 1e-13 * np.linalg.norm(s)
+
+
+@pytest.mark.parametrize("n", [3, 40, 100])
+@pytest.mark.parametrize("delta", [0.5, 0.3])
+@pytest.mark.parametrize("mu", [0.0, 0.03, -0.2])
+@pytest.mark.parametrize("dt", [0.05, 5.0])
+def test_chain_svd_propagator_matches_lapack_svd(n, delta, mu, dt):
+    params = ChainParams(n, 0.5, delta)
+    u, sig, v = chain_svd(params, mu)
+    o = _chain_propagator((u, sig, v.T), dt)
+    reference = _chain_propagator(np.linalg.svd(chain_s(params, mu)), dt)
+    assert np.max(np.abs(o - reference)) < 1e-13
 
 
 @PROPERTY
