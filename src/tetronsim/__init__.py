@@ -44,27 +44,17 @@ from .errors import (
     StepSizeTooCoarse,
 )
 from .gaussian import (
-    CorrelationMatrix,
     CovarianceMatrix,
-    QubitStateLabel,
-    covariance_from_correlation,
-    ground_state_qp_correlation,
     overlap_sq,
-    parity_expectation,
-    pfaffian4,
     qp_chain_references,
-    qp_occupied_pair_covariance,
-    qp_vacuum_covariance,
     rotate_to_qp_basis,
     rotate_to_site_basis,
 )
 from .model import (
-    BdGMatrix,
     ChainParams,
     ModeBasis,
     RampProtocol,
     band_gap,
-    build_chain_bdg,
     bulk_energy,
     is_topological,
     resolved_basis,

@@ -8,6 +8,7 @@ dynamic phase E_gap * mu_fin / v setting the oscillation frequency.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -77,28 +78,28 @@ def sudden_even_integral(n_sites: int, mu_in: float, mu_fin: float,
 
 
 def mzm_overlaps(basis_in: ModeBasis, basis_fin: ModeBasis) -> Tuple[float, ...]:
-    """Overlap of corresponding localized MZM vectors in two bases."""
-    vin = basis_in.mzm_vectors
-    vfin = basis_fin.mzm_vectors
-    if len(vin) != len(vfin):
-        raise InvalidParameterError("bases have different numbers of MZMs")
-    out = []
-    for a, b in zip(vin, vfin):
-        out.append(float((a.conj() @ b).real))
-    return tuple(out)
+    """|alpha| of corresponding localized MZM vectors in two bases, per chain.
+
+    The left MZM of ``basis_in`` is paired with the MZM of ``basis_fin`` it
+    overlaps more, the right one with the other.  An MZM vector's sign is a
+    gauge choice, so only |alpha| is meaningful; it is the overlap after
+    aligning the signs of ``basis_fin`` to ``basis_in``.
+    """
+    left, right = basis_in.mzm_left, basis_in.mzm_right
+    ga, gb = basis_fin.mzm_left, basis_fin.mzm_right
+    if abs(left.conj() @ ga) < abs(left.conj() @ gb):
+        ga, gb = gb, ga
+    pair = (abs(float((left.conj() @ ga).real)), abs(float((right.conj() @ gb).real)))
+    return pair * 2
 
 
 def sudden_odd_prediction(basis_in: ModeBasis, basis_fin: ModeBasis) -> float:
     """Parity-sector leakage after a quench: (1 - prod of MZM overlaps) / 2."""
     alphas = mzm_overlaps(basis_in, basis_fin)
-    prod = 1.0
-    for a in alphas:
-        if abs(a) < 0.5:
-            raise InvalidParameterError(
-                "MZM overlap %g < 0.5: quench too large for pairing by position" % a
-            )
-        prod *= a
-    return 0.5 * (1.0 - prod)
+    if min(alphas) < 0.5:
+        raise InvalidParameterError(
+            "MZM overlap %g < 0.5: quench too large for pairing by position" % min(alphas))
+    return 0.5 * (1.0 - math.prod(alphas))
 
 
 def sudden_prediction(params: ChainParams, mu_in: float, mu_fin: float) -> SuddenPrediction:
@@ -108,7 +109,7 @@ def sudden_prediction(params: ChainParams, mu_in: float, mu_fin: float) -> Sudde
     an MZM overlap is below 0.5.
     """
     basis_in = resolved_basis(params, mu_in)
-    basis_fin = resolved_basis(params, mu_fin, previous=basis_in)
+    basis_fin = resolved_basis(params, mu_fin)
     return SuddenPrediction(
         l_even_tilde=sudden_even_integral(params.n_sites, mu_in, mu_fin,
                                           params.hopping, params.pairing),

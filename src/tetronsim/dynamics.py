@@ -46,7 +46,14 @@ from .gaussian import (
     rotate_to_qp_basis,
     rotate_to_site_basis,
 )
-from .model import ChainParams, ModeBasis, RampProtocol, chain_svd, is_topological, resolved_basis
+from .model import (
+    ChainParams,
+    ModeBasis,
+    RampProtocol,
+    chain_svd,
+    require_topological,
+    resolved_basis,
+)
 
 DEFAULT_STEPS_PER_SPAN = 2000
 DEFAULT_SAMPLE_COUNT = 200
@@ -274,7 +281,7 @@ def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[
         for i, mu in enumerate(grid):
             u, sig, v = (basis.u, basis.energies, basis.v) if i == 0 else chain_svd(params, mu)
             props = [_chain_propagator((u, sig, v.T), dt) @ o for dt, o in zip(dts, props)]
-        basis = resolved_basis(params, mus[k + 1], previous=basis)
+        basis = resolved_basis(params, mus[k + 1])
         for j, o in zip(live, props):
             states[j] = states[j].propagated(o)
             record = measure_leakage(states[j], basis, t=float(times[j][k + 1]))
@@ -316,7 +323,7 @@ def evolve_ramp(params: ChainParams, protocol: RampProtocol,
     Returns one LeakageRecord per sample time (t=0 and t=T always included).
     The ramp must stay inside the topological phase throughout.
     """
-    protocol.validate_topological(params)
+    require_topological(params, protocol.mu_in, protocol.mu_fin)
     samples = _normalize_samples(sample_times, protocol.duration)
     [outcome] = _evolve(params, _sample_mus(protocol, samples), [samples],
                         policy or SteppingPolicy())
@@ -338,7 +345,7 @@ def evolve_rates(params: ChainParams, mu_in: float, mu_fin: float, rates: Sequen
     protocols = [RampProtocol(mu_in, mu_fin, v) for v in rates]
     if not protocols:
         return []
-    protocols[0].validate_topological(params)
+    require_topological(params, mu_in, mu_fin)
     times = [_normalize_samples([p.duration], p.duration) for p in protocols]
     return _evolve(params, _sample_mus(protocols[0], times[0]), times,
                    policy or SteppingPolicy())
@@ -346,12 +353,10 @@ def evolve_rates(params: ChainParams, mu_in: float, mu_fin: float, rates: Sequen
 
 def prepare_quench(params: ChainParams, mu_in: float,
                    mu_fin: float) -> Tuple[PlusState, ModeBasis, ModeBasis]:
-    """|+> built at mu_in, its basis, and the gauge-aligned basis at mu_fin."""
-    for mu in (mu_in, mu_fin):
-        if not is_topological(mu, params.hopping, params.pairing):
-            raise InvalidParameterError("mu=%g is outside the topological phase" % mu)
+    """|+> built at mu_in, its basis, and the basis at mu_fin."""
+    require_topological(params, mu_in, mu_fin)
     state, basis_in = initial_plus_state(params, mu_in)
-    return state, basis_in, resolved_basis(params, mu_fin, previous=basis_in)
+    return state, basis_in, resolved_basis(params, mu_fin)
 
 
 def sudden_quench(params: ChainParams, mu_in: float, mu_fin: float) -> LeakageRecord:
@@ -528,30 +533,25 @@ def fock_oracle(params: ChainParams,
         raise InvalidParameterError("Fock space built for %r, not %r" % (space.params, params))
     policy = policy or SteppingPolicy()
 
-    if quench is not None:
-        mu_in, mu_fin = quench
-        basis_in = resolved_basis(params, mu_in)
-        vac, one, _ = space.ground_states(basis_in)
-        psi = (vac + one) / np.sqrt(2.0)
-        basis_fin = resolved_basis(params, mu_fin, previous=basis_in)
-        records = Trajectory()
-        records.append(space.measure(psi, basis_fin, t=0.0))
-        return records
-
-    protocol.validate_topological(params)
-    samples = _normalize_samples(sample_times, protocol.duration)
-    mus = _sample_mus(protocol, samples)
-    dmu = policy.resolved_dmu(protocol.mu_fin - protocol.mu_in)
-    basis = resolved_basis(params, mus[0])
+    mu_in, mu_fin = quench if quench is not None else (protocol.mu_in, protocol.mu_fin)
+    require_topological(params, mu_in, mu_fin)
+    basis = resolved_basis(params, mu_in)
     vac, one, _ = space.ground_states(basis)
     psi = (vac + one) / np.sqrt(2.0)
     records = Trajectory()
+    if quench is not None:
+        records.append(space.measure(psi, resolved_basis(params, mu_fin), t=0.0))
+        return records
+
     records.append(space.measure(psi, basis, t=0.0))
+    samples = _normalize_samples(sample_times, protocol.duration)
+    mus = _sample_mus(protocol, samples)
+    dmu = policy.resolved_dmu(mu_fin - mu_in)
     for k in range(len(samples) - 1):
         grid = _step_mus(mus[k], mus[k + 1], dmu)
         dt = (samples[k + 1] - samples[k]) / len(grid)
         for mu in grid:
             psi = space.step(psi, mu, dt)
-        basis = resolved_basis(params, mus[k + 1], previous=basis)
+        basis = resolved_basis(params, mus[k + 1])
         records.append(space.measure(psi, basis, t=float(samples[k + 1])))
     return records

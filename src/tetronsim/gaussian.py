@@ -1,14 +1,13 @@
-"""Fermionic Gaussian states of the tetron as real Majorana covariances.
+"""Fermionic Gaussian states of one Kitaev chain as real Majorana covariances.
 
 A state is held as the real antisymmetric covariance M of the rescaled
 Majoranas r_i = (c_i + c_i^dag)/sqrt(2), r_{i+N} = (c_i - c_i^dag)/(i sqrt(2))
-of a chain (dimension 2N), or of both chains stacked (dimension 4N).
-Quasiparticle-basis covariances use the same layout with the site operators
-replaced by the instantaneous Bogoliubov modes (zero mode first).  The two
-bases are related by the real orthogonal per-chain rotation of
-:class:`tetronsim.model.ModeBasis`, R = diag(V^T, U^T) from the singular value
-decomposition S = A + B = U Sigma V^T (taken from one symmetric ``eigh`` of
-the persymmetric S, :func:`tetronsim.model.chain_svd`),
+of a chain (dimension 2N).  Quasiparticle-basis covariances use the same
+layout with the site operators replaced by the instantaneous Bogoliubov modes
+(zero mode first).  The two bases are related by the real orthogonal rotation
+of :class:`tetronsim.model.ModeBasis`, R = diag(V^T, U^T) from the singular
+value decomposition S = A + B = U Sigma V^T (taken from one symmetric
+``eigh`` of the persymmetric S, :func:`tetronsim.model.chain_svd`),
 
     M_qp = R M_site R^T,
 
@@ -16,22 +15,16 @@ and a frozen-Hamiltonian time step is the same kind of map, M <- O M O^T.
 A :class:`CovarianceMatrix` may also hold a stack of chain covariances,
 shape (k, 2N, 2N); the rotations and :func:`overlap_sq` then act on each.
 
-The two chains are identical and uncoupled, so the dynamics carries |+> as
-two single-chain states (:func:`qp_chain_references` gives them at the start).
-The 4N tetron construction below is kept as the reference that the chain
-form is tested against: the computational states |0>, |1>, |+> are defined
-through their complex correlation matrices in the block layout
-
-    Gamma = [[ <c^dag c>, <c^dag c^dag> ],
-             [ <c c>,     <c c^dag>     ]]        (per chain, chains stacked),
-
-matching the operator ordering of :mod:`tetronsim.model`, and converted once
-with M = -i Omega* (2 Gamma - 1) Omega^T.
+The two chains of the tetron are identical and uncoupled, so the dynamics
+carries |+> as two single-chain states (:func:`qp_chain_references` gives
+them at the start).  :func:`covariance_from_correlation` and
+:func:`parity_expectation` convert and measure the 4N covariance of both
+chains stacked, the form the chain states are tested against; the tetron
+states themselves are built on the test side.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 
@@ -42,12 +35,6 @@ from .model import ModeBasis
 
 SITE = "site"
 QP = "qp"
-
-
-class QubitStateLabel(str, enum.Enum):
-    ZERO = "zero"
-    ONE = "one"
-    PLUS = "plus"
 
 
 @dataclass(frozen=True)
@@ -99,69 +86,24 @@ def _zero_mode_slots(n: int):
     return (0, n, 2 * n, 3 * n)
 
 
-def ground_state_qp_correlation(n_sites: int, label) -> CorrelationMatrix:
-    """Correlation matrix of |0>, |1> or |+> in the quasiparticle basis.
-
-    |0> is the quasiparticle vacuum, |1> carries the occupied zero mode on
-    each chain, and |+> is their equal-weight coherent superposition whose
-    cross terms sit in the four zero-mode rows and columns.
-    """
-    if n_sites < 2:
-        raise InvalidParameterError("n_sites must be >= 2")
-    label = QubitStateLabel(label)
-    n = n_sites
-    dim = 4 * n
-    u0 = np.zeros((dim, dim), dtype=complex)
-    u0[np.arange(n, 2 * n), np.arange(n, 2 * n)] = 1.0
-    u0[np.arange(3 * n, 4 * n), np.arange(3 * n, 4 * n)] = 1.0
-    if label is QubitStateLabel.ZERO:
-        mat = u0
-    else:
-        u1 = u0.copy()
-        a, b, c, d = _zero_mode_slots(n)
-        u1[a, a] = 1.0
-        u1[b, b] = 0.0
-        u1[c, c] = 1.0
-        u1[d, d] = 0.0
-        if label is QubitStateLabel.ONE:
-            mat = u1
-        else:
-            cross = np.zeros((dim, dim), dtype=complex)
-            cross[n, 2 * n] = 1j
-            cross[0, 3 * n] = 1j
-            mat = 0.5 * (u0 + u1 + cross + cross.conj().T)
-    return CorrelationMatrix(matrix=mat, basis=QP, n_sites=n)
-
-
 def _rotate(m: CovarianceMatrix, basis: ModeBasis, inverse: bool) -> np.ndarray:
     """R M R^T, or R^T M R if ``inverse``, for the rotation R of ``basis``.
 
-    On a chain covariance or a stack of them R = diag(V^T, U^T) acts block by
-    block, half the work of the dense product; a tetron covariance takes
-    diag(R, R).
+    ``m`` is a chain covariance or a stack of them.  R = diag(V^T, U^T) acts
+    block by block, half the work of the dense product.
     """
     n = basis.params.n_sites
-    if m.n_sites == n and m.dim == 2 * n:
-        a, b = (basis.v, basis.u) if inverse else (basis.v.T, basis.u.T)
-        x = np.empty_like(m.matrix)
-        np.matmul(a, m.matrix[..., :n, :], out=x[..., :n, :])
-        np.matmul(b, m.matrix[..., n:, :], out=x[..., n:, :])
-        out = np.empty_like(x)
-        np.matmul(x[..., :n], a.T, out=out[..., :n])
-        np.matmul(x[..., n:], b.T, out=out[..., n:])
-        return out
-    if m.n_sites == n and m.dim == 4 * n and m.matrix.ndim == 2:
-        r = basis.rotation
-        return conjugate_chains(r.T if inverse else r, m.matrix)
-    raise BasisMismatchError("%d-site matrix of dimension %d does not match a %d-site basis"
-                             % (m.n_sites, m.dim, n))
-
-
-def conjugate_chains(o: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """O M O^T with O = diag(o, o): the same 2N x 2N map on both chains."""
-    n2 = o.shape[0]
-    blocks = m.reshape(2, n2, 2, n2).swapaxes(1, 2)
-    return (o @ blocks @ o.T).swapaxes(1, 2).reshape(2 * n2, 2 * n2)
+    if m.n_sites != n or m.dim != 2 * n:
+        raise BasisMismatchError("%d-site matrix of dimension %d does not match a %d-site basis"
+                                 % (m.n_sites, m.dim, n))
+    a, b = (basis.v, basis.u) if inverse else (basis.v.T, basis.u.T)
+    x = np.empty_like(m.matrix)
+    np.matmul(a, m.matrix[..., :n, :], out=x[..., :n, :])
+    np.matmul(b, m.matrix[..., n:, :], out=x[..., n:, :])
+    out = np.empty_like(x)
+    np.matmul(x[..., :n], a.T, out=out[..., :n])
+    np.matmul(x[..., n:], b.T, out=out[..., n:])
+    return out
 
 
 def rotate_to_site_basis(m: CovarianceMatrix, basis: ModeBasis) -> CovarianceMatrix:
@@ -198,17 +140,6 @@ def covariance_from_correlation(g: CorrelationMatrix) -> CovarianceMatrix:
                             n_sites=g.n_sites)
 
 
-def qp_vacuum_covariance(n_sites: int) -> CovarianceMatrix:
-    """Covariance of the quasiparticle vacuum |0> in its own Majorana basis."""
-    n = n_sites
-    # slot i pairs with slot i + n, per chain
-    i = np.concatenate([np.arange(n), np.arange(2 * n, 3 * n)])
-    m = np.zeros((4 * n, 4 * n))
-    m[i, i + n] = 1.0
-    m[i + n, i] = -1.0
-    return CovarianceMatrix(matrix=m, basis=QP, n_sites=n)
-
-
 @functools.lru_cache(maxsize=16)
 def qp_chain_references(n_sites: int) -> CovarianceMatrix:
     """One chain's quasiparticle vacuum and its occupied-zero-mode state, stacked.
@@ -226,15 +157,6 @@ def qp_chain_references(n_sites: int) -> CovarianceMatrix:
     m[1, n, 0] = 1.0
     m.setflags(write=False)
     return CovarianceMatrix(matrix=m, basis=QP, n_sites=n)
-
-
-def qp_occupied_pair_covariance(n_sites: int) -> CovarianceMatrix:
-    """Covariance of |1> (zero mode occupied on each chain) in the QP basis."""
-    m = qp_vacuum_covariance(n_sites).matrix
-    a, b, c, d = _zero_mode_slots(n_sites)
-    m[[a, c], [b, d]] = -1.0
-    m[[b, d], [a, c]] = 1.0
-    return CovarianceMatrix(matrix=m, basis=QP, n_sites=n_sites)
 
 
 def pfaffian4(a: np.ndarray) -> float:

@@ -10,7 +10,8 @@ which is Hermitian and particle-hole symmetric: (tau_x K) H (tau_x K) = -H,
 where tau_x swaps the particle and hole blocks and K conjugates.
 
 A is real symmetric and B real antisymmetric, so the chain is fixed by the
-real N x N matrix S = A + B.  Its singular value decomposition
+real N x N matrix S = A + B, and the package builds only S
+(:func:`chain_s`), never H itself.  Its singular value decomposition
 S = U Sigma V^T is the chiral decomposition of Lieb, Schultz & Mattis
 (Ann. Phys. 16, 407 (1961)): the columns (P; Q) with P = (v + u)/2 and
 Q = (v - u)/2 are the eigenvectors of H at +Sigma, and in the Majorana basis
@@ -29,7 +30,7 @@ basis holds the decomposition of one chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -80,54 +81,6 @@ class RampProtocol:
     def mu_at(self, t: float) -> float:
         sign = 1.0 if self.mu_fin >= self.mu_in else -1.0
         return self.mu_in + sign * self.rate * t
-
-    def validate_topological(self, params: ChainParams) -> None:
-        """Require the whole mu interval to stay inside the topological phase."""
-        for mu in (self.mu_in, self.mu_fin):
-            if not is_topological(mu, params.hopping, params.pairing):
-                raise InvalidParameterError(
-                    "mu=%g leaves the topological phase (|mu| < 2|w| required)" % mu
-                )
-
-
-@dataclass(frozen=True)
-class BdGMatrix:
-    """Single-particle Hamiltonian matrix with its build context."""
-
-    matrix: np.ndarray
-    mu: float
-    params: ChainParams
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def _chain_matrix(params: ChainParams, mu: float) -> np.ndarray:
-    n = params.n_sites
-    w, delta = params.hopping, params.pairing
-    a = np.zeros((n, n))
-    b = np.zeros((n, n))
-    a[np.arange(n), np.arange(n)] = -mu
-    for j in range(n - 1):
-        a[j, j + 1] = a[j + 1, j] = -w
-        b[j + 1, j] = delta
-        b[j, j + 1] = -delta
-    return np.block([[a, b], [-b, -a]])
-
-
-def build_chain_bdg(params: ChainParams, mu: float) -> BdGMatrix:
-    """2N x 2N BdG matrix of a single open Kitaev chain at chemical potential mu."""
-    return BdGMatrix(matrix=_chain_matrix(params, mu), mu=mu, params=params)
-
-
-def ph_conjugate(h: np.ndarray) -> np.ndarray:
-    """Return (tau_x K) H (tau_x K)^-1 for a single-chain matrix."""
-    n = h.shape[0] // 2
-    tx = np.zeros_like(h, dtype=float)
-    tx[:n, n:] = np.eye(n)
-    tx[n:, :n] = np.eye(n)
-    return tx @ h.conj() @ tx
 
 
 def chain_s(params: ChainParams, mu: float) -> np.ndarray:
@@ -236,31 +189,15 @@ class ModeBasis:
         return 1 if np.linalg.det(self.u) * np.linalg.det(self.v) > 0 else -1
 
 
-def align_mzm_gauge(basis: ModeBasis, previous: ModeBasis) -> ModeBasis:
-    """Match MZM pairing and signs to a previous basis for gauge continuity.
-
-    Without this, the deterministic sign convention can hop between samples of
-    a ramp and flip the MZM overlaps spuriously.
-    """
-    pa, pb = previous.mzm_left, previous.mzm_right
-    ga, gb = basis.mzm_left, basis.mzm_right
-    if abs(pa.conj() @ ga) < abs(pa.conj() @ gb):
-        ga, gb = gb, ga
-    if (pa.conj() @ ga).real < 0:
-        ga = -ga
-    if (pb.conj() @ gb).real < 0:
-        gb = -gb
-    return replace(basis, mzm_left=ga, mzm_right=gb)
-
-
-def resolved_basis(params: ChainParams, mu: float,
-                   previous: Optional[ModeBasis] = None) -> ModeBasis:
-    """Tetron mode basis at mu with localized MZMs, optionally gauge-continuous.
+def resolved_basis(params: ChainParams, mu: float) -> ModeBasis:
+    """Tetron mode basis at mu with localized MZMs.
 
     The MZMs are the zero singular vectors, (v_0, v_0)/sqrt(2) and
     (-i u_0, i u_0)/sqrt(2); the one with more weight on the first half of
     the chain is the left one, and each real v_0, u_0 has its largest entry
-    positive.
+    positive.  No sign is matched to another basis: the MZM overlaps of
+    :func:`tetronsim.analytics.mzm_overlaps` pair the modes and drop the
+    signs themselves.
     """
     u, sig, v = chain_svd(params, mu)
     if sig[0] > ZERO_MODE_RATIO * sig[1]:
@@ -273,11 +210,8 @@ def resolved_basis(params: ChainParams, mu: float,
     half = params.n_sites // 2
     if np.sum(u0[:half] ** 2) > np.sum(v0[:half] ** 2):
         left, right = right, left
-    basis = ModeBasis(params=params, mu=mu, energies=sig, u=u, v=v,
-                      mzm_left=left, mzm_right=right)
-    if previous is not None:
-        basis = align_mzm_gauge(basis, previous)
-    return basis
+    return ModeBasis(params=params, mu=mu, energies=sig, u=u, v=v,
+                     mzm_left=left, mzm_right=right)
 
 
 def bulk_energy(k: float, mu: float, w: float, delta: float) -> float:
@@ -293,3 +227,12 @@ def band_gap(mu: float, w: float) -> float:
 def is_topological(mu: float, w: float, delta: float) -> bool:
     """True inside the topological phase: |mu| < 2|w| with nonzero pairing."""
     return bool(abs(mu) < 2.0 * abs(w) and delta != 0.0)
+
+
+def require_topological(params: ChainParams, *mus: float) -> None:
+    """Raise InvalidParameterError unless every mu lies inside the topological phase."""
+    for mu in mus:
+        if not is_topological(mu, params.hopping, params.pairing):
+            raise InvalidParameterError(
+                "mu=%g is outside the topological phase (|mu| < 2|w| required)" % mu
+            )

@@ -1,0 +1,139 @@
+"""Test-side references: the 4N tetron states, the dense BdG matrix, the MZM gauge alignment.
+
+The computational states |0>, |1>, |+> are defined through their complex
+correlation matrices in the block layout
+
+    Gamma = [[ <c^dag c>, <c^dag c^dag> ],
+             [ <c c>,     <c c^dag>     ]]        (per chain, chains stacked),
+
+matching the operator ordering of :mod:`tetronsim.model`, and converted with
+:func:`tetronsim.gaussian.covariance_from_correlation`.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from tetronsim.errors import InvalidParameterError
+from tetronsim.gaussian import QP, CorrelationMatrix, CovarianceMatrix, _zero_mode_slots
+from tetronsim.model import ChainParams, ModeBasis
+
+
+class QubitStateLabel(str, enum.Enum):
+    ZERO = "zero"
+    ONE = "one"
+    PLUS = "plus"
+
+
+def ground_state_qp_correlation(n_sites: int, label) -> CorrelationMatrix:
+    """Correlation matrix of |0>, |1> or |+> in the quasiparticle basis.
+
+    |0> is the quasiparticle vacuum, |1> carries the occupied zero mode on
+    each chain, and |+> is their equal-weight coherent superposition whose
+    cross terms sit in the four zero-mode rows and columns.
+    """
+    if n_sites < 2:
+        raise InvalidParameterError("n_sites must be >= 2")
+    label = QubitStateLabel(label)
+    n = n_sites
+    dim = 4 * n
+    u0 = np.zeros((dim, dim), dtype=complex)
+    u0[np.arange(n, 2 * n), np.arange(n, 2 * n)] = 1.0
+    u0[np.arange(3 * n, 4 * n), np.arange(3 * n, 4 * n)] = 1.0
+    if label is QubitStateLabel.ZERO:
+        mat = u0
+    else:
+        u1 = u0.copy()
+        a, b, c, d = _zero_mode_slots(n)
+        u1[a, a] = 1.0
+        u1[b, b] = 0.0
+        u1[c, c] = 1.0
+        u1[d, d] = 0.0
+        if label is QubitStateLabel.ONE:
+            mat = u1
+        else:
+            cross = np.zeros((dim, dim), dtype=complex)
+            cross[n, 2 * n] = 1j
+            cross[0, 3 * n] = 1j
+            mat = 0.5 * (u0 + u1 + cross + cross.conj().T)
+    return CorrelationMatrix(matrix=mat, basis=QP, n_sites=n)
+
+
+def qp_vacuum_covariance(n_sites: int) -> CovarianceMatrix:
+    """Covariance of the quasiparticle vacuum |0> in its own Majorana basis."""
+    n = n_sites
+    # slot i pairs with slot i + n, per chain
+    i = np.concatenate([np.arange(n), np.arange(2 * n, 3 * n)])
+    m = np.zeros((4 * n, 4 * n))
+    m[i, i + n] = 1.0
+    m[i + n, i] = -1.0
+    return CovarianceMatrix(matrix=m, basis=QP, n_sites=n)
+
+
+def qp_occupied_pair_covariance(n_sites: int) -> CovarianceMatrix:
+    """Covariance of |1> (zero mode occupied on each chain) in the QP basis."""
+    m = qp_vacuum_covariance(n_sites).matrix
+    a, b, c, d = _zero_mode_slots(n_sites)
+    m[[a, c], [b, d]] = -1.0
+    m[[b, d], [a, c]] = 1.0
+    return CovarianceMatrix(matrix=m, basis=QP, n_sites=n_sites)
+
+
+@dataclass(frozen=True)
+class BdGMatrix:
+    """Single-particle Hamiltonian matrix with its build context."""
+
+    matrix: np.ndarray
+    mu: float
+    params: ChainParams
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+def _chain_matrix(params: ChainParams, mu: float) -> np.ndarray:
+    n = params.n_sites
+    w, delta = params.hopping, params.pairing
+    a = np.zeros((n, n))
+    b = np.zeros((n, n))
+    a[np.arange(n), np.arange(n)] = -mu
+    for j in range(n - 1):
+        a[j, j + 1] = a[j + 1, j] = -w
+        b[j + 1, j] = delta
+        b[j, j + 1] = -delta
+    return np.block([[a, b], [-b, -a]])
+
+
+def build_chain_bdg(params: ChainParams, mu: float) -> BdGMatrix:
+    """2N x 2N BdG matrix of a single open Kitaev chain at chemical potential mu."""
+    return BdGMatrix(matrix=_chain_matrix(params, mu), mu=mu, params=params)
+
+
+def ph_conjugate(h: np.ndarray) -> np.ndarray:
+    """Return (tau_x K) H (tau_x K)^-1 for a single-chain matrix."""
+    n = h.shape[0] // 2
+    tx = np.zeros_like(h, dtype=float)
+    tx[:n, n:] = np.eye(n)
+    tx[n:, :n] = np.eye(n)
+    return tx @ h.conj() @ tx
+
+
+def align_mzm_gauge(basis: ModeBasis, previous: ModeBasis) -> ModeBasis:
+    """Match MZM pairing and signs to a previous basis for gauge continuity.
+
+    Without this, the deterministic sign convention can hop between samples of
+    a ramp and flip the MZM overlaps spuriously.
+    """
+    pa, pb = previous.mzm_left, previous.mzm_right
+    ga, gb = basis.mzm_left, basis.mzm_right
+    if abs(pa.conj() @ ga) < abs(pa.conj() @ gb):
+        ga, gb = gb, ga
+    if (pa.conj() @ ga).real < 0:
+        ga = -ga
+    if (pb.conj() @ gb).real < 0:
+        gb = -gb
+    return replace(basis, mzm_left=ga, mzm_right=gb)

@@ -26,16 +26,11 @@ from tetronsim.dynamics import (
     fock_oracle,
     sudden_quench,
 )
-from tetronsim.gaussian import (
-    CovarianceMatrix,
-    covariance_from_correlation,
-    ground_state_qp_correlation,
-    overlap_sq,
-    pfaffian4,
-    qp_vacuum_covariance,
-)
-from tetronsim.model import ChainParams, RampProtocol, build_chain_bdg, ph_conjugate
+from tetronsim.gaussian import CovarianceMatrix, overlap_sq, pfaffian4
+from tetronsim.model import ChainParams, RampProtocol
 from tetronsim.qpwalk import WalkConfig, average_opposite, simulate_pair_walks
+
+from reference import build_chain_bdg, ph_conjugate, qp_vacuum_covariance
 
 W = 0.5
 

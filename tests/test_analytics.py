@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetronsim.analytics import (
     dynamic_phase_frequency,
@@ -7,6 +11,7 @@ from tetronsim.analytics import (
     fit_linear_in_n,
     fit_power_approach,
     half_lz_model,
+    mzm_overlaps,
     near_adiabatic_even_envelope,
     sudden_even_integral,
     sudden_even_prediction,
@@ -16,6 +21,8 @@ from tetronsim.analytics import (
 from tetronsim.dynamics import sudden_quench
 from tetronsim.errors import FitConvergenceError, InvalidParameterError
 from tetronsim.model import ChainParams, resolved_basis
+
+from reference import align_mzm_gauge
 
 
 class TestSuddenEven:
@@ -60,11 +67,35 @@ class TestSuddenOdd:
         # a sign-flipping quench alternates the MZM tail and kills the overlap
         params = ChainParams(40, 0.5, 0.5)
         basis_in = resolved_basis(params, -0.8)
-        basis_fin = resolved_basis(params, 0.8, previous=basis_in)
+        basis_fin = resolved_basis(params, 0.8)
         with pytest.raises(InvalidParameterError):
             sudden_odd_prediction(basis_in, basis_fin)
         with pytest.raises(InvalidParameterError):
             sudden_prediction(params, -0.8, 0.8)
+
+
+@st.composite
+def quenches(draw):
+    """(basis at mu_in, basis at mu_fin): 2 to 40 sites, w = Delta or not, both mu topological."""
+    n, w = draw(st.integers(2, 40)), draw(st.floats(0.2, 1.0))
+    delta = draw(st.one_of(st.just(w), st.floats(0.7, 1.4).map(lambda x: x * w)))
+    return tuple(resolved_basis(ChainParams(n, w, delta), w * draw(st.floats(-1.0, 1.0)))
+                 for _ in range(2))
+
+
+# derandomize keeps the suite reproducible run to run
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(quenches())
+def test_mzm_overlaps_are_the_gauge_aligned_ones_in_any_gauge(bases):
+    """Equal to the signed overlaps after aligning to basis_in, whatever the final gauge."""
+    basis_in, basis_fin = bases
+    aligned = align_mzm_gauge(basis_fin, basis_in)
+    signed = tuple(float((a.conj() @ b).real)
+                   for a, b in zip(basis_in.mzm_vectors, aligned.mzm_vectors))
+    left, right = basis_fin.mzm_left, basis_fin.mzm_right
+    for gauge in ((left, right), (-left, right), (left, -right), (right, left), (-right, -left)):
+        moved = replace(basis_fin, mzm_left=gauge[0], mzm_right=gauge[1])
+        assert mzm_overlaps(basis_in, moved) == signed
 
 
 class TestNearAdiabaticForms:

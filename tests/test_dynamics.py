@@ -182,10 +182,10 @@ class TestRateSharedSweep:
     def test_basis_failure_flags_its_group(self, monkeypatch):
         resolve = dynamics.resolved_basis
 
-        def failing(chain, mu, previous=None):
+        def failing(chain, mu):
             if mu == 0.05:
                 raise DegenerateSubspaceError("no isolated near-zero pair")
-            return resolve(chain, mu, previous)
+            return resolve(chain, mu)
 
         monkeypatch.setattr(dynamics, "resolved_basis", failing)
         _, table = sweep_table(6)
@@ -293,6 +293,12 @@ class TestSuddenQuench:
     def test_rejects_non_topological(self):
         with pytest.raises(InvalidParameterError):
             sudden_quench(params(6), 0.0, 1.1)
+        # the oracle's quench runs the same phase check before any basis resolve
+        for quench in ((0.0, 1.1), (1.2, 0.0), (0.0, -1.5)):
+            with pytest.raises(InvalidParameterError, match="outside the topological"):
+                sudden_quench(params(3), *quench)
+            with pytest.raises(InvalidParameterError, match="outside the topological"):
+                fock_oracle(params(3), quench=quench)
 
 
 class TestFockOracle:

@@ -6,19 +6,22 @@ import pytest
 from tetronsim.errors import BasisMismatchError, InvalidParameterError
 from tetronsim.gaussian import (
     CovarianceMatrix,
-    QubitStateLabel,
     covariance_from_correlation,
-    ground_state_qp_correlation,
     overlap_sq,
     parity_expectation,
     pfaffian4,
     qp_chain_references,
-    qp_occupied_pair_covariance,
-    qp_vacuum_covariance,
     rotate_to_qp_basis,
     rotate_to_site_basis,
 )
 from tetronsim.model import ChainParams, resolved_basis
+
+from reference import (
+    QubitStateLabel,
+    ground_state_qp_correlation,
+    qp_occupied_pair_covariance,
+    qp_vacuum_covariance,
+)
 
 
 def tetron_basis(n, mu):
@@ -56,21 +59,27 @@ def plus_covariance(n):
     return covariance_from_correlation(ground_state_qp_correlation(n, "plus"))
 
 
+def antisymmetric_stack(n, seed):
+    """A (2, 2N, 2N) stack of random real antisymmetric matrices in the qp basis."""
+    x = np.random.default_rng(seed).normal(size=(2, 2 * n, 2 * n))
+    return CovarianceMatrix(x - x.swapaxes(1, 2), basis="qp", n_sites=n)
+
+
 class TestRotations:
     def test_eigenvalues_preserved(self):
         basis = tetron_basis(4, 0.1)
-        plus = plus_covariance(4)
-        site = rotate_to_site_basis(plus, basis)
+        stack = antisymmetric_stack(4, 31)
+        site = rotate_to_site_basis(stack, basis)
         # i M is Hermitian for real antisymmetric M
-        ev_in = np.sort(np.linalg.eigvalsh(1j * plus.matrix))
+        ev_in = np.sort(np.linalg.eigvalsh(1j * stack.matrix))
         ev_out = np.sort(np.linalg.eigvalsh(1j * site.matrix))
         assert np.max(np.abs(ev_in - ev_out)) < 1e-10
 
     def test_round_trip(self):
         basis = tetron_basis(3, 0.2)
-        plus = plus_covariance(3)
-        back = rotate_to_qp_basis(rotate_to_site_basis(plus, basis), basis)
-        assert np.max(np.abs(back.matrix - plus.matrix)) < 1e-10
+        stack = antisymmetric_stack(3, 37)
+        back = rotate_to_qp_basis(rotate_to_site_basis(stack, basis), basis)
+        assert np.max(np.abs(back.matrix - stack.matrix)) < 1e-10
 
     def test_identity_rotation(self):
         from tetronsim.model import ModeBasis
@@ -78,10 +87,10 @@ class TestRotations:
         n = 3
         basis = ModeBasis(params=ChainParams(n, 0.5, 0.5), mu=0.0, energies=np.zeros(n),
                           u=np.eye(n), v=np.eye(n))
-        plus = plus_covariance(n)
-        site = rotate_to_site_basis(plus, basis)
+        refs = qp_chain_references(n)
+        site = rotate_to_site_basis(refs, basis)
         assert site.basis == "site"
-        assert np.max(np.abs(site.matrix - plus.matrix)) == 0.0
+        assert np.max(np.abs(site.matrix - refs.matrix)) == 0.0
 
     def test_dimension_mismatch(self):
         basis = tetron_basis(3, 0.2)
@@ -224,6 +233,9 @@ class TestChainStack:
             rotate_to_site_basis(qp_vacuum_covariance(2), tetron_basis(4, 0.1))
         with pytest.raises(BasisMismatchError):
             rotate_to_site_basis(qp_chain_references(3), tetron_basis(4, 0.1))
+        # nor does a tetron covariance of the basis' own size: rotations take chains only
+        with pytest.raises(BasisMismatchError):
+            rotate_to_site_basis(plus_covariance(3), tetron_basis(3, 0.2))
 
     def test_stacked_overlaps_match_one_by_one(self):
         rng = np.random.default_rng(29)

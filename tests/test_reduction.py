@@ -3,8 +3,10 @@
 The two chains are identical and uncoupled, so |+> evolves as
 (|E>|E> + |O>|O>)/sqrt(2) and :mod:`tetronsim.dynamics` measures it from the
 2N x 2N covariances of E and O.  Here the same propagators also step the full
-4N covariance of |+>, measured with the tetron parity Pfaffian and overlaps
-of :mod:`tetronsim.gaussian`, and every sample must agree.  Each sample is
+4N covariance of |+>, built in :mod:`reference` and measured with the tetron
+parity Pfaffian and overlaps of :mod:`tetronsim.gaussian`, and every sample
+must agree.  The 4N covariance is rotated and stepped with the dense
+block-diagonal products diag(R, R) and diag(O, O).  Each sample is
 also read in the basis with u_0 flipped, whose orientation is the opposite
 one, so both reference choices of :func:`measure_leakage` are exercised
 whatever signs LAPACK gives the zero singular vectors.
@@ -24,18 +26,20 @@ from tetronsim.dynamics import (
     sudden_quench,
 )
 from tetronsim.gaussian import (
-    QubitStateLabel,
-    conjugate_chains,
+    QP,
+    CovarianceMatrix,
     covariance_from_correlation,
-    ground_state_qp_correlation,
     overlap_sq,
     parity_expectation,
-    qp_occupied_pair_covariance,
-    qp_vacuum_covariance,
-    rotate_to_qp_basis,
-    rotate_to_site_basis,
 )
 from tetronsim.model import ChainParams, RampProtocol, chain_s, resolved_basis
+
+from reference import (
+    QubitStateLabel,
+    ground_state_qp_correlation,
+    qp_occupied_pair_covariance,
+    qp_vacuum_covariance,
+)
 
 FIELDS = ("l_odd", "l_even", "l_g", "parity")
 
@@ -44,13 +48,15 @@ def tetron_plus_state(basis):
     """Site-basis 4N covariance of |+>, built from its correlation matrix."""
     plus = covariance_from_correlation(
         ground_state_qp_correlation(basis.params.n_sites, QubitStateLabel.PLUS))
-    return rotate_to_site_basis(plus, basis)
+    r = np.kron(np.eye(2), basis.rotation)
+    return r.T @ plus.matrix @ r
 
 
 def tetron_leakage(state, basis):
     """Leakage split of a 4N site-basis covariance from the tetron Pfaffian and overlaps."""
     n = basis.params.n_sites
-    xi = rotate_to_qp_basis(state, basis)
+    r = np.kron(np.eye(2), basis.rotation)
+    xi = CovarianceMatrix(r @ state @ r.T, basis=QP, n_sites=n)
     parity = parity_expectation(xi)
     l_odd = 0.5 * (1.0 - parity)
     l_g = (1.0 - overlap_sq(xi, qp_vacuum_covariance(n))
@@ -96,8 +102,9 @@ def test_ramp_matches_tetron_covariance(n, pairing, mu_fin, rate):
         for mu in grid:
             o = _chain_propagator(np.linalg.svd(chain_s(params, mu)), dt)
             state = state.propagated(o)
-            tetron = replace(tetron, matrix=conjugate_chains(o, tetron.matrix))
-        basis = resolved_basis(params, mus[k + 1], previous=basis)
+            o2 = np.kron(np.eye(2), o)
+            tetron = o2 @ tetron @ o2.T
+        basis = resolved_basis(params, mus[k + 1])
         assert_agree(state, tetron, basis, t=float(samples[k + 1]))
     # the final sample has leaked, so the comparison is not of zeros
     assert measure_leakage(state, basis).l_g > 1e-6
