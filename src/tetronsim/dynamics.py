@@ -10,17 +10,22 @@ frozen Hamiltonian of each step,
 
     M(t + dt) = O M(t) O^T,   O = Omega* e^{i H(t) dt} Omega^T,
 
-where O is real orthogonal.  Steps and samples share one decomposition, the
-SVD S(mu) = U Sigma V^T of :func:`tetronsim.model.chain_s`, which
-:func:`tetronsim.model.chain_svd` takes from one symmetric ``eigh`` of the
-persymmetric S: it gives O in closed form, and a sample rotates both
-covariances with R = diag(V^T, U^T) into the instantaneous quasiparticle
-basis, where their zero-mode entries give the MZM parity and their
-single-chain ground-state overlaps the leakage split
-(:func:`measure_leakage`).  The step grid in mu does not depend on the ramp
-rate, so the rates of a sweep step together and share one decomposition per
-step (:func:`evolve_rates`); :func:`evolve_ramp` is the one-rate case of the
-same loop.
+where O is real orthogonal.  S(mu) of :func:`tetronsim.model.chain_s` is
+persymmetric, so one symmetric ``eigh``, J S = Q Lambda Q^T
+(:func:`tetronsim.model.chain_eigh`), gives O with D = diag(I, J) as
+
+    O = D (I_2 x Q) [[cos Lambda dt, sin Lambda dt], [-sin Lambda dt, cos Lambda dt]]
+          (I_2 x Q^T) D.
+
+A segment's propagator P is carried in this mode frame, as the complex N x 2N
+Z = P~_top + i P~_bottom of P~ = D P D; a step is Z <- Q e^{-i Lambda dt} Q^T Z.
+The mu grid does not depend on the ramp rate, so the Z of a sweep's rates are
+stacked: a step is one ``eigh``, two real GEMMs and a phase per rate
+(:func:`evolve_rates`; :func:`evolve_ramp` is the one-rate case).  At a sample
+O = D [Re Z; Im Z] D propagates both covariances, and R = diag(V^T, U^T)
+rotates them into the quasiparticle basis, where their zero-mode entries give
+the MZM parity and their ground-state overlaps the leakage split
+(:func:`measure_leakage`).
 
 The oracle, :func:`fock_oracle`, steps the full two-chain Fock-space state
 vector of a chain of at most 3 sites on the same frozen-Hamiltonian grid.  Its
@@ -50,7 +55,7 @@ from .model import (
     ChainParams,
     ModeBasis,
     RampProtocol,
-    chain_svd,
+    chain_eigh,
     require_topological,
     resolved_basis,
 )
@@ -115,35 +120,39 @@ class Trajectory(list):
 Outcome = Union[Trajectory, StepSizeTooCoarse]
 
 
-def _chain_propagator(factors: Tuple[np.ndarray, np.ndarray, np.ndarray],
-                      dt: float) -> np.ndarray:
-    """Exact one-chain step O = Omega* e^{i H dt} Omega^T in the Majorana basis.
+def _chain_propagator(lam: np.ndarray, dt: float) -> np.ndarray:
+    """One rate's step in the mode frame: the phases exp(-i lambda dt).
 
-    ``factors`` is an SVD (U, Sigma, V^T) of S = A + B, for the
-    H = [[A, B], [-B, -A]] frozen at one mu: ``np.linalg.svd`` returns one,
-    and :func:`tetronsim.model.chain_svd` gives (U, Sigma, V) from one
-    ``eigh``.  It gives the real orthogonal
-
-        O = [[ V cos(Sigma dt) V^T, V sin(Sigma dt) U^T ],
-             [-U sin(Sigma dt) V^T, U cos(Sigma dt) U^T ]],
-
-    which is cheaper than diagonalizing the full 2N x 2N matrix and agrees
-    with it to machine precision.  The order of the modes does not matter, so
-    the factors of a resolved basis, (u, energies, v^T), serve as well.  Only
-    dt depends on the ramp rate, so the rates of a sweep share one
-    decomposition per step.
+    ``lam`` holds the eigenvalues of J S, from :func:`tetronsim.model.chain_eigh`
+    or the :attr:`ModeBasis.eigenvalues` of a basis; the order does not matter.
     """
-    u, sig, vt = factors
-    v = vt.T
-    cos = np.cos(sig * dt)
-    sin = np.sin(sig * dt)
-    n = sig.size
-    o = np.empty((2 * n, 2 * n))
-    np.matmul(v * cos, vt, out=o[:n, :n])
-    np.matmul(v * sin, u.T, out=o[:n, n:])
-    np.matmul(-(u * sin), vt, out=o[n:, :n])
-    np.matmul(u * cos, u.T, out=o[n:, n:])
-    return o
+    return np.exp(-1j * dt * lam)
+
+
+def _identity_frames(n: int, count: int) -> np.ndarray:
+    """``count`` identity propagators in the mode frame, shape (N, count, 2N)."""
+    eye = np.eye(n)
+    return np.repeat(np.hstack([eye, 1j * eye])[:, None], count, axis=1)
+
+
+def _mode_step(z: np.ndarray, q: np.ndarray, phases: np.ndarray, work: np.ndarray) -> None:
+    """Z <- Q (phases * (Q^T Z)) in place, one row of ``phases`` per rate.
+
+    Q is real, so each product is one real GEMM on the complex arrays viewed
+    as floats; ``work`` is scratch of the shape of ``z``.
+    """
+    n = q.shape[0]
+    flat, scratch = z.view(float).reshape(n, -1), work.view(float).reshape(n, -1)
+    np.matmul(q.T, flat, out=scratch)
+    work *= phases.T[:, :, None]
+    np.matmul(q, scratch, out=flat)
+
+
+def _real_propagators(z: np.ndarray) -> np.ndarray:
+    """Every rate's real O = D [Re Z; Im Z] D, shape (count, 2N, 2N)."""
+    n = z.shape[0]
+    rows = np.concatenate([z.real, z.imag[::-1]])
+    return np.concatenate([rows[..., :n], rows[..., :n - 1:-1]], axis=-1).swapaxes(0, 1)
 
 
 def _step_mus(mu_a: float, mu_b: float, dmu: float) -> np.ndarray:
@@ -245,11 +254,11 @@ def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[
     """Step one mu path at several rates together.
 
     Every rate is sampled at the chemical potentials ``mus``; ``times[j]``
-    holds rate j's sample times.  Each step takes one :func:`chain_svd` of
+    holds rate j's sample times.  Each step takes one :func:`chain_eigh` of
     S(mu) on the rate-independent grid of :func:`_step_mus` and advances the
-    propagator of every rate still running from it, with that rate's own dt.
-    A segment's first step sits at the sample mu just resolved, so it takes
-    its factors from that basis.  |+>, the basis of each sample and the
+    mode-frame propagator of every rate still running, with that rate's own
+    dt.  A segment's first step sits at the sample mu just resolved, so it
+    takes its eigenvalues and vectors from that basis.  |+>, the basis of each sample and the
     record at t = 0, where every rate starts, are built once for all rates.
 
     Returns, per rate, its Trajectory, with ``n_steps`` the number of steps
@@ -277,12 +286,13 @@ def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[
         grid = _step_mus(mus[k], mus[k + 1], dmu)
         n_steps += len(grid)
         dts = [(times[j][k + 1] - times[j][k]) / len(grid) for j in live]
-        props = [np.eye(2 * params.n_sites)] * len(live)
+        z = _identity_frames(params.n_sites, len(live))
+        work = np.empty_like(z)
         for i, mu in enumerate(grid):
-            u, sig, v = (basis.u, basis.energies, basis.v) if i == 0 else chain_svd(params, mu)
-            props = [_chain_propagator((u, sig, v.T), dt) @ o for dt, o in zip(dts, props)]
+            lam, q = (basis.eigenvalues, basis.v) if i == 0 else chain_eigh(params, mu)
+            _mode_step(z, q, np.array([_chain_propagator(lam, dt) for dt in dts]), work)
         basis = resolved_basis(params, mus[k + 1])
-        for j, o in zip(live, props):
+        for j, o in zip(live, _real_propagators(z)):
             states[j] = states[j].propagated(o)
             record = measure_leakage(states[j], basis, t=float(times[j][k + 1]))
             outcomes[j] = checked(record, outcomes[j])
@@ -414,7 +424,6 @@ class FockSpace:
         self.cdag = [m.T for m in self.c]
         c, cdag = self.c, self.cdag
         occupation = np.array([np.diag(cdag[j] @ c[j]) for j in range(n_modes)])
-        self.total_parity_op = np.diag(np.prod(1.0 - 2.0 * occupation, axis=0))
         w, delta = params.hopping, params.pairing
         self._h0 = np.zeros((self.dim, self.dim))
         for i, j in self._bonds():
@@ -506,9 +515,6 @@ class FockSpace:
             parity=parity,
             purity_defect=abs(float(np.linalg.norm(psi)) - 1.0),
         )
-
-    def total_parity(self, psi: np.ndarray) -> float:
-        return float((psi.conj() @ (self.total_parity_op @ psi)).real)
 
 
 def fock_oracle(params: ChainParams,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, analytics, dynamics, qpwalk
 from .errors import ConfigError, InvalidParameterError
-from .model import ChainParams, RampProtocol, is_topological
+from .model import ChainParams, RampProtocol, require_topological
 
 KINDS = ("ramp", "sweep-rate", "sweep-length", "sudden", "walk", "fit", "oracle-check")
 
@@ -332,10 +332,10 @@ def _validate_physics(cfg: ExperimentConfig) -> None:
     if kind in ("ramp", "sweep-rate", "sweep-length", "sudden", "oracle-check"):
         if not cfg.mu_fins:
             raise ConfigError("protocol.mu_fin: at least one target value is required")
-    w, delta = cfg.params.hopping, cfg.params.pairing
-    for mu in (cfg.mu_in,) + cfg.mu_fins:
-        if not is_topological(mu, w, delta):
-            raise ConfigError("protocol: mu=%g is outside the topological phase" % mu)
+    try:
+        require_topological(cfg.params, cfg.mu_in, *cfg.mu_fins)
+    except InvalidParameterError as exc:
+        raise ConfigError("protocol: %s" % exc) from exc
     if kind in ("ramp", "sweep-length") and cfg.rate is None:
         raise ConfigError("protocol.rate: required for kind %s" % kind)
     if cfg.rate is not None and not 0 < cfg.rate < math.inf:

@@ -6,12 +6,15 @@ of a chain (dimension 2N).  Quasiparticle-basis covariances use the same
 layout with the site operators replaced by the instantaneous Bogoliubov modes
 (zero mode first).  The two bases are related by the real orthogonal rotation
 of :class:`tetronsim.model.ModeBasis`, R = diag(V^T, U^T) from the singular
-value decomposition S = A + B = U Sigma V^T (taken from one symmetric
-``eigh`` of the persymmetric S, :func:`tetronsim.model.chain_svd`),
+value decomposition S = A + B = U Sigma V^T (held in the one symmetric
+``eigh`` J S = Q Lambda Q^T of the persymmetric S, V = Q and
+U = J Q sign(Lambda); :func:`tetronsim.model.chain_eigh`),
 
     M_qp = R M_site R^T,
 
-and a frozen-Hamiltonian time step is the same kind of map, M <- O M O^T.
+and a frozen-Hamiltonian time step is the same kind of map, M <- O M O^T,
+with O accumulated in the mode frame of the same eigh
+(:mod:`tetronsim.dynamics`).
 A :class:`CovarianceMatrix` may also hold a stack of chain covariances,
 shape (k, 2N, 2N); the rotations and :func:`overlap_sq` then act on each.
 
@@ -49,19 +52,12 @@ class CorrelationMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def purity_defect(self) -> float:
-        q = 2.0 * self.matrix - np.eye(self.dim)
-        return float(np.max(np.abs(q @ q - np.eye(self.dim))))
-
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Real antisymmetric Majorana-basis form of a Gaussian state, or a stack of them.
 
-    The defects are the largest over the stack.
+    The purity defect is the largest over the stack.
     """
 
     matrix: np.ndarray
@@ -71,9 +67,6 @@ class CovarianceMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
-
-    def antisymmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix + self.matrix.swapaxes(-1, -2))))
 
     def purity_defect(self) -> float:
         m = self.matrix

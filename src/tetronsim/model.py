@@ -20,8 +20,10 @@ zero singular vectors v_0 and u_0 are the two Majorana zero modes.
 
 S has constant diagonals, so it is Toeplitz and therefore persymmetric,
 J S J = S^T with J the exchange matrix (Golub & Van Loan, Matrix
-Computations, section 4.7).  J S is then real symmetric, and
-:func:`chain_svd` takes the SVD from its one symmetric ``eigh``.
+Computations, section 4.7).  J S is then real symmetric, and its one
+``eigh``, J S = Q Lambda Q^T (:func:`chain_eigh`), holds the SVD:
+Sigma = |Lambda|, V = Q and U = J Q sign(Lambda).  Time steps use Lambda and
+Q as they come; a :class:`ModeBasis` keeps them sorted by energy.
 
 The tetron is two identical, uncoupled copies of this chain, so its mode
 basis holds the decomposition of one chain.
@@ -107,19 +109,24 @@ def _flush_negligible(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x) < NEGLIGIBLE, 0.0, x)
 
 
-def chain_svd(params: ChainParams, mu: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U, Sigma, V) with S = U diag(Sigma) V^T, Sigma ascending, negligible entries zeroed.
-
-    S is Toeplitz, hence persymmetric, so J S (S with its rows reversed) is
-    real symmetric.  One ``eigh``, J S = Q diag(lambda) Q^T, gives the SVD
-    S = (J Q sign(lambda)) |lambda| Q^T: Sigma = |lambda|, V = Q and
-    U = J Q sign(lambda), with sign(0) taken as +1.
-    """
+def chain_eigh(params: ChainParams, mu: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(lambda, Q) with J S = Q diag(lambda) Q^T (lambda ascending), negligible entries zeroed."""
     lam, q = np.linalg.eigh(chain_s(params, mu)[::-1])
+    return lam, _flush_negligible(q)
+
+
+def _modes_by_energy(params: ChainParams,
+                     mu: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(|lambda|, sign(lambda), Q) of :func:`chain_eigh` by ascending |lambda|; sign(0) = 1."""
+    lam, q = chain_eigh(params, mu)
     order = np.argsort(np.abs(lam), kind="stable")
-    lam = lam[order]
-    v = _flush_negligible(q[:, order])
-    return v[::-1] * np.where(lam < 0.0, -1.0, 1.0), np.abs(lam), v
+    return np.abs(lam[order]), np.where(lam[order] < 0.0, -1.0, 1.0), q[:, order]
+
+
+def chain_svd(params: ChainParams, mu: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, Sigma, V) with S = U diag(Sigma) V^T, Sigma ascending: J Q sign(lambda), |lambda|, Q."""
+    sig, signs, v = _modes_by_energy(params, mu)
+    return v[::-1] * signs, sig, v
 
 
 def _fix_sign(x: np.ndarray) -> np.ndarray:
@@ -131,19 +138,30 @@ def _fix_sign(x: np.ndarray) -> np.ndarray:
 class ModeBasis:
     """Modes of one chain at mu, used for both chains of the tetron.
 
-    ``energies`` holds the N singular values of S in ascending order (the
-    near-zero mode first), and the columns of ``u`` and ``v`` the matching
-    left and right singular vectors.  ``mzm_left`` and ``mzm_right`` are the
-    Majorana zero modes in chain coordinates (c, c^dag).
+    ``energies`` holds the N singular values |lambda| of S in ascending order
+    (the near-zero mode first), ``signs`` the signs of the matching
+    eigenvalues lambda of J S (+1 for 0), and the columns of ``v`` the
+    eigenvectors of J S, the right singular vectors.  ``mzm_left`` and
+    ``mzm_right`` are the Majorana zero modes in chain coordinates (c, c^dag).
     """
 
     params: ChainParams
     mu: float
     energies: np.ndarray
-    u: np.ndarray
+    signs: np.ndarray
     v: np.ndarray
     mzm_left: Optional[np.ndarray] = None
     mzm_right: Optional[np.ndarray] = None
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues lambda of J S, in the order of ``energies``."""
+        return self.signs * self.energies
+
+    @property
+    def u(self) -> np.ndarray:
+        """Left singular vectors U = J V sign(lambda)."""
+        return self.v[::-1] * self.signs
 
     @property
     def vectors(self) -> np.ndarray:
@@ -157,36 +175,18 @@ class ModeBasis:
         return np.block([[p, q], [q, p]])
 
     @property
-    def mzm_vectors(self) -> Tuple[np.ndarray, ...]:
-        """Majorana vectors ordered (left, right) per chain, in chain coordinates."""
-        if self.mzm_left is None or self.mzm_right is None:
-            raise DegenerateSubspaceError("MZMs not resolved; use resolved_basis")
-        return (self.mzm_left, self.mzm_right) * 2
-
-    @property
-    def rotation(self) -> np.ndarray:
-        """Real orthogonal R = diag(V^T, U^T) of one chain.
-
-        R carries a site-basis covariance of the chain into the quasiparticle
-        basis, M_qp = R M_site R^T.
-        """
-        n = self.v.shape[0]
-        r = np.zeros((2 * n, 2 * n))
-        r[:n, :n] = self.v.T
-        r[n:, n:] = self.u.T
-        return r
-
-    @property
     def orientation(self) -> int:
-        """Sign of det R = det U det V.
+        """Sign of det R = det U det V = (-1)^(N(N-1)/2) prod sign(lambda), R = diag(V^T, U^T).
 
         A pure state's fermion parity is the sign of the Pfaffian of its
         site-basis covariance, and Pf(R^T M R) = det R Pf(M): the
         quasiparticle vacua of two bases have the same parity exactly when
-        their orientations agree.  Flipping a zero singular vector, whose
-        sign is arbitrary, flips the orientation.
+        their orientations agree.  The arbitrary sign of the zero mode's
+        lambda, which flips u_0, flips the orientation.
         """
-        return 1 if np.linalg.det(self.u) * np.linalg.det(self.v) > 0 else -1
+        n = self.signs.size
+        flips = n * (n - 1) // 2 + int(np.count_nonzero(self.signs < 0.0))
+        return -1 if flips % 2 else 1
 
 
 def resolved_basis(params: ChainParams, mu: float) -> ModeBasis:
@@ -199,18 +199,19 @@ def resolved_basis(params: ChainParams, mu: float) -> ModeBasis:
     :func:`tetronsim.analytics.mzm_overlaps` pair the modes and drop the
     signs themselves.
     """
-    u, sig, v = chain_svd(params, mu)
+    sig, signs, v = _modes_by_energy(params, mu)
     if sig[0] > ZERO_MODE_RATIO * sig[1]:
         raise DegenerateSubspaceError(
             "no isolated near-zero pair: eps0=%g, eps1=%g" % (sig[0], sig[1])
         )
-    v0, u0 = _fix_sign(v[:, 0]), _fix_sign(u[:, 0])
+    # u_0 = J v_0 sign(lambda_0); _fix_sign drops the sign
+    v0, u0 = _fix_sign(v[:, 0]), _fix_sign(v[::-1, 0])
     left = np.concatenate([v0, v0]) / np.sqrt(2.0)
     right = np.concatenate([-1j * u0, 1j * u0]) / np.sqrt(2.0)
     half = params.n_sites // 2
     if np.sum(u0[:half] ** 2) > np.sum(v0[:half] ** 2):
         left, right = right, left
-    return ModeBasis(params=params, mu=mu, energies=sig, u=u, v=v,
+    return ModeBasis(params=params, mu=mu, energies=sig, signs=signs, v=v,
                      mzm_left=left, mzm_right=right)
 
 

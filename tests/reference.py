@@ -1,4 +1,5 @@
-"""Test-side references: the 4N tetron states, the dense BdG matrix, the MZM gauge alignment.
+"""Test-side references: the 4N tetron states, the dense BdG matrix and propagator,
+the MZM gauge alignment, and basis and Fock-space members that only tests read.
 
 The computational states |0>, |1>, |+> are defined through their complex
 correlation matrices in the block layout
@@ -14,10 +15,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from typing import Tuple
 
 import numpy as np
 
-from tetronsim.errors import InvalidParameterError
+from tetronsim.dynamics import FockSpace
+from tetronsim.errors import DegenerateSubspaceError, InvalidParameterError
 from tetronsim.gaussian import QP, CorrelationMatrix, CovarianceMatrix, _zero_mode_slots
 from tetronsim.model import ChainParams, ModeBasis
 
@@ -137,3 +140,82 @@ def align_mzm_gauge(basis: ModeBasis, previous: ModeBasis) -> ModeBasis:
     if (pb.conj() @ gb).real < 0:
         gb = -gb
     return replace(basis, mzm_left=ga, mzm_right=gb)
+
+
+def dense_propagator(factors: Tuple[np.ndarray, np.ndarray, np.ndarray],
+                     dt: float) -> np.ndarray:
+    """Exact one-chain step O = Omega* e^{i H dt} Omega^T as one dense 2N x 2N matrix.
+
+    ``factors`` is an SVD (U, Sigma, V^T) of S = A + B, for the
+    H = [[A, B], [-B, -A]] frozen at one mu: ``np.linalg.svd`` returns one,
+    and :func:`tetronsim.model.chain_svd` gives (U, Sigma, V).  It gives the
+    real orthogonal
+
+        O = [[ V cos(Sigma dt) V^T, V sin(Sigma dt) U^T ],
+             [-U sin(Sigma dt) V^T, U cos(Sigma dt) U^T ]].
+    """
+    u, sig, vt = factors
+    v = vt.T
+    cos = np.cos(sig * dt)
+    sin = np.sin(sig * dt)
+    n = sig.size
+    o = np.empty((2 * n, 2 * n))
+    np.matmul(v * cos, vt, out=o[:n, :n])
+    np.matmul(v * sin, u.T, out=o[:n, n:])
+    np.matmul(-(u * sin), vt, out=o[n:, :n])
+    np.matmul(u * cos, u.T, out=o[n:, n:])
+    return o
+
+
+def mzm_vectors(basis: ModeBasis) -> Tuple[np.ndarray, ...]:
+    """Majorana vectors ordered (left, right) per chain, in chain coordinates."""
+    if basis.mzm_left is None or basis.mzm_right is None:
+        raise DegenerateSubspaceError("MZMs not resolved; use resolved_basis")
+    return (basis.mzm_left, basis.mzm_right) * 2
+
+
+def rotation(basis: ModeBasis) -> np.ndarray:
+    """Real orthogonal R = diag(V^T, U^T) of one chain.
+
+    R carries a site-basis covariance of the chain into the quasiparticle
+    basis, M_qp = R M_site R^T.
+    """
+    n = basis.v.shape[0]
+    r = np.zeros((2 * n, 2 * n))
+    r[:n, :n] = basis.v.T
+    r[n:, n:] = basis.u.T
+    return r
+
+
+def reflected(basis: ModeBasis) -> ModeBasis:
+    """The same basis with the sign of lambda_0 flipped.
+
+    That flips u_0 and keeps v_0: the zero-mode plane of R is reflected and
+    the orientation reversed.
+    """
+    signs = basis.signs.copy()
+    signs[0] *= -1.0
+    return replace(basis, signs=signs)
+
+
+def hermiticity_defect(g: CorrelationMatrix) -> float:
+    return float(np.max(np.abs(g.matrix - g.matrix.conj().T)))
+
+
+def correlation_purity_defect(g: CorrelationMatrix) -> float:
+    q = 2.0 * g.matrix - np.eye(g.dim)
+    return float(np.max(np.abs(q @ q - np.eye(g.dim))))
+
+
+def antisymmetry_defect(m: CovarianceMatrix) -> float:
+    return float(np.max(np.abs(m.matrix + m.matrix.swapaxes(-1, -2))))
+
+
+def total_parity_op(space: FockSpace) -> np.ndarray:
+    """Total fermion parity prod_j (1 - 2 n_j) of both chains, as a diagonal matrix."""
+    occupation = np.array([np.diag(cd @ c) for cd, c in zip(space.cdag, space.c)])
+    return np.diag(np.prod(1.0 - 2.0 * occupation, axis=0))
+
+
+def total_parity(space: FockSpace, psi: np.ndarray) -> float:
+    return float((psi.conj() @ (total_parity_op(space) @ psi)).real)

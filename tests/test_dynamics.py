@@ -17,6 +17,8 @@ from tetronsim.errors import DegenerateSubspaceError, InvalidParameterError, Ste
 from tetronsim.experiments import ORACLE_TOLERANCE, config_from_mapping, run_experiment
 from tetronsim.model import ChainParams, RampProtocol
 
+from reference import total_parity
+
 W = 0.5
 
 
@@ -335,12 +337,12 @@ class TestFockOracle:
         basis = resolved_basis(params(2), 0.0)
         vac, one, _ = space.ground_states(basis)
         psi = (vac + one) / np.sqrt(2)
-        start = space.total_parity(psi)
+        start = total_parity(space, psi)
         dt = proto.duration / 100
         for i in range(100):
             evals, q = np.linalg.eigh(space.hamiltonian(proto.mu_at(i * dt)))
             psi = q @ (np.exp(-1j * evals * dt) * (q.conj().T @ psi))
-        assert space.total_parity(psi) == pytest.approx(start, abs=1e-10)
+        assert total_parity(space, psi) == pytest.approx(start, abs=1e-10)
 
     def test_shared_space_gives_the_same_records(self):
         proto = RampProtocol(0.0, 0.1, 1e-2)

@@ -18,9 +18,13 @@ from tetronsim.model import ChainParams, resolved_basis
 
 from reference import (
     QubitStateLabel,
+    antisymmetry_defect,
+    correlation_purity_defect,
     ground_state_qp_correlation,
+    hermiticity_defect,
     qp_occupied_pair_covariance,
     qp_vacuum_covariance,
+    rotation,
 )
 
 
@@ -45,14 +49,14 @@ class TestStateConstruction:
 
     def test_plus_state_spectrum(self):
         ups = ground_state_qp_correlation(2, QubitStateLabel.PLUS)
-        assert ups.hermiticity_defect() < 1e-14
+        assert hermiticity_defect(ups) < 1e-14
         evals = np.linalg.eigvalsh(ups.matrix)
         dist = np.min(np.abs(evals[:, None] - np.array([0.0, 0.5, 1.0])[None, :]), axis=1)
         assert np.max(dist) < 1e-12
 
     def test_plus_state_is_pure(self):
         ups = ground_state_qp_correlation(4, QubitStateLabel.PLUS)
-        assert ups.purity_defect() < 1e-12
+        assert correlation_purity_defect(ups) < 1e-12
 
 
 def plus_covariance(n):
@@ -85,12 +89,14 @@ class TestRotations:
         from tetronsim.model import ModeBasis
 
         n = 3
+        # V = I gives U = J V = J: R = diag(I, J) only reverses the second block
         basis = ModeBasis(params=ChainParams(n, 0.5, 0.5), mu=0.0, energies=np.zeros(n),
-                          u=np.eye(n), v=np.eye(n))
+                          signs=np.ones(n), v=np.eye(n))
         refs = qp_chain_references(n)
         site = rotate_to_site_basis(refs, basis)
         assert site.basis == "site"
-        assert np.max(np.abs(site.matrix - refs.matrix)) == 0.0
+        flip = np.r_[:n, 2 * n - 1:n - 1:-1]
+        assert np.max(np.abs(site.matrix - refs.matrix[:, flip][:, :, flip])) == 0.0
 
     def test_dimension_mismatch(self):
         basis = tetron_basis(3, 0.2)
@@ -124,7 +130,7 @@ class TestCovariance:
 
     def test_antisymmetry(self):
         m = covariance_from_correlation(ground_state_qp_correlation(4, "plus"))
-        assert m.antisymmetry_defect() < 1e-12
+        assert antisymmetry_defect(m) < 1e-12
 
     def test_purity(self):
         for label in ("zero", "one", "plus"):
@@ -221,7 +227,7 @@ class TestChainStack:
         x = rng.normal(size=(2, 10, 10))
         stack = CovarianceMatrix(x - x.swapaxes(1, 2), basis="site", n_sites=5)
         qp = rotate_to_qp_basis(stack, basis)
-        r = basis.rotation
+        r = rotation(basis)
         for got, m in zip(qp.matrix, stack.matrix):
             assert np.max(np.abs(got - r @ m @ r.T)) < 1e-14
         back = rotate_to_site_basis(qp, basis)
@@ -252,4 +258,4 @@ class TestChainStack:
         # the vacuum and the occupied state have opposite parity
         assert np.array_equal(overlap_sq(refs, replace(refs, matrix=refs.matrix[::-1])),
                               [0.0, 0.0])
-        assert refs.purity_defect() == 0.0 and refs.antisymmetry_defect() == 0.0
+        assert refs.purity_defect() == 0.0 and antisymmetry_defect(refs) == 0.0

@@ -15,7 +15,7 @@ from tetronsim.model import (
     resolved_basis,
 )
 
-from reference import build_chain_bdg, ph_conjugate
+from reference import build_chain_bdg, mzm_vectors, ph_conjugate, reflected, rotation
 
 SWEET = ChainParams(n_sites=4, hopping=0.5, pairing=0.5)
 
@@ -123,7 +123,7 @@ class TestDiagonalize:
         assert np.max(np.abs(v.conj().T @ v - np.eye(14))) < 1e-12
 
     def test_tetron_chains_identical(self):
-        left_1, right_1, left_2, right_2 = resolved_basis(SWEET, 0.1).mzm_vectors
+        left_1, right_1, left_2, right_2 = mzm_vectors(resolved_basis(SWEET, 0.1))
         assert left_1 is left_2 and right_1 is right_2
 
     def test_mode_completeness(self):
@@ -148,9 +148,10 @@ class TestDiagonalize:
         # LAPACK leaves entries down to 1e-321 at the ideal point; they are flushed
         basis = resolved_basis(ChainParams(40, 0.5, 0.5), mu)
         tiny = np.finfo(float).tiny
-        for x in (basis.u, basis.v, basis.rotation):
+        r = rotation(basis)
+        for x in (basis.u, basis.v, r):
             assert not np.any((x != 0) & (np.abs(x) < tiny))
-        assert np.max(np.abs(basis.rotation @ basis.rotation.T - np.eye(80))) < 1e-14
+        assert np.max(np.abs(r @ r.T - np.eye(80))) < 1e-14
 
     def test_rejects_gapless_chain(self):
         # at mu = 2w the transition closes the gap and no isolated pair exists
@@ -166,15 +167,17 @@ class TestRotation:
         basis = resolved_basis(ChainParams(n, 0.5, pairing), 0.05)
         zero = np.zeros_like(basis.v)
         expected = np.block([[basis.v.T, zero], [zero, basis.u.T]])
-        assert basis.rotation.tobytes() == expected.tobytes()
+        assert rotation(basis).tobytes() == expected.tobytes()
 
     def test_orientation_is_the_sign_of_det_r(self):
         basis = resolved_basis(ChainParams(6, 0.5, 0.4), 0.05)
-        assert basis.orientation == np.sign(np.linalg.det(basis.rotation))
-        for name in ("u", "v"):
-            flipped = getattr(basis, name).copy()
-            flipped[:, 0] *= -1.0
-            assert replace(basis, **{name: flipped}).orientation == -basis.orientation
+        assert basis.orientation == np.sign(np.linalg.det(rotation(basis)))
+        # flip u_0 alone, then v_0 alone (u = J v sign(lambda))
+        v = basis.v.copy()
+        v[:, 0] *= -1.0
+        for flipped in (reflected(basis), replace(reflected(basis), v=v)):
+            assert flipped.orientation == -basis.orientation
+            assert flipped.orientation == np.sign(np.linalg.det(rotation(flipped)))
 
 
 class TestResolveMzms:
@@ -202,7 +205,7 @@ class TestResolveMzms:
         for _ in range(20):
             params, mu = random_params(rng, resolvable=True)
             basis = resolved_basis(params, mu)
-            for gamma in basis.mzm_vectors:
+            for gamma in mzm_vectors(basis):
                 n = params.n_sites
                 image = np.concatenate([gamma[n:], gamma[:n]]).conj()
                 assert np.max(np.abs(image - gamma)) < 1e-10

@@ -12,6 +12,9 @@ from tetronsim.dynamics import (
     FockSpace,
     SteppingPolicy,
     _chain_propagator,
+    _identity_frames,
+    _mode_step,
+    _real_propagators,
     evolve_ramp,
     fock_oracle,
     initial_plus_state,
@@ -27,13 +30,24 @@ from tetronsim.gaussian import (
 )
 from tetronsim.model import (
     ChainParams,
+    ModeBasis,
     RampProtocol,
+    _modes_by_energy,
+    chain_eigh,
     chain_s,
     chain_svd,
     resolved_basis,
 )
 
-from reference import _chain_matrix, build_chain_bdg
+from reference import (
+    _chain_matrix,
+    build_chain_bdg,
+    dense_propagator,
+    mzm_vectors,
+    reflected,
+    rotation,
+    total_parity_op,
+)
 
 # derandomize keeps the suite reproducible run to run
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -65,7 +79,7 @@ def orthogonality_defect(o):
 @given(topological_chains(), st.floats(1e-3, 5.0))
 def test_propagator_is_real_orthogonal_exponential(chain, dt):
     params, mu = chain
-    o = _chain_propagator(np.linalg.svd(chain_s(params, mu)), dt)
+    o = dense_propagator(np.linalg.svd(chain_s(params, mu)), dt)
     assert o.dtype == np.float64
     assert orthogonality_defect(o) < 1e-12
     # Pf(O M O^T) = det(O) Pf(M): a proper rotation conserves total fermion parity
@@ -80,7 +94,7 @@ def test_propagator_is_real_orthogonal_exponential(chain, dt):
 @given(topological_chains(resolvable=True))
 def test_basis_rotation_is_orthogonal(chain):
     params, mu = chain
-    r = resolved_basis(params, mu).rotation
+    r = rotation(resolved_basis(params, mu))
     assert r.dtype == np.float64
     assert orthogonality_defect(r) < 1e-12
 
@@ -113,9 +127,9 @@ def test_chain_s_is_the_a_plus_b_slice(chain):
 
 
 @st.composite
-def any_chains(draw):
-    """(params, mu) with 2 to 60 sites, w = Delta or not, mu = 0 or not, any phase."""
-    n = draw(st.integers(2, 60))
+def any_chains(draw, max_sites=60):
+    """(params, mu) with 2 to ``max_sites`` sites, w = Delta or not, mu = 0 or not, any phase."""
+    n = draw(st.integers(2, max_sites))
     w = draw(st.floats(0.2, 1.0))
     delta = draw(st.one_of(st.just(w), st.floats(0.2, 1.0)))
     mu = draw(st.one_of(st.just(0.0), st.floats(-2.5, 2.5).map(lambda x: x * w)))
@@ -149,9 +163,40 @@ def test_chain_svd_factors_s(chain):
 def test_chain_svd_propagator_matches_lapack_svd(n, delta, mu, dt):
     params = ChainParams(n, 0.5, delta)
     u, sig, v = chain_svd(params, mu)
-    o = _chain_propagator((u, sig, v.T), dt)
-    reference = _chain_propagator(np.linalg.svd(chain_s(params, mu)), dt)
+    o = dense_propagator((u, sig, v.T), dt)
+    reference = dense_propagator(np.linalg.svd(chain_s(params, mu)), dt)
     assert np.max(np.abs(o - reference)) < 1e-13
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(any_chains(max_sites=100), st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=4))
+def test_mode_frame_step_is_the_dense_propagator(chain, dts):
+    """One mode-frame step of a batch of rates, from the identity, gives each rate's O."""
+    params, mu = chain
+    n = params.n_sites
+    lam, q = chain_eigh(params, mu)
+    z = _identity_frames(n, len(dts))
+    _mode_step(z, q, np.array([_chain_propagator(lam, dt) for dt in dts]), np.empty_like(z))
+    svd = np.linalg.svd(chain_s(params, mu))
+    omega = majorana_rotation(n)[:2 * n, :2 * n]
+    for o, dt in zip(_real_propagators(z), dts):
+        assert o.dtype == np.float64
+        assert np.max(np.abs(o - dense_propagator(svd, dt))) < 1e-13
+        exact = omega.conj() @ scipy.linalg.expm(1j * _chain_matrix(params, mu) * dt) @ omega.T
+        assert np.max(np.abs(o - exact)) < 1e-11
+        assert orthogonality_defect(o) < 1e-12
+        assert abs(np.linalg.det(o) - 1.0) < 1e-12
+
+
+@PROPERTY
+@given(any_chains())
+def test_orientation_is_the_sign_of_det_u_det_v(chain):
+    basis = ModeBasis(*chain, *_modes_by_energy(*chain))
+    u, _, v = chain_svd(*chain)
+    assert np.array_equal(basis.u, u) and np.array_equal(basis.v, v)
+    for b in (basis, reflected(basis)):
+        assert b.orientation == np.sign(np.linalg.det(b.u) * np.linalg.det(b.v))
+    assert reflected(basis).orientation == -basis.orientation
 
 
 @PROPERTY
@@ -172,7 +217,7 @@ def test_basis_vectors_are_unitary_ph_paired_eigenvectors(chain):
 @given(topological_chains(resolvable=True))
 def test_mzm_vectors_are_ph_invariant(chain):
     params, mu = chain
-    for gamma in resolved_basis(params, mu).mzm_vectors:
+    for gamma in mzm_vectors(resolved_basis(params, mu)):
         assert np.linalg.norm(gamma) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(ph_image(gamma) - gamma)) < 1e-15
 
@@ -180,7 +225,7 @@ def test_mzm_vectors_are_ph_invariant(chain):
 @PROPERTY
 @given(topological_chains(resolvable=True), st.integers(0, 2 ** 32 - 1))
 def test_leakage_ignores_zero_mode_reflection(chain, seed):
-    """Flipping u_0 or v_0 reflects the zero-mode plane of R.
+    """Flipping u_0 or v_0 alone reflects the zero-mode plane of R.
 
     It reverses the basis orientation, so each chain state trades its
     reference for the other one, which the reflection has turned into the
@@ -195,10 +240,11 @@ def test_leakage_ignores_zero_mode_reflection(chain, seed):
     m = state.chains.matrix
     state = replace(state, chains=replace(state.chains, matrix=q @ m @ q.swapaxes(1, 2)))
     ref = measure_leakage(state, basis)
-    for name in ("u", "v"):
-        flipped = getattr(basis, name).copy()
-        flipped[:, 0] *= -1.0
-        rec = measure_leakage(state, replace(basis, **{name: flipped}))
+    # u = J v sign(lambda): the sign of lambda_0 flips u_0, with v_0 as well it flips v_0
+    v = basis.v.copy()
+    v[:, 0] *= -1.0
+    for flipped in (reflected(basis), replace(reflected(basis), v=v)):
+        rec = measure_leakage(state, flipped)
         for field in ("l_odd", "l_even", "l_g", "parity"):
             assert abs(getattr(rec, field) - getattr(ref, field)) < 1e-12
 
@@ -245,11 +291,11 @@ def test_fock_hamiltonian_is_real_linear_and_parity_even(n, w, delta, mu):
     space = FockSpace(params)
     h = space.hamiltonian(mu)
     ref_h, ref_parity = reference_fock_hamiltonian(params, mu)
-    assert h.dtype == np.float64 and space.total_parity_op.dtype == np.float64
+    p = total_parity_op(space)
+    assert h.dtype == np.float64 and p.dtype == np.float64
     assert np.array_equal(h, h.T)
     assert np.max(np.abs(h - ref_h)) < 1e-13
-    assert np.array_equal(space.total_parity_op, ref_parity.real)
-    p = space.total_parity_op
+    assert np.array_equal(p, ref_parity.real)
     assert np.max(np.abs(h @ p - p @ h)) < 1e-13
 
 

@@ -2,23 +2,21 @@
 
 The two chains are identical and uncoupled, so |+> evolves as
 (|E>|E> + |O>|O>)/sqrt(2) and :mod:`tetronsim.dynamics` measures it from the
-2N x 2N covariances of E and O.  Here the same propagators also step the full
-4N covariance of |+>, built in :mod:`reference` and measured with the tetron
-parity Pfaffian and overlaps of :mod:`tetronsim.gaussian`, and every sample
-must agree.  The 4N covariance is rotated and stepped with the dense
-block-diagonal products diag(R, R) and diag(O, O).  Each sample is
-also read in the basis with u_0 flipped, whose orientation is the opposite
+2N x 2N covariances of E and O.  Here the dense propagators of
+:mod:`reference` step both the chain states and the full 4N covariance of
+|+>, built in :mod:`reference` and measured with the tetron parity Pfaffian
+and overlaps of :mod:`tetronsim.gaussian`, and every sample must agree.  The
+4N covariance is rotated and stepped with the dense block-diagonal products
+diag(R, R) and diag(O, O).  Each sample is also read in the basis with u_0
+flipped (the sign of lambda_0 reversed), whose orientation is the opposite
 one, so both reference choices of :func:`measure_leakage` are exercised
 whatever signs LAPACK gives the zero singular vectors.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tetronsim.dynamics import (
-    _chain_propagator,
     _step_mus,
     initial_plus_state,
     measure_leakage,
@@ -36,9 +34,12 @@ from tetronsim.model import ChainParams, RampProtocol, chain_s, resolved_basis
 
 from reference import (
     QubitStateLabel,
+    dense_propagator,
     ground_state_qp_correlation,
     qp_occupied_pair_covariance,
     qp_vacuum_covariance,
+    reflected,
+    rotation,
 )
 
 FIELDS = ("l_odd", "l_even", "l_g", "parity")
@@ -48,27 +49,20 @@ def tetron_plus_state(basis):
     """Site-basis 4N covariance of |+>, built from its correlation matrix."""
     plus = covariance_from_correlation(
         ground_state_qp_correlation(basis.params.n_sites, QubitStateLabel.PLUS))
-    r = np.kron(np.eye(2), basis.rotation)
+    r = np.kron(np.eye(2), rotation(basis))
     return r.T @ plus.matrix @ r
 
 
 def tetron_leakage(state, basis):
     """Leakage split of a 4N site-basis covariance from the tetron Pfaffian and overlaps."""
     n = basis.params.n_sites
-    r = np.kron(np.eye(2), basis.rotation)
+    r = np.kron(np.eye(2), rotation(basis))
     xi = CovarianceMatrix(r @ state @ r.T, basis=QP, n_sites=n)
     parity = parity_expectation(xi)
     l_odd = 0.5 * (1.0 - parity)
     l_g = (1.0 - overlap_sq(xi, qp_vacuum_covariance(n))
            - overlap_sq(xi, qp_occupied_pair_covariance(n)))
     return {"l_odd": l_odd, "l_even": l_g - l_odd, "l_g": l_g, "parity": parity}
-
-
-def reflected(basis):
-    """The same basis with u_0 flipped: the zero-mode plane reflected, orientation reversed."""
-    u = basis.u.copy()
-    u[:, 0] *= -1.0
-    return replace(basis, u=u)
 
 
 def assert_agree(state, tetron, basis, t=0.0):
@@ -100,7 +94,7 @@ def test_ramp_matches_tetron_covariance(n, pairing, mu_fin, rate):
         grid = _step_mus(mus[k], mus[k + 1], dmu)
         dt = (samples[k + 1] - samples[k]) / len(grid)
         for mu in grid:
-            o = _chain_propagator(np.linalg.svd(chain_s(params, mu)), dt)
+            o = dense_propagator(np.linalg.svd(chain_s(params, mu)), dt)
             state = state.propagated(o)
             o2 = np.kron(np.eye(2), o)
             tetron = o2 @ tetron @ o2.T
