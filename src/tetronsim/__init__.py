@@ -9,18 +9,16 @@ errors caused by quasiparticle absorption.
 
 from .analytics import (
     FitResult,
-    SuddenPrediction,
     dynamic_phase_frequency,
     fit_half_lz,
     fit_linear_in_n,
     fit_power_approach,
     half_lz_model,
-    mzm_overlaps,
+    mzm_overlap,
     near_adiabatic_even_envelope,
     sudden_even_integral,
     sudden_even_prediction,
     sudden_odd_prediction,
-    sudden_prediction,
 )
 from .dynamics import (
     FockSpace,

@@ -8,7 +8,6 @@ dynamic phase E_gap * mu_fin / v setting the oscillation frequency.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -16,7 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import FitConvergenceError, InvalidParameterError
-from .model import ChainParams, ModeBasis, band_gap, bulk_energy, resolved_basis
+from .model import ModeBasis, band_gap, bulk_energy
 
 
 @dataclass(frozen=True)
@@ -30,15 +29,6 @@ class FitResult:
 
     def __getitem__(self, key: str) -> float:
         return self.parameters[key]
-
-
-@dataclass(frozen=True)
-class SuddenPrediction:
-    """Sudden-quench leakage estimates and the MZM overlaps behind them."""
-
-    l_even_tilde: float
-    l_odd_tilde: float
-    overlaps: Tuple[float, float, float, float]
 
 
 def sudden_even_prediction(n_sites: int, mu_fin: float, w: float = 0.5) -> float:
@@ -77,45 +67,25 @@ def sudden_even_integral(n_sites: int, mu_in: float, mu_fin: float,
     return (n_sites - 2) / (2.0 * np.pi) * val
 
 
-def mzm_overlaps(basis_in: ModeBasis, basis_fin: ModeBasis) -> Tuple[float, ...]:
-    """|alpha| of corresponding localized MZM vectors in two bases, per chain.
+def mzm_overlap(basis_in: ModeBasis, basis_fin: ModeBasis) -> float:
+    """Overlap alpha = |v_0 . v_0'| of the MZMs of two bases, the same for all four.
 
-    The left MZM of ``basis_in`` is paired with the MZM of ``basis_fin`` it
-    overlaps more, the right one with the other.  An MZM vector's sign is a
-    gauge choice, so only |alpha| is meaningful; it is the overlap after
-    aligning the signs of ``basis_fin`` to ``basis_in``.
+    u_0 = +-J v_0, so a left MZM has no overlap with the other basis's right
+    one.  The sign of v_0 is a gauge choice, so only |alpha| is meaningful.
     """
-    left, right = basis_in.mzm_left, basis_in.mzm_right
-    ga, gb = basis_fin.mzm_left, basis_fin.mzm_right
-    if abs(left.conj() @ ga) < abs(left.conj() @ gb):
-        ga, gb = gb, ga
-    pair = (abs(float((left.conj() @ ga).real)), abs(float((right.conj() @ gb).real)))
-    return pair * 2
+    return abs(float(basis_in.v[:, 0] @ basis_fin.v[:, 0]))
 
 
 def sudden_odd_prediction(basis_in: ModeBasis, basis_fin: ModeBasis) -> float:
-    """Parity-sector leakage after a quench: (1 - prod of MZM overlaps) / 2."""
-    alphas = mzm_overlaps(basis_in, basis_fin)
-    if min(alphas) < 0.5:
-        raise InvalidParameterError(
-            "MZM overlap %g < 0.5: quench too large for pairing by position" % min(alphas))
-    return 0.5 * (1.0 - math.prod(alphas))
+    """Parity-sector leakage after a quench: (1 - alpha^4) / 2, the four MZMs' product.
 
-
-def sudden_prediction(params: ChainParams, mu_in: float, mu_fin: float) -> SuddenPrediction:
-    """Convenience bundle of both sudden-limit estimates for one quench.
-
-    Raises InvalidParameterError, as :func:`sudden_odd_prediction` does, when
-    an MZM overlap is below 0.5.
+    Raises InvalidParameterError when alpha < 0.5.
     """
-    basis_in = resolved_basis(params, mu_in)
-    basis_fin = resolved_basis(params, mu_fin)
-    return SuddenPrediction(
-        l_even_tilde=sudden_even_integral(params.n_sites, mu_in, mu_fin,
-                                          params.hopping, params.pairing),
-        l_odd_tilde=sudden_odd_prediction(basis_in, basis_fin),
-        overlaps=mzm_overlaps(basis_in, basis_fin),
-    )
+    alpha = mzm_overlap(basis_in, basis_fin)
+    if alpha < 0.5:
+        raise InvalidParameterError(
+            "MZM overlap %g < 0.5: quench too large for the sudden-limit estimate" % alpha)
+    return 0.5 * (1.0 - alpha ** 4)
 
 
 def near_adiabatic_even_envelope(n_sites: int, v: float) -> float:
@@ -206,7 +176,7 @@ def fit_half_lz(samples: Sequence[Tuple[float, float]],
 
 def fit_power_approach(samples: Sequence[Tuple[float, float]], l_inf: float) -> FitResult:
     """Log-log slope of the approach L(v) = L(inf) - k / v^|m| at high rates."""
-    data = np.asarray(samples, dtype=float)
+    data = np.asarray(samples, dtype=float).reshape(-1, 2)
     v = data[:, 0]
     ell = data[:, 1]
     diff = l_inf - ell

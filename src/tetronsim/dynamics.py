@@ -361,22 +361,15 @@ def evolve_rates(params: ChainParams, mu_in: float, mu_fin: float, rates: Sequen
                    policy or SteppingPolicy())
 
 
-def prepare_quench(params: ChainParams, mu_in: float,
-                   mu_fin: float) -> Tuple[PlusState, ModeBasis, ModeBasis]:
-    """|+> built at mu_in, its basis, and the basis at mu_fin."""
-    require_topological(params, mu_in, mu_fin)
-    state, basis_in = initial_plus_state(params, mu_in)
-    return state, basis_in, resolved_basis(params, mu_fin)
-
-
 def sudden_quench(params: ChainParams, mu_in: float, mu_fin: float) -> LeakageRecord:
     """Leakage of |+> built at mu_in when re-read in the mu_fin basis.
 
     This is the infinite-rate limit of the ramp: no time evolution happens,
     only the instantaneous computational basis changes.
     """
-    state, _, basis_fin = prepare_quench(params, mu_in, mu_fin)
-    return measure_leakage(state, basis_fin, t=0.0)
+    require_topological(params, mu_in, mu_fin)
+    state, _ = initial_plus_state(params, mu_in)
+    return measure_leakage(state, resolved_basis(params, mu_fin), t=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,11 @@ import numpy as np
 
 from . import __version__, analytics, dynamics, qpwalk
 from .errors import ConfigError, InvalidParameterError
-from .model import ChainParams, RampProtocol, require_topological
+from .model import ChainParams, RampProtocol, require_topological, resolved_basis
 
 KINDS = ("ramp", "sweep-rate", "sweep-length", "sudden", "walk", "fit", "oracle-check")
+# kinds whose every row takes its chain length from the grid, not [model] n_sites
+LENGTH_GRID_KINDS = ("sweep-length", "sudden")
 
 ORACLE_TOLERANCE = 1e-6
 
@@ -69,23 +71,28 @@ class ResultTable:
 
 
 def read_table(path: Path) -> ResultTable:
-    """Read back a CSV written by :meth:`ResultTable.write`."""
+    """Read back a CSV written by :meth:`ResultTable.write`; ConfigError if malformed."""
     path = Path(path)
     if not path.exists():
         raise ConfigError("input table %s does not exist" % path)
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    lines = path.read_text(encoding="utf-8").rstrip().splitlines()
+    if not lines:
+        raise ConfigError("input table %s is empty" % path)
     columns = tuple(lines[0].split(","))
+    casts = [str if c in _TEXT_COLUMNS else int if c in _INT_COLUMNS else float for c in columns]
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
+        if len(cells) != len(columns):
+            raise ConfigError("input table %s, line %d: %d cells, header has %d"
+                              % (path, lineno, len(cells), len(columns)))
         row = []
-        for name, cell in zip(columns, cells):
-            if name in _TEXT_COLUMNS:
-                row.append(cell)
-            elif name in _INT_COLUMNS:
-                row.append(int(cell))
-            else:
-                row.append(float(cell))
+        for name, cast, cell in zip(columns, casts, cells):
+            try:
+                row.append(cast(cell))
+            except ValueError:
+                raise ConfigError("input table %s, line %d, column %s: cannot parse %r"
+                                  % (path, lineno, name, cell)) from None
         rows.append(tuple(row))
     return ResultTable(kind="file", columns=columns, rows=rows)
 
@@ -141,7 +148,7 @@ class ExperimentConfig:
         }
         if self.params is not None:
             out["model"] = {
-                "n_sites": self.params.n_sites,
+                "n_sites": None if self.kind in LENGTH_GRID_KINDS else self.params.n_sites,
                 "hopping": self.params.hopping,
                 "pairing": self.params.pairing,
             }
@@ -206,6 +213,8 @@ def _v_grid(cp) -> Tuple[float, ...]:
 def _n_grid(cp) -> Tuple[int, ...]:
     explicit = _get_list(cp, "grid", "n_list", int)
     if explicit:
+        if min(explicit) < 2:
+            raise ConfigError("grid.n_list: lengths must be >= 2, got %r" % (explicit,))
         values = explicit
     else:
         n_min = _get(cp, "grid", "n_min", int)
@@ -342,7 +351,7 @@ def _validate_physics(cfg: ExperimentConfig) -> None:
         raise ConfigError("protocol.rate: must be positive and finite, got %r" % cfg.rate)
     if kind == "sweep-rate" and not cfg.v_grid:
         raise ConfigError("grid: a rate grid (v_list or v_min/v_max/v_count) is required")
-    if kind in ("sweep-length", "sudden") and not cfg.n_grid:
+    if kind in LENGTH_GRID_KINDS and not cfg.n_grid:
         raise ConfigError("grid: a length grid (n_list or n_min/n_max) is required")
     if kind == "oracle-check" and cfg.params.n_sites > dynamics.MAX_ORACLE_SITES:
         raise ConfigError("model.n_sites: oracle-check requires n_sites <= %d"
@@ -573,7 +582,8 @@ def _run_sudden(cfg: ExperimentConfig) -> ResultTable:
     def worker(point):
         n, mu_fin = point
         params = ChainParams(n, cfg.params.hopping, cfg.params.pairing)
-        state, basis_in, basis_fin = dynamics.prepare_quench(params, cfg.mu_in, mu_fin)
+        state, basis_in = dynamics.initial_plus_state(params, cfg.mu_in)
+        basis_fin = resolved_basis(params, mu_fin)
         record = dynamics.measure_leakage(state, basis_fin, t=0.0)
         even_pred = analytics.sudden_even_integral(n, cfg.mu_in, mu_fin,
                                                    params.hopping, params.pairing)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -129,11 +129,6 @@ def chain_svd(params: ChainParams, mu: float) -> Tuple[np.ndarray, np.ndarray, n
     return v[::-1] * signs, sig, v
 
 
-def _fix_sign(x: np.ndarray) -> np.ndarray:
-    """Flip a real vector so its largest-magnitude entry is positive."""
-    return -x if x[np.argmax(np.abs(x))] < 0 else x
-
-
 @dataclass(frozen=True)
 class ModeBasis:
     """Modes of one chain at mu, used for both chains of the tetron.
@@ -141,8 +136,8 @@ class ModeBasis:
     ``energies`` holds the N singular values |lambda| of S in ascending order
     (the near-zero mode first), ``signs`` the signs of the matching
     eigenvalues lambda of J S (+1 for 0), and the columns of ``v`` the
-    eigenvectors of J S, the right singular vectors.  ``mzm_left`` and
-    ``mzm_right`` are the Majorana zero modes in chain coordinates (c, c^dag).
+    eigenvectors of J S, the right singular vectors.  Column 0 of ``v`` is
+    the zero mode v_0, which fixes both MZMs: u_0 = J v_0 sign(lambda_0).
     """
 
     params: ChainParams
@@ -150,8 +145,6 @@ class ModeBasis:
     energies: np.ndarray
     signs: np.ndarray
     v: np.ndarray
-    mzm_left: Optional[np.ndarray] = None
-    mzm_right: Optional[np.ndarray] = None
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -190,29 +183,13 @@ class ModeBasis:
 
 
 def resolved_basis(params: ChainParams, mu: float) -> ModeBasis:
-    """Tetron mode basis at mu with localized MZMs.
-
-    The MZMs are the zero singular vectors, (v_0, v_0)/sqrt(2) and
-    (-i u_0, i u_0)/sqrt(2); the one with more weight on the first half of
-    the chain is the left one, and each real v_0, u_0 has its largest entry
-    positive.  No sign is matched to another basis: the MZM overlaps of
-    :func:`tetronsim.analytics.mzm_overlaps` pair the modes and drop the
-    signs themselves.
-    """
+    """Mode basis at mu; DegenerateSubspaceError unless its zero mode is isolated."""
     sig, signs, v = _modes_by_energy(params, mu)
     if sig[0] > ZERO_MODE_RATIO * sig[1]:
         raise DegenerateSubspaceError(
             "no isolated near-zero pair: eps0=%g, eps1=%g" % (sig[0], sig[1])
         )
-    # u_0 = J v_0 sign(lambda_0); _fix_sign drops the sign
-    v0, u0 = _fix_sign(v[:, 0]), _fix_sign(v[::-1, 0])
-    left = np.concatenate([v0, v0]) / np.sqrt(2.0)
-    right = np.concatenate([-1j * u0, 1j * u0]) / np.sqrt(2.0)
-    half = params.n_sites // 2
-    if np.sum(u0[:half] ** 2) > np.sum(v0[:half] ** 2):
-        left, right = right, left
-    return ModeBasis(params=params, mu=mu, energies=sig, signs=signs, v=v,
-                     mzm_left=left, mzm_right=right)
+    return ModeBasis(params=params, mu=mu, energies=sig, signs=signs, v=v)
 
 
 def bulk_energy(k: float, mu: float, w: float, delta: float) -> float:

@@ -1,5 +1,6 @@
 """Test-side references: the 4N tetron states, the dense BdG matrix and propagator,
-the MZM gauge alignment, and basis and Fock-space members that only tests read.
+the localized MZM vectors and their gauge alignment, and basis and Fock-space
+members that only tests read.
 
 The computational states |0>, |1>, |+> are defined through their complex
 correlation matrices in the block layout
@@ -20,7 +21,7 @@ from typing import Tuple
 import numpy as np
 
 from tetronsim.dynamics import FockSpace
-from tetronsim.errors import DegenerateSubspaceError, InvalidParameterError
+from tetronsim.errors import InvalidParameterError
 from tetronsim.gaussian import QP, CorrelationMatrix, CovarianceMatrix, _zero_mode_slots
 from tetronsim.model import ChainParams, ModeBasis
 
@@ -125,21 +126,50 @@ def ph_conjugate(h: np.ndarray) -> np.ndarray:
     return tx @ h.conj() @ tx
 
 
-def align_mzm_gauge(basis: ModeBasis, previous: ModeBasis) -> ModeBasis:
-    """Match MZM pairing and signs to a previous basis for gauge continuity.
+def _fix_sign(x: np.ndarray) -> np.ndarray:
+    """Flip a real vector so its largest-magnitude entry is positive."""
+    return -x if x[np.argmax(np.abs(x))] < 0 else x
+
+
+def mzm_pair(basis: ModeBasis) -> Tuple[np.ndarray, np.ndarray]:
+    """Localized (left, right) MZM vectors of one chain in chain coordinates (c, c^dag).
+
+    The MZMs are the zero singular vectors, (v_0, v_0)/sqrt(2) and
+    (-i u_0, i u_0)/sqrt(2); the one with more weight on the first half of
+    the chain is the left one, and each real v_0, u_0 has its largest entry
+    positive.
+    """
+    # u_0 = J v_0 sign(lambda_0); _fix_sign drops the sign
+    v0, u0 = _fix_sign(basis.v[:, 0]), _fix_sign(basis.v[::-1, 0])
+    left = np.concatenate([v0, v0]) / np.sqrt(2.0)
+    right = np.concatenate([-1j * u0, 1j * u0]) / np.sqrt(2.0)
+    half = basis.params.n_sites // 2
+    if np.sum(u0[:half] ** 2) > np.sum(v0[:half] ** 2):
+        left, right = right, left
+    return left, right
+
+
+def mzm_vectors(basis: ModeBasis) -> Tuple[np.ndarray, ...]:
+    """Majorana vectors ordered (left, right) per chain, in chain coordinates."""
+    return mzm_pair(basis) * 2
+
+
+def align_mzm_gauge(pair: Tuple[np.ndarray, np.ndarray],
+                    previous: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Match an MZM pair's order and signs to a previous pair for gauge continuity.
 
     Without this, the deterministic sign convention can hop between samples of
     a ramp and flip the MZM overlaps spuriously.
     """
-    pa, pb = previous.mzm_left, previous.mzm_right
-    ga, gb = basis.mzm_left, basis.mzm_right
+    pa, pb = previous
+    ga, gb = pair
     if abs(pa.conj() @ ga) < abs(pa.conj() @ gb):
         ga, gb = gb, ga
     if (pa.conj() @ ga).real < 0:
         ga = -ga
     if (pb.conj() @ gb).real < 0:
         gb = -gb
-    return replace(basis, mzm_left=ga, mzm_right=gb)
+    return ga, gb
 
 
 def dense_propagator(factors: Tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -165,13 +195,6 @@ def dense_propagator(factors: Tuple[np.ndarray, np.ndarray, np.ndarray],
     np.matmul(-(u * sin), vt, out=o[n:, :n])
     np.matmul(u * cos, u.T, out=o[n:, n:])
     return o
-
-
-def mzm_vectors(basis: ModeBasis) -> Tuple[np.ndarray, ...]:
-    """Majorana vectors ordered (left, right) per chain, in chain coordinates."""
-    if basis.mzm_left is None or basis.mzm_right is None:
-        raise DegenerateSubspaceError("MZMs not resolved; use resolved_basis")
-    return (basis.mzm_left, basis.mzm_right) * 2
 
 
 def rotation(basis: ModeBasis) -> np.ndarray:

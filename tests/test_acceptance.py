@@ -17,7 +17,7 @@ from tetronsim.analytics import (
     fit_power_approach,
     near_adiabatic_even_envelope,
     sudden_even_prediction,
-    sudden_prediction,
+    sudden_odd_prediction,
 )
 from tetronsim.dynamics import (
     SteppingPolicy,
@@ -27,7 +27,7 @@ from tetronsim.dynamics import (
     sudden_quench,
 )
 from tetronsim.gaussian import CovarianceMatrix, overlap_sq, pfaffian4
-from tetronsim.model import ChainParams, RampProtocol
+from tetronsim.model import ChainParams, RampProtocol, resolved_basis
 from tetronsim.qpwalk import WalkConfig, average_opposite, simulate_pair_walks
 
 from reference import build_chain_bdg, ph_conjugate, qp_vacuum_covariance
@@ -67,6 +67,11 @@ def sudden_record(n, mu_fin):
     if key not in _sudden_cache:
         _sudden_cache[key] = sudden_quench(params(n), 0.0, mu_fin)
     return _sudden_cache[key]
+
+
+def odd_prediction(n, mu_fin):
+    """Sudden parity-sector prediction of a quench from mu = 0."""
+    return sudden_odd_prediction(resolved_basis(params(n), 0.0), resolved_basis(params(n), mu_fin))
 
 
 def verdict(num, name, ok, detail):
@@ -180,7 +185,7 @@ def test_criterion_5_sudden_odd_formula():
     for mu_fin in (0.01, 0.03):
         for n in range(20, 101, 10):
             rec = sudden_record(n, mu_fin)
-            pred = sudden_prediction(params(n), 0.0, mu_fin).l_odd_tilde
+            pred = odd_prediction(n, mu_fin)
             worst = max(worst, abs(rec.l_odd - pred) / pred)
     verdict(5, "sudden parity-sector formula", worst <= 0.01,
             "worst relative deviation %.3e" % worst)
@@ -340,8 +345,8 @@ def test_criterion_10_invariants():
                    "exact identity, min l_even %.1e" % min_even))
 
     # length independence of the sudden parity-sector prediction
-    p20 = sudden_prediction(params(20), 0.0, 0.03).l_odd_tilde
-    p100 = sudden_prediction(params(100), 0.0, 0.03).l_odd_tilde
+    p20 = odd_prediction(20, 0.03)
+    p100 = odd_prediction(100, 0.03)
     checks.append(("odd-length-independence", abs(p20 - p100) < 1e-6,
                    "%.1e" % abs(p20 - p100)))
 

@@ -11,18 +11,17 @@ from tetronsim.analytics import (
     fit_linear_in_n,
     fit_power_approach,
     half_lz_model,
-    mzm_overlaps,
+    mzm_overlap,
     near_adiabatic_even_envelope,
     sudden_even_integral,
     sudden_even_prediction,
     sudden_odd_prediction,
-    sudden_prediction,
 )
 from tetronsim.dynamics import sudden_quench
 from tetronsim.errors import FitConvergenceError, InvalidParameterError
 from tetronsim.model import ChainParams, resolved_basis
 
-from reference import align_mzm_gauge, mzm_vectors
+from reference import align_mzm_gauge, mzm_pair, reflected
 
 
 class TestSuddenEven:
@@ -47,6 +46,10 @@ class TestSuddenEven:
         assert rec.l_even == pytest.approx(pred, rel=0.10)
 
 
+def odd_prediction(params, mu_in, mu_fin):
+    return sudden_odd_prediction(resolved_basis(params, mu_in), resolved_basis(params, mu_fin))
+
+
 class TestSuddenOdd:
     def test_identity_is_zero(self):
         basis = resolved_basis(ChainParams(10, 0.5, 0.5), 0.0)
@@ -55,12 +58,12 @@ class TestSuddenOdd:
     def test_matches_simulation(self):
         params = ChainParams(40, 0.5, 0.5)
         rec = sudden_quench(params, 0.0, 0.03)
-        pred = sudden_prediction(params, 0.0, 0.03).l_odd_tilde
+        pred = odd_prediction(params, 0.0, 0.03)
         assert rec.l_odd == pytest.approx(pred, rel=0.01)
 
     def test_length_independence(self):
-        p_small = sudden_prediction(ChainParams(4, 0.5, 0.5), 0.0, 0.03).l_odd_tilde
-        p_large = sudden_prediction(ChainParams(100, 0.5, 0.5), 0.0, 0.03).l_odd_tilde
+        p_small = odd_prediction(ChainParams(4, 0.5, 0.5), 0.0, 0.03)
+        p_large = odd_prediction(ChainParams(100, 0.5, 0.5), 0.0, 0.03)
         assert abs(p_small - p_large) < 1e-6
 
     def test_rejects_large_quench(self):
@@ -70,8 +73,6 @@ class TestSuddenOdd:
         basis_fin = resolved_basis(params, 0.8)
         with pytest.raises(InvalidParameterError):
             sudden_odd_prediction(basis_in, basis_fin)
-        with pytest.raises(InvalidParameterError):
-            sudden_prediction(params, -0.8, 0.8)
 
 
 @st.composite
@@ -86,16 +87,23 @@ def quenches(draw):
 # derandomize keeps the suite reproducible run to run
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(quenches())
-def test_mzm_overlaps_are_the_gauge_aligned_ones_in_any_gauge(bases):
-    """Equal to the signed overlaps after aligning to basis_in, whatever the final gauge."""
+def test_mzm_overlap_is_each_gauge_aligned_overlap_of_the_mzm_pairs(bases):
+    """alpha equals the four signed overlaps of the localized MZMs, aligned to basis_in.
+
+    It is also blind to the gauge of either basis: the sign of lambda_0, which
+    flips u_0, and the sign of v_0.
+    """
     basis_in, basis_fin = bases
-    aligned = align_mzm_gauge(basis_fin, basis_in)
-    signed = tuple(float((a.conj() @ b).real)
-                   for a, b in zip(mzm_vectors(basis_in), mzm_vectors(aligned)))
-    left, right = basis_fin.mzm_left, basis_fin.mzm_right
-    for gauge in ((left, right), (-left, right), (left, -right), (right, left), (-right, -left)):
-        moved = replace(basis_fin, mzm_left=gauge[0], mzm_right=gauge[1])
-        assert mzm_overlaps(basis_in, moved) == signed
+    alpha = mzm_overlap(basis_in, basis_fin)
+    pair_in = mzm_pair(basis_in)
+    aligned = align_mzm_gauge(mzm_pair(basis_fin), pair_in)
+    for a, b in zip(pair_in * 2, aligned * 2):
+        assert abs(alpha - float((a.conj() @ b).real)) < 1e-14
+    v = basis_fin.v.copy()
+    v[:, 0] *= -1.0
+    for moved in (reflected(basis_fin), replace(basis_fin, v=v)):
+        assert abs(mzm_overlap(basis_in, moved) - alpha) < 1e-14
+        assert abs(mzm_overlap(moved, basis_in) - alpha) < 1e-14
 
 
 class TestNearAdiabaticForms:
@@ -155,6 +163,10 @@ class TestPowerApproachFit:
         ell = 0.01 + 1.0 / v ** 2
         with pytest.raises(FitConvergenceError):
             fit_power_approach(list(zip(v, ell)), l_inf=0.01)
+
+    def test_rejects_a_window_that_keeps_no_rows(self):
+        with pytest.raises(FitConvergenceError, match="not enough usable samples"):
+            fit_power_approach([], l_inf=0.01)
 
 
 class TestLinearFit:

@@ -151,6 +151,7 @@ class TestConfigValidation:
         ("grid", "v_list", "1e-2, -1e-3"),
         ("grid", "v_list", "inf"),
         ("grid", "v_max", "inf"),
+        ("grid", "n_list", "1, 4"),
         ("samples", "count", "-1"),
     ])
     def test_bad_numbers_are_config_errors(self, tmp_path, section, key, value):
@@ -269,6 +270,18 @@ class TestRunCommand:
         assert meta["n_steps"] == 7 * 22
         assert meta["dmu"] == pytest.approx(0.05 / 150, rel=1e-12)
 
+    def test_length_grid_sidecars_leave_n_sites_null(self, tmp_path):
+        # each row takes its length from the grid; [model] n_sites is absent or ignored
+        out = tmp_path / "length.csv"
+        ini = write_ini(tmp_path / "length.ini", LENGTH_INI.format(out=out))
+        assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_OK
+        meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
+        assert meta["config"]["model"]["n_sites"] is None
+        assert list(read_table(out).column("n_sites")) == [4, 6]
+        for name in ("fig2-inset", "fig3"):
+            assert preset_config(name).resolved()["model"]["n_sites"] is None
+        assert preset_config("fig2-main").resolved()["model"]["n_sites"] == 40
+
     def test_sidecars_record_max_purity_defect(self, tmp_path):
         out = tmp_path / "s.csv"
         ini = write_ini(tmp_path / "s.ini", SWEEP_INI.format(out=out))
@@ -317,8 +330,8 @@ path = {out}
         assert not (tmp_path / "s.csv").exists()
 
     def test_sudden_prediction_out_of_range_is_nan(self, tmp_path):
-        # at mu_fin = 0.9 the N=20 MZM overlaps are 0.45, below the 0.5 the
-        # parity-sector prediction needs; the simulated row itself is fine
+        # at mu_fin = 0.9 the N=20 MZM overlap is alpha = 0.453, below the 0.5
+        # the parity-sector prediction needs; the simulated row itself is fine
         out = tmp_path / "sudden.csv"
         ini = write_ini(tmp_path / "sudden.ini", """
 [experiment]
@@ -491,6 +504,28 @@ family = half-lz
 y_column = no_such_column
 """)
         assert main(["fit", "--config", str(ini), "--quiet"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("text, where", [
+        ("", "is empty"),
+        ("v,l_odd\n1e-3,1e-4\n2e-3,abc\n", "line 3, column l_odd: cannot parse 'abc'"),
+        ("v,l_odd\n1e-3,1e-4\n2e-3\n", "line 3: 1 cells, header has 2"),
+    ], ids=["empty", "non-numeric", "short-row"])
+    def test_malformed_input_table_is_a_config_error(self, tmp_path, capsys, text, where):
+        src = tmp_path / "src.csv"
+        src.write_text(text)
+        ini = write_ini(tmp_path / "fit.ini", f"""
+[experiment]
+kind = fit
+
+[fit]
+table = {src}
+family = linear-n
+x_column = v
+""")
+        assert main(["fit", "--config", str(ini), "--quiet"]) == EXIT_CONFIG
+        assert "config error: input table %s" % src in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=where):
+            read_table(src)
 
     def test_fit_subcommand_requires_fit_kind(self, tmp_path):
         ini = write_ini(tmp_path / "walk.ini", WALK_INI.format(out=tmp_path / "w.csv"))

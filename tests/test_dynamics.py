@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tetronsim import dynamics, model
-from tetronsim.analytics import sudden_even_prediction, sudden_prediction
+from tetronsim.analytics import sudden_even_prediction, sudden_odd_prediction
 from tetronsim.dynamics import (
     FockSpace,
     SteppingPolicy,
@@ -283,14 +283,16 @@ class TestSuddenQuench:
 
     def test_odd_leakage_matches_overlap_product(self):
         rec = sudden_quench(params(40), 0.0, 0.03)
-        pred = sudden_prediction(params(40), 0.0, 0.03).l_odd_tilde
+        pred = sudden_odd_prediction(model.resolved_basis(params(40), 0.0),
+                                     model.resolved_basis(params(40), 0.03))
         assert rec.l_odd == pytest.approx(pred, rel=0.01)
 
     def test_parity_after_quench_matches_overlap_product(self):
         # the measured MZM parity equals the product of the four MZM overlaps
         rec = sudden_quench(params(40), 0.0, 0.1)
-        pred = sudden_prediction(params(40), 0.0, 0.1)
-        assert rec.parity == pytest.approx(1.0 - 2.0 * pred.l_odd_tilde, rel=1e-6)
+        pred = sudden_odd_prediction(model.resolved_basis(params(40), 0.0),
+                                     model.resolved_basis(params(40), 0.1))
+        assert rec.parity == pytest.approx(1.0 - 2.0 * pred, rel=1e-6)
 
     def test_rejects_non_topological(self):
         with pytest.raises(InvalidParameterError):

@@ -15,7 +15,7 @@ from tetronsim.model import (
     resolved_basis,
 )
 
-from reference import build_chain_bdg, mzm_vectors, ph_conjugate, reflected, rotation
+from reference import build_chain_bdg, mzm_pair, mzm_vectors, ph_conjugate, reflected, rotation
 
 SWEET = ChainParams(n_sites=4, hopping=0.5, pairing=0.5)
 
@@ -182,20 +182,19 @@ class TestRotation:
 
 class TestResolveMzms:
     def test_sweet_spot_single_site(self):
-        left = resolved_basis(SWEET, 0.0).mzm_left
+        left, _ = mzm_pair(resolved_basis(SWEET, 0.0))
         n = 4
         weight_site_1 = abs(left[0]) ** 2 + abs(left[n]) ** 2
         assert weight_site_1 == pytest.approx(1.0, abs=1e-12)
 
     def test_orthonormal_pair(self):
-        basis = resolved_basis(SWEET, 0.0)
-        left, right = basis.mzm_left, basis.mzm_right
+        left, right = mzm_pair(resolved_basis(SWEET, 0.0))
         assert abs(left.conj() @ right) < 1e-12
         assert np.linalg.norm(left) == pytest.approx(1.0, abs=1e-12)
 
     def test_exponential_localization(self):
         params = ChainParams(40, 0.5, 0.5)
-        left = resolved_basis(params, 0.03).mzm_left
+        left, _ = mzm_pair(resolved_basis(params, 0.03))
         n = 40
         left_half = np.sum(np.abs(left[:20]) ** 2) + np.sum(np.abs(left[n:n + 20]) ** 2)
         assert left_half > 0.999

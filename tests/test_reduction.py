@@ -20,7 +20,6 @@ from tetronsim.dynamics import (
     _step_mus,
     initial_plus_state,
     measure_leakage,
-    prepare_quench,
     sudden_quench,
 )
 from tetronsim.gaussian import (
@@ -110,6 +109,7 @@ def test_sudden_quench_matches_tetron_covariance(n, pairing, mu_fin):
     # with OpenBLAS 0.3.31 the N=3 and N=40 quenches end in a basis of the
     # opposite orientation; the reflection covers the other case either way
     params = ChainParams(n, 0.5, pairing)
-    state, basis_in, basis_fin = prepare_quench(params, 0.0, mu_fin)
+    state, basis_in = initial_plus_state(params, 0.0)
+    basis_fin = resolved_basis(params, mu_fin)
     assert_agree(state, tetron_plus_state(basis_in), basis_fin)
     assert sudden_quench(params, 0.0, mu_fin) == measure_leakage(state, basis_fin)
