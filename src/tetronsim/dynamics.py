@@ -17,15 +17,16 @@ persymmetric, so one symmetric ``eigh``, J S = Q Lambda Q^T
     O = D (I_2 x Q) [[cos Lambda dt, sin Lambda dt], [-sin Lambda dt, cos Lambda dt]]
           (I_2 x Q^T) D.
 
-A segment's propagator P is carried in this mode frame, as the complex N x 2N
-Z = P~_top + i P~_bottom of P~ = D P D; a step is Z <- Q e^{-i Lambda dt} Q^T Z.
-The mu grid does not depend on the ramp rate, so the Z of a sweep's rates are
-stacked: a step is one ``eigh``, two real GEMMs and a phase per rate
-(:func:`evolve_rates`; :func:`evolve_ramp` is the one-rate case).  At a sample
-O = D [Re Z; Im Z] D propagates both covariances, and R = diag(V^T, U^T)
-rotates them into the quasiparticle basis, where their zero-mode entries give
-the MZM parity and their ground-state overlaps the leakage split
-(:func:`measure_leakage`).
+So D O D = [[Re W, -Im W], [Im W, Re W]] realifies the N x N unitary
+W = Q e^{-i Lambda dt} Q^T, and a product of steps realifies the product of
+their W.  A segment's propagator is carried as that one complex W; a step is
+W <- Q e^{-i Lambda dt} Q^T W.  The mu grid does not depend on the ramp rate,
+so the W of a sweep's rates are stacked: a step is one ``eigh``, two real
+GEMMs and a phase per rate (:func:`evolve_rates`; :func:`evolve_ramp` is the
+one-rate case).  At a sample O = D [[Re W, -Im W], [Im W, Re W]] D propagates
+both covariances, and R = diag(V^T, U^T) rotates them into the quasiparticle
+basis, where their zero-mode entries give the MZM parity and their
+ground-state overlaps the leakage split (:func:`measure_leakage`).
 
 The oracle, :func:`fock_oracle`, steps the full two-chain Fock-space state
 vector of a chain of at most 3 sites on the same frozen-Hamiltonian grid.  Its
@@ -130,29 +131,28 @@ def _chain_propagator(lam: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _identity_frames(n: int, count: int) -> np.ndarray:
-    """``count`` identity propagators in the mode frame, shape (N, count, 2N)."""
-    eye = np.eye(n)
-    return np.repeat(np.hstack([eye, 1j * eye])[:, None], count, axis=1)
+    """``count`` identity propagators in the mode frame, shape (N, count, N)."""
+    return np.repeat(np.eye(n, dtype=complex)[:, None], count, axis=1)
 
 
-def _mode_step(z: np.ndarray, q: np.ndarray, phases: np.ndarray, work: np.ndarray) -> None:
-    """Z <- Q (phases * (Q^T Z)) in place, one row of ``phases`` per rate.
+def _mode_step(w: np.ndarray, q: np.ndarray, phases: np.ndarray, work: np.ndarray) -> None:
+    """W <- Q (phases * (Q^T W)) in place, one row of ``phases`` per rate.
 
     Q is real, so each product is one real GEMM on the complex arrays viewed
-    as floats; ``work`` is scratch of the shape of ``z``.
+    as floats; ``work`` is scratch of the shape of ``w``.
     """
     n = q.shape[0]
-    flat, scratch = z.view(float).reshape(n, -1), work.view(float).reshape(n, -1)
+    flat, scratch = w.view(float).reshape(n, -1), work.view(float).reshape(n, -1)
     np.matmul(q.T, flat, out=scratch)
     work *= phases.T[:, :, None]
     np.matmul(q, scratch, out=flat)
 
 
-def _real_propagators(z: np.ndarray) -> np.ndarray:
-    """Every rate's real O = D [Re Z; Im Z] D, shape (count, 2N, 2N)."""
-    n = z.shape[0]
-    rows = np.concatenate([z.real, z.imag[::-1]])
-    return np.concatenate([rows[..., :n], rows[..., :n - 1:-1]], axis=-1).swapaxes(0, 1)
+def _real_propagators(w: np.ndarray) -> np.ndarray:
+    """Every rate's real O = D [[Re W, -Im W], [Im W, Re W]] D, shape (count, 2N, 2N)."""
+    left = np.concatenate([w.real, w.imag[::-1]])
+    right = np.concatenate([-w.imag, w.real[::-1]])[..., ::-1]
+    return np.concatenate([left, right], axis=-1).swapaxes(0, 1)
 
 
 def _step_mus(mu_a: float, mu_b: float, dmu: float) -> np.ndarray:
@@ -235,14 +235,14 @@ def _normalize_samples(sample_times, duration: float) -> np.ndarray:
     if sample_times is None:
         sample_times = default_sample_times(duration)
     ts = np.atleast_1d(np.asarray(sample_times, dtype=float))
-    if ts.size and (ts.min() < -1e-12 or ts.max() > duration * (1 + 1e-12)):
-        raise InvalidParameterError("sample times must lie within [0, T]")
+    if not (np.all(ts >= -1e-12) and np.all(ts <= duration * (1 + 1e-12))):
+        raise InvalidParameterError("sample times must be finite and lie within [0, T]")
     ts = np.clip(ts, 0.0, duration)
     return np.union1d(ts, [0.0, duration])
 
 
 def _check_purity(record: LeakageRecord, tol: float) -> None:
-    if record.purity_defect > tol:
+    if not record.purity_defect <= tol:
         raise StepSizeTooCoarse(
             "purity defect %g exceeds tolerance %g at t=%g"
             % (record.purity_defect, tol, record.t)
@@ -286,13 +286,13 @@ def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[
         grid = _step_mus(mus[k], mus[k + 1], dmu)
         n_steps += len(grid)
         dts = [(times[j][k + 1] - times[j][k]) / len(grid) for j in live]
-        z = _identity_frames(params.n_sites, len(live))
-        work = np.empty_like(z)
+        w = _identity_frames(params.n_sites, len(live))
+        work = np.empty_like(w)
         for i, mu in enumerate(grid):
             lam, q = (basis.eigenvalues, basis.v) if i == 0 else chain_eigh(params, mu)
-            _mode_step(z, q, np.array([_chain_propagator(lam, dt) for dt in dts]), work)
+            _mode_step(w, q, np.array([_chain_propagator(lam, dt) for dt in dts]), work)
         basis = resolved_basis(params, mus[k + 1])
-        for j, o in zip(live, _real_propagators(z)):
+        for j, o in zip(live, _real_propagators(w)):
             states[j] = states[j].propagated(o)
             record = measure_leakage(states[j], basis, t=float(times[j][k + 1]))
             outcomes[j] = checked(record, outcomes[j])

@@ -267,13 +267,11 @@ def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
                        required=kind in ("ramp", "sweep-rate", "oracle-check"))
         hopping = _get(cp, "model", "hopping", float, default=0.5)
         pairing = _get(cp, "model", "pairing", float, default=0.5)
-        if n_sites is not None:
-            try:
-                cfg.params = ChainParams(n_sites=n_sites, hopping=hopping, pairing=pairing)
-            except InvalidParameterError as exc:
-                raise ConfigError("model: %s" % exc)
-        else:
-            cfg.params = ChainParams(n_sites=2, hopping=hopping, pairing=pairing)
+        try:
+            cfg.params = ChainParams(n_sites=2 if n_sites is None else n_sites,
+                                     hopping=hopping, pairing=pairing)
+        except InvalidParameterError as exc:
+            raise ConfigError("model: %s" % exc)
 
         cfg.mu_in = _get(cp, "protocol", "mu_in", float, default=0.0)
         fins = _get_list(cp, "protocol", "mu_fin_list", float)

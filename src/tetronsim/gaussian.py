@@ -13,7 +13,8 @@ U = J Q sign(Lambda); :func:`tetronsim.model.chain_eigh`),
     M_qp = R M_site R^T,
 
 and a frozen-Hamiltonian time step is the same kind of map, M <- O M O^T,
-with O accumulated in the mode frame of the same eigh
+with O accumulated in the mode frame of the same eigh as one complex N x N
+unitary W, O = D [[Re W, -Im W], [Im W, Re W]] D with D = diag(I, J)
 (:mod:`tetronsim.dynamics`).
 A :class:`CovarianceMatrix` may also hold a stack of chain covariances,
 shape (k, 2N, 2N); the rotations and :func:`overlap_sq` then act on each.

@@ -58,6 +58,8 @@ class ChainParams:
     def __post_init__(self):
         if self.n_sites < 2:
             raise InvalidParameterError("n_sites must be >= 2, got %r" % (self.n_sites,))
+        if not (math.isfinite(self.hopping) and math.isfinite(self.pairing)):
+            raise InvalidParameterError("hopping and pairing must be finite, got %r" % (self,))
         if self.hopping == 0.0 and self.pairing == 0.0:
             raise InvalidParameterError("hopping and pairing cannot both vanish")
 
@@ -121,12 +123,6 @@ def _modes_by_energy(params: ChainParams,
     lam, q = chain_eigh(params, mu)
     order = np.argsort(np.abs(lam), kind="stable")
     return np.abs(lam[order]), np.where(lam[order] < 0.0, -1.0, 1.0), q[:, order]
-
-
-def chain_svd(params: ChainParams, mu: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U, Sigma, V) with S = U diag(Sigma) V^T, Sigma ascending: J Q sign(lambda), |lambda|, Q."""
-    sig, signs, v = _modes_by_energy(params, mu)
-    return v[::-1] * signs, sig, v
 
 
 @dataclass(frozen=True)

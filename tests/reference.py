@@ -1,6 +1,6 @@
 """Test-side references: the 4N tetron states, the dense BdG matrix and propagator,
-the localized MZM vectors and their gauge alignment, and basis and Fock-space
-members that only tests read.
+the sorted SVD of S, the localized MZM vectors and their gauge alignment, and
+basis and Fock-space members that only tests read.
 
 The computational states |0>, |1>, |+> are defined through their complex
 correlation matrices in the block layout
@@ -23,7 +23,7 @@ import numpy as np
 from tetronsim.dynamics import FockSpace
 from tetronsim.errors import InvalidParameterError
 from tetronsim.gaussian import QP, CorrelationMatrix, CovarianceMatrix, _zero_mode_slots
-from tetronsim.model import ChainParams, ModeBasis
+from tetronsim.model import ChainParams, ModeBasis, _modes_by_energy
 
 
 class QubitStateLabel(str, enum.Enum):
@@ -172,13 +172,19 @@ def align_mzm_gauge(pair: Tuple[np.ndarray, np.ndarray],
     return ga, gb
 
 
+def chain_svd(params: ChainParams, mu: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, Sigma, V) with S = U diag(Sigma) V^T, Sigma ascending: J Q sign(lambda), |lambda|, Q."""
+    sig, signs, v = _modes_by_energy(params, mu)
+    return v[::-1] * signs, sig, v
+
+
 def dense_propagator(factors: Tuple[np.ndarray, np.ndarray, np.ndarray],
                      dt: float) -> np.ndarray:
     """Exact one-chain step O = Omega* e^{i H dt} Omega^T as one dense 2N x 2N matrix.
 
     ``factors`` is an SVD (U, Sigma, V^T) of S = A + B, for the
     H = [[A, B], [-B, -A]] frozen at one mu: ``np.linalg.svd`` returns one,
-    and :func:`tetronsim.model.chain_svd` gives (U, Sigma, V).  It gives the
+    and :func:`chain_svd` gives (U, Sigma, V).  It gives the
     real orthogonal
 
         O = [[ V cos(Sigma dt) V^T, V sin(Sigma dt) U^T ],

@@ -141,7 +141,16 @@ class TestConfigValidation:
                 "grid": {"v_min": "1e-3", "v_max": "1e-2", "v_count": "0"},
             })
 
+    @pytest.mark.parametrize("kind", ["sweep-length", "sudden"])
+    def test_length_grid_kinds_reject_a_non_finite_model(self, kind):
+        # their rows take n_sites from the grid, so the model is checked without it
+        with pytest.raises(ConfigError, match="model: hopping and pairing must be finite"):
+            config_from_mapping({"experiment": {"kind": kind}, "model": {"pairing": "inf"}})
+
     @pytest.mark.parametrize("section, key, value", [
+        ("model", "hopping", "inf"),
+        ("model", "pairing", "inf"),
+        ("model", "hopping", "nan"),
         ("stepping", "purity_tol", "nan"),
         ("stepping", "max_dmu_per_step", "nan"),
         ("protocol", "rate", "nan"),

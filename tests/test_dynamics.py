@@ -69,6 +69,20 @@ class TestRampBasics:
         records = evolve_ramp(params(10), proto, sample_times=[proto.duration])
         assert records[-1].l_g < 1e-4
 
+    def test_rejects_nan_sample_time(self):
+        with pytest.raises(InvalidParameterError, match="sample times must be finite"):
+            evolve_ramp(params(4), RampProtocol(0.0, 0.1, 1e-2), sample_times=[np.nan])
+
+    def test_nan_purity_defect_fails_the_ramp(self, monkeypatch):
+        measure = dynamics.measure_leakage
+
+        def spoiled(state, basis, t=0.0):
+            return replace(measure(state, basis, t), purity_defect=float("nan"))
+
+        monkeypatch.setattr(dynamics, "measure_leakage", spoiled)
+        with pytest.raises(StepSizeTooCoarse, match="purity defect nan exceeds"):
+            evolve_ramp(params(4), RampProtocol(0.0, 0.05, 1e-2))
+
     def test_rejects_non_topological_ramp(self):
         proto = RampProtocol(0.0, 1.5, 1e-2)
         with pytest.raises(InvalidParameterError):
@@ -240,7 +254,8 @@ class TestSharedWork:
         proto = RampProtocol(0.0, 0.1, 5e-3)
         pol = SteppingPolicy(max_dmu_per_step=0.1 / 90)
         samples = np.linspace(0.0, proto.duration, 11)
-        # model.chain_svd takes its SVD from one eigh of the persymmetric S
+        # each step but a segment's first takes one eigh of J S (model.chain_eigh),
+        # and each sample basis one more; no SVD is taken
         eigh, svd, propagator = np.linalg.eigh, np.linalg.svd, dynamics._chain_propagator
         counts = {"eigh": 0, "svd": 0, "steps": 0}
 

@@ -35,13 +35,13 @@ from tetronsim.model import (
     _modes_by_energy,
     chain_eigh,
     chain_s,
-    chain_svd,
     resolved_basis,
 )
 
 from reference import (
     _chain_matrix,
     build_chain_bdg,
+    chain_svd,
     dense_propagator,
     mzm_vectors,
     reflected,
@@ -186,6 +186,40 @@ def test_mode_frame_step_is_the_dense_propagator(chain, dts):
         assert np.max(np.abs(o - exact)) < 1e-11
         assert orthogonality_defect(o) < 1e-12
         assert abs(np.linalg.det(o) - 1.0) < 1e-12
+
+
+@st.composite
+def step_sequences(draw):
+    """(params, mus, dts): two or three distinct mu, and each rate's dt at each of them."""
+    params, _ = draw(any_chains(max_sites=100))
+    n_steps, n_rates = draw(st.integers(2, 3)), draw(st.integers(1, 4))
+    ratios = draw(st.lists(st.floats(-2.5, 2.5), min_size=n_steps, max_size=n_steps,
+                           unique=True))
+    dts = draw(st.lists(st.lists(st.floats(1e-3, 5.0), min_size=n_steps, max_size=n_steps),
+                        min_size=n_rates, max_size=n_rates))
+    return params, [r * params.hopping for r in ratios], np.array(dts)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(step_sequences())
+def test_mode_frame_steps_compose_as_dense_propagators(steps):
+    """Mode-frame steps at different mu, each rate with its own dts, give the dense product.
+
+    One step from the identity gives a complex symmetric W, which cannot tell
+    W from W^T; steps that do not commute give W_k ... W_1, whose transpose is
+    the product in the other order.
+    """
+    params, mus, dts = steps
+    n = params.n_sites
+    w = _identity_frames(n, len(dts))
+    work = np.empty_like(w)
+    expected = np.repeat(np.eye(2 * n)[None], len(dts), axis=0)
+    for mu, step_dts in zip(mus, dts.T):
+        lam, q = chain_eigh(params, mu)
+        _mode_step(w, q, np.array([_chain_propagator(lam, dt) for dt in step_dts]), work)
+        svd = np.linalg.svd(chain_s(params, mu))
+        expected = np.array([dense_propagator(svd, dt) @ o for dt, o in zip(step_dts, expected)])
+    assert np.max(np.abs(_real_propagators(w) - expected)) < 1e-12
 
 
 @PROPERTY
