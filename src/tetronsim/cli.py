@@ -62,6 +62,8 @@ def _load_config(args) -> ExperimentConfig:
         raise ConfigError("provide exactly one of --config or --preset")
     cfg = parse_config(args.config) if args.config else preset_config(args.preset)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed: must be >= 0")
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_path = str(args.out)

@@ -259,6 +259,8 @@ def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
 
     cfg = ExperimentConfig(kind=kind)
     cfg.seed = _get(cp, "experiment", "seed", int, default=0)
+    if cfg.seed < 0:
+        raise ConfigError("experiment.seed: must be >= 0")
     cfg.out_path = _get(cp, "output", "path", str)
 
     needs_model = kind in ("ramp", "sweep-rate", "sweep-length", "sudden", "oracle-check")

@@ -162,6 +162,7 @@ class TestConfigValidation:
         ("grid", "v_max", "inf"),
         ("grid", "n_list", "1, 4"),
         ("samples", "count", "-1"),
+        ("experiment", "seed", "-1"),
     ])
     def test_bad_numbers_are_config_errors(self, tmp_path, section, key, value):
         mapping = {
@@ -535,6 +536,12 @@ x_column = v
         assert "config error: input table %s" % src in capsys.readouterr().err
         with pytest.raises(ConfigError, match=where):
             read_table(src)
+
+    def test_negative_seed_override_is_a_config_error(self, tmp_path):
+        out = tmp_path / "w.csv"
+        ini = write_ini(tmp_path / "walk.ini", WALK_INI.format(out=out))
+        assert main(["run", "--config", str(ini), "--seed", "-1", "--quiet"]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_fit_subcommand_requires_fit_kind(self, tmp_path):
         ini = write_ini(tmp_path / "walk.ini", WALK_INI.format(out=tmp_path / "w.csv"))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tetronsim import qpwalk
@@ -96,6 +96,8 @@ class TestMonteCarlo:
             WalkConfig(length=0, trials=10, seed=0)
         with pytest.raises(InvalidParameterError):
             WalkConfig(length=5, trials=0, seed=0)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            WalkConfig(length=5, trials=10, seed=-1)
 
 
 def masked_walk_to_ends(rng, pos, length):
@@ -140,14 +142,38 @@ class TestWalkRealisation:
         assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
-    def test_walk_matches_reference_and_consumes_the_same_stream(self, length, n, seed):
-        # starting points cover the absorbed ends 0 and L as well as the interior
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([qpwalk.STEP_CHUNK, 1, 2, 3, 7]))
+    # a chunk of 1 is used up exactly on every refill
+    @example(length=12, n=12, seed=0, chunk=1)
+    # 12 walkers outnumber a chunk of 7 and then fall below it; the walk ends
+    # with its last buffer used up exactly, after carrying a tail into it
+    @example(length=12, n=12, seed=4, chunk=7)
+    def test_walk_matches_reference_and_consumes_the_same_stream(self, length, n, seed, chunk):
+        # starting points cover the absorbed ends 0 and L as well as the interior;
+        # small chunks refill mid-walk, carry a tail and rewind the last draw
         start = np.random.default_rng(seed).integers(0, length + 1, size=n, dtype=np.int64)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = qpwalk._walk_to_ends(rng, start, length)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qpwalk, "STEP_CHUNK", chunk)
+            got = qpwalk._walk_to_ends(rng, start, length)
         assert np.array_equal(got, masked_walk_to_ends(ref_rng, start, length))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_integer_draws_concatenate(self):
+        # _walk_to_ends fetches steps in chunks and rewinds the unused tail;
+        # that gives the per-iteration realisation only under this property
+        for seed in (0, 7, 2 ** 32 - 1):
+            for a, b in [(1, 1), (1, 2), (2, 3), (4, 6), (3, 4096), (4096, 7)]:
+                whole, split = np.random.default_rng(seed), np.random.default_rng(seed)
+                one = whole.integers(0, 2, size=a + b, dtype=np.int64)
+                two = np.concatenate([split.integers(0, 2, size=k, dtype=np.int64)
+                                      for k in (a, b)])
+                message = ("numpy integers(0, 2, dtype=int64) draws of sizes %d and %d no "
+                           "longer concatenate to one draw of size %d (seed %d)"
+                           % (a, b, a + b, seed))
+                assert np.array_equal(one, two), message
+                assert whole.bit_generator.state == split.bit_generator.state, message
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(1, 12), st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
