@@ -1,7 +1,8 @@
 """Leakage dynamics of Kitaev-tetron qubits under chemical-potential ramps.
 
-The package simulates a tetron (two identical, uncoupled Kitaev chains) with
-the covariance-matrix method for fermionic Gaussian states, provides an exact
+The package simulates a tetron (two identical, uncoupled Kitaev chains) by
+evolving the occupied orbitals of each chain's Slater determinant, keeps the
+real Majorana covariance form as its reference, provides an exact
 Fock-space oracle for small chains, closed-form sudden/near-adiabatic leakage
 predictions with fitting routines, and a random-walk model for the Pauli
 errors caused by quasiparticle absorption.
@@ -41,13 +42,7 @@ from .errors import (
     InvalidParameterError,
     StepSizeTooCoarse,
 )
-from .gaussian import (
-    CovarianceMatrix,
-    overlap_sq,
-    qp_chain_references,
-    rotate_to_qp_basis,
-    rotate_to_site_basis,
-)
+from .gaussian import CovarianceMatrix, overlap_sq, rotate_to_qp_basis
 from .model import (
     ChainParams,
     ModeBasis,

@@ -4,7 +4,7 @@ Subcommands
 -----------
 run           execute a config (or preset) and persist the result table
 fit           run a fitting config against a previously written table
-oracle-check  compare the covariance method with the exact small-N oracle
+oracle-check  compare the orbital method with the exact small-N oracle
 presets       list the built-in named experiment presets
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,

@@ -1,32 +1,31 @@
-"""Time evolution of the tetron Gaussian state and an exact small-N oracle.
+"""Time evolution of the tetron state as occupied orbitals, and an exact small-N oracle.
 
 A trajectory starts from the equal superposition |+> of the two even-parity
 ground states at mu_in.  The two chains are identical, uncoupled and each
 conserves its fermion parity, so the evolution is U x U and the evolved state
-stays (|E>|E> + |O>|O>)/sqrt(2): E is one chain's evolved quasiparticle
-vacuum and O the same chain with the zero mode occupied.  :class:`PlusState`
-carries their real site-basis Majorana covariances, each propagated with the
-frozen Hamiltonian of each step,
+stays (|E>|E> + |O>|O>)/sqrt(2), with E and O two single-chain states of
+opposite parity.  Each is a Slater determinant of complex N-dimensional
+orbitals (Onishi & Yoshida, Nucl. Phys. 80, 367 (1966)): S(mu) of
+:func:`tetronsim.model.chain_s` is persymmetric, so one symmetric ``eigh``,
+J S = Q Lambda Q^T (:func:`tetronsim.model.chain_eigh`), gives the modes, and
+a basis's vacuum occupies the columns of Q with lambda < 0.  :class:`PlusState`
+carries the (N, m) matrix X whose columns are E's orbitals: v_0 of the basis
+at mu_in, then that basis's bulk modes with lambda < 0.  O occupies X[:, 1:].
 
-    M(t + dt) = O M(t) O^T,   O = Omega* e^{i H(t) dt} Omega^T,
+A frozen-Hamiltonian step is the N x N unitary W = Q e^{-i Lambda dt} Q^T on
+the orbitals, X <- W X: it is the one-chain Majorana step O = D [[Re W, -Im W],
+[Im W, Re W]] D, D = diag(I, J), acting on the covariance of a Slater
+determinant.  The mu grid does not depend on the ramp rate, so the X of a
+sweep's rates are stacked, (N, R, m): a step is one ``eigh``, two real GEMMs
+and a phase per rate (:func:`evolve_rates`; :func:`evolve_ramp` is the
+one-rate case).
 
-where O is real orthogonal.  S(mu) of :func:`tetronsim.model.chain_s` is
-persymmetric, so one symmetric ``eigh``, J S = Q Lambda Q^T
-(:func:`tetronsim.model.chain_eigh`), gives O with D = diag(I, J) as
-
-    O = D (I_2 x Q) [[cos Lambda dt, sin Lambda dt], [-sin Lambda dt, cos Lambda dt]]
-          (I_2 x Q^T) D.
-
-So D O D = [[Re W, -Im W], [Im W, Re W]] realifies the N x N unitary
-W = Q e^{-i Lambda dt} Q^T, and a product of steps realifies the product of
-their W.  A segment's propagator is carried as that one complex W; a step is
-W <- Q e^{-i Lambda dt} Q^T W.  The mu grid does not depend on the ramp rate,
-so the W of a sweep's rates are stacked: a step is one ``eigh``, two real
-GEMMs and a phase per rate (:func:`evolve_rates`; :func:`evolve_ramp` is the
-one-rate case).  At a sample O = D [[Re W, -Im W], [Im W, Re W]] D propagates
-both covariances, and R = diag(V^T, U^T) rotates them into the quasiparticle
-basis, where their zero-mode entries give the MZM parity and their
-ground-state overlaps the leakage split (:func:`measure_leakage`).
+:func:`measure_leakage` reads |+> in a sample basis from Y = V^T X alone.  A
+state of m orbitals is compared with the reference of the same orbital count,
+so of the same parity; the rows of Y for the modes that reference leaves
+empty give the squared sines of the principal angles between the two, and
+the survival F = prod(1 - s^2) follows with relative accuracy.  Row 0 gives
+the zero-mode occupation n_0 and the MZM parity (1 - 2 n_0)^2.
 
 The oracle, :func:`fock_oracle`, steps the full two-chain Fock-space state
 vector of a chain of at most 3 sites on the same frozen-Hamiltonian grid.  Its
@@ -39,19 +38,12 @@ chain-parity blocks (16 x 16 at N = 3), applied block by block to the state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import InvalidParameterError, StepSizeTooCoarse
-from .gaussian import (
-    CovarianceMatrix,
-    overlap_sq,
-    qp_chain_references,
-    rotate_to_qp_basis,
-    rotate_to_site_basis,
-)
+from .errors import BasisMismatchError, InvalidParameterError, StepSizeTooCoarse
 from .model import (
     ChainParams,
     ModeBasis,
@@ -130,29 +122,18 @@ def _chain_propagator(lam: np.ndarray, dt: float) -> np.ndarray:
     return np.exp(-1j * dt * lam)
 
 
-def _identity_frames(n: int, count: int) -> np.ndarray:
-    """``count`` identity propagators in the mode frame, shape (N, count, N)."""
-    return np.repeat(np.eye(n, dtype=complex)[:, None], count, axis=1)
-
-
 def _mode_step(w: np.ndarray, q: np.ndarray, phases: np.ndarray, work: np.ndarray) -> None:
-    """W <- Q (phases * (Q^T W)) in place, one row of ``phases`` per rate.
+    """X <- Q (phases * (Q^T X)) in place for a stack ``w`` of shape (N, R, m).
 
-    Q is real, so each product is one real GEMM on the complex arrays viewed
-    as floats; ``work`` is scratch of the shape of ``w``.
+    One row of ``phases`` per rate.  Q is real, so each product is one real
+    GEMM on the complex arrays viewed as floats; ``work`` is scratch of the
+    shape of ``w``.
     """
     n = q.shape[0]
     flat, scratch = w.view(float).reshape(n, -1), work.view(float).reshape(n, -1)
     np.matmul(q.T, flat, out=scratch)
     work *= phases.T[:, :, None]
     np.matmul(q, scratch, out=flat)
-
-
-def _real_propagators(w: np.ndarray) -> np.ndarray:
-    """Every rate's real O = D [[Re W, -Im W], [Im W, Re W]] D, shape (count, 2N, 2N)."""
-    left = np.concatenate([w.real, w.imag[::-1]])
-    right = np.concatenate([-w.imag, w.real[::-1]])[..., ::-1]
-    return np.concatenate([left, right], axis=-1).swapaxes(0, 1)
 
 
 def _step_mus(mu_a: float, mu_b: float, dmu: float) -> np.ndarray:
@@ -171,49 +152,58 @@ def _sample_mus(protocol: RampProtocol, samples: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class PlusState:
-    """|+> as the two single-chain states E and O that it is made of.
+    """|+> as the occupied orbitals of its two single-chain states E and O.
 
-    ``chains`` holds their site-basis covariances as a (2, 2N, 2N) stack, E
-    first.  ``orientation`` is the :attr:`ModeBasis.orientation` of the basis
-    they were built in: E has the fermion parity of that basis's vacuum, O
-    the opposite one.
+    ``orbitals`` is an (N, m) complex matrix with orthonormal columns: E
+    occupies all of them, O all but column 0, the zero mode of the basis |+>
+    was built in.
     """
 
-    chains: CovarianceMatrix
-    orientation: int
-
-    def propagated(self, o: np.ndarray) -> "PlusState":
-        """Both chain states after the one-chain step O: M <- O M O^T."""
-        return replace(self, chains=replace(self.chains, matrix=o @ self.chains.matrix @ o.T))
+    orbitals: np.ndarray
 
 
 def initial_plus_state(params: ChainParams, mu_in: float) -> Tuple[PlusState, ModeBasis]:
-    """|+> at mu_in, as its two site-basis chain states, and the basis it was built in."""
+    """|+> at mu_in, as its orbitals v_0 and the bulk modes with lambda < 0, and its basis."""
     basis = resolved_basis(params, mu_in)
-    chains = rotate_to_site_basis(qp_chain_references(params.n_sites), basis)
-    return PlusState(chains, basis.orientation), basis
+    occupied = np.r_[0, 1 + np.flatnonzero(basis.signs[1:] < 0.0)]
+    return PlusState(basis.v[:, occupied].astype(complex)), basis
+
+
+def _loss(y: np.ndarray) -> float:
+    """1 - F for the rows ``y`` of a state's orbitals on the modes its reference leaves empty.
+
+    The eigenvalues s^2 of y^H y are the squared sines of the principal
+    angles between the state and the reference, and F = prod(1 - s^2).
+    """
+    s2 = np.clip(np.linalg.eigvalsh(y.conj().T @ y), 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        return -float(np.expm1(np.sum(np.log1p(-s2))))
 
 
 def measure_leakage(state: PlusState, basis: ModeBasis, t: float = 0.0) -> LeakageRecord:
     """Leakage split of |+> against an instantaneous basis.
 
-    With xi = R M R^T for each chain state and p = xi[0, N], the MZM parity
-    is (p_E^2 + p_O^2)/2 and the ground-state weight (F_E^2 + F_O^2)/2, where
-    F is a state's squared overlap with the one reference of its own fermion
-    parity: the vacuum of ``basis`` for E when the orientations of the two
-    bases agree, the occupied state otherwise, and the other one for O.  The
-    purity defect is the larger of the two states' defects.
+    With Y = V^T X, E (m orbitals) is read against the reference that
+    occupies v_0 and the bulk modes with lambda < 0, and O (m - 1 orbitals)
+    against the one without v_0.  The MZM parity is the mean over E and O of
+    (1 - 2 n_0)^2, with n_0 the squared norm of a state's row 0 of Y; the
+    ground-state weight is the mean of F^2.  The purity defect is the
+    orthonormality defect max |X^H X - I| of the orbitals.
     """
-    n = basis.params.n_sites
-    xi = rotate_to_qp_basis(state.chains, basis)
-    p = xi.matrix[:, 0, n]
-    parity = 0.5 * float(p @ p)
+    x = state.orbitals
+    n, m = x.shape
+    empty = 1 + np.flatnonzero(basis.signs[1:] > 0.0)
+    if n != basis.params.n_sites or empty.size != n - m:
+        raise BasisMismatchError("%d x %d orbitals do not match the basis at mu=%g"
+                                 % (n, m, basis.mu))
+    y = basis.v.T @ x
+    parity = l_g_raw = 0.0
+    for y_state, rows in ((y, empty), (y[:, 1:], np.concatenate(([0], empty)))):
+        n0 = float(np.vdot(y_state[0], y_state[0]).real)
+        parity += 0.5 * (1.0 - 2.0 * n0) ** 2
+        loss = _loss(y_state[rows])
+        l_g_raw += 0.5 * loss * (2.0 - loss)
     l_odd = 0.5 * (1.0 - parity)
-    refs = qp_chain_references(n)
-    if basis.orientation != state.orientation:
-        refs = replace(refs, matrix=refs.matrix[::-1])
-    f = overlap_sq(xi, refs)
-    l_g_raw = 1.0 - 0.5 * float(f @ f)
     l_even = l_g_raw - l_odd
     return LeakageRecord(
         t=t,
@@ -222,7 +212,7 @@ def measure_leakage(state: PlusState, basis: ModeBasis, t: float = 0.0) -> Leaka
         l_even=l_even,
         l_g=l_odd + l_even,
         parity=parity,
-        purity_defect=xi.purity_defect(),
+        purity_defect=float(np.max(np.abs(x.conj().T @ x - np.eye(m)))),
     )
 
 
@@ -256,17 +246,17 @@ def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[
     Every rate is sampled at the chemical potentials ``mus``; ``times[j]``
     holds rate j's sample times.  Each step takes one :func:`chain_eigh` of
     S(mu) on the rate-independent grid of :func:`_step_mus` and advances the
-    mode-frame propagator of every rate still running, with that rate's own
-    dt.  A segment's first step sits at the sample mu just resolved, so it
-    takes its eigenvalues and vectors from that basis.  |+>, the basis of each sample and the
-    record at t = 0, where every rate starts, are built once for all rates.
+    orbitals of every rate still running, stacked as (N, R, m), with that
+    rate's own dt.  A segment's first step sits at the sample mu just
+    resolved, so it takes its eigenvalues and vectors from that basis.  |+>,
+    the basis of each sample and the record at t = 0, where every rate
+    starts, are built once for all rates.
 
     Returns, per rate, its Trajectory, with ``n_steps`` the number of steps
     it took, or the StepSizeTooCoarse that stopped it.  Failures of the
     shared work (|+>, a basis resolve) raise.
     """
     state, basis = initial_plus_state(params, mus[0])
-    states = [state] * len(times)
 
     def checked(record: LeakageRecord, trajectory: Trajectory) -> Outcome:
         try:
@@ -278,24 +268,26 @@ def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[
 
     first = measure_leakage(state, basis, t=float(times[0][0]))
     outcomes = [checked(first, Trajectory()) for _ in times]
+    live = [j for j, out in enumerate(outcomes) if isinstance(out, Trajectory)]
+    x = np.repeat(state.orbitals[:, None], len(live), axis=1)
     n_steps = 0
     for k in range(len(mus) - 1):
-        live = [j for j, out in enumerate(outcomes) if isinstance(out, Trajectory)]
         if not live:
             break
         grid = _step_mus(mus[k], mus[k + 1], dmu)
         n_steps += len(grid)
         dts = [(times[j][k + 1] - times[j][k]) / len(grid) for j in live]
-        w = _identity_frames(params.n_sites, len(live))
-        work = np.empty_like(w)
+        work = np.empty_like(x)
         for i, mu in enumerate(grid):
             lam, q = (basis.eigenvalues, basis.v) if i == 0 else chain_eigh(params, mu)
-            _mode_step(w, q, np.array([_chain_propagator(lam, dt) for dt in dts]), work)
+            _mode_step(x, q, np.array([_chain_propagator(lam, dt) for dt in dts]), work)
         basis = resolved_basis(params, mus[k + 1])
-        for j, o in zip(live, _real_propagators(w)):
-            states[j] = states[j].propagated(o)
-            record = measure_leakage(states[j], basis, t=float(times[j][k + 1]))
+        for slot, j in enumerate(live):
+            record = measure_leakage(PlusState(x[:, slot]), basis, t=float(times[j][k + 1]))
             outcomes[j] = checked(record, outcomes[j])
+        kept = [slot for slot, j in enumerate(live) if isinstance(outcomes[j], Trajectory)]
+        if len(kept) < len(live):
+            x, live = x[:, kept], [live[slot] for slot in kept]
     for out in outcomes:
         if isinstance(out, Trajectory):
             out.n_steps = n_steps

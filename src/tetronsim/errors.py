@@ -18,7 +18,7 @@ class StepSizeTooCoarse(RuntimeError):
 
 
 class BasisMismatchError(ValueError):
-    """Two Gaussian-state matrices were combined in incompatible bases."""
+    """A state was combined with a basis or state it does not match."""
 
 
 class FitConvergenceError(RuntimeError):

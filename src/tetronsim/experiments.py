@@ -674,9 +674,10 @@ def run_fit(cfg: ExperimentConfig) -> ResultTable:
 
 
 def run_oracle_check(cfg: ExperimentConfig) -> ResultTable:
-    """Side-by-side covariance vs Fock-oracle leakages for every grid point.
+    """Side-by-side orbital-method vs Fock-oracle leakages for every grid point.
 
-    All points share one :class:`dynamics.FockSpace`.
+    The orbital-method columns keep their ``*_cov`` names.  All points share
+    one :class:`dynamics.FockSpace`.
     """
     cases = []
     for mu_fin in cfg.mu_fins:

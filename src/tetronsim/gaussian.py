@@ -1,35 +1,24 @@
-"""Fermionic Gaussian states of one Kitaev chain as real Majorana covariances.
+"""Fermionic Gaussian states as real Majorana covariances: the reference form.
 
 A state is held as the real antisymmetric covariance M of the rescaled
 Majoranas r_i = (c_i + c_i^dag)/sqrt(2), r_{i+N} = (c_i - c_i^dag)/(i sqrt(2))
-of a chain (dimension 2N).  Quasiparticle-basis covariances use the same
-layout with the site operators replaced by the instantaneous Bogoliubov modes
-(zero mode first).  The two bases are related by the real orthogonal rotation
-of :class:`tetronsim.model.ModeBasis`, R = diag(V^T, U^T) from the singular
-value decomposition S = A + B = U Sigma V^T (held in the one symmetric
-``eigh`` J S = Q Lambda Q^T of the persymmetric S, V = Q and
-U = J Q sign(Lambda); :func:`tetronsim.model.chain_eigh`),
+of a chain (dimension 2N), or of both chains stacked (4N).
+Quasiparticle-basis covariances use the same layout with the site operators
+replaced by the instantaneous Bogoliubov modes (zero mode first).  The two
+bases are related by the real orthogonal rotation R = diag(V^T, U^T) of a
+:class:`tetronsim.model.ModeBasis`, M_qp = R M_site R^T.
 
-    M_qp = R M_site R^T,
-
-and a frozen-Hamiltonian time step is the same kind of map, M <- O M O^T,
-with O accumulated in the mode frame of the same eigh as one complex N x N
-unitary W, O = D [[Re W, -Im W], [Im W, Re W]] D with D = diag(I, J)
-(:mod:`tetronsim.dynamics`).
-A :class:`CovarianceMatrix` may also hold a stack of chain covariances,
-shape (k, 2N, 2N); the rotations and :func:`overlap_sq` then act on each.
-
-The two chains of the tetron are identical and uncoupled, so the dynamics
-carries |+> as two single-chain states (:func:`qp_chain_references` gives
-them at the start).  :func:`covariance_from_correlation` and
-:func:`parity_expectation` convert and measure the 4N covariance of both
-chains stacked, the form the chain states are tested against; the tetron
-states themselves are built on the test side.
+:mod:`tetronsim.dynamics` does not use this module: it carries each chain
+state as occupied orbitals and measures them with N x N products.  The
+covariance form stays in the package as the independent reference those
+orbitals are tested against (the tests build the chain and 4N tetron states
+from it), and because the benchmark's per-layer tracing names
+:func:`rotate_to_qp_basis`, :func:`covariance_from_correlation`,
+:func:`overlap_sq` and :func:`parity_expectation`.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,40 +69,25 @@ def _zero_mode_slots(n: int):
     return (0, n, 2 * n, 3 * n)
 
 
-def _rotate(m: CovarianceMatrix, basis: ModeBasis, inverse: bool) -> np.ndarray:
-    """R M R^T, or R^T M R if ``inverse``, for the rotation R of ``basis``.
+def rotate_to_qp_basis(m: CovarianceMatrix, basis: ModeBasis) -> CovarianceMatrix:
+    """M_qp = R M_site R^T for one chain covariance or a stack of them.
 
-    ``m`` is a chain covariance or a stack of them.  R = diag(V^T, U^T) acts
-    block by block, half the work of the dense product.
+    R = diag(V^T, U^T) acts block by block, half the work of the dense product.
     """
+    if m.basis != SITE:
+        raise BasisMismatchError("input must be in the site basis")
     n = basis.params.n_sites
     if m.n_sites != n or m.dim != 2 * n:
         raise BasisMismatchError("%d-site matrix of dimension %d does not match a %d-site basis"
                                  % (m.n_sites, m.dim, n))
-    a, b = (basis.v, basis.u) if inverse else (basis.v.T, basis.u.T)
+    a, b = basis.v.T, basis.u.T
     x = np.empty_like(m.matrix)
     np.matmul(a, m.matrix[..., :n, :], out=x[..., :n, :])
     np.matmul(b, m.matrix[..., n:, :], out=x[..., n:, :])
     out = np.empty_like(x)
     np.matmul(x[..., :n], a.T, out=out[..., :n])
     np.matmul(x[..., n:], b.T, out=out[..., n:])
-    return out
-
-
-def rotate_to_site_basis(m: CovarianceMatrix, basis: ModeBasis) -> CovarianceMatrix:
-    """M_site = R^T M_qp R: quasiparticle-basis covariance to site basis."""
-    if m.basis != QP:
-        raise BasisMismatchError("input must be in the quasiparticle basis")
-    return CovarianceMatrix(matrix=_rotate(m, basis, inverse=True), basis=SITE,
-                            n_sites=m.n_sites)
-
-
-def rotate_to_qp_basis(m: CovarianceMatrix, basis: ModeBasis) -> CovarianceMatrix:
-    """Inverse rotation of :func:`rotate_to_site_basis`, M_qp = R M_site R^T."""
-    if m.basis != SITE:
-        raise BasisMismatchError("input must be in the site basis")
-    return CovarianceMatrix(matrix=_rotate(m, basis, inverse=False), basis=QP,
-                            n_sites=m.n_sites)
+    return CovarianceMatrix(matrix=out, basis=QP, n_sites=n)
 
 
 def majorana_rotation(n_sites: int) -> np.ndarray:
@@ -132,25 +106,6 @@ def covariance_from_correlation(g: CorrelationMatrix) -> CovarianceMatrix:
         raise BasisMismatchError("non-physical correlation matrix: imaginary residue %g" % residue)
     return CovarianceMatrix(matrix=np.ascontiguousarray(m.real), basis=g.basis,
                             n_sites=g.n_sites)
-
-
-@functools.lru_cache(maxsize=16)
-def qp_chain_references(n_sites: int) -> CovarianceMatrix:
-    """One chain's quasiparticle vacuum and its occupied-zero-mode state, stacked.
-
-    Shape (2, 2N, 2N), in the quasiparticle basis: the vacuum pairs slot i
-    with slot i + N, and the occupied state reverses the zero-mode pair.
-    The stack is built once per N and is read-only.
-    """
-    n = n_sites
-    i = np.arange(n)
-    m = np.zeros((2, 2 * n, 2 * n))
-    m[:, i, i + n] = 1.0
-    m[:, i + n, i] = -1.0
-    m[1, 0, n] = -1.0
-    m[1, n, 0] = 1.0
-    m.setflags(write=False)
-    return CovarianceMatrix(matrix=m, basis=QP, n_sites=n)
 
 
 def pfaffian4(a: np.ndarray) -> float:

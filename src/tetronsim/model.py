@@ -163,20 +163,6 @@ class ModeBasis:
         q = (self.v - self.u) / 2.0
         return np.block([[p, q], [q, p]])
 
-    @property
-    def orientation(self) -> int:
-        """Sign of det R = det U det V = (-1)^(N(N-1)/2) prod sign(lambda), R = diag(V^T, U^T).
-
-        A pure state's fermion parity is the sign of the Pfaffian of its
-        site-basis covariance, and Pf(R^T M R) = det R Pf(M): the
-        quasiparticle vacua of two bases have the same parity exactly when
-        their orientations agree.  The arbitrary sign of the zero mode's
-        lambda, which flips u_0, flips the orientation.
-        """
-        n = self.signs.size
-        flips = n * (n - 1) // 2 + int(np.count_nonzero(self.signs < 0.0))
-        return -1 if flips % 2 else 1
-
 
 def resolved_basis(params: ChainParams, mu: float) -> ModeBasis:
     """Mode basis at mu; DegenerateSubspaceError unless its zero mode is isolated."""

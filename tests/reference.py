@@ -1,6 +1,7 @@
-"""Test-side references: the 4N tetron states, the dense BdG matrix and propagator,
-the sorted SVD of S, the localized MZM vectors and their gauge alignment, and
-basis and Fock-space members that only tests read.
+"""Test-side references: the 4N tetron states, the chain covariance references and
+the site-basis rotation, the dense BdG matrix and propagator, the realified
+mode-frame propagators, the sorted SVD of S, the localized MZM vectors and
+their gauge alignment, and basis and Fock-space members that only tests read.
 
 The computational states |0>, |1>, |+> are defined through their complex
 correlation matrices in the block layout
@@ -15,14 +16,23 @@ matching the operator ordering of :mod:`tetronsim.model`, and converted with
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
 
-from tetronsim.dynamics import FockSpace
-from tetronsim.errors import InvalidParameterError
-from tetronsim.gaussian import QP, CorrelationMatrix, CovarianceMatrix, _zero_mode_slots
+from tetronsim.dynamics import FockSpace, LeakageRecord, PlusState
+from tetronsim.errors import BasisMismatchError, InvalidParameterError
+from tetronsim.gaussian import (
+    QP,
+    SITE,
+    CorrelationMatrix,
+    CovarianceMatrix,
+    _zero_mode_slots,
+    overlap_sq,
+    rotate_to_qp_basis,
+)
 from tetronsim.model import ChainParams, ModeBasis, _modes_by_energy
 
 
@@ -84,6 +94,116 @@ def qp_occupied_pair_covariance(n_sites: int) -> CovarianceMatrix:
     m[[a, c], [b, d]] = -1.0
     m[[b, d], [a, c]] = 1.0
     return CovarianceMatrix(matrix=m, basis=QP, n_sites=n_sites)
+
+
+@functools.lru_cache(maxsize=16)
+def qp_chain_references(n_sites: int) -> CovarianceMatrix:
+    """One chain's quasiparticle vacuum and its occupied-zero-mode state, stacked.
+
+    Shape (2, 2N, 2N), in the quasiparticle basis: the vacuum pairs slot i
+    with slot i + N, and the occupied state reverses the zero-mode pair.
+    The stack is built once per N and is read-only.
+    """
+    n = n_sites
+    i = np.arange(n)
+    m = np.zeros((2, 2 * n, 2 * n))
+    m[:, i, i + n] = 1.0
+    m[:, i + n, i] = -1.0
+    m[1, 0, n] = -1.0
+    m[1, n, 0] = 1.0
+    m.setflags(write=False)
+    return CovarianceMatrix(matrix=m, basis=QP, n_sites=n)
+
+
+def rotate_to_site_basis(m: CovarianceMatrix, basis: ModeBasis) -> CovarianceMatrix:
+    """M_site = R^T M_qp R for a chain covariance or a stack of them, R = :func:`rotation`."""
+    if m.basis != QP:
+        raise BasisMismatchError("input must be in the quasiparticle basis")
+    n = basis.params.n_sites
+    if m.n_sites != n or m.dim != 2 * n:
+        raise BasisMismatchError("%d-site matrix of dimension %d does not match a %d-site basis"
+                                 % (m.n_sites, m.dim, n))
+    r = rotation(basis)
+    return CovarianceMatrix(matrix=r.T @ m.matrix @ r, basis=SITE, n_sites=n)
+
+
+def orientation(basis: ModeBasis) -> int:
+    """Sign of det R = det U det V = (-1)^(N(N-1)/2) prod sign(lambda), R = diag(V^T, U^T).
+
+    A pure state's fermion parity is the sign of the Pfaffian of its
+    site-basis covariance, and Pf(R^T M R) = det R Pf(M): the
+    quasiparticle vacua of two bases have the same parity exactly when
+    their orientations agree.  The arbitrary sign of the zero mode's
+    lambda, which flips u_0, flips the orientation.
+    """
+    n = basis.signs.size
+    flips = n * (n - 1) // 2 + int(np.count_nonzero(basis.signs < 0.0))
+    return -1 if flips % 2 else 1
+
+
+def _identity_frames(n: int, count: int) -> np.ndarray:
+    """``count`` identity propagators in the mode frame, shape (N, count, N)."""
+    return np.repeat(np.eye(n, dtype=complex)[:, None], count, axis=1)
+
+
+def _real_propagators(w: np.ndarray) -> np.ndarray:
+    """Every rate's real O = D [[Re W, -Im W], [Im W, Re W]] D, shape (count, 2N, 2N).
+
+    ``w`` stacks the N x N mode-frame propagators as (N, count, N); D = diag(I, J).
+    """
+    left = np.concatenate([w.real, w.imag[::-1]])
+    right = np.concatenate([-w.imag, w.real[::-1]])[..., ::-1]
+    return np.concatenate([left, right], axis=-1).swapaxes(0, 1)
+
+
+def mode_frame_unitary(o: np.ndarray) -> np.ndarray:
+    """The N x N complex W with D O D = [[Re W, -Im W], [Im W, Re W]], D = diag(I, J)."""
+    n = o.shape[0] // 2
+    dod = o.copy()
+    dod[n:] = dod[n:][::-1]
+    dod[:, n:] = dod[:, n:][:, ::-1]
+    return dod[:n, :n] + 1j * dod[n:, :n]
+
+
+def slater_covariance(c: np.ndarray) -> np.ndarray:
+    """Site-basis covariance of the chain state that occupies the orthonormal columns of ``c``.
+
+    In the frame D = diag(I, J) it is the realification of -i (I - 2 C C^H),
+    [[Im A, Re A], [-Re A, Im A]] with A = I - 2 C C^H; a basis's vacuum
+    occupies its modes with lambda < 0, A = sign(J S).
+    """
+    n = c.shape[0]
+    a = np.eye(n) - 2.0 * c @ c.conj().T
+    m = np.block([[a.imag, a.real], [-a.real, a.imag]])
+    m[n:] = m[n:][::-1]
+    m[:, n:] = m[:, n:][:, ::-1]
+    return m
+
+
+def covariance_leakage(state: PlusState, basis: ModeBasis) -> LeakageRecord:
+    """The leakage split of |+> read from the 2N x 2N covariances of E and O.
+
+    With xi = R M R^T per chain state, p = xi[0, N], the MZM parity is
+    (p_E^2 + p_O^2)/2 and the ground-state weight (F_E^2 + F_O^2)/2, F the
+    determinant overlap with the reference of the state's own parity: the
+    vacuum of ``basis`` when the state and that vacuum occupy counts of
+    orbitals of the same parity, the occupied-zero-mode state otherwise.
+    """
+    x = state.orbitals
+    n, m = x.shape
+    chains = CovarianceMatrix(np.array([slater_covariance(x), slater_covariance(x[:, 1:])]),
+                              basis=SITE, n_sites=n)
+    xi = rotate_to_qp_basis(chains, basis)
+    p = xi.matrix[:, 0, n]
+    parity = 0.5 * float(p @ p)
+    refs = qp_chain_references(n)
+    if (m - np.count_nonzero(basis.signs < 0.0)) % 2:
+        refs = replace(refs, matrix=refs.matrix[::-1])
+    f = overlap_sq(xi, refs)
+    l_odd = 0.5 * (1.0 - parity)
+    l_g = 1.0 - 0.5 * float(f @ f)
+    return LeakageRecord(t=0.0, mu=basis.mu, l_odd=l_odd, l_even=l_g - l_odd, l_g=l_g,
+                         parity=parity, purity_defect=xi.purity_defect())
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,7 @@ def verdict(num, name, ok, detail):
 
 
 # -------------------------------------------------------------------------
-# 1. covariance method vs exact Fock oracle
+# 1. orbital method vs exact Fock oracle
 # -------------------------------------------------------------------------
 
 

@@ -7,13 +7,19 @@ from tetronsim import dynamics, model
 from tetronsim.analytics import sudden_even_prediction, sudden_odd_prediction
 from tetronsim.dynamics import (
     FockSpace,
+    PlusState,
     SteppingPolicy,
     evolve_ramp,
     evolve_rates,
     fock_oracle,
     sudden_quench,
 )
-from tetronsim.errors import DegenerateSubspaceError, InvalidParameterError, StepSizeTooCoarse
+from tetronsim.errors import (
+    BasisMismatchError,
+    DegenerateSubspaceError,
+    InvalidParameterError,
+    StepSizeTooCoarse,
+)
 from tetronsim.experiments import ORACLE_TOLERANCE, config_from_mapping, run_experiment
 from tetronsim.model import ChainParams, RampProtocol
 
@@ -290,6 +296,12 @@ class TestSuddenQuench:
         assert rec.l_odd == pytest.approx(0.0, abs=1e-10)
         assert rec.l_g == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [3, 40, 200])
+    def test_no_quench_reads_no_leakage(self, n):
+        # |+> read in its own basis: the overlaps are exact to rounding, never below 0
+        rec = sudden_quench(params(n), 0.05, 0.05)
+        assert 0.0 <= rec.l_g <= 1e-15
+
     def test_even_leakage_matches_closed_form(self):
         rec = sudden_quench(params(40), 0.0, 0.03)
         predicted = sudden_even_prediction(40, 0.03)
@@ -308,6 +320,14 @@ class TestSuddenQuench:
         pred = sudden_odd_prediction(model.resolved_basis(params(40), 0.0),
                                      model.resolved_basis(params(40), 0.1))
         assert rec.parity == pytest.approx(1.0 - 2.0 * pred, rel=1e-6)
+
+    def test_measurement_rejects_orbitals_of_another_chain(self):
+        state, basis = dynamics.initial_plus_state(params(6), 0.0)
+        with pytest.raises(BasisMismatchError, match="orbitals"):
+            dynamics.measure_leakage(state, model.resolved_basis(params(7), 0.0))
+        # one orbital short: no reference of the basis has that count
+        with pytest.raises(BasisMismatchError, match="orbitals"):
+            dynamics.measure_leakage(PlusState(state.orbitals[:, :-1]), basis)
 
     def test_rejects_non_topological(self):
         with pytest.raises(InvalidParameterError):

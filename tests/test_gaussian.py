@@ -10,9 +10,7 @@ from tetronsim.gaussian import (
     overlap_sq,
     parity_expectation,
     pfaffian4,
-    qp_chain_references,
     rotate_to_qp_basis,
-    rotate_to_site_basis,
 )
 from tetronsim.model import ChainParams, resolved_basis
 
@@ -22,8 +20,10 @@ from reference import (
     correlation_purity_defect,
     ground_state_qp_correlation,
     hermiticity_defect,
+    qp_chain_references,
     qp_occupied_pair_covariance,
     qp_vacuum_covariance,
+    rotate_to_site_basis,
     rotation,
 )
 

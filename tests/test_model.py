@@ -15,7 +15,15 @@ from tetronsim.model import (
     resolved_basis,
 )
 
-from reference import build_chain_bdg, mzm_pair, mzm_vectors, ph_conjugate, reflected, rotation
+from reference import (
+    build_chain_bdg,
+    mzm_pair,
+    mzm_vectors,
+    orientation,
+    ph_conjugate,
+    reflected,
+    rotation,
+)
 
 SWEET = ChainParams(n_sites=4, hopping=0.5, pairing=0.5)
 
@@ -171,13 +179,13 @@ class TestRotation:
 
     def test_orientation_is_the_sign_of_det_r(self):
         basis = resolved_basis(ChainParams(6, 0.5, 0.4), 0.05)
-        assert basis.orientation == np.sign(np.linalg.det(rotation(basis)))
+        assert orientation(basis) == np.sign(np.linalg.det(rotation(basis)))
         # flip u_0 alone, then v_0 alone (u = J v sign(lambda))
         v = basis.v.copy()
         v[:, 0] *= -1.0
         for flipped in (reflected(basis), replace(reflected(basis), v=v)):
-            assert flipped.orientation == -basis.orientation
-            assert flipped.orientation == np.sign(np.linalg.det(rotation(flipped)))
+            assert orientation(flipped) == -orientation(basis)
+            assert orientation(flipped) == np.sign(np.linalg.det(rotation(flipped)))
 
 
 class TestResolveMzms:

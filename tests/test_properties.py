@@ -1,4 +1,5 @@
-"""Property tests of the real Majorana-basis maps and the Fock oracle on random chains."""
+"""Property tests on random chains: the real Majorana-basis maps, the mode-frame step,
+the orbital measurement against its covariance reference, and the Fock oracle."""
 
 from dataclasses import replace
 
@@ -10,11 +11,10 @@ from hypothesis import strategies as st
 
 from tetronsim.dynamics import (
     FockSpace,
+    PlusState,
     SteppingPolicy,
     _chain_propagator,
-    _identity_frames,
     _mode_step,
-    _real_propagators,
     evolve_ramp,
     fock_oracle,
     initial_plus_state,
@@ -22,12 +22,7 @@ from tetronsim.dynamics import (
 )
 from tetronsim.errors import InvalidParameterError
 from tetronsim.experiments import ORACLE_TOLERANCE
-from tetronsim.gaussian import (
-    CovarianceMatrix,
-    majorana_rotation,
-    rotate_to_qp_basis,
-    rotate_to_site_basis,
-)
+from tetronsim.gaussian import CovarianceMatrix, majorana_rotation, rotate_to_qp_basis
 from tetronsim.model import (
     ChainParams,
     ModeBasis,
@@ -40,11 +35,16 @@ from tetronsim.model import (
 
 from reference import (
     _chain_matrix,
+    _identity_frames,
+    _real_propagators,
     build_chain_bdg,
     chain_svd,
+    covariance_leakage,
     dense_propagator,
     mzm_vectors,
+    orientation,
     reflected,
+    rotate_to_site_basis,
     rotation,
     total_parity_op,
 )
@@ -229,8 +229,8 @@ def test_orientation_is_the_sign_of_det_u_det_v(chain):
     u, _, v = chain_svd(*chain)
     assert np.array_equal(basis.u, u) and np.array_equal(basis.v, v)
     for b in (basis, reflected(basis)):
-        assert b.orientation == np.sign(np.linalg.det(b.u) * np.linalg.det(b.v))
-    assert reflected(basis).orientation == -basis.orientation
+        assert orientation(b) == np.sign(np.linalg.det(b.u) * np.linalg.det(b.v))
+    assert orientation(reflected(basis)) == -orientation(basis)
 
 
 @PROPERTY
@@ -261,18 +261,17 @@ def test_mzm_vectors_are_ph_invariant(chain):
 def test_leakage_ignores_zero_mode_reflection(chain, seed):
     """Flipping u_0 or v_0 alone reflects the zero-mode plane of R.
 
-    It reverses the basis orientation, so each chain state trades its
-    reference for the other one, which the reflection has turned into the
-    state of the same parity; no measured number may move.
+    It reverses the basis orientation and leaves the modes, as orbitals,
+    where they were: no measured number may move.
     """
     params, mu = chain
     n = params.n_sites
     state, basis = initial_plus_state(params, mu)
-    # each chain state rotated a little on its own: a wrong reference would show
-    x = np.random.default_rng(seed).normal(size=(2,) + (2 * n,) * 2)
-    q = scipy.linalg.expm(0.1 / np.sqrt(n) * (x - x.swapaxes(1, 2)))
-    m = state.chains.matrix
-    state = replace(state, chains=replace(state.chains, matrix=q @ m @ q.swapaxes(1, 2)))
+    # the orbitals rotated a little: a zero-mode sign that entered would show
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q = scipy.linalg.expm(0.1 / np.sqrt(n) * (x - x.conj().T))
+    state = PlusState(q @ state.orbitals)
     ref = measure_leakage(state, basis)
     # u = J v sign(lambda): the sign of lambda_0 flips u_0, with v_0 as well it flips v_0
     v = basis.v.copy()
@@ -281,6 +280,42 @@ def test_leakage_ignores_zero_mode_reflection(chain, seed):
         rec = measure_leakage(state, flipped)
         for field in ("l_odd", "l_even", "l_g", "parity"):
             assert abs(getattr(rec, field) - getattr(ref, field)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 120), st.floats(0.2, 1.0), st.floats(0.7, 1.4), st.floats(-0.5, 0.5),
+       st.floats(-5.0, 0.0))
+def test_even_leakage_is_not_negative(n, w, delta_ratio, mu_ratio, log_rate):
+    """l_even >= 0 on each sample of a ramp, to rounding.
+
+    Per chain state the ground-state loss is 1 - F^2 >= 2 n_0 (1 - n_0), the
+    state's share of l_odd, with n_0 its zero-mode occupation.
+    """
+    params = ChainParams(n, w, w * delta_ratio)
+    protocol = RampProtocol(0.0, w * mu_ratio, 10.0 ** log_rate)
+    policy = SteppingPolicy(max_dmu_per_step=max(abs(w * mu_ratio), 1e-3) / 50)
+    times = np.linspace(0.0, protocol.duration, 4)
+    records = evolve_ramp(params, protocol, policy, sample_times=times)
+    assert min(r.l_even for r in records) >= -1e-14
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 40), st.floats(0.2, 1.0), st.floats(0.7, 1.4), st.floats(-0.5, 0.5),
+       st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_orbital_measurement_is_the_covariance_measurement(n, w, delta_ratio, ratio_in,
+                                                           ratio_fin, scale, seed):
+    """|+> at mu_in moved by a random unitary reads the same from its orbitals and covariances."""
+    params = ChainParams(n, w, w * delta_ratio)
+    state, _ = initial_plus_state(params, w * ratio_in)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    # a small rotation keeps l_g spread over (1e-3, 1), not pinned at 1
+    q = scipy.linalg.expm(0.3 * scale / np.sqrt(n) * (x - x.conj().T))
+    state = PlusState(q @ state.orbitals)
+    basis = resolved_basis(params, w * ratio_fin)
+    record, reference = measure_leakage(state, basis), covariance_leakage(state, basis)
+    for field in ("l_odd", "l_even", "l_g", "parity"):
+        assert abs(getattr(record, field) - getattr(reference, field)) < 1e-12, field
 
 
 def reference_fock_hamiltonian(params, mu):

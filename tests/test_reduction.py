@@ -1,22 +1,25 @@
-"""The chain-state form of |+> against the 4N tetron covariance it replaces.
+"""The orbital form of |+> against the 4N tetron covariance.
 
 The two chains are identical and uncoupled, so |+> evolves as
 (|E>|E> + |O>|O>)/sqrt(2) and :mod:`tetronsim.dynamics` measures it from the
-2N x 2N covariances of E and O.  Here the dense propagators of
-:mod:`reference` step both the chain states and the full 4N covariance of
-|+>, built in :mod:`reference` and measured with the tetron parity Pfaffian
-and overlaps of :mod:`tetronsim.gaussian`, and every sample must agree.  The
-4N covariance is rotated and stepped with the dense block-diagonal products
-diag(R, R) and diag(O, O).  Each sample is also read in the basis with u_0
-flipped (the sign of lambda_0 reversed), whose orientation is the opposite
-one, so both reference choices of :func:`measure_leakage` are exercised
+occupied orbitals of E and O.  Here each step is the dense propagator O of
+:mod:`reference`, cleaned to its orthogonal polar factor: it steps the full
+4N covariance of |+>, built in :mod:`reference` and measured with the tetron
+parity Pfaffian and overlaps of :mod:`tetronsim.gaussian`, and the orbitals
+take the N x N unitary W that D O D realifies, D = diag(I, J).  Every sample
+must agree.  The 4N covariance is rotated and stepped with the dense
+block-diagonal products diag(R, R) and diag(O, O).  Each sample is also read
+in the basis with u_0 flipped (the sign of lambda_0 reversed), whose
+orientation is the opposite one, so the tetron references trade places
 whatever signs LAPACK gives the zero singular vectors.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tetronsim.dynamics import (
+    PlusState,
     _step_mus,
     initial_plus_state,
     measure_leakage,
@@ -35,6 +38,8 @@ from reference import (
     QubitStateLabel,
     dense_propagator,
     ground_state_qp_correlation,
+    mode_frame_unitary,
+    orientation,
     qp_occupied_pair_covariance,
     qp_vacuum_covariance,
     reflected,
@@ -66,7 +71,7 @@ def tetron_leakage(state, basis):
 
 def assert_agree(state, tetron, basis, t=0.0):
     """Chain and tetron forms agree in ``basis`` and in its reflection."""
-    assert reflected(basis).orientation == -basis.orientation
+    assert orientation(reflected(basis)) == -orientation(basis)
     for b in (basis, reflected(basis)):
         record = measure_leakage(state, b, t)
         reference = tetron_leakage(tetron, b)
@@ -93,8 +98,8 @@ def test_ramp_matches_tetron_covariance(n, pairing, mu_fin, rate):
         grid = _step_mus(mus[k], mus[k + 1], dmu)
         dt = (samples[k + 1] - samples[k]) / len(grid)
         for mu in grid:
-            o = dense_propagator(np.linalg.svd(chain_s(params, mu)), dt)
-            state = state.propagated(o)
+            o, _ = scipy.linalg.polar(dense_propagator(np.linalg.svd(chain_s(params, mu)), dt))
+            state = PlusState(mode_frame_unitary(o) @ state.orbitals)
             o2 = np.kron(np.eye(2), o)
             tetron = o2 @ tetron @ o2.T
         basis = resolved_basis(params, mus[k + 1])
