@@ -191,7 +191,8 @@ def fit_power_approach(samples: Sequence[Tuple[float, float]], l_inf: float) -> 
     y = np.log(diff[keep])
     slope, intercept, r2 = _ols(x, y)
     return FitResult(
-        parameters={"slope": slope, "intercept": intercept, "k": float(np.exp(intercept))},
+        parameters={"slope": slope, "intercept": intercept, "k": float(np.exp(intercept)),
+                    "l_inf": l_inf},
         residual_norm=float(np.sqrt(np.sum((slope * x + intercept - y) ** 2))),
         r_squared=r2,
         domain=(float(v.min()), float(v.max())),

@@ -231,14 +231,6 @@ def _normalize_samples(sample_times, duration: float) -> np.ndarray:
     return np.union1d(ts, [0.0, duration])
 
 
-def _check_purity(record: LeakageRecord, tol: float) -> None:
-    if not record.purity_defect <= tol:
-        raise StepSizeTooCoarse(
-            "purity defect %g exceeds tolerance %g at t=%g"
-            % (record.purity_defect, tol, record.t)
-        )
-
-
 def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[np.ndarray],
                      dmu: float, purity_tol: float) -> List[Outcome]:
     """Step one mu path at several rates together.
@@ -259,10 +251,9 @@ def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[
     state, basis = initial_plus_state(params, mus[0])
 
     def checked(record: LeakageRecord, trajectory: Trajectory) -> Outcome:
-        try:
-            _check_purity(record, purity_tol)
-        except StepSizeTooCoarse as exc:
-            return exc
+        if not record.purity_defect <= purity_tol:
+            return StepSizeTooCoarse("purity defect %g exceeds tolerance %g at t=%g"
+                                     % (record.purity_defect, purity_tol, record.t))
         trajectory.append(record)
         return trajectory
 

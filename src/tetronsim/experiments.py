@@ -25,7 +25,7 @@ from . import __version__, analytics, dynamics, qpwalk
 from .errors import ConfigError, InvalidParameterError
 from .model import ChainParams, RampProtocol, require_topological, resolved_basis
 
-KINDS = ("ramp", "sweep-rate", "sweep-length", "sudden", "walk", "fit", "oracle-check")
+# KINDS, the keys of the runner table RUNNERS, follows the runners below.
 # kinds whose every row takes its chain length from the grid, not [model] n_sites
 LENGTH_GRID_KINDS = ("sweep-length", "sudden")
 
@@ -263,10 +263,8 @@ def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigError("experiment.seed: must be >= 0")
     cfg.out_path = _get(cp, "output", "path", str)
 
-    needs_model = kind in ("ramp", "sweep-rate", "sweep-length", "sudden", "oracle-check")
-    if needs_model:
-        n_sites = _get(cp, "model", "n_sites", int,
-                       required=kind in ("ramp", "sweep-rate", "oracle-check"))
+    if kind not in ("walk", "fit"):
+        n_sites = _get(cp, "model", "n_sites", int, required=kind not in LENGTH_GRID_KINDS)
         hopping = _get(cp, "model", "hopping", float, default=0.5)
         pairing = _get(cp, "model", "pairing", float, default=0.5)
         try:
@@ -338,9 +336,8 @@ def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
 
 def _validate_physics(cfg: ExperimentConfig) -> None:
     kind = cfg.kind
-    if kind in ("ramp", "sweep-rate", "sweep-length", "sudden", "oracle-check"):
-        if not cfg.mu_fins:
-            raise ConfigError("protocol.mu_fin: at least one target value is required")
+    if not cfg.mu_fins:
+        raise ConfigError("protocol.mu_fin: at least one target value is required")
     try:
         require_topological(cfg.params, cfg.mu_in, *cfg.mu_fins)
     except InvalidParameterError as exc:
@@ -363,33 +360,72 @@ def _validate_physics(cfg: ExperimentConfig) -> None:
 # ---------------------------------------------------------------------------
 
 _NAN = float("nan")
+# CSV columns of a leakage record, named as its LeakageRecord fields
+LEAKAGE_COLUMNS = ("l_odd", "l_even", "l_g", "parity", "purity_defect")
 
 
-def _run_points(points, worker):
-    """Evaluate worker over points in order, tolerating per-point failures.
-
-    Returns (results, statuses) aligned with ``points``; a failed point gives
-    result None and status "failed: <reason>".
-    """
-    results, statuses = [], []
+def _run_points(points, worker) -> list:
+    """One outcome per point, in order: the worker's value, or the exception it raised."""
+    outcomes = []
     for point in points:
         try:
-            results.append(worker(point))
-            statuses.append("ok")
+            outcomes.append(worker(point))
         except Exception as exc:  # noqa: BLE001 - reported per row
-            results.append(None)
-            statuses.append("failed: %s" % exc)
-    return results, statuses
+            outcomes.append(exc)
+    return outcomes
 
 
-def _leakage_columns():
-    return ("l_odd", "l_even", "l_g", "parity", "purity_defect")
+def _table(kind: str, columns, keys, outcomes, cells) -> ResultTable:
+    """One row per outcome, ``key + cells(outcome)``, and its ``row_status``.
+
+    An outcome that is an exception gives NaN cells and status
+    "failed: <reason>"; any other gives status "ok".
+    """
+    rows, statuses = [], []
+    for key, out in zip(keys, outcomes):
+        failed = isinstance(out, Exception)
+        rows.append(tuple(key) + ((_NAN,) * (len(columns) - len(key)) if failed
+                                  else tuple(cells(out))))
+        statuses.append("failed: %s" % out if failed else "ok")
+    table = ResultTable(kind=kind, columns=columns, rows=rows)
+    table.metadata["row_status"] = statuses
+    return table
 
 
-def _record_cells(record) -> tuple:
-    if record is None:
-        return (_NAN,) * 5
-    return (record.l_odd, record.l_even, record.l_g, record.parity, record.purity_defect)
+def _record_cells(record: dynamics.LeakageRecord) -> tuple:
+    return tuple(getattr(record, name) for name in LEAKAGE_COLUMNS)
+
+
+def _trajectory_fields(table: ResultTable, cfg: ExperimentConfig, mu_fins, outcomes,
+                       per_row: bool = True) -> None:
+    """Each trajectory's ``n_steps``, ``max_purity_defect`` and, with Richardson
+    on, ``richardson_defect``, and the run's ``dmu``.
+
+    A sweep writes them as ``row_``-prefixed lists aligned with ``row_status``,
+    null for a failed row; a ramp writes its one trajectory's values as
+    scalars.  ``dmu`` is the mu step of the run's longest ramp: every row's
+    step when the config fixes one (``steps_per_span`` or
+    ``max_dmu_per_step``); otherwise shorter ramps of a sweep step finer.
+    """
+    names = ("n_steps", "max_purity_defect") + (
+        ("richardson_defect",) if cfg.policy.richardson else ())
+    for name in names:
+        values = [None if isinstance(out, Exception) else getattr(out, name)
+                  for out in outcomes]
+        if per_row:
+            table.metadata["row_" + name] = values
+        else:
+            table.metadata[name] = values[0]
+    table.metadata["dmu"] = cfg.policy.resolved_dmu(max(abs(mu - cfg.mu_in) for mu in mu_fins))
+
+
+def _sweep_table(kind: str, cfg: ExperimentConfig, key_columns, keys, outcomes,
+                 mu_fins) -> ResultTable:
+    """Rows of final records, one per ramp, with each trajectory's sidecar fields."""
+    table = _table(kind, key_columns + LEAKAGE_COLUMNS, keys, outcomes,
+                   lambda trajectory: _record_cells(trajectory[-1]))
+    _trajectory_fields(table, cfg, mu_fins, outcomes)
+    return table
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -468,17 +504,8 @@ def run_environment() -> Dict:
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     started = time.time()
-    runner = {
-        "ramp": _run_ramp,
-        "sweep-rate": _run_sweep_rate,
-        "sweep-length": _run_sweep_length,
-        "sudden": _run_sudden,
-        "walk": _run_walk,
-        "fit": run_fit,
-        "oracle-check": run_oracle_check,
-    }[cfg.kind]
     with serial_blas():
-        table = runner(cfg)
+        table = RUNNERS[cfg.kind](cfg)
         table.metadata["environment"] = run_environment()
     table.metadata.setdefault("config", cfg.resolved())
     table.metadata["version"] = __version__
@@ -490,53 +517,10 @@ def _run_ramp(cfg: ExperimentConfig) -> ResultTable:
     protocol = RampProtocol(cfg.mu_in, cfg.mu_fins[0], cfg.rate)
     times = dynamics.default_sample_times(protocol.duration, cfg.sample_count)
     records = dynamics.evolve_ramp(cfg.params, protocol, cfg.policy, sample_times=times)
-    rows = [(r.t, r.mu) + _record_cells(r) for r in records]
-    table = ResultTable(kind="ramp", columns=("t", "mu") + _leakage_columns(), rows=rows)
-    table.metadata["row_status"] = ["ok"] * len(rows)
-    table.metadata["n_steps"] = records.n_steps
-    table.metadata["max_purity_defect"] = records.max_purity_defect
-    table.metadata["dmu"] = _run_dmu(cfg, [protocol.mu_fin])
-    if records.richardson_defect is not None:
-        table.metadata["richardson_defect"] = records.richardson_defect
+    table = _table("ramp", ("t", "mu") + LEAKAGE_COLUMNS, [(r.t, r.mu) for r in records],
+                   records, _record_cells)
+    _trajectory_fields(table, cfg, [protocol.mu_fin], [records], per_row=False)
     return table
-
-
-def _final_trajectory(cfg: ExperimentConfig, n_sites: int, mu_fin: float, v: float):
-    params = ChainParams(n_sites, cfg.params.hopping, cfg.params.pairing)
-    protocol = RampProtocol(cfg.mu_in, mu_fin, v)
-    return dynamics.evolve_ramp(params, protocol, cfg.policy,
-                                sample_times=[protocol.duration])
-
-
-def _final_cells(trajectory) -> tuple:
-    return _record_cells(None if trajectory is None else trajectory[-1])
-
-
-def _run_dmu(cfg: ExperimentConfig, mu_fins) -> float:
-    """The mu step of the run's longest ramp.
-
-    It is every row's step when the config fixes one (``steps_per_span`` or
-    ``max_dmu_per_step``); otherwise shorter ramps of a sweep step finer.
-    """
-    return cfg.policy.resolved_dmu(max(abs(mu - cfg.mu_in) for mu in mu_fins))
-
-
-def _sweep_metadata(table: ResultTable, cfg: ExperimentConfig, mu_fins, trajectories,
-                    statuses) -> None:
-    """Row statuses, step counts and maximum purity defects, the run's dmu, and
-    each row's Richardson defect.
-
-    Per-row values are null for a failed row.
-    """
-    table.metadata["row_status"] = statuses
-    table.metadata["row_n_steps"] = [None if traj is None else traj.n_steps
-                                     for traj in trajectories]
-    table.metadata["row_max_purity_defect"] = [
-        None if traj is None else traj.max_purity_defect for traj in trajectories]
-    table.metadata["dmu"] = _run_dmu(cfg, mu_fins)
-    if cfg.policy.richardson:
-        table.metadata["row_richardson_defect"] = [
-            None if traj is None else traj.richardson_defect for traj in trajectories]
 
 
 def _run_sweep_rate(cfg: ExperimentConfig) -> ResultTable:
@@ -547,33 +531,26 @@ def _run_sweep_rate(cfg: ExperimentConfig) -> ResultTable:
     """
     points = sorted((v, mu) for v in cfg.v_grid for mu in cfg.mu_fins)
     rates = sorted(set(cfg.v_grid))
+    mu_fins = sorted(set(cfg.mu_fins))
+    groups = _run_points(mu_fins, lambda mu_fin: dynamics.evolve_rates(
+        cfg.params, cfg.mu_in, mu_fin, rates, cfg.policy))
     outcomes = {}
-    for mu_fin in sorted(set(cfg.mu_fins)):
-        try:
-            group = dynamics.evolve_rates(cfg.params, cfg.mu_in, mu_fin, rates, cfg.policy)
-        except Exception as exc:  # noqa: BLE001 - reported per row
-            group = [exc] * len(rates)
+    for mu_fin, group in zip(mu_fins, groups):
+        if isinstance(group, Exception):
+            group = [group] * len(rates)
         outcomes.update(((v, mu_fin), out) for v, out in zip(rates, group))
-    results = [outcomes[p] for p in points]
-    statuses = ["failed: %s" % out if isinstance(out, Exception) else "ok" for out in results]
-    results = [None if isinstance(out, Exception) else out for out in results]
-    rows = [(v, mu) + _final_cells(traj) for (v, mu), traj in zip(points, results)]
-    table = ResultTable(kind="sweep-rate", columns=("v", "mu_fin") + _leakage_columns(),
-                        rows=rows)
-    _sweep_metadata(table, cfg, cfg.mu_fins, results, statuses)
-    return table
+    return _sweep_table("sweep-rate", cfg, ("v", "mu_fin"), points,
+                        [outcomes[p] for p in points], cfg.mu_fins)
 
 
 def _run_sweep_length(cfg: ExperimentConfig) -> ResultTable:
-    mu_fin = cfg.mu_fins[0]
+    protocol = RampProtocol(cfg.mu_in, cfg.mu_fins[0], cfg.rate)
     points = sorted(cfg.n_grid)
-    results, statuses = _run_points(
-        points, lambda n: _final_trajectory(cfg, n, mu_fin, cfg.rate))
-    rows = [(n,) + _final_cells(traj) for n, traj in zip(points, results)]
-    table = ResultTable(kind="sweep-length", columns=("n_sites",) + _leakage_columns(),
-                        rows=rows)
-    _sweep_metadata(table, cfg, [mu_fin], results, statuses)
-    return table
+    outcomes = _run_points(points, lambda n: dynamics.evolve_ramp(
+        ChainParams(n, cfg.params.hopping, cfg.params.pairing), protocol, cfg.policy,
+        sample_times=[protocol.duration]))
+    return _sweep_table("sweep-length", cfg, ("n_sites",), [(n,) for n in points], outcomes,
+                        [protocol.mu_fin])
 
 
 def _run_sudden(cfg: ExperimentConfig) -> ResultTable:
@@ -591,19 +568,11 @@ def _run_sudden(cfg: ExperimentConfig) -> ResultTable:
             odd_pred = analytics.sudden_odd_prediction(basis_in, basis_fin)
         except InvalidParameterError:
             odd_pred = _NAN
-        return record, even_pred, odd_pred
+        return _record_cells(record) + (even_pred, odd_pred)
 
-    results, statuses = _run_points(points, worker)
-    rows = []
-    for (n, mu), res in zip(points, results):
-        record, even_pred, odd_pred = res if res is not None else (None, _NAN, _NAN)
-        rows.append((n, mu) + _record_cells(record) + (even_pred, odd_pred))
-    table = ResultTable(
-        kind="sudden",
-        columns=("n_sites", "mu_fin") + _leakage_columns() + ("l_even_pred", "l_odd_pred"),
-        rows=rows)
-    table.metadata["row_status"] = statuses
-    return table
+    return _table("sudden",
+                  ("n_sites", "mu_fin") + LEAKAGE_COLUMNS + ("l_even_pred", "l_odd_pred"),
+                  points, _run_points(points, worker), tuple)
 
 
 def _run_walk(cfg: ExperimentConfig) -> ResultTable:
@@ -611,21 +580,12 @@ def _run_walk(cfg: ExperimentConfig) -> ResultTable:
 
     def worker(length):
         config = qpwalk.WalkConfig(length=length, trials=cfg.walk_trials, seed=cfg.seed)
-        return qpwalk.simulate_pair_walks(config)
+        res = qpwalk.simulate_pair_walks(config)
+        return res.p_opposite_exact, res.p_opposite_mc, res.mc_std_error
 
-    results, statuses = _run_points(points, worker)
-    rows = []
-    for length, res in zip(points, results):
-        if res is None:
-            rows.append((length, cfg.walk_trials, _NAN, _NAN, _NAN))
-        else:
-            rows.append((length, cfg.walk_trials, res.p_opposite_exact,
-                         res.p_opposite_mc, res.mc_std_error))
-    table = ResultTable(kind="walk",
-                        columns=("length", "trials", "p_exact", "p_mc", "mc_std_error"),
-                        rows=rows)
-    table.metadata["row_status"] = statuses
-    return table
+    return _table("walk", ("length", "trials", "p_exact", "p_mc", "mc_std_error"),
+                  [(length, cfg.walk_trials) for length in points],
+                  _run_points(points, worker), tuple)
 
 
 def run_fit(cfg: ExperimentConfig) -> ResultTable:
@@ -645,22 +605,13 @@ def run_fit(cfg: ExperimentConfig) -> ResultTable:
 
     if cfg.fit_family == "half-lz":
         fit = analytics.fit_half_lz(samples)
-        columns = ("k1", "m1", "k2", "m2", "omega", "residual_norm", "r_squared")
-        row = tuple(fit.parameters[k] for k in ("k1", "m1", "k2", "m2", "omega"))
-        row += (fit.residual_norm, fit.r_squared)
     elif cfg.fit_family == "power-approach":
         fit = analytics.fit_power_approach(samples, cfg.fit_l_inf)
-        columns = ("slope", "intercept", "k", "l_inf", "residual_norm", "r_squared")
-        row = (fit.parameters["slope"], fit.parameters["intercept"], fit.parameters["k"],
-               cfg.fit_l_inf, fit.residual_norm, fit.r_squared)
     else:
         fit = analytics.fit_linear_in_n(samples)
-        columns = ("slope", "intercept", "residual_norm", "r_squared")
-        row = (fit.parameters["slope"], fit.parameters["intercept"],
-               fit.residual_norm, fit.r_squared)
 
-    table = ResultTable(kind="fit", columns=columns, rows=[row])
-    table.metadata["row_status"] = ["ok"]
+    table = _table("fit", tuple(fit.parameters) + ("residual_norm", "r_squared"), [()], [fit],
+                   lambda f: tuple(f.parameters.values()) + (f.residual_norm, f.r_squared))
     table.metadata["fit"] = {
         "family": cfg.fit_family,
         "input_table": cfg.fit_table,
@@ -703,21 +654,30 @@ def run_oracle_check(cfg: ExperimentConfig) -> ResultTable:
                    abs(cov.l_g - ork.l_g))
         return (cov.l_odd, ork.l_odd, cov.l_even, ork.l_even, cov.l_g, ork.l_g, diff)
 
-    results, statuses = _run_points(cases, worker)
-    rows = [point + (cells if cells is not None else (_NAN,) * 7)
-            for point, cells in zip(cases, results)]
-    worst = max([0.0] + [cells[-1] for cells in results if cells is not None])
-    table = ResultTable(
-        kind="oracle-check",
-        columns=("case", "v", "mu_fin", "l_odd_cov", "l_odd_oracle", "l_even_cov",
-                 "l_even_oracle", "l_g_cov", "l_g_oracle", "max_abs_diff"),
-        rows=rows)
-    table.metadata["row_status"] = statuses
+    outcomes = _run_points(cases, worker)
+    table = _table("oracle-check",
+                   ("case", "v", "mu_fin", "l_odd_cov", "l_odd_oracle", "l_even_cov",
+                    "l_even_oracle", "l_g_cov", "l_g_oracle", "max_abs_diff"),
+                   cases, outcomes, tuple)
+    ok = [out for out in outcomes if not isinstance(out, Exception)]
+    worst = max([0.0] + [cells[-1] for cells in ok])
     table.metadata["max_abs_diff"] = worst
     table.metadata["tolerance"] = ORACLE_TOLERANCE
     table.metadata["within_tolerance"] = bool(
-        worst <= ORACLE_TOLERANCE and all(s == "ok" for s in statuses))
+        worst <= ORACLE_TOLERANCE and len(ok) == len(outcomes))
     return table
+
+
+RUNNERS = {
+    "ramp": _run_ramp,
+    "sweep-rate": _run_sweep_rate,
+    "sweep-length": _run_sweep_length,
+    "sudden": _run_sudden,
+    "walk": _run_walk,
+    "fit": run_fit,
+    "oracle-check": run_oracle_check,
+}
+KINDS = tuple(RUNNERS)
 
 
 # ---------------------------------------------------------------------------
