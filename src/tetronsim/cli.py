@@ -48,7 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help="built-in preset name (see 'presets')")
         p.add_argument("--out", type=Path, help="output CSV path")
         p.add_argument("--seed", type=int, help="override the experiment seed")
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
+        p.add_argument("--quiet", action="store_true",
+                       help="print neither the rows-written line nor row failures "
+                            "nor the oracle difference")
 
     add_common(sub.add_parser("run", help="run an experiment"))
     add_common(sub.add_parser("fit", help="fit a model family to a result table"))

@@ -24,8 +24,10 @@ one-rate case).
 state of m orbitals is compared with the reference of the same orbital count,
 so of the same parity; the rows of Y for the modes that reference leaves
 empty give the squared sines of the principal angles between the two, and
-the survival F = prod(1 - s^2) follows with relative accuracy.  Row 0 gives
-the zero-mode occupation n_0 and the MZM parity (1 - 2 n_0)^2.
+the survival F = prod(1 - s^2) follows with relative accuracy.  Row 0 of the
+projector Y Y^H gives n_0 (1 - n_0), n_0 the zero-mode occupation, as the sum
+of squares of its off-diagonal entries, so l_odd, the sum over E and O, keeps
+relative accuracy too and never reads below 0; the MZM parity is 1 - 2 l_odd.
 
 The oracle, :func:`fock_oracle`, steps the full two-chain Fock-space state
 vector of a chain of at most 3 sites on the same frozen-Hamiltonian grid.  Its
@@ -185,10 +187,13 @@ def measure_leakage(state: PlusState, basis: ModeBasis, t: float = 0.0) -> Leaka
 
     With Y = V^T X, E (m orbitals) is read against the reference that
     occupies v_0 and the bulk modes with lambda < 0, and O (m - 1 orbitals)
-    against the one without v_0.  The MZM parity is the mean over E and O of
-    (1 - 2 n_0)^2, with n_0 the squared norm of a state's row 0 of Y; the
-    ground-state weight is the mean of F^2.  The purity defect is the
-    orthonormality defect max |X^H X - I| of the orbitals.
+    against the one without v_0.  l_odd is the sum over E and O of
+    n_0 (1 - n_0), with n_0 the occupation of v_0: Y Y^H is the projector on a
+    state's orbitals, so n_0 (1 - n_0) = sum_{i != 0} |(Y Y^H)_{0i}|^2, a sum
+    of squares with relative accuracy.  The MZM parity, the mean over E and O
+    of (1 - 2 n_0)^2, is 1 - 2 l_odd; the ground-state weight is the mean of
+    F^2.  The purity defect is the orthonormality defect max |X^H X - I| of
+    the orbitals.
     """
     x = state.orbitals
     n, m = x.shape
@@ -197,13 +202,11 @@ def measure_leakage(state: PlusState, basis: ModeBasis, t: float = 0.0) -> Leaka
         raise BasisMismatchError("%d x %d orbitals do not match the basis at mu=%g"
                                  % (n, m, basis.mu))
     y = basis.v.T @ x
-    parity = l_g_raw = 0.0
+    l_odd = l_g_raw = 0.0
     for y_state, rows in ((y, empty), (y[:, 1:], np.concatenate(([0], empty)))):
-        n0 = float(np.vdot(y_state[0], y_state[0]).real)
-        parity += 0.5 * (1.0 - 2.0 * n0) ** 2
+        l_odd += float(np.sum(np.abs(y_state[1:] @ y_state[0].conj()) ** 2))
         loss = _loss(y_state[rows])
         l_g_raw += 0.5 * loss * (2.0 - loss)
-    l_odd = 0.5 * (1.0 - parity)
     l_even = l_g_raw - l_odd
     return LeakageRecord(
         t=t,
@@ -211,7 +214,7 @@ def measure_leakage(state: PlusState, basis: ModeBasis, t: float = 0.0) -> Leaka
         l_odd=l_odd,
         l_even=l_even,
         l_g=l_odd + l_even,
-        parity=parity,
+        parity=1.0 - 2.0 * l_odd,
         purity_defect=float(np.max(np.abs(x.conj().T @ x - np.eye(m)))),
     )
 

@@ -382,10 +382,9 @@ def _table(kind: str, columns, keys, outcomes, cells) -> ResultTable:
     "failed: <reason>"; any other gives status "ok".
     """
     rows, statuses = [], []
-    for key, out in zip(keys, outcomes):
+    for key, out in zip(keys, outcomes, strict=True):
         failed = isinstance(out, Exception)
-        rows.append(tuple(key) + ((_NAN,) * (len(columns) - len(key)) if failed
-                                  else tuple(cells(out))))
+        rows.append(key + ((_NAN,) * (len(columns) - len(key)) if failed else cells(out)))
         statuses.append("failed: %s" % out if failed else "ok")
     table = ResultTable(kind=kind, columns=columns, rows=rows)
     table.metadata["row_status"] = statuses
@@ -412,10 +411,7 @@ def _trajectory_fields(table: ResultTable, cfg: ExperimentConfig, mu_fins, outco
     for name in names:
         values = [None if isinstance(out, Exception) else getattr(out, name)
                   for out in outcomes]
-        if per_row:
-            table.metadata["row_" + name] = values
-        else:
-            table.metadata[name] = values[0]
+        table.metadata.update({"row_" + name: values} if per_row else {name: values[0]})
     table.metadata["dmu"] = cfg.policy.resolved_dmu(max(abs(mu - cfg.mu_in) for mu in mu_fins))
 
 
@@ -627,8 +623,9 @@ def run_fit(cfg: ExperimentConfig) -> ResultTable:
 def run_oracle_check(cfg: ExperimentConfig) -> ResultTable:
     """Side-by-side orbital-method vs Fock-oracle leakages for every grid point.
 
-    The orbital-method columns keep their ``*_cov`` names.  All points share
-    one :class:`dynamics.FockSpace`.
+    The orbital-method columns keep their ``*_cov`` names and show the final
+    sample; ``max_abs_diff`` is the largest difference over every sample of a
+    case.  All points share one :class:`dynamics.FockSpace`.
     """
     cases = []
     for mu_fin in cfg.mu_fins:
@@ -641,17 +638,18 @@ def run_oracle_check(cfg: ExperimentConfig) -> ResultTable:
     def worker(point):
         case, v, mu_fin = point
         if case == "sudden":
-            cov = dynamics.sudden_quench(cfg.params, cfg.mu_in, mu_fin)
-            ork = dynamics.fock_oracle(cfg.params, quench=(cfg.mu_in, mu_fin), space=space)[-1]
+            covs = [dynamics.sudden_quench(cfg.params, cfg.mu_in, mu_fin)]
+            orks = dynamics.fock_oracle(cfg.params, quench=(cfg.mu_in, mu_fin), space=space)
         else:
             protocol = RampProtocol(cfg.mu_in, mu_fin, v)
             times = np.linspace(0.0, protocol.duration, 11)
-            cov = dynamics.evolve_ramp(cfg.params, protocol, cfg.policy,
-                                       sample_times=times)[-1]
-            ork = dynamics.fock_oracle(cfg.params, protocol=protocol, policy=cfg.policy,
-                                       sample_times=times, space=space)[-1]
-        diff = max(abs(cov.l_odd - ork.l_odd), abs(cov.l_even - ork.l_even),
-                   abs(cov.l_g - ork.l_g))
+            covs = dynamics.evolve_ramp(cfg.params, protocol, cfg.policy, sample_times=times)
+            orks = dynamics.fock_oracle(cfg.params, protocol=protocol, policy=cfg.policy,
+                                        sample_times=times, space=space)
+        diff = max(abs(getattr(cov, name) - getattr(ork, name))
+                   for cov, ork in zip(covs, orks, strict=True)
+                   for name in ("l_odd", "l_even", "l_g"))
+        cov, ork = covs[-1], orks[-1]
         return (cov.l_odd, ork.l_odd, cov.l_even, ork.l_even, cov.l_g, ork.l_g, diff)
 
     outcomes = _run_points(cases, worker)

@@ -1,7 +1,8 @@
 """Test-side references: the 4N tetron states, the chain covariance references and
-the site-basis rotation, the dense BdG matrix and propagator, the realified
-mode-frame propagators, the sorted SVD of S, the localized MZM vectors and
-their gauge alignment, and basis and Fock-space members that only tests read.
+the site-basis rotation, a 40-digit odd leakage, the dense BdG matrix and
+propagator, the realified mode-frame propagators, the sorted SVD of S, the
+localized MZM vectors and their gauge alignment, and basis and Fock-space
+members that only tests read.
 
 The computational states |0>, |1>, |+> are defined through their complex
 correlation matrices in the block layout
@@ -204,6 +205,25 @@ def covariance_leakage(state: PlusState, basis: ModeBasis) -> LeakageRecord:
     l_g = 1.0 - 0.5 * float(f @ f)
     return LeakageRecord(t=0.0, mu=basis.mu, l_odd=l_odd, l_even=l_g - l_odd, l_g=l_g,
                          parity=parity, purity_defect=xi.purity_defect())
+
+
+def odd_leakage_mp(state: PlusState, basis: ModeBasis, dps: int = 40) -> float:
+    """l_odd of |+> in ``basis``, the sum over E and O of n_0 (1 - n_0), at ``dps`` digits.
+
+    n_0 = v_0^T P v_0 / |v_0|^2, with P = X (X^H X)^-1 X^H the projector on the
+    span of a state's orbitals X, taken on the float orbitals and v_0 as given.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        v0 = mpmath.matrix([float(c) for c in basis.v[:, 0]])
+        total = mpmath.mpf(0)
+        for x in (state.orbitals, state.orbitals[:, 1:]):
+            xm = mpmath.matrix([[complex(c) for c in row] for row in x])
+            a = v0.T * xm
+            n0 = mpmath.re((a * mpmath.inverse(xm.H * xm) * a.H)[0]) / (v0.T * v0)[0]
+            total += n0 * (1 - n0)
+        return float(total)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -398,10 +399,8 @@ path = {out}
         assert len(defects) == len(meta["row_status"]) == len(read_table(checked).rows)
         assert all(0.0 <= d < 1e-2 for d in defects)
 
-    def test_per_row_numerical_failure_exit_code(self, tmp_path):
-        # an unsatisfiable purity budget trips every sweep point
-        out = tmp_path / "sweep.csv"
-        ini = write_ini(tmp_path / "bad_purity.ini", """
+    @pytest.mark.parametrize("template, keys", [
+        ("""
 [experiment]
 kind = sweep-rate
 
@@ -416,22 +415,31 @@ v_list = 1e-2, 3e-2
 
 [stepping]
 steps_per_span = 100
-purity_tol = 1e-18
 
 [output]
 path = {out}
-""".format(out=out))
+""", {"v": [1e-2, 1e-2, 3e-2, 3e-2], "mu_fin": [0.05, 0.1, 0.05, 0.1]}),
+        (LENGTH_INI, {"n_sites": [4, 6]}),
+    ], ids=["rate", "length"])
+    def test_per_row_numerical_failure_exit_code(self, tmp_path, template, keys):
+        # an unsatisfiable purity budget trips every sweep point
+        out = tmp_path / "sweep.csv"
+        ini = write_ini(tmp_path / "bad_purity.ini", template.format(out=out).replace(
+            "[stepping]\n", "[stepping]\npurity_tol = 1e-18\n"))
         code = main(["run", "--config", str(ini), "--quiet"])
         assert code == EXIT_NUMERICAL
         table = read_table(out)  # table still written, every row flagged
         meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
-        assert len(meta["row_status"]) == len(table.rows) == 4
+        rows = len(next(iter(keys.values())))
+        assert len(meta["row_status"]) == len(table.rows) == rows
         assert all(s.startswith("failed: purity defect") for s in meta["row_status"])
-        assert meta["row_n_steps"] == [None] * 4
-        assert meta["row_max_purity_defect"] == [None] * 4
-        assert list(table.column("v")) == [1e-2, 1e-2, 3e-2, 3e-2]
-        assert list(table.column("mu_fin")) == [0.05, 0.1, 0.05, 0.1]
-        assert np.all(np.isnan(table.column("l_g")))
+        assert meta["row_n_steps"] == [None] * rows
+        assert meta["row_max_purity_defect"] == [None] * rows
+        for name, values in keys.items():
+            assert list(table.column(name)) == values
+        leakage = [name for name in table.columns if name not in keys]
+        assert leakage == ["l_odd", "l_even", "l_g", "parity", "purity_defect"]
+        assert all(np.all(np.isnan(table.column(name))) for name in leakage)
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TETRONSIM_OUTDIR", str(tmp_path / "results"))
@@ -500,6 +508,47 @@ path = {out}
         row = dict(zip(table.columns, table.rows[0]))
         assert row["omega"] == pytest.approx(0.03, abs=1e-6)
         assert row["k1"] == pytest.approx(2.0, rel=1e-5)
+
+    @pytest.mark.parametrize("family, columns", [
+        ("half-lz", ("k1", "m1", "k2", "m2", "omega", "residual_norm", "r_squared")),
+        ("power-approach", ("slope", "intercept", "k", "l_inf", "residual_norm", "r_squared")),
+        ("linear-n", ("slope", "intercept", "residual_norm", "r_squared")),
+    ], ids=["half-lz", "power-approach", "linear-n"])
+    def test_fit_columns_of_each_family(self, tmp_path, family, columns):
+        if family == "half-lz":
+            x = np.geomspace(4e-4, 1e-3, 30)
+            y = 2.0 * x ** 2 + 0.5 * x ** 2 * np.cos(0.03 / x)
+        elif family == "power-approach":
+            x = np.geomspace(1.0, 30.0, 20)
+            y = 0.01 - 0.002 / x ** 1.5
+        else:
+            x = np.arange(2, 22, 2)
+            y = 3e-4 * x + 1e-3
+        header, cell = ("n_sites", "%d") if family == "linear-n" else ("v", "%.12e")
+        src = tmp_path / "src.csv"
+        src.write_text("\n".join(["%s,l_odd" % header]
+                                 + [cell % a + ",%.12e" % b for a, b in zip(x, y)]) + "\n")
+        out = tmp_path / "fit.csv"
+        ini = write_ini(tmp_path / "fit.ini", f"""
+[experiment]
+kind = fit
+
+[fit]
+table = {src}
+family = {family}
+l_inf = 0.01
+
+[output]
+path = {out}
+""")
+        assert main(["fit", "--config", str(ini), "--quiet"]) == EXIT_OK
+        table = read_table(out)
+        assert table.columns == columns
+        row = dict(zip(table.columns, table.rows[0]))
+        assert row["r_squared"] == pytest.approx(1.0, abs=1e-6)
+        if family == "power-approach":
+            assert row["l_inf"] == 0.01
+            assert row["slope"] == pytest.approx(-1.5, rel=1e-9)
 
     def test_fit_missing_column(self, tmp_path):
         src = tmp_path / "src.csv"
@@ -574,6 +623,29 @@ class TestOracleCommand:
             assert main(["oracle-check", "--config", str(ini), "--quiet"]) == EXIT_OK
             assert len(built) == run
         assert len(read_table(out).rows) == 6
+
+    def test_every_sample_is_compared(self, tmp_path, monkeypatch):
+        # a difference at a middle sample of a ramp fails the check, not only one at T
+        from tetronsim.cli import EXIT_ORACLE_DIFF
+        from tetronsim.dynamics import FockSpace
+
+        measure, spoiled = FockSpace.measure, []
+
+        def spoil_first_sample_after_zero(self, psi, basis, t):
+            record = measure(self, psi, basis, t)
+            if t > 0.0 and not spoiled:
+                spoiled.append(t)
+                record = replace(record, l_odd=record.l_odd + 1e-3)
+            return record
+
+        monkeypatch.setattr(FockSpace, "measure", spoil_first_sample_after_zero)
+        out = tmp_path / "oracle.csv"
+        ini = write_ini(tmp_path / "oracle.ini", ORACLE_INI.format(out=out))
+        assert main(["oracle-check", "--config", str(ini), "--quiet"]) == EXIT_ORACLE_DIFF
+        assert spoiled == [1.0]  # the first of 10 samples of the 10-unit ramp
+        meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
+        assert meta["max_abs_diff"] == pytest.approx(1e-3, rel=1e-6)
+        assert meta["within_tolerance"] is False
 
     def test_diff_failure_exit_code(self, tmp_path, monkeypatch):
         from tetronsim import cli as cli_mod

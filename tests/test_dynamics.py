@@ -23,7 +23,7 @@ from tetronsim.errors import (
 from tetronsim.experiments import ORACLE_TOLERANCE, config_from_mapping, run_experiment
 from tetronsim.model import ChainParams, RampProtocol
 
-from reference import total_parity
+from reference import odd_leakage_mp, total_parity
 
 W = 0.5
 
@@ -302,6 +302,13 @@ class TestSuddenQuench:
         rec = sudden_quench(params(n), 0.05, 0.05)
         assert 0.0 <= rec.l_g <= 1e-15
 
+    @pytest.mark.parametrize("mu", [0.03, 0.05])
+    @pytest.mark.parametrize("n", [3, 40, 200])
+    def test_no_quench_reads_no_split_below_zero(self, n, mu):
+        # l_odd is a sum of squares, not 1 - parity, so rounding cannot take it below 0
+        rec = sudden_quench(params(n), mu, mu)
+        assert rec.l_odd >= 0.0 and rec.l_even >= 0.0 and rec.parity <= 1.0
+
     def test_even_leakage_matches_closed_form(self):
         rec = sudden_quench(params(40), 0.0, 0.03)
         predicted = sudden_even_prediction(40, 0.03)
@@ -338,6 +345,26 @@ class TestSuddenQuench:
                 sudden_quench(params(3), *quench)
             with pytest.raises(InvalidParameterError, match="outside the topological"):
                 fock_oracle(params(3), quench=quench)
+
+
+class TestOddLeakageAccuracy:
+    @pytest.mark.parametrize("mu_fin, rate", [(0.01, 1e-4), (0.01, 7e-4), (0.03, 1e-4),
+                                              (0.03, 7e-4)])
+    def test_l_odd_matches_40_digits_on_the_same_orbitals(self, monkeypatch, mu_fin, rate):
+        # near-adiabatic l_odd of 3e-9 to 1e-6 keeps its relative accuracy
+        pytest.importorskip("mpmath")
+        measure, seen = dynamics.measure_leakage, []
+
+        def kept(state, basis, t=0.0):
+            seen.append((PlusState(state.orbitals.copy()), basis))
+            return measure(state, basis, t)
+
+        monkeypatch.setattr(dynamics, "measure_leakage", kept)
+        protocol = RampProtocol(0.0, mu_fin, rate)
+        final = evolve_ramp(params(12), protocol, SteppingPolicy(max_dmu_per_step=3e-5),
+                            sample_times=[protocol.duration])[-1]
+        assert final.l_odd == pytest.approx(odd_leakage_mp(*seen[-1]), rel=1e-11, abs=0.0)
+        assert final.parity == 1.0 - 2.0 * final.l_odd
 
 
 class TestFockOracle:
