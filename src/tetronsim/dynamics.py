@@ -204,7 +204,8 @@ def measure_leakage(state: PlusState, basis: ModeBasis, t: float = 0.0) -> Leaka
     y = basis.v.T @ x
     l_odd = l_g_raw = 0.0
     for y_state, rows in ((y, empty), (y[:, 1:], np.concatenate(([0], empty)))):
-        l_odd += float(np.sum(np.abs(y_state[1:] @ y_state[0].conj()) ** 2))
+        off_diagonal = y_state[1:] @ y_state[0].conj()
+        l_odd += float(np.vdot(off_diagonal, off_diagonal).real)
         loss = _loss(y_state[rows])
         l_g_raw += 0.5 * loss * (2.0 - loss)
     l_even = l_g_raw - l_odd
