@@ -29,6 +29,7 @@ from .dynamics import (
     Trajectory,
     evolve_ramp,
     evolve_rates,
+    evolve_sweep,
     fock_oracle,
     initial_plus_state,
     measure_leakage,

@@ -18,7 +18,10 @@ the orbitals, X <- W X: it is the one-chain Majorana step O = D [[Re W, -Im W],
 determinant.  The mu grid does not depend on the ramp rate, so the X of a
 sweep's rates are stacked, (N, R, m): a step is one ``eigh``, two real GEMMs
 and a phase per rate (:func:`evolve_rates`; :func:`evolve_ramp` is the
-one-rate case).
+one-rate case).  At a fixed step, the grid of a ramp to a nearer mu_fin is
+the start of the grid to a farther one on the same side of mu_in, so
+:func:`evolve_sweep` steps such mu_fins on the farther grid alone: each mu
+takes one ``eigh`` for every row, and a row leaves the stack at its mu_fin.
 
 :func:`measure_leakage` reads |+> in a sample basis from Y = V^T X alone.  A
 state of m orbitals is compared with the reference of the same orbital count,
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -111,8 +115,8 @@ class Trajectory(list):
         return max(r.purity_defect for r in self)
 
 
-# One rate's result: its trajectory, or the purity failure that stopped it.
-Outcome = Union[Trajectory, StepSizeTooCoarse]
+# One row's result: its trajectory, or the failure that stopped it.
+Outcome = Union[Trajectory, Exception]
 
 
 def _chain_propagator(lam: np.ndarray, dt: float) -> np.ndarray:
@@ -147,9 +151,38 @@ def _step_mus(mu_a: float, mu_b: float, dmu: float) -> np.ndarray:
     return mu_a + np.arange(n_steps) * ((mu_b - mu_a) / n_steps)
 
 
-def _sample_mus(protocol: RampProtocol, samples: np.ndarray) -> list:
-    """mu at each sample time, with the last sample at mu_fin exactly."""
-    return [protocol.mu_at(t) for t in samples[:-1]] + [protocol.mu_fin]
+def _path_steps(mus: Sequence[float], dmu: float) -> Tuple[np.ndarray, List[int]]:
+    """Every step's left endpoint on a sample path, and the steps taken before each sample."""
+    grids = [_step_mus(a, b, dmu) for a, b in zip(mus[:-1], mus[1:])]
+    return np.concatenate([np.empty(0)] + grids), list(accumulate(map(len, grids), initial=0))
+
+
+# A nearer path joins a farther one's lockstep when its grid matches a prefix
+# of the farther grid to this, relative to the largest |mu| on that grid.
+NEST_TOL = 1e-15
+
+
+def _lockstep_runs(mus_list: Sequence[Sequence[float]],
+                   grids: Sequence[np.ndarray]) -> List[List[int]]:
+    """The paths, by index, grouped into lockstep runs, each led by its longest grid.
+
+    The paths start at one mu.  A path joins a run when it moves to the same
+    side of that mu as the run's lead and its own grid equals a prefix of the
+    lead's grid to :data:`NEST_TOL`; otherwise it leads a run of its own.
+    """
+    runs: List[List[int]] = []
+    for i in sorted(range(len(grids)), key=lambda i: -len(grids[i])):
+        side, grid = np.sign(mus_list[i][-1] - mus_list[i][0]), grids[i]
+        for run in runs:
+            lead, lead_mus = grids[run[0]], mus_list[run[0]]
+            scale = NEST_TOL * np.max(np.abs(lead), initial=1.0)
+            if (side == np.sign(lead_mus[-1] - lead_mus[0])
+                    and np.all(np.abs(grid - lead[:len(grid)]) <= scale)):
+                run.append(i)
+                break
+        else:
+            runs.append([i])
+    return runs
 
 
 @dataclass(frozen=True)
@@ -224,35 +257,50 @@ def default_sample_times(duration: float, count: int = DEFAULT_SAMPLE_COUNT) -> 
     return np.linspace(0.0, duration, count + 1)
 
 
-def _normalize_samples(sample_times, duration: float) -> np.ndarray:
-    """Sorted, duplicate-free sample times in [0, T] that include 0 and T."""
+def sample_points(protocol: RampProtocol,
+                  sample_times: Optional[Sequence[float]] = None) -> Tuple[np.ndarray, list]:
+    """Sorted, duplicate-free sample times in [0, T] that include 0 and T, and mu at each.
+
+    The last sample sits at mu_fin exactly.  Without ``sample_times`` the ramp
+    is sampled at :func:`default_sample_times`.
+    """
+    duration = protocol.duration
     if sample_times is None:
         sample_times = default_sample_times(duration)
     ts = np.atleast_1d(np.asarray(sample_times, dtype=float))
     if not (np.all(ts >= -1e-12) and np.all(ts <= duration * (1 + 1e-12))):
         raise InvalidParameterError("sample times must be finite and lie within [0, T]")
-    ts = np.clip(ts, 0.0, duration)
-    return np.union1d(ts, [0.0, duration])
+    ts = np.union1d(np.clip(ts, 0.0, duration), [0.0, duration])
+    return ts, [protocol.mu_at(t) for t in ts[:-1]] + [protocol.mu_fin]
 
 
-def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[np.ndarray],
-                     dmu: float, purity_tol: float) -> List[Outcome]:
-    """Step one mu path at several rates together.
+# The rows of one sample path: its sample mus, and each row's sample times.
+SamplePath = Tuple[Sequence[float], Sequence[np.ndarray]]
 
-    Every rate is sampled at the chemical potentials ``mus``; ``times[j]``
-    holds rate j's sample times.  Each step takes one :func:`chain_eigh` of
-    S(mu) on the rate-independent grid of :func:`_step_mus` and advances the
-    orbitals of every rate still running, stacked as (N, R, m), with that
-    rate's own dt.  A segment's first step sits at the sample mu just
-    resolved, so it takes its eigenvalues and vectors from that basis.  |+>,
-    the basis of each sample and the record at t = 0, where every rate
-    starts, are built once for all rates.
 
-    Returns, per rate, its Trajectory, with ``n_steps`` the number of steps
-    it took, or the StepSizeTooCoarse that stopped it.  Failures of the
-    shared work (|+>, a basis resolve) raise.
+def _evolve_lockstep(params: ChainParams, grid: np.ndarray,
+                     paths: Sequence[Tuple[Sequence[float], List[int], Sequence[np.ndarray]]],
+                     purity_tol: float) -> List[List[Outcome]]:
+    """Step the rows of several sample paths together on one mu grid.
+
+    ``grid`` holds the left endpoint of every step.  Each path is
+    (mus, counts, times): its sample chemical potentials, the steps taken
+    before each, and per row its time at each sample; all paths start at
+    one mu at t = 0.  Each step takes one :func:`chain_eigh` of S(mu) and
+    advances the orbitals of every row still running, stacked as (N, R, m),
+    each with its own dt: its segment's duration over the segment's step count.
+    At a sample, the basis is resolved once for the rows of every path that
+    samples there, and those rows are measured; a step at the mu of a basis
+    just resolved takes its eigenvalues and vectors from that basis.  A row
+    leaves the stack after its last sample, or when it fails.  |+> and the
+    record at t = 0 are built once for all rows.  Which rows move and which
+    are measured is settled once per segment between samples, never per step.
+
+    Returns, per path and row, its Trajectory, with ``n_steps`` the number of
+    steps it took, or the exception that stopped it: a purity failure, or a
+    basis resolve that raised at one of its samples.  A failure of |+> raises.
     """
-    state, basis = initial_plus_state(params, mus[0])
+    state, basis = initial_plus_state(params, paths[0][0][0])
 
     def checked(record: LeakageRecord, trajectory: Trajectory) -> Outcome:
         if not record.purity_defect <= purity_tol:
@@ -261,54 +309,93 @@ def _evolve_lockstep(params: ChainParams, mus: Sequence[float], times: Sequence[
         trajectory.append(record)
         return trajectory
 
-    first = measure_leakage(state, basis, t=float(times[0][0]))
-    outcomes = [checked(first, Trajectory()) for _ in times]
-    live = [j for j, out in enumerate(outcomes) if isinstance(out, Trajectory)]
+    first = measure_leakage(state, basis, t=0.0)
+    outcomes = [[checked(first, Trajectory()) for _ in times] for _, _, times in paths]
+    live = [(p, j) for p, row_outcomes in enumerate(outcomes)
+            for j, out in enumerate(row_outcomes) if isinstance(out, Trajectory)]
     x = np.repeat(state.orbitals[:, None], len(live), axis=1)
-    n_steps = 0
-    for k in range(len(mus) - 1):
+    bases = {basis.mu: basis}
+    reached = [1] * len(paths)  # each path's next sample
+    start = 0
+    for end in sorted({c for _, counts, _ in paths for c in counts[1:]}):
         if not live:
             break
-        grid = _step_mus(mus[k], mus[k + 1], dmu)
-        n_steps += len(grid)
-        dts = [(times[j][k + 1] - times[j][k]) / len(grid) for j in live]
+        dts = []
+        for p, j in live:
+            _, counts, times = paths[p]
+            k = reached[p]
+            dts.append((times[j][k] - times[j][k - 1]) / (counts[k] - counts[k - 1]))
         work = np.empty_like(x)
-        for i, mu in enumerate(grid):
-            lam, q = (basis.eigenvalues, basis.v) if i == 0 else chain_eigh(params, mu)
+        for i, mu in enumerate(grid[start:end]):
+            resolved = bases.get(mu) if i == 0 else None
+            lam, q = (resolved.eigenvalues, resolved.v) if resolved else chain_eigh(params, mu)
             _mode_step(x, q, np.array([_chain_propagator(lam, dt) for dt in dts]), work)
-        basis = resolved_basis(params, mus[k + 1])
-        for slot, j in enumerate(live):
-            record = measure_leakage(PlusState(x[:, slot]), basis, t=float(times[j][k + 1]))
-            outcomes[j] = checked(record, outcomes[j])
-        kept = [slot for slot, j in enumerate(live) if isinstance(outcomes[j], Trajectory)]
+        bases = {}
+        for p, (mus, counts, times) in enumerate(paths):
+            k = reached[p]
+            if k == len(counts) or counts[k] != end:
+                continue
+            reached[p] += 1
+            slots = [(slot, j) for slot, (owner, j) in enumerate(live) if owner == p]
+            try:
+                basis = bases.get(mus[k]) or resolved_basis(params, mus[k])
+            except Exception as exc:  # noqa: BLE001 - fails only the rows sampled here
+                for _, j in slots:
+                    outcomes[p][j] = exc
+                continue
+            bases[mus[k]] = basis
+            for slot, j in slots:
+                record = measure_leakage(PlusState(x[:, slot]), basis, t=float(times[j][k]))
+                outcomes[p][j] = checked(record, outcomes[p][j])
+        kept = [slot for slot, (p, j) in enumerate(live)
+                if reached[p] < len(paths[p][1]) and isinstance(outcomes[p][j], Trajectory)]
         if len(kept) < len(live):
-            x, live = x[:, kept], [live[slot] for slot in kept]
-    for out in outcomes:
-        if isinstance(out, Trajectory):
-            out.n_steps = n_steps
+            # contiguous, so that _mode_step's float views write into x itself
+            x, live = np.ascontiguousarray(x[:, kept]), [live[slot] for slot in kept]
+        start = end
+    for (_, counts, _), row_outcomes in zip(paths, outcomes):
+        for out in row_outcomes:
+            if isinstance(out, Trajectory):
+                out.n_steps = counts[-1]
     return outcomes
 
 
-def _evolve(params: ChainParams, mus: Sequence[float], times: Sequence[np.ndarray],
-            policy: SteppingPolicy) -> List[Outcome]:
-    """:func:`_evolve_lockstep` with the policy's step, plus its Richardson rerun.
+def _evolve_runs(params: ChainParams, paths: Sequence[SamplePath], policy: SteppingPolicy,
+                 scale: float) -> List[List[Outcome]]:
+    """Every path stepped at ``scale`` times the policy's dmu for its span, one
+    :func:`_evolve_lockstep` per run of :func:`_lockstep_runs` that has rows."""
+    steps = [_path_steps(mus, scale * policy.resolved_dmu(mus[-1] - mus[0])) for mus, _ in paths]
+    outcomes: List[List[Outcome]] = [[] for _ in paths]
+    for run in _lockstep_runs([mus for mus, _ in paths], [grid for grid, _ in steps]):
+        if any(paths[i][1] for i in run):
+            members = [(paths[i][0], steps[i][1], paths[i][1]) for i in run]
+            for i, result in zip(run, _evolve_lockstep(params, steps[run[0]][0], members,
+                                                       policy.purity_tol)):
+                outcomes[i] = result
+    return outcomes
 
-    A rate whose rerun at half the step fails takes the rerun's failure.
+
+def _evolve(params: ChainParams, paths: Sequence[SamplePath],
+            policy: SteppingPolicy) -> List[List[Outcome]]:
+    """:func:`_evolve_runs` at the policy's step, plus its Richardson rerun at half of it.
+
+    A row whose rerun fails takes the rerun's failure.
     """
-    dmu = policy.resolved_dmu(mus[-1] - mus[0])
-    outcomes = _evolve_lockstep(params, mus, times, dmu, policy.purity_tol)
-    ok = [j for j, out in enumerate(outcomes) if isinstance(out, Trajectory)]
-    if policy.richardson and ok:
-        fine = _evolve_lockstep(params, mus, [times[j] for j in ok], dmu / 2.0,
-                                policy.purity_tol)
-        for j, rerun in zip(ok, fine):
-            if not isinstance(rerun, Trajectory):
-                outcomes[j] = rerun
-                continue
-            coarse_lg = outcomes[j][-1].l_g
-            fine_lg = rerun[-1].l_g
-            scale = max(abs(fine_lg), 1e-300)
-            outcomes[j].richardson_defect = abs(coarse_lg - fine_lg) / scale
+    outcomes = _evolve_runs(params, paths, policy, 1.0)
+    if policy.richardson:
+        ok = [[j for j, out in enumerate(row_outcomes) if isinstance(out, Trajectory)]
+              for row_outcomes in outcomes]
+        fine = _evolve_runs(params, [(mus, [times[j] for j in rows])
+                                     for (mus, times), rows in zip(paths, ok)], policy, 0.5)
+        for row_outcomes, rows, reruns in zip(outcomes, ok, fine):
+            for j, rerun in zip(rows, reruns):
+                if not isinstance(rerun, Trajectory):
+                    row_outcomes[j] = rerun
+                    continue
+                coarse_lg = row_outcomes[j][-1].l_g
+                fine_lg = rerun[-1].l_g
+                scale = max(abs(fine_lg), 1e-300)
+                row_outcomes[j].richardson_defect = abs(coarse_lg - fine_lg) / scale
     return outcomes
 
 
@@ -321,12 +408,35 @@ def evolve_ramp(params: ChainParams, protocol: RampProtocol,
     The ramp must stay inside the topological phase throughout.
     """
     require_topological(params, protocol.mu_in, protocol.mu_fin)
-    samples = _normalize_samples(sample_times, protocol.duration)
-    [outcome] = _evolve(params, _sample_mus(protocol, samples), [samples],
-                        policy or SteppingPolicy())
+    samples, mus = sample_points(protocol, sample_times)
+    [[outcome]] = _evolve(params, [(mus, [samples])], policy or SteppingPolicy())
     if not isinstance(outcome, Trajectory):
         raise outcome
     return outcome
+
+
+def evolve_sweep(params: ChainParams, mu_in: float, mu_fins: Sequence[float],
+                 rates: Sequence[float],
+                 policy: Optional[SteppingPolicy] = None) -> List[List[Outcome]]:
+    """End-of-ramp leakage of the mu_in -> mu_fin ramps, for every mu_fin and rate.
+
+    Returns one list per mu_fin, in order, of what :func:`evolve_rates` gives
+    for it.  The rates of a mu_fin share its mu grid.  A nearer mu_fin whose
+    grid is a prefix of a farther one's on the same side of mu_in, as when the
+    run fixes one step and the nearer mu_fin lies on the farther grid, rides
+    the farther lockstep: its rows are measured at their own mu_fin and leave
+    the stack there, so each mu of the grid takes one decomposition for all
+    rows.  Any other mu_fin steps on its own, on its own grid.
+    """
+    protocols = [[RampProtocol(mu_in, mu_fin, v) for v in rates] for mu_fin in mu_fins]
+    if not rates:
+        return [[] for _ in mu_fins]
+    require_topological(params, mu_in, *mu_fins)
+    paths = []
+    for group in protocols:
+        points = [sample_points(p, [p.duration]) for p in group]
+        paths.append((points[0][1], [times for times, _ in points]))
+    return _evolve(params, paths, policy or SteppingPolicy())
 
 
 def evolve_rates(params: ChainParams, mu_in: float, mu_fin: float, rates: Sequence[float],
@@ -337,15 +447,11 @@ def evolve_rates(params: ChainParams, mu_in: float, mu_fin: float, rates: Sequen
     Returns one entry per rate, in order: the Trajectory that
     :func:`evolve_ramp` gives for that rate with ``sample_times=[duration]``
     (records at t = 0 and t = T, and ``richardson_defect`` if the policy
-    asks for it), or the StepSizeTooCoarse that stopped that rate.
+    asks for it), or the exception that stopped that rate: its purity check
+    (StepSizeTooCoarse), or the basis resolve at mu_fin.
     """
-    protocols = [RampProtocol(mu_in, mu_fin, v) for v in rates]
-    if not protocols:
-        return []
-    require_topological(params, mu_in, mu_fin)
-    times = [_normalize_samples([p.duration], p.duration) for p in protocols]
-    return _evolve(params, _sample_mus(protocols[0], times[0]), times,
-                   policy or SteppingPolicy())
+    [outcomes] = evolve_sweep(params, mu_in, [mu_fin], rates, policy)
+    return outcomes
 
 
 def sudden_quench(params: ChainParams, mu_in: float, mu_fin: float) -> LeakageRecord:
@@ -530,8 +636,7 @@ def fock_oracle(params: ChainParams,
         return records
 
     records.append(space.measure(psi, basis, t=0.0))
-    samples = _normalize_samples(sample_times, protocol.duration)
-    mus = _sample_mus(protocol, samples)
+    samples, mus = sample_points(protocol, sample_times)
     dmu = policy.resolved_dmu(mu_fin - mu_in)
     for k in range(len(samples) - 1):
         grid = _step_mus(mus[k], mus[k + 1], dmu)

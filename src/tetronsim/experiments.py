@@ -511,30 +511,34 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
 
 def _run_ramp(cfg: ExperimentConfig) -> ResultTable:
     protocol = RampProtocol(cfg.mu_in, cfg.mu_fins[0], cfg.rate)
-    times = dynamics.default_sample_times(protocol.duration, cfg.sample_count)
-    records = dynamics.evolve_ramp(cfg.params, protocol, cfg.policy, sample_times=times)
-    table = _table("ramp", ("t", "mu") + LEAKAGE_COLUMNS, [(r.t, r.mu) for r in records],
-                   records, _record_cells)
-    _trajectory_fields(table, cfg, [protocol.mu_fin], [records], per_row=False)
+    times, mus = dynamics.sample_points(
+        protocol, dynamics.default_sample_times(protocol.duration, cfg.sample_count))
+    [trajectory] = _run_points([times], lambda ts: dynamics.evolve_ramp(
+        cfg.params, protocol, cfg.policy, sample_times=ts))
+    records = [trajectory] * len(times) if isinstance(trajectory, Exception) else trajectory
+    table = _table("ramp", ("t", "mu") + LEAKAGE_COLUMNS, list(zip(times, mus)), records,
+                   _record_cells)
+    _trajectory_fields(table, cfg, [protocol.mu_fin], [trajectory], per_row=False)
     return table
 
 
 def _run_sweep_rate(cfg: ExperimentConfig) -> ResultTable:
-    """All rates of one mu_fin step together (:func:`dynamics.evolve_rates`).
+    """Every row of the sweep in one :func:`dynamics.evolve_sweep`.
 
-    A row that fails on its own (purity check or Richardson rerun) is flagged
-    alone; a failure of its group's shared work flags every row of the group.
+    The rates of a mu_fin step together, and a nearer mu_fin rides the
+    farther one's grid where its own grid is a prefix of it.  A row that fails
+    on its own (purity check, Richardson rerun) is flagged alone; a failed
+    basis at a mu_fin flags that mu_fin's rows, and a failed |+> every row.
     """
     points = sorted((v, mu) for v in cfg.v_grid for mu in cfg.mu_fins)
     rates = sorted(set(cfg.v_grid))
     mu_fins = sorted(set(cfg.mu_fins))
-    groups = _run_points(mu_fins, lambda mu_fin: dynamics.evolve_rates(
-        cfg.params, cfg.mu_in, mu_fin, rates, cfg.policy))
-    outcomes = {}
-    for mu_fin, group in zip(mu_fins, groups):
-        if isinstance(group, Exception):
-            group = [group] * len(rates)
-        outcomes.update(((v, mu_fin), out) for v, out in zip(rates, group))
+    [sweep] = _run_points([mu_fins], lambda fins: dynamics.evolve_sweep(
+        cfg.params, cfg.mu_in, fins, rates, cfg.policy))
+    if isinstance(sweep, Exception):
+        sweep = [[sweep] * len(rates)] * len(mu_fins)
+    outcomes = {(v, mu_fin): out for mu_fin, group in zip(mu_fins, sweep)
+                for v, out in zip(rates, group)}
     return _sweep_table("sweep-rate", cfg, ("v", "mu_fin"), points,
                         [outcomes[p] for p in points], cfg.mu_fins)
 

@@ -46,7 +46,7 @@ def final_records(n, mu_fin, vs, steps=800):
     """Cached end-of-ramp records for mu_in = 0, one per rate in vs.
 
     The rates not cached yet run together through evolve_rates, which
-    takes one SVD per step for all of them.
+    takes one eigh per step for all of them.
     """
     missing = sorted({v for v in vs if (n, mu_fin, v, steps) not in _ramp_cache})
     if missing:

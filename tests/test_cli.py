@@ -329,7 +329,7 @@ path = {out}
         assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_OK
         meta = json.loads(ramp.with_suffix(".csv.meta.json").read_text())
         cells = read_table(ramp).column("purity_defect")
-        assert meta["max_purity_defect"] == pytest.approx(max(cells), rel=1e-12)
+        assert meta["max_purity_defect"] == pytest.approx(max(cells), rel=1e-12, abs=0)
         assert "max_purity_defect" not in read_table(ramp).columns
 
     def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
@@ -440,6 +440,42 @@ path = {out}
         leakage = [name for name in table.columns if name not in keys]
         assert leakage == ["l_odd", "l_even", "l_g", "parity", "purity_defect"]
         assert all(np.all(np.isnan(table.column(name))) for name in leakage)
+
+    def test_ramp_purity_failure_writes_its_table(self, tmp_path):
+        # the ramp's rows are its samples, so each carries the ramp's failure
+        out = tmp_path / "ramp.csv"
+        ini = write_ini(tmp_path / "ramp.ini", """
+[experiment]
+kind = ramp
+
+[model]
+n_sites = 6
+
+[protocol]
+mu_in = 0.0
+mu_fin = 0.05
+rate = 2e-2
+
+[stepping]
+steps_per_span = 100
+purity_tol = 1e-18
+
+[samples]
+count = 4
+
+[output]
+path = {out}
+""".format(out=out))
+        assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_NUMERICAL
+        table = read_table(out)
+        meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
+        assert len(table.rows) == len(meta["row_status"]) == 5
+        assert all(s.startswith("failed: purity defect") for s in meta["row_status"])
+        assert meta["n_steps"] is None and meta["max_purity_defect"] is None
+        assert list(table.column("t")) == list(np.linspace(0.0, 2.5, 5))
+        assert table.column("mu")[-1] == 0.05
+        for name in ("l_odd", "l_even", "l_g", "parity", "purity_defect"):
+            assert np.all(np.isnan(table.column(name)))
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TETRONSIM_OUTDIR", str(tmp_path / "results"))

@@ -11,6 +11,7 @@ from tetronsim.dynamics import (
     SteppingPolicy,
     evolve_ramp,
     evolve_rates,
+    evolve_sweep,
     fock_oracle,
     sudden_quench,
 )
@@ -20,7 +21,13 @@ from tetronsim.errors import (
     InvalidParameterError,
     StepSizeTooCoarse,
 )
-from tetronsim.experiments import ORACLE_TOLERANCE, config_from_mapping, run_experiment
+from tetronsim.experiments import (
+    ORACLE_TOLERANCE,
+    PRESETS,
+    config_from_mapping,
+    preset_config,
+    run_experiment,
+)
 from tetronsim.model import ChainParams, RampProtocol
 
 from reference import odd_leakage_mp, total_parity
@@ -155,7 +162,7 @@ class TestRateSharedSweep:
             ref = evolve_ramp(params(n), proto, cfg.policy, sample_times=[proto.duration])
             expected = (ref[-1].l_odd, ref[-1].l_even, ref[-1].l_g)
             assert max(abs(a - b) for a, b in zip(row[2:5], expected)) < 1e-12
-            assert defect == pytest.approx(ref.richardson_defect, rel=1e-9)
+            assert defect == pytest.approx(ref.richardson_defect, rel=1e-9, abs=0)
             assert defect > 0.0
 
     def test_rates_match_fock_oracle(self):
@@ -220,7 +227,7 @@ class TestRateSharedSweep:
 
 
 class TestSharedWork:
-    """Work done once and shared: the t = 0 record of a group, a sample's SVD."""
+    """Work done once and shared: the t = 0 record of a group, a sample's eigh."""
 
     @pytest.mark.parametrize("richardson", [False, True])
     def test_one_initial_measurement_per_group(self, monkeypatch, richardson):
@@ -279,6 +286,90 @@ class TestSharedWork:
         assert counts["steps"] >= 90
         assert counts["eigh"] == counts["steps"] + 1
         assert counts["svd"] == 0
+
+
+def counted_eigh(monkeypatch):
+    """A list that grows by one per ``np.linalg.eigh`` call: one per decomposition."""
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+class TestNestedGrids:
+    """mu_fins whose grids nest share one lockstep; the others step alone."""
+
+    def test_sweep_rate_workload_takes_one_decomposition_per_mu(self, monkeypatch):
+        # the benchmark's sweep-rate shape at N = 4: mu_fin 0.03 and 0.1, 4 rates,
+        # 1000 steps per 0.1 span.  Stepped per mu_fin, it took 301 + 1001 = 1302.
+        cfg = config_from_mapping({
+            "experiment": {"kind": "sweep-rate"},
+            "model": {"n_sites": "4"},
+            "protocol": {"mu_in": "0.0", "mu_fin_list": "0.03, 0.1"},
+            "grid": {"v_list": "1e-4, 3.16e-3, 0.1, 1.0"},
+            "stepping": {"steps_per_span": "1000"},
+        })
+        calls = counted_eigh(monkeypatch)
+        table = run_experiment(cfg)
+        assert table.metadata["row_status"] == ["ok"] * 8
+        assert table.metadata["row_n_steps"] == [300, 1000] * 4
+        # 999 steps off a sample, and the bases at 0, 0.03 and 0.1
+        assert len(calls) == 1002
+
+    @pytest.mark.parametrize("mu_fins, steps", [((0.03, 0.1), 1000), ((0.01, 0.03, 0.1), 2000)],
+                             ids=["fig2-main", "fig4"])
+    def test_nested_mu_fins_match_each_mu_fin_alone(self, monkeypatch, mu_fins, steps):
+        pol = SteppingPolicy(max_dmu_per_step=max(mu_fins) / steps)
+        rates = (1e-3, 2e-2, 0.5)
+        calls = counted_eigh(monkeypatch)
+        alone = [evolve_rates(params(6), 0.0, mu_fin, rates, pol) for mu_fin in mu_fins]
+        separate = len(calls)
+        shared = evolve_sweep(params(6), 0.0, mu_fins, rates, pol)
+        # one decomposition per step of the farthest ramp, and one per sample basis
+        assert len(calls) - separate <= steps + len(mu_fins) < separate
+        for group, reference in zip(shared, alone):
+            for traj, ref in zip(group, reference, strict=True):
+                assert traj.n_steps == ref.n_steps
+                assert [r.t for r in traj] == [r.t for r in ref]
+                for name in ("l_odd", "l_even", "l_g", "parity"):
+                    assert abs(getattr(traj[-1], name) - getattr(ref[-1], name)) < 1e-12
+
+    @pytest.mark.parametrize("mu_fins, dmu", [((0.01, 0.03), 3e-5), ((-0.05, 0.1), 0.1 / 120)],
+                             ids=["fig5", "both-sides"])
+    def test_other_mu_fins_step_alone_bit_for_bit(self, mu_fins, dmu):
+        # fig5's 0.01 is 333.3 steps of 3e-5, so its grid is no prefix of 0.03's
+        pol = SteppingPolicy(max_dmu_per_step=dmu, richardson=True)
+        rates = (4e-4, 7e-4, 1e-3)
+        shared = evolve_sweep(params(6), 0.0, mu_fins, rates, pol)
+        for mu_fin, group in zip(mu_fins, shared, strict=True):
+            for traj, ref in zip(group, evolve_rates(params(6), 0.0, mu_fin, rates, pol),
+                                 strict=True):
+                assert list(traj) == list(ref)
+                assert traj.n_steps == ref.n_steps
+                assert traj.richardson_defect == ref.richardson_defect
+
+    def test_presets_share_grids_where_they_nest(self, monkeypatch):
+        # a preset edit that breaks the nesting shows here, not only as a slower run
+        expected = {"fig2-main": True, "fig4": True, "fig5": False, "fig6": False}
+        assert set(expected) == {name for name, preset in PRESETS.items()
+                                 if preset["config"]["experiment"]["kind"] == "sweep-rate"}
+        calls = counted_eigh(monkeypatch)
+        for name, shares in expected.items():
+            cfg = preset_config(name)
+            chain = ChainParams(4, cfg.params.hopping, cfg.params.pairing)
+            rates = cfg.v_grid[-1:]
+            del calls[:]
+            for mu_fin in cfg.mu_fins:
+                evolve_rates(chain, cfg.mu_in, mu_fin, rates, cfg.policy)
+            separate = len(calls)
+            del calls[:]
+            evolve_sweep(chain, cfg.mu_in, cfg.mu_fins, rates, cfg.policy)
+            assert (len(calls) < separate) == shares, name
+            assert len(calls) <= separate, name
 
 
 class TestStepConvergence:
