@@ -28,8 +28,7 @@ from .dynamics import (
     SteppingPolicy,
     Trajectory,
     evolve_ramp,
-    evolve_rates,
-    evolve_sweep,
+    evolve_ramps,
     fock_oracle,
     initial_plus_state,
     measure_leakage,

@@ -15,13 +15,15 @@ at mu_in, then that basis's bulk modes with lambda < 0.  O occupies X[:, 1:].
 A frozen-Hamiltonian step is the N x N unitary W = Q e^{-i Lambda dt} Q^T on
 the orbitals, X <- W X: it is the one-chain Majorana step O = D [[Re W, -Im W],
 [Im W, Re W]] D, D = diag(I, J), acting on the covariance of a Slater
-determinant.  The mu grid does not depend on the ramp rate, so the X of a
-sweep's rates are stacked, (N, R, m): a step is one ``eigh``, two real GEMMs
-and a phase per rate (:func:`evolve_rates`; :func:`evolve_ramp` is the
-one-rate case).  At a fixed step, the grid of a ramp to a nearer mu_fin is
-the start of the grid to a farther one on the same side of mu_in, so
-:func:`evolve_sweep` steps such mu_fins on the farther grid alone: each mu
-takes one ``eigh`` for every row, and a row leaves the stack at its mu_fin.
+determinant.  The mu grid does not depend on the ramp rate, so the X of
+ramps from one mu_in are stacked, (N, R, m), on one grid: a step is one
+``eigh``, two real GEMMs and a phase per ramp (:func:`evolve_ramps`;
+:func:`evolve_ramp` is the one-ramp case).  At a fixed step, the grid of a
+ramp to a nearer mu_fin is the start of the grid to a farther one on the same
+side of mu_in, so every ramp whose grid is a prefix of a longer one rides that
+lockstep: each mu takes one ``eigh`` for every ramp on it, and a ramp leaves
+the stack at its mu_fin.
+|+> and its t = 0 record are built once per call.
 
 :func:`measure_leakage` reads |+> in a sample basis from Y = V^T X alone.  A
 state of m orbitals is compared with the reference of the same orbital count,
@@ -157,32 +159,32 @@ def _path_steps(mus: Sequence[float], dmu: float) -> Tuple[np.ndarray, List[int]
     return np.concatenate([np.empty(0)] + grids), list(accumulate(map(len, grids), initial=0))
 
 
-# A nearer path joins a farther one's lockstep when its grid matches a prefix
-# of the farther grid to this, relative to the largest |mu| on that grid.
+# A grid joins a lockstep run when it matches a prefix of the run's lead to
+# this, relative to the largest |mu| on the lead.
 NEST_TOL = 1e-15
 
 
-def _lockstep_runs(mus_list: Sequence[Sequence[float]],
-                   grids: Sequence[np.ndarray]) -> List[List[int]]:
-    """The paths, by index, grouped into lockstep runs, each led by its longest grid.
+def _lockstep_runs(grids: Sequence[np.ndarray]) -> List[List[int]]:
+    """The grids, by index, grouped into lockstep runs, each led by its longest grid.
 
-    The paths start at one mu.  A path joins a run when it moves to the same
-    side of that mu as the run's lead and its own grid equals a prefix of the
-    lead's grid to :data:`NEST_TOL`; otherwise it leads a run of its own.
+    A grid joins a run when it equals a prefix of the lead's grid to
+    :data:`NEST_TOL`; otherwise it leads a run of its own.  The grids start at
+    one mu, so a grid to the other side of it can join only as the single step
+    at that mu, which is the lead's first step too.  The runs come in the order
+    of their first grid.
     """
     runs: List[List[int]] = []
     for i in sorted(range(len(grids)), key=lambda i: -len(grids[i])):
-        side, grid = np.sign(mus_list[i][-1] - mus_list[i][0]), grids[i]
+        grid = grids[i]
         for run in runs:
-            lead, lead_mus = grids[run[0]], mus_list[run[0]]
-            scale = NEST_TOL * np.max(np.abs(lead), initial=1.0)
-            if (side == np.sign(lead_mus[-1] - lead_mus[0])
-                    and np.all(np.abs(grid - lead[:len(grid)]) <= scale)):
+            lead = grids[run[0]]
+            if np.all(np.abs(grid - lead[:len(grid)])
+                      <= NEST_TOL * np.max(np.abs(lead), initial=1.0)):
                 run.append(i)
                 break
         else:
             runs.append([i])
-    return runs
+    return sorted(runs, key=min)
 
 
 @dataclass(frozen=True)
@@ -274,33 +276,32 @@ def sample_points(protocol: RampProtocol,
     return ts, [protocol.mu_at(t) for t in ts[:-1]] + [protocol.mu_fin]
 
 
-# The rows of one sample path: its sample mus, and each row's sample times.
-SamplePath = Tuple[Sequence[float], Sequence[np.ndarray]]
+# One ramp stepped in a lockstep run: its sample times and mus, the left
+# endpoint of each of its steps, and the steps taken before each sample.
+Row = Tuple[np.ndarray, Sequence[float], np.ndarray, List[int]]
 
 
-def _evolve_lockstep(params: ChainParams, grid: np.ndarray,
-                     paths: Sequence[Tuple[Sequence[float], List[int], Sequence[np.ndarray]]],
-                     purity_tol: float) -> List[List[Outcome]]:
-    """Step the rows of several sample paths together on one mu grid.
+def _evolve_lockstep(params: ChainParams, rows: Sequence[Row],
+                     start: Tuple[PlusState, ModeBasis, LeakageRecord],
+                     purity_tol: float) -> List[Outcome]:
+    """Step several ramps together on the grid of the first, which every other
+    row's grid is a prefix of.
 
-    ``grid`` holds the left endpoint of every step.  Each path is
-    (mus, counts, times): its sample chemical potentials, the steps taken
-    before each, and per row its time at each sample; all paths start at
-    one mu at t = 0.  Each step takes one :func:`chain_eigh` of S(mu) and
-    advances the orbitals of every row still running, stacked as (N, R, m),
-    each with its own dt: its segment's duration over the segment's step count.
-    At a sample, the basis is resolved once for the rows of every path that
-    samples there, and those rows are measured; a step at the mu of a basis
-    just resolved takes its eigenvalues and vectors from that basis.  A row
-    leaves the stack after its last sample, or when it fails.  |+> and the
-    record at t = 0 are built once for all rows.  Which rows move and which
-    are measured is settled once per segment between samples, never per step.
+    ``start`` is |+> at the rows' common first mu, its basis and its record at
+    t = 0.  Each step takes one :func:`chain_eigh` of S(mu) and advances the
+    orbitals of every row still running, stacked as (N, R, m), each with its
+    own dt: its segment's duration over the segment's step count.  At a sample,
+    the basis is resolved once for every row that samples there, and those
+    rows are measured; a step at the mu of a basis just resolved takes its
+    eigenvalues and vectors from that basis.  A row leaves the stack after its
+    last sample, or when it fails.  Which rows move and which are measured is
+    settled once per segment between samples, never per step.
 
-    Returns, per path and row, its Trajectory, with ``n_steps`` the number of
-    steps it took, or the exception that stopped it: a purity failure, or a
-    basis resolve that raised at one of its samples.  A failure of |+> raises.
+    Returns, per row, its Trajectory, with ``n_steps`` the number of steps it
+    took, or the exception that stopped it: a purity failure, or a basis
+    resolve that raised at one of its samples.
     """
-    state, basis = initial_plus_state(params, paths[0][0][0])
+    state, basis, first = start
 
     def checked(record: LeakageRecord, trajectory: Trajectory) -> Outcome:
         if not record.purity_defect <= purity_tol:
@@ -309,94 +310,85 @@ def _evolve_lockstep(params: ChainParams, grid: np.ndarray,
         trajectory.append(record)
         return trajectory
 
-    first = measure_leakage(state, basis, t=0.0)
-    outcomes = [[checked(first, Trajectory()) for _ in times] for _, _, times in paths]
-    live = [(p, j) for p, row_outcomes in enumerate(outcomes)
-            for j, out in enumerate(row_outcomes) if isinstance(out, Trajectory)]
+    outcomes = [checked(first, Trajectory()) for _ in rows]
+    live = [i for i, out in enumerate(outcomes) if isinstance(out, Trajectory)]
     x = np.repeat(state.orbitals[:, None], len(live), axis=1)
-    bases = {basis.mu: basis}
-    reached = [1] * len(paths)  # each path's next sample
-    start = 0
-    for end in sorted({c for _, counts, _ in paths for c in counts[1:]}):
+    grid = rows[0][2]
+    bases = {basis.mu: basis}  # the bases, or resolve failures, at the last sample
+    reached = [1] * len(rows)  # each row's next sample
+    begin = 0
+    for end in sorted({c for *_, counts in rows for c in counts[1:]}):
         if not live:
             break
         dts = []
-        for p, j in live:
-            _, counts, times = paths[p]
-            k = reached[p]
-            dts.append((times[j][k] - times[j][k - 1]) / (counts[k] - counts[k - 1]))
+        for i in live:
+            times, _, _, counts = rows[i]
+            k = reached[i]
+            dts.append((times[k] - times[k - 1]) / (counts[k] - counts[k - 1]))
         work = np.empty_like(x)
-        for i, mu in enumerate(grid[start:end]):
-            resolved = bases.get(mu) if i == 0 else None
-            lam, q = (resolved.eigenvalues, resolved.v) if resolved else chain_eigh(params, mu)
+        for s, mu in enumerate(grid[begin:end]):
+            resolved = bases.get(mu) if s == 0 else None
+            lam, q = ((resolved.eigenvalues, resolved.v) if isinstance(resolved, ModeBasis)
+                      else chain_eigh(params, mu))
             _mode_step(x, q, np.array([_chain_propagator(lam, dt) for dt in dts]), work)
         bases = {}
-        for p, (mus, counts, times) in enumerate(paths):
-            k = reached[p]
-            if k == len(counts) or counts[k] != end:
+        for slot, i in enumerate(live):
+            times, mus, _, counts = rows[i]
+            k = reached[i]
+            if counts[k] != end:
                 continue
-            reached[p] += 1
-            slots = [(slot, j) for slot, (owner, j) in enumerate(live) if owner == p]
-            try:
-                basis = bases.get(mus[k]) or resolved_basis(params, mus[k])
-            except Exception as exc:  # noqa: BLE001 - fails only the rows sampled here
-                for _, j in slots:
-                    outcomes[p][j] = exc
-                continue
-            bases[mus[k]] = basis
-            for slot, j in slots:
-                record = measure_leakage(PlusState(x[:, slot]), basis, t=float(times[j][k]))
-                outcomes[p][j] = checked(record, outcomes[p][j])
-        kept = [slot for slot, (p, j) in enumerate(live)
-                if reached[p] < len(paths[p][1]) and isinstance(outcomes[p][j], Trajectory)]
+            reached[i] += 1
+            if mus[k] not in bases:
+                try:
+                    bases[mus[k]] = resolved_basis(params, mus[k])
+                except Exception as exc:  # noqa: BLE001 - fails only the rows sampled here
+                    bases[mus[k]] = exc
+            basis = bases[mus[k]]
+            outcomes[i] = basis if isinstance(basis, Exception) else checked(
+                measure_leakage(PlusState(x[:, slot]), basis, t=float(times[k])), outcomes[i])
+        kept = [slot for slot, i in enumerate(live)
+                if reached[i] < len(rows[i][3]) and isinstance(outcomes[i], Trajectory)]
         if len(kept) < len(live):
             # contiguous, so that _mode_step's float views write into x itself
             x, live = np.ascontiguousarray(x[:, kept]), [live[slot] for slot in kept]
-        start = end
-    for (_, counts, _), row_outcomes in zip(paths, outcomes):
-        for out in row_outcomes:
-            if isinstance(out, Trajectory):
-                out.n_steps = counts[-1]
+        begin = end
+    for (*_, counts), out in zip(rows, outcomes):
+        if isinstance(out, Trajectory):
+            out.n_steps = counts[-1]
     return outcomes
 
 
-def _evolve_runs(params: ChainParams, paths: Sequence[SamplePath], policy: SteppingPolicy,
-                 scale: float) -> List[List[Outcome]]:
-    """Every path stepped at ``scale`` times the policy's dmu for its span, one
-    :func:`_evolve_lockstep` per run of :func:`_lockstep_runs` that has rows."""
-    steps = [_path_steps(mus, scale * policy.resolved_dmu(mus[-1] - mus[0])) for mus, _ in paths]
-    outcomes: List[List[Outcome]] = [[] for _ in paths]
-    for run in _lockstep_runs([mus for mus, _ in paths], [grid for grid, _ in steps]):
-        if any(paths[i][1] for i in run):
-            members = [(paths[i][0], steps[i][1], paths[i][1]) for i in run]
-            for i, result in zip(run, _evolve_lockstep(params, steps[run[0]][0], members,
-                                                       policy.purity_tol)):
-                outcomes[i] = result
-    return outcomes
+def _evolve(params: ChainParams, ramps: Sequence[Tuple[np.ndarray, Sequence[float]]],
+            policy: SteppingPolicy) -> List[Outcome]:
+    """One outcome per ramp, given as its sample times and mus; all start at one mu.
 
-
-def _evolve(params: ChainParams, paths: Sequence[SamplePath],
-            policy: SteppingPolicy) -> List[List[Outcome]]:
-    """:func:`_evolve_runs` at the policy's step, plus its Richardson rerun at half of it.
-
-    A row whose rerun fails takes the rerun's failure.
+    Each ramp is a row stepped at the policy's dmu for its span and, with
+    Richardson on, a second row at half of it.  |+>, its basis and its t = 0
+    record are built once, and each run of :func:`_lockstep_runs` steps its
+    rows from them.  A ramp takes its coarse row's failure, else its fine
+    row's, else the coarse trajectory with its ``richardson_defect``.  A
+    failure of |+> raises.
     """
-    outcomes = _evolve_runs(params, paths, policy, 1.0)
-    if policy.richardson:
-        ok = [[j for j, out in enumerate(row_outcomes) if isinstance(out, Trajectory)]
-              for row_outcomes in outcomes]
-        fine = _evolve_runs(params, [(mus, [times[j] for j in rows])
-                                     for (mus, times), rows in zip(paths, ok)], policy, 0.5)
-        for row_outcomes, rows, reruns in zip(outcomes, ok, fine):
-            for j, rerun in zip(rows, reruns):
-                if not isinstance(rerun, Trajectory):
-                    row_outcomes[j] = rerun
-                    continue
-                coarse_lg = row_outcomes[j][-1].l_g
-                fine_lg = rerun[-1].l_g
-                scale = max(abs(fine_lg), 1e-300)
-                row_outcomes[j].richardson_defect = abs(coarse_lg - fine_lg) / scale
-    return outcomes
+    scales = (1.0, 0.5) if policy.richardson else (1.0,)
+    rows = [(times, mus, *_path_steps(mus, scale * policy.resolved_dmu(mus[-1] - mus[0])))
+            for scale in scales for times, mus in ramps]
+    state, basis = initial_plus_state(params, ramps[0][1][0])
+    start = (state, basis, measure_leakage(state, basis, t=0.0))
+    outcomes: List[Outcome] = [None] * len(rows)
+    for run in _lockstep_runs([grid for _, _, grid, _ in rows]):
+        results = _evolve_lockstep(params, [rows[i] for i in run], start, policy.purity_tol)
+        for i, out in zip(run, results):
+            outcomes[i] = out
+    coarse = outcomes[:len(ramps)]
+    for j, rerun in enumerate(outcomes[len(ramps):]):
+        if not isinstance(coarse[j], Trajectory):
+            continue
+        if not isinstance(rerun, Trajectory):
+            coarse[j] = rerun
+            continue
+        coarse_lg, fine_lg = coarse[j][-1].l_g, rerun[-1].l_g
+        coarse[j].richardson_defect = abs(coarse_lg - fine_lg) / max(abs(fine_lg), 1e-300)
+    return coarse
 
 
 def evolve_ramp(params: ChainParams, protocol: RampProtocol,
@@ -408,50 +400,35 @@ def evolve_ramp(params: ChainParams, protocol: RampProtocol,
     The ramp must stay inside the topological phase throughout.
     """
     require_topological(params, protocol.mu_in, protocol.mu_fin)
-    samples, mus = sample_points(protocol, sample_times)
-    [[outcome]] = _evolve(params, [(mus, [samples])], policy or SteppingPolicy())
+    [outcome] = _evolve(params, [sample_points(protocol, sample_times)],
+                        policy or SteppingPolicy())
     if not isinstance(outcome, Trajectory):
         raise outcome
     return outcome
 
 
-def evolve_sweep(params: ChainParams, mu_in: float, mu_fins: Sequence[float],
-                 rates: Sequence[float],
-                 policy: Optional[SteppingPolicy] = None) -> List[List[Outcome]]:
-    """End-of-ramp leakage of the mu_in -> mu_fin ramps, for every mu_fin and rate.
-
-    Returns one list per mu_fin, in order, of what :func:`evolve_rates` gives
-    for it.  The rates of a mu_fin share its mu grid.  A nearer mu_fin whose
-    grid is a prefix of a farther one's on the same side of mu_in, as when the
-    run fixes one step and the nearer mu_fin lies on the farther grid, rides
-    the farther lockstep: its rows are measured at their own mu_fin and leave
-    the stack there, so each mu of the grid takes one decomposition for all
-    rows.  Any other mu_fin steps on its own, on its own grid.
-    """
-    protocols = [[RampProtocol(mu_in, mu_fin, v) for v in rates] for mu_fin in mu_fins]
-    if not rates:
-        return [[] for _ in mu_fins]
-    require_topological(params, mu_in, *mu_fins)
-    paths = []
-    for group in protocols:
-        points = [sample_points(p, [p.duration]) for p in group]
-        paths.append((points[0][1], [times for times, _ in points]))
-    return _evolve(params, paths, policy or SteppingPolicy())
-
-
-def evolve_rates(params: ChainParams, mu_in: float, mu_fin: float, rates: Sequence[float],
+def evolve_ramps(params: ChainParams, protocols: Sequence[RampProtocol],
                  policy: Optional[SteppingPolicy] = None) -> List[Outcome]:
-    """End-of-ramp leakage of one mu_in -> mu_fin ramp at each of several rates.
+    """End-of-ramp leakage of several ramps from one mu_in, stepped together.
 
-    The rates share the mu grid, so one decomposition per step serves all of them.
-    Returns one entry per rate, in order: the Trajectory that
-    :func:`evolve_ramp` gives for that rate with ``sample_times=[duration]``
-    (records at t = 0 and t = T, and ``richardson_defect`` if the policy
-    asks for it), or the exception that stopped that rate: its purity check
-    (StepSizeTooCoarse), or the basis resolve at mu_fin.
+    Returns one entry per protocol, in order: the Trajectory that
+    :func:`evolve_ramp` gives for it with ``sample_times=[duration]`` (records
+    at t = 0 and t = T, and ``richardson_defect`` if the policy asks for it),
+    or the exception that stopped it: its purity check (StepSizeTooCoarse),
+    or the basis resolve at its mu_fin.  The mu grid does not depend on the
+    rate, and a ramp whose grid is a prefix of another's, as when the policy
+    fixes one step and a nearer mu_fin lies on a farther ramp's grid, rides
+    that ramp's lockstep: it is measured at its own mu_fin and leaves the
+    stack there, so each mu takes one decomposition for every ramp on it.
     """
-    [outcomes] = evolve_sweep(params, mu_in, [mu_fin], rates, policy)
-    return outcomes
+    if not protocols:
+        return []
+    mu_in = protocols[0].mu_in
+    if any(p.mu_in != mu_in for p in protocols):
+        raise InvalidParameterError("ramps stepped together must start at one mu_in")
+    require_topological(params, mu_in, *(p.mu_fin for p in protocols))
+    return _evolve(params, [sample_points(p, [p.duration]) for p in protocols],
+                   policy or SteppingPolicy())
 
 
 def sudden_quench(params: ChainParams, mu_in: float, mu_fin: float) -> LeakageRecord:

@@ -523,24 +523,17 @@ def _run_ramp(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _run_sweep_rate(cfg: ExperimentConfig) -> ResultTable:
-    """Every row of the sweep in one :func:`dynamics.evolve_sweep`.
+    """Every row of the sweep in one :func:`dynamics.evolve_ramps`.
 
-    The rates of a mu_fin step together, and a nearer mu_fin rides the
-    farther one's grid where its own grid is a prefix of it.  A row that fails
-    on its own (purity check, Richardson rerun) is flagged alone; a failed
-    basis at a mu_fin flags that mu_fin's rows, and a failed |+> every row.
+    A row that fails on its own (purity check, Richardson rerun, basis at its
+    mu_fin) is flagged alone; a failed |+> flags every row.
     """
     points = sorted((v, mu) for v in cfg.v_grid for mu in cfg.mu_fins)
-    rates = sorted(set(cfg.v_grid))
-    mu_fins = sorted(set(cfg.mu_fins))
-    [sweep] = _run_points([mu_fins], lambda fins: dynamics.evolve_sweep(
-        cfg.params, cfg.mu_in, fins, rates, cfg.policy))
-    if isinstance(sweep, Exception):
-        sweep = [[sweep] * len(rates)] * len(mu_fins)
-    outcomes = {(v, mu_fin): out for mu_fin, group in zip(mu_fins, sweep)
-                for v, out in zip(rates, group)}
-    return _sweep_table("sweep-rate", cfg, ("v", "mu_fin"), points,
-                        [outcomes[p] for p in points], cfg.mu_fins)
+    [outcomes] = _run_points([points], lambda rows: dynamics.evolve_ramps(
+        cfg.params, [RampProtocol(cfg.mu_in, mu, v) for v, mu in rows], cfg.policy))
+    if isinstance(outcomes, Exception):
+        outcomes = [outcomes] * len(points)
+    return _sweep_table("sweep-rate", cfg, ("v", "mu_fin"), points, outcomes, cfg.mu_fins)
 
 
 def _run_sweep_length(cfg: ExperimentConfig) -> ResultTable:

@@ -22,7 +22,7 @@ from tetronsim.analytics import (
 from tetronsim.dynamics import (
     SteppingPolicy,
     evolve_ramp,
-    evolve_rates,
+    evolve_ramps,
     fock_oracle,
     sudden_quench,
 )
@@ -45,13 +45,14 @@ def params(n):
 def final_records(n, mu_fin, vs, steps=800):
     """Cached end-of-ramp records for mu_in = 0, one per rate in vs.
 
-    The rates not cached yet run together through evolve_rates, which
+    The rates not cached yet run together through evolve_ramps, which
     takes one eigh per step for all of them.
     """
     missing = sorted({v for v in vs if (n, mu_fin, v, steps) not in _ramp_cache})
     if missing:
         pol = SteppingPolicy(max_dmu_per_step=mu_fin / steps)
-        for v, traj in zip(missing, evolve_rates(params(n), 0.0, mu_fin, missing, pol)):
+        protocols = [RampProtocol(0.0, mu_fin, v) for v in missing]
+        for v, traj in zip(missing, evolve_ramps(params(n), protocols, pol)):
             if isinstance(traj, Exception):
                 raise traj
             _ramp_cache[(n, mu_fin, v, steps)] = traj[-1]

@@ -10,8 +10,7 @@ from tetronsim.dynamics import (
     PlusState,
     SteppingPolicy,
     evolve_ramp,
-    evolve_rates,
-    evolve_sweep,
+    evolve_ramps,
     fock_oracle,
     sudden_quench,
 )
@@ -37,6 +36,11 @@ W = 0.5
 
 def params(n):
     return ChainParams(n, W, W)
+
+
+def ramps(mu_fins, rates, mu_in=0.0):
+    """The mu_in -> mu_fin ramps at each rate, grouped by mu_fin."""
+    return [RampProtocol(mu_in, mu_fin, v) for mu_fin in mu_fins for v in rates]
 
 
 class TestRampBasics:
@@ -168,7 +172,7 @@ class TestRateSharedSweep:
     def test_rates_match_fock_oracle(self):
         pol = SteppingPolicy(max_dmu_per_step=0.1 / 200)
         rates = (1e-2, 5e-2, 0.2)
-        shared = evolve_rates(params(3), 0.0, 0.1, rates, pol)
+        shared = evolve_ramps(params(3), ramps([0.1], rates), pol)
         for v, traj in zip(rates, shared):
             proto = RampProtocol(0.0, 0.1, v)
             ork = fock_oracle(params(3), protocol=proto, policy=pol,
@@ -176,7 +180,7 @@ class TestRateSharedSweep:
             assert [r.t for r in traj] == [0.0, proto.duration]
             assert abs(traj[-1].l_odd - ork.l_odd) < ORACLE_TOLERANCE
             assert abs(traj[-1].l_even - ork.l_even) < ORACLE_TOLERANCE
-        assert evolve_rates(params(3), 0.0, 0.1, [], pol) == []
+        assert evolve_ramps(params(3), [], pol) == []
 
     @pytest.mark.parametrize("failing_pass", [1, 2], ids=["coarse", "richardson"])
     def test_purity_failure_flags_its_row_only(self, monkeypatch, failing_pass):
@@ -244,8 +248,9 @@ class TestSharedWork:
             return measure(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "measure_leakage", counted)
-        shared = evolve_rates(params(6), 0.0, 0.1, RATES, pol)
-        assert len(calls) == (2 if richardson else 1) * (len(RATES) + 1)
+        shared = evolve_ramps(params(6), protocols, pol)
+        # the t = 0 record serves the Richardson rows too
+        assert len(calls) == (2 if richardson else 1) * len(RATES) + 1
         for traj, ref in zip(shared, one_by_one):
             assert traj[0] == initial
             assert list(traj) == list(ref)
@@ -259,7 +264,7 @@ class TestSharedWork:
             return replace(record, purity_defect=1.0) if t == 0.0 else record
 
         monkeypatch.setattr(dynamics, "measure_leakage", spoiled)
-        outcomes = evolve_rates(params(6), 0.0, 0.1, RATES, SteppingPolicy())
+        outcomes = evolve_ramps(params(6), ramps([0.1], RATES), SteppingPolicy())
         assert len(outcomes) == len(RATES)
         assert all(isinstance(out, StepSizeTooCoarse) for out in outcomes)
 
@@ -326,17 +331,17 @@ class TestNestedGrids:
         pol = SteppingPolicy(max_dmu_per_step=max(mu_fins) / steps)
         rates = (1e-3, 2e-2, 0.5)
         calls = counted_eigh(monkeypatch)
-        alone = [evolve_rates(params(6), 0.0, mu_fin, rates, pol) for mu_fin in mu_fins]
+        alone = [out for mu_fin in mu_fins for out in evolve_ramps(params(6), ramps([mu_fin], rates),
+                                                                  pol)]
         separate = len(calls)
-        shared = evolve_sweep(params(6), 0.0, mu_fins, rates, pol)
+        shared = evolve_ramps(params(6), ramps(mu_fins, rates), pol)
         # one decomposition per step of the farthest ramp, and one per sample basis
         assert len(calls) - separate <= steps + len(mu_fins) < separate
-        for group, reference in zip(shared, alone):
-            for traj, ref in zip(group, reference, strict=True):
-                assert traj.n_steps == ref.n_steps
-                assert [r.t for r in traj] == [r.t for r in ref]
-                for name in ("l_odd", "l_even", "l_g", "parity"):
-                    assert abs(getattr(traj[-1], name) - getattr(ref[-1], name)) < 1e-12
+        for traj, ref in zip(shared, alone, strict=True):
+            assert traj.n_steps == ref.n_steps
+            assert [r.t for r in traj] == [r.t for r in ref]
+            for name in ("l_odd", "l_even", "l_g", "parity"):
+                assert abs(getattr(traj[-1], name) - getattr(ref[-1], name)) < 1e-12
 
     @pytest.mark.parametrize("mu_fins, dmu", [((0.01, 0.03), 3e-5), ((-0.05, 0.1), 0.1 / 120)],
                              ids=["fig5", "both-sides"])
@@ -344,13 +349,54 @@ class TestNestedGrids:
         # fig5's 0.01 is 333.3 steps of 3e-5, so its grid is no prefix of 0.03's
         pol = SteppingPolicy(max_dmu_per_step=dmu, richardson=True)
         rates = (4e-4, 7e-4, 1e-3)
-        shared = evolve_sweep(params(6), 0.0, mu_fins, rates, pol)
-        for mu_fin, group in zip(mu_fins, shared, strict=True):
-            for traj, ref in zip(group, evolve_rates(params(6), 0.0, mu_fin, rates, pol),
-                                 strict=True):
-                assert list(traj) == list(ref)
-                assert traj.n_steps == ref.n_steps
-                assert traj.richardson_defect == ref.richardson_defect
+        shared = evolve_ramps(params(6), ramps(mu_fins, rates), pol)
+        alone = [out for mu_fin in mu_fins for out in evolve_ramps(params(6), ramps([mu_fin], rates),
+                                                                  pol)]
+        for traj, ref in zip(shared, alone, strict=True):
+            assert list(traj) == list(ref)
+            assert traj.n_steps == ref.n_steps
+            assert traj.richardson_defect == ref.richardson_defect
+
+    def test_one_step_to_the_other_side_rides_the_lead_bit_for_bit(self, monkeypatch):
+        # -5e-4 is one step of 1e-3, at mu_in: the first step of the 0.1 grid too
+        pol = SteppingPolicy(max_dmu_per_step=1e-3)
+        rates = (2e-2, 0.5)
+        alone = evolve_ramps(params(4), ramps([-5e-4], rates), pol)
+        step, widths = dynamics._mode_step, []
+
+        def counted(w, *args):
+            widths.append(w.shape[1])
+            step(w, *args)
+
+        monkeypatch.setattr(dynamics, "_mode_step", counted)
+        shared = evolve_ramps(params(4), ramps([0.1, -5e-4], rates), pol)
+        assert widths[:2] == [4, 2]
+        for traj, ref in zip(shared[2:], alone, strict=True):
+            assert list(traj) == list(ref)
+            assert traj.n_steps == ref.n_steps == 1
+
+    @pytest.mark.parametrize("mu_fins, rates, richardson, eighs, measurements", [
+        ((-0.05, 0.1), (2e-2,), False, 151, 3),
+        ((0.03, 0.1), (2e-2, 0.5), True, 301, 9),
+    ], ids=["both-sides", "richardson"])
+    def test_one_plus_state_per_call(self, monkeypatch, mu_fins, rates, richardson, eighs,
+                                     measurements):
+        # |+>, its basis and its t = 0 record serve every lockstep run of the call;
+        # built once per run, they would add one eigh and one measurement each
+        pol = SteppingPolicy(max_dmu_per_step=0.1 / 100, richardson=richardson)
+        measure, measured = dynamics.measure_leakage, []
+
+        def counted(*args, **kwargs):
+            measured.append(None)
+            return measure(*args, **kwargs)
+
+        calls = counted_eigh(monkeypatch)
+        monkeypatch.setattr(dynamics, "measure_leakage", counted)
+        outcomes = evolve_ramps(params(4), ramps(mu_fins, rates), pol)
+        assert all(isinstance(out, dynamics.Trajectory) for out in outcomes)
+        # both-sides: the basis at 0, 99 + 49 steps off it and the two mu_fin bases;
+        # richardson: the basis at 0, and per pass the steps off 0 and 0.03 and two bases
+        assert (len(calls), len(measured)) == (eighs, measurements)
 
     def test_presets_share_grids_where_they_nest(self, monkeypatch):
         # a preset edit that breaks the nesting shows here, not only as a slower run
@@ -364,12 +410,13 @@ class TestNestedGrids:
             rates = cfg.v_grid[-1:]
             del calls[:]
             for mu_fin in cfg.mu_fins:
-                evolve_rates(chain, cfg.mu_in, mu_fin, rates, cfg.policy)
+                evolve_ramps(chain, ramps([mu_fin], rates, cfg.mu_in), cfg.policy)
             separate = len(calls)
             del calls[:]
-            evolve_sweep(chain, cfg.mu_in, cfg.mu_fins, rates, cfg.policy)
-            assert (len(calls) < separate) == shares, name
-            assert len(calls) <= separate, name
+            evolve_ramps(chain, ramps(cfg.mu_fins, rates, cfg.mu_in), cfg.policy)
+            saved = separate - len(calls)
+            # one call builds |+> once; nested grids also share their steps
+            assert saved > 1 if shares else saved == 1, name
 
 
 class TestStepConvergence:
