@@ -166,41 +166,55 @@ class ExperimentConfig:
         return out
 
 
-def _get(cp: configparser.ConfigParser, section: str, key: str, cast, default=None,
-         required: bool = False):
-    if not cp.has_option(section, key):
-        if required:
-            raise ConfigError("%s.%s: missing required key" % (section, key))
-        return default
-    raw = cp.get(section, key)
-    try:
-        if cast is bool:
-            return cp.getboolean(section, key)
-        return cast(raw)
-    except (ValueError, TypeError):
-        raise ConfigError("%s.%s: cannot parse %r" % (section, key, raw))
+class _Reader:
+    """A parsed INI config that records each ``section.key`` the run reads."""
+
+    def __init__(self, cp: configparser.ConfigParser):
+        self.cp, self.read = cp, set()
+
+    def get(self, section: str, key: str, cast, default=None, required: bool = False):
+        self.read.add((section, key))
+        if not self.cp.has_option(section, key):
+            if required:
+                raise ConfigError("%s.%s: missing required key" % (section, key))
+            return default
+        raw = self.cp.get(section, key)
+        try:
+            if cast is bool:
+                return self.cp.getboolean(section, key)
+            return cast(raw)
+        except (ValueError, TypeError):
+            raise ConfigError("%s.%s: cannot parse %r" % (section, key, raw))
+
+    def get_list(self, section: str, key: str, cast):
+        self.read.add((section, key))
+        if not self.cp.has_option(section, key):
+            return None
+        raw = self.cp.get(section, key)
+        try:
+            return tuple(cast(tok.strip()) for tok in raw.split(",") if tok.strip())
+        except (ValueError, TypeError):
+            raise ConfigError("%s.%s: cannot parse list %r" % (section, key, raw))
+
+    def reject_unread(self, kind: str) -> None:
+        """ConfigError naming every key the run did not read: a misspelt key or
+        section, a key the kind has no use for, or one that another key replaces."""
+        unread = ["%s.%s" % (section, key) for section in self.cp.sections()
+                  for key in self.cp.options(section) if (section, key) not in self.read]
+        if unread:
+            raise ConfigError("%s: not read by a %s run" % (", ".join(unread), kind))
 
 
-def _get_list(cp, section, key, cast):
-    if not cp.has_option(section, key):
-        return None
-    raw = cp.get(section, key)
-    try:
-        return tuple(cast(tok.strip()) for tok in raw.split(",") if tok.strip())
-    except (ValueError, TypeError):
-        raise ConfigError("%s.%s: cannot parse list %r" % (section, key, raw))
-
-
-def _v_grid(cp) -> Tuple[float, ...]:
-    explicit = _get_list(cp, "grid", "v_list", float)
+def _v_grid(ini: _Reader) -> Tuple[float, ...]:
+    explicit = ini.get_list("grid", "v_list", float)
     if explicit:
         if not all(0 < v < math.inf for v in explicit):
             raise ConfigError("grid.v_list: rates must be positive and finite, got %r"
                               % (explicit,))
         return explicit
-    v_min = _get(cp, "grid", "v_min", float)
-    v_max = _get(cp, "grid", "v_max", float)
-    count = _get(cp, "grid", "v_count", int)
+    v_min = ini.get("grid", "v_min", float)
+    v_max = ini.get("grid", "v_max", float)
+    count = ini.get("grid", "v_count", int)
     if v_min is None or v_max is None or count is None:
         return ()
     if not 0 < v_min <= v_max < math.inf:
@@ -210,22 +224,22 @@ def _v_grid(cp) -> Tuple[float, ...]:
     return tuple(float(x) for x in np.geomspace(v_min, v_max, count))
 
 
-def _n_grid(cp) -> Tuple[int, ...]:
-    explicit = _get_list(cp, "grid", "n_list", int)
+def _n_grid(ini: _Reader) -> Tuple[int, ...]:
+    explicit = ini.get_list("grid", "n_list", int)
     if explicit:
         if min(explicit) < 2:
             raise ConfigError("grid.n_list: lengths must be >= 2, got %r" % (explicit,))
         values = explicit
     else:
-        n_min = _get(cp, "grid", "n_min", int)
-        n_max = _get(cp, "grid", "n_max", int)
+        n_min = ini.get("grid", "n_min", int)
+        n_max = ini.get("grid", "n_max", int)
         if n_min is None or n_max is None:
             return ()
-        step = _get(cp, "grid", "n_step", int, default=1)
+        step = ini.get("grid", "n_step", int, default=1)
         if n_min < 2 or n_max < n_min or step < 1:
             raise ConfigError("grid.n_min/n_max/n_step: need 2 <= n_min <= n_max, step >= 1")
         values = tuple(range(n_min, n_max + 1, step))
-    if _get(cp, "grid", "even_only", bool, default=False):
+    if ini.get("grid", "even_only", bool, default=False):
         values = tuple(n for n in values if n % 2 == 0)
     return values
 
@@ -253,37 +267,39 @@ def config_from_mapping(mapping: Dict[str, Dict[str, str]]) -> ExperimentConfig:
 
 
 def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
-    kind = _get(cp, "experiment", "kind", str, required=True)
+    """Build a config from a parsed INI file; ConfigError for a key the run does not read."""
+    ini = _Reader(cp)
+    kind = ini.get("experiment", "kind", str, required=True)
     if kind not in KINDS:
         raise ConfigError("experiment.kind: %r is not one of %s" % (kind, ", ".join(KINDS)))
 
     cfg = ExperimentConfig(kind=kind)
-    cfg.seed = _get(cp, "experiment", "seed", int, default=0)
+    cfg.seed = ini.get("experiment", "seed", int, default=0)
     if cfg.seed < 0:
         raise ConfigError("experiment.seed: must be >= 0")
-    cfg.out_path = _get(cp, "output", "path", str)
+    cfg.out_path = ini.get("output", "path", str)
 
     if kind not in ("walk", "fit"):
-        n_sites = _get(cp, "model", "n_sites", int, required=kind not in LENGTH_GRID_KINDS)
-        hopping = _get(cp, "model", "hopping", float, default=0.5)
-        pairing = _get(cp, "model", "pairing", float, default=0.5)
+        n_sites = ini.get("model", "n_sites", int, required=kind not in LENGTH_GRID_KINDS)
+        hopping = ini.get("model", "hopping", float, default=0.5)
+        pairing = ini.get("model", "pairing", float, default=0.5)
         try:
             cfg.params = ChainParams(n_sites=2 if n_sites is None else n_sites,
                                      hopping=hopping, pairing=pairing)
         except InvalidParameterError as exc:
             raise ConfigError("model: %s" % exc)
 
-        cfg.mu_in = _get(cp, "protocol", "mu_in", float, default=0.0)
-        fins = _get_list(cp, "protocol", "mu_fin_list", float)
+        cfg.mu_in = ini.get("protocol", "mu_in", float, default=0.0)
+        fins = ini.get_list("protocol", "mu_fin_list", float)
         if fins is None:
-            single = _get(cp, "protocol", "mu_fin", float)
+            single = ini.get("protocol", "mu_fin", float)
             fins = (single,) if single is not None else ()
         cfg.mu_fins = fins
-        cfg.rate = _get(cp, "protocol", "rate", float)
+        cfg.rate = ini.get("protocol", "rate", float)
 
-        max_dmu = _get(cp, "stepping", "max_dmu_per_step", float)
-        steps = _get(cp, "stepping", "steps_per_span", int)
-        if max_dmu is None and steps is not None:
+        max_dmu = ini.get("stepping", "max_dmu_per_step", float)
+        steps = ini.get("stepping", "steps_per_span", int) if max_dmu is None else None
+        if steps is not None:
             if steps < 1:
                 raise ConfigError("stepping.steps_per_span: must be >= 1")
             span = max(abs(f - cfg.mu_in) for f in cfg.mu_fins) if cfg.mu_fins else 0.0
@@ -291,46 +307,47 @@ def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
         try:
             cfg.policy = dynamics.SteppingPolicy(
                 max_dmu_per_step=max_dmu,
-                purity_tol=_get(cp, "stepping", "purity_tol", float, default=1e-6),
-                richardson=_get(cp, "stepping", "richardson", bool, default=False),
+                purity_tol=ini.get("stepping", "purity_tol", float, default=1e-6),
+                richardson=ini.get("stepping", "richardson", bool, default=False),
             )
         except InvalidParameterError as exc:
             raise ConfigError("stepping: %s" % exc)
-        cfg.sample_count = _get(cp, "samples", "count", int,
-                                default=dynamics.DEFAULT_SAMPLE_COUNT)
+        cfg.sample_count = ini.get("samples", "count", int,
+                                   default=dynamics.DEFAULT_SAMPLE_COUNT)
         if cfg.sample_count < 0:
             raise ConfigError("samples.count: must be >= 0")
 
-        cfg.v_grid = _v_grid(cp)
-        cfg.n_grid = _n_grid(cp)
+        cfg.v_grid = _v_grid(ini)
+        cfg.n_grid = _n_grid(ini)
         _validate_physics(cfg)
 
     if kind == "walk":
-        lengths = _get_list(cp, "walk", "length_list", int)
+        lengths = ini.get_list("walk", "length_list", int)
         if lengths is None:
-            single = _get(cp, "walk", "length", int, required=True)
+            single = ini.get("walk", "length", int, required=True)
             lengths = (single,)
         if any(length < 1 for length in lengths):
             raise ConfigError("walk.length: must be >= 1")
         cfg.walk_lengths = lengths
-        cfg.walk_trials = _get(cp, "walk", "trials", int, default=100000)
+        cfg.walk_trials = ini.get("walk", "trials", int, default=100000)
         if cfg.walk_trials < 1:
             raise ConfigError("walk.trials: must be >= 1")
 
     if kind == "fit":
-        cfg.fit_table = _get(cp, "fit", "table", str, required=True)
-        cfg.fit_family = _get(cp, "fit", "family", str, required=True)
+        cfg.fit_table = ini.get("fit", "table", str, required=True)
+        cfg.fit_family = ini.get("fit", "family", str, required=True)
         if cfg.fit_family not in ("half-lz", "power-approach", "linear-n"):
             raise ConfigError("fit.family: unknown family %r" % cfg.fit_family)
-        cfg.fit_x = _get(cp, "fit", "x_column", str,
-                         default="n_sites" if cfg.fit_family == "linear-n" else "v")
-        cfg.fit_y = _get(cp, "fit", "y_column", str, default="l_odd")
-        cfg.fit_window = (_get(cp, "fit", "window_min", float),
-                          _get(cp, "fit", "window_max", float))
-        cfg.fit_l_inf = _get(cp, "fit", "l_inf", float)
+        cfg.fit_x = ini.get("fit", "x_column", str,
+                            default="n_sites" if cfg.fit_family == "linear-n" else "v")
+        cfg.fit_y = ini.get("fit", "y_column", str, default="l_odd")
+        cfg.fit_window = (ini.get("fit", "window_min", float),
+                          ini.get("fit", "window_max", float))
+        cfg.fit_l_inf = ini.get("fit", "l_inf", float)
         if cfg.fit_family == "power-approach" and cfg.fit_l_inf is None:
             raise ConfigError("fit.l_inf: required for the power-approach family")
 
+    ini.reject_unread(kind)
     return cfg
 
 
@@ -344,6 +361,9 @@ def _validate_physics(cfg: ExperimentConfig) -> None:
         raise ConfigError("protocol: %s" % exc) from exc
     if kind in ("ramp", "sweep-length") and cfg.rate is None:
         raise ConfigError("protocol.rate: required for kind %s" % kind)
+    if kind in ("ramp", "sweep-length") and len(cfg.mu_fins) > 1:
+        raise ConfigError("protocol.mu_fin_list: kind %s runs one mu_fin, got %r"
+                          % (kind, cfg.mu_fins))
     if cfg.rate is not None and not 0 < cfg.rate < math.inf:
         raise ConfigError("protocol.rate: must be positive and finite, got %r" % cfg.rate)
     if kind == "sweep-rate" and not cfg.v_grid:

@@ -1,5 +1,7 @@
+import configparser
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -185,6 +187,58 @@ class TestConfigValidation:
         out = tmp_path / "never.csv"
         assert main(["run", "--config", str(ini), "--out", str(out), "--quiet"]) == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind, section, key, value", [
+        ("sweep-rate", "stepping", "step_per_span", "1000"),
+        ("sweep-rate", "stepping", "richardsn", "true"),
+        ("sweep-rate", "smaples", "count", "10"),
+        ("sweep-rate", "protocol", "mu_fin", "0.03"),
+        ("sweep-rate", "grid", "v_min", "1e-3"),
+        ("sweep-rate", "grid", "v_count", "3"),
+        ("sweep-rate", "stepping", "steps_per_span", "100"),
+        ("walk", "model", "n_sites", "4"),
+        ("walk", "walk", "length", "10"),
+    ])
+    def test_unread_keys_are_config_errors(self, tmp_path, kind, section, key, value):
+        # a misspelt key, one the kind never reads, or one another key replaces
+        mapping = {"experiment": {"kind": kind}}
+        if kind == "walk":
+            mapping["walk"] = {"length_list": "2, 10", "trials": "10"}
+        else:
+            mapping.update({"model": {"n_sites": "4"}, "protocol": {"mu_fin_list": "0.05, 0.1"},
+                            "grid": {"v_list": "1e-2"}, "stepping": {"max_dmu_per_step": "1e-3"}})
+        assert config_from_mapping(mapping).kind == kind
+        mapping.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=r"\b%s\.%s: not read by a %s run" % (section, key, kind)):
+            config_from_mapping(mapping)
+        ini = tmp_path / "unread.ini"
+        ini.write_text("".join("[%s]\n" % sec + "".join("%s = %s\n" % kv for kv in keys.items())
+                               for sec, keys in mapping.items()), encoding="utf-8")
+        assert main(["run", "--config", str(ini), "--out", str(tmp_path / "x.csv"),
+                     "--quiet"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("ramp", {"model": {"n_sites": "4"}}),
+        ("sweep-length", {"grid": {"n_list": "4, 6"}}),
+    ])
+    def test_one_mu_fin_for_ramp_and_sweep_length(self, kind, extra):
+        # a second mu_fin would be dropped, and a sweep-length CSV has no mu_fin column
+        mapping = {"experiment": {"kind": kind},
+                   "protocol": {"mu_fin_list": "0.03, 0.1", "rate": "1e-2"}, **extra}
+        with pytest.raises(ConfigError, match="protocol.mu_fin_list: kind %s runs one mu_fin"
+                           % kind):
+            config_from_mapping(mapping)
+        mapping["protocol"]["mu_fin_list"] = "0.03"
+        assert config_from_mapping(mapping).mu_fins == (0.03,)
+
+    def test_readme_ini_examples_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 2
+        for block in blocks:
+            cp = configparser.ConfigParser()
+            cp.read_string(block)
+            experiments.config_from_parser(cp)
 
     def test_no_output_file_on_invalid_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
