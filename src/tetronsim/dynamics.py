@@ -22,8 +22,7 @@ ramps from one mu_in are stacked, (N, R, m), on one grid: a step is one
 ramp to a nearer mu_fin is the start of the grid to a farther one on the same
 side of mu_in, so every ramp whose grid is a prefix of a longer one rides that
 lockstep: each mu takes one ``eigh`` for every ramp on it, and a ramp leaves
-the stack at its mu_fin.
-|+> and its t = 0 record are built once per call.
+the stack at its mu_fin.  |+> and its t = 0 record are built once per call.
 
 :func:`measure_leakage` reads |+> in a sample basis from Y = V^T X alone.  A
 state of m orbitals is compared with the reference of the same orbital count,
@@ -284,10 +283,9 @@ Row = Tuple[np.ndarray, Sequence[float], np.ndarray, List[int]]
 def _evolve_lockstep(params: ChainParams, rows: Sequence[Row],
                      start: Tuple[PlusState, ModeBasis, LeakageRecord],
                      purity_tol: float) -> List[Outcome]:
-    """Step several ramps together on the grid of the first, which every other
-    row's grid is a prefix of.
+    """Step several ramps together on the grid of the first row.
 
-    ``start`` is |+> at the rows' common first mu, its basis and its record at
+    Every other row's grid is a prefix of that grid.  ``start`` is |+> at the rows' common first mu, its basis and its record at
     t = 0.  Each step takes one :func:`chain_eigh` of S(mu) and advances the
     orbitals of every row still running, stacked as (N, R, m), each with its
     own dt: its segment's duration over the segment's step count.  At a sample,

@@ -181,6 +181,8 @@ class TestRateSharedSweep:
             assert abs(traj[-1].l_odd - ork.l_odd) < ORACLE_TOLERANCE
             assert abs(traj[-1].l_even - ork.l_even) < ORACLE_TOLERANCE
         assert evolve_ramps(params(3), [], pol) == []
+        with pytest.raises(InvalidParameterError, match="one mu_in"):
+            evolve_ramps(params(3), ramps([0.1], rates) + ramps([0.1], rates, mu_in=0.05), pol)
 
     @pytest.mark.parametrize("failing_pass", [1, 2], ids=["coarse", "richardson"])
     def test_purity_failure_flags_its_row_only(self, monkeypatch, failing_pass):
@@ -331,8 +333,8 @@ class TestNestedGrids:
         pol = SteppingPolicy(max_dmu_per_step=max(mu_fins) / steps)
         rates = (1e-3, 2e-2, 0.5)
         calls = counted_eigh(monkeypatch)
-        alone = [out for mu_fin in mu_fins for out in evolve_ramps(params(6), ramps([mu_fin], rates),
-                                                                  pol)]
+        alone = [out for mu_fin in mu_fins
+                 for out in evolve_ramps(params(6), ramps([mu_fin], rates), pol)]
         separate = len(calls)
         shared = evolve_ramps(params(6), ramps(mu_fins, rates), pol)
         # one decomposition per step of the farthest ramp, and one per sample basis
@@ -350,8 +352,8 @@ class TestNestedGrids:
         pol = SteppingPolicy(max_dmu_per_step=dmu, richardson=True)
         rates = (4e-4, 7e-4, 1e-3)
         shared = evolve_ramps(params(6), ramps(mu_fins, rates), pol)
-        alone = [out for mu_fin in mu_fins for out in evolve_ramps(params(6), ramps([mu_fin], rates),
-                                                                  pol)]
+        alone = [out for mu_fin in mu_fins
+                 for out in evolve_ramps(params(6), ramps([mu_fin], rates), pol)]
         for traj, ref in zip(shared, alone, strict=True):
             assert list(traj) == list(ref)
             assert traj.n_steps == ref.n_steps
