@@ -26,8 +26,6 @@ from .errors import ConfigError, InvalidParameterError
 from .model import ChainParams, RampProtocol, require_topological, resolved_basis
 
 # KINDS, the keys of the runner table RUNNERS, follows the runners below.
-# kinds whose every row takes its chain length from the grid, not [model] n_sites
-LENGTH_GRID_KINDS = ("sweep-length", "sudden")
 
 ORACLE_TOLERANCE = 1e-6
 
@@ -127,80 +125,57 @@ class ExperimentConfig:
     fit_y: str = "l_odd"
     fit_window: Tuple[Optional[float], Optional[float]] = (None, None)
     fit_l_inf: Optional[float] = None
+    reads: Dict[str, Dict] = field(default_factory=dict)
 
     def resolved(self) -> Dict:
-        """JSON-serializable echo of every field, for the metadata sidecar."""
-        out = {
-            "kind": self.kind,
-            "mu_in": self.mu_in,
-            "mu_fins": list(self.mu_fins),
-            "rate": self.rate,
-            "v_grid": list(self.v_grid),
-            "n_grid": list(self.n_grid),
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "out_path": self.out_path,
-            "policy": {
-                "max_dmu_per_step": self.policy.max_dmu_per_step,
-                "purity_tol": self.policy.purity_tol,
-                "richardson": self.policy.richardson,
-            },
-        }
-        if self.params is not None:
-            out["model"] = {
-                "n_sites": None if self.kind in LENGTH_GRID_KINDS else self.params.n_sites,
-                "hopping": self.params.hopping,
-                "pairing": self.params.pairing,
-            }
-        if self.kind == "walk":
-            out["walk"] = {"lengths": list(self.walk_lengths), "trials": self.walk_trials}
-        if self.kind == "fit":
-            out["fit"] = {
-                "table": self.fit_table,
-                "family": self.fit_family,
-                "x_column": self.fit_x,
-                "y_column": self.fit_y,
-                "window": list(self.fit_window),
-                "l_inf": self.fit_l_inf,
-            }
+        """Each value the parse read, or the default it fell back to, as
+        ``{section: {key: value}}``; the seed and output path are the fields,
+        which the CLI may override.  As INI text it parses to an equal config."""
+        out = {section: dict(keys) for section, keys in self.reads.items()}
+        out.setdefault("experiment", {}).update(kind=self.kind, seed=self.seed)
+        if self.out_path is not None:
+            out.setdefault("output", {})["path"] = self.out_path
         return out
 
 
 class _Reader:
-    """A parsed INI config that records each ``section.key`` the run reads."""
+    """A parsed INI config that records, by section and key, each value the run reads."""
 
     def __init__(self, cp: configparser.ConfigParser):
-        self.cp, self.read = cp, set()
+        self.cp, self.values = cp, {}
+
+    def _record(self, section: str, key: str, value):
+        if value is not None:
+            self.values.setdefault(section, {})[key] = value
+        return value
 
     def get(self, section: str, key: str, cast, default=None, required: bool = False):
-        self.read.add((section, key))
         if not self.cp.has_option(section, key):
             if required:
                 raise ConfigError("%s.%s: missing required key" % (section, key))
-            return default
+            return self._record(section, key, default)
         raw = self.cp.get(section, key)
         try:
-            if cast is bool:
-                return self.cp.getboolean(section, key)
-            return cast(raw)
+            value = self.cp.getboolean(section, key) if cast is bool else cast(raw)
         except (ValueError, TypeError):
             raise ConfigError("%s.%s: cannot parse %r" % (section, key, raw))
+        return self._record(section, key, value)
 
     def get_list(self, section: str, key: str, cast):
-        self.read.add((section, key))
         if not self.cp.has_option(section, key):
             return None
         raw = self.cp.get(section, key)
         try:
-            return tuple(cast(tok.strip()) for tok in raw.split(",") if tok.strip())
+            values = tuple(cast(tok.strip()) for tok in raw.split(",") if tok.strip())
         except (ValueError, TypeError):
             raise ConfigError("%s.%s: cannot parse list %r" % (section, key, raw))
+        return self._record(section, key, values)
 
     def reject_unread(self, kind: str) -> None:
         """ConfigError naming every key the run did not read: a misspelt key or
         section, a key the kind has no use for, or one that another key replaces."""
         unread = ["%s.%s" % (section, key) for section in self.cp.sections()
-                  for key in self.cp.options(section) if (section, key) not in self.read]
+                  for key in self.cp.options(section) if key not in self.values.get(section, ())]
         if unread:
             raise ConfigError("%s: not read by a %s run" % (", ".join(unread), kind))
 
@@ -267,73 +242,29 @@ def config_from_mapping(mapping: Dict[str, Dict[str, str]]) -> ExperimentConfig:
 
 
 def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
-    """Build a config from a parsed INI file; ConfigError for a key the run does not read."""
+    """Build a config from a parsed INI file; ConfigError for a key its kind does not read."""
     ini = _Reader(cp)
     kind = ini.get("experiment", "kind", str, required=True)
     if kind not in KINDS:
         raise ConfigError("experiment.kind: %r is not one of %s" % (kind, ", ".join(KINDS)))
 
-    cfg = ExperimentConfig(kind=kind)
+    cfg = ExperimentConfig(kind=kind, reads=ini.values)
     cfg.seed = ini.get("experiment", "seed", int, default=0)
     if cfg.seed < 0:
         raise ConfigError("experiment.seed: must be >= 0")
     cfg.out_path = ini.get("output", "path", str)
 
-    if kind not in ("walk", "fit"):
-        n_sites = ini.get("model", "n_sites", int, required=kind not in LENGTH_GRID_KINDS)
-        hopping = ini.get("model", "hopping", float, default=0.5)
-        pairing = ini.get("model", "pairing", float, default=0.5)
-        try:
-            cfg.params = ChainParams(n_sites=2 if n_sites is None else n_sites,
-                                     hopping=hopping, pairing=pairing)
-        except InvalidParameterError as exc:
-            raise ConfigError("model: %s" % exc)
-
-        cfg.mu_in = ini.get("protocol", "mu_in", float, default=0.0)
-        fins = ini.get_list("protocol", "mu_fin_list", float)
-        if fins is None:
-            single = ini.get("protocol", "mu_fin", float)
-            fins = (single,) if single is not None else ()
-        cfg.mu_fins = fins
-        cfg.rate = ini.get("protocol", "rate", float)
-
-        max_dmu = ini.get("stepping", "max_dmu_per_step", float)
-        steps = ini.get("stepping", "steps_per_span", int) if max_dmu is None else None
-        if steps is not None:
-            if steps < 1:
-                raise ConfigError("stepping.steps_per_span: must be >= 1")
-            span = max(abs(f - cfg.mu_in) for f in cfg.mu_fins) if cfg.mu_fins else 0.0
-            max_dmu = span / steps if span > 0 else None
-        try:
-            cfg.policy = dynamics.SteppingPolicy(
-                max_dmu_per_step=max_dmu,
-                purity_tol=ini.get("stepping", "purity_tol", float, default=1e-6),
-                richardson=ini.get("stepping", "richardson", bool, default=False),
-            )
-        except InvalidParameterError as exc:
-            raise ConfigError("stepping: %s" % exc)
-        cfg.sample_count = ini.get("samples", "count", int,
-                                   default=dynamics.DEFAULT_SAMPLE_COUNT)
-        if cfg.sample_count < 0:
-            raise ConfigError("samples.count: must be >= 0")
-
-        cfg.v_grid = _v_grid(ini)
-        cfg.n_grid = _n_grid(ini)
-        _validate_physics(cfg)
-
     if kind == "walk":
         lengths = ini.get_list("walk", "length_list", int)
         if lengths is None:
-            single = ini.get("walk", "length", int, required=True)
-            lengths = (single,)
+            lengths = (ini.get("walk", "length", int, required=True),)
         if any(length < 1 for length in lengths):
             raise ConfigError("walk.length: must be >= 1")
         cfg.walk_lengths = lengths
         cfg.walk_trials = ini.get("walk", "trials", int, default=100000)
         if cfg.walk_trials < 1:
             raise ConfigError("walk.trials: must be >= 1")
-
-    if kind == "fit":
+    elif kind == "fit":
         cfg.fit_table = ini.get("fit", "table", str, required=True)
         cfg.fit_family = ini.get("fit", "family", str, required=True)
         if cfg.fit_family not in ("half-lz", "power-approach", "linear-n"):
@@ -346,33 +277,77 @@ def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
         cfg.fit_l_inf = ini.get("fit", "l_inf", float)
         if cfg.fit_family == "power-approach" and cfg.fit_l_inf is None:
             raise ConfigError("fit.l_inf: required for the power-approach family")
+    else:
+        _read_chain_run(ini, cfg)
 
     ini.reject_unread(kind)
     return cfg
 
 
-def _validate_physics(cfg: ExperimentConfig) -> None:
+def _read_chain_run(ini: _Reader, cfg: ExperimentConfig) -> None:
+    """The model, protocol, grid, stepping and sample keys that ``cfg.kind`` uses."""
     kind = cfg.kind
-    if not cfg.mu_fins:
-        raise ConfigError("protocol.mu_fin: at least one target value is required")
+    length_grid = kind in ("sweep-length", "sudden")  # each row takes N from the grid
+    n_sites = 2 if length_grid else ini.get("model", "n_sites", int, required=True)
     try:
-        require_topological(cfg.params, cfg.mu_in, *cfg.mu_fins)
+        cfg.params = ChainParams(n_sites=n_sites,
+                                 hopping=ini.get("model", "hopping", float, default=0.5),
+                                 pairing=ini.get("model", "pairing", float, default=0.5))
     except InvalidParameterError as exc:
-        raise ConfigError("protocol: %s" % exc) from exc
-    if kind in ("ramp", "sweep-length") and cfg.rate is None:
-        raise ConfigError("protocol.rate: required for kind %s" % kind)
-    if kind in ("ramp", "sweep-length") and len(cfg.mu_fins) > 1:
-        raise ConfigError("protocol.mu_fin_list: kind %s runs one mu_fin, got %r"
-                          % (kind, cfg.mu_fins))
-    if cfg.rate is not None and not 0 < cfg.rate < math.inf:
-        raise ConfigError("protocol.rate: must be positive and finite, got %r" % cfg.rate)
-    if kind == "sweep-rate" and not cfg.v_grid:
-        raise ConfigError("grid: a rate grid (v_list or v_min/v_max/v_count) is required")
-    if kind in LENGTH_GRID_KINDS and not cfg.n_grid:
-        raise ConfigError("grid: a length grid (n_list or n_min/n_max) is required")
-    if kind == "oracle-check" and cfg.params.n_sites > dynamics.MAX_ORACLE_SITES:
+        raise ConfigError("model: %s" % exc)
+    if kind == "oracle-check" and n_sites > dynamics.MAX_ORACLE_SITES:
         raise ConfigError("model.n_sites: oracle-check requires n_sites <= %d"
                           % dynamics.MAX_ORACLE_SITES)
+
+    cfg.mu_in = ini.get("protocol", "mu_in", float, default=0.0)
+    fins = ini.get_list("protocol", "mu_fin_list", float)
+    if fins is None:
+        single = ini.get("protocol", "mu_fin", float)
+        fins = (single,) if single is not None else ()
+    if not fins:
+        raise ConfigError("protocol.mu_fin: at least one target value is required")
+    try:
+        require_topological(cfg.params, cfg.mu_in, *fins)
+    except InvalidParameterError as exc:
+        raise ConfigError("protocol: %s" % exc) from exc
+    cfg.mu_fins = fins
+    if kind in ("ramp", "sweep-length"):
+        if len(fins) > 1:
+            raise ConfigError("protocol.mu_fin_list: kind %s runs one mu_fin, got %r"
+                              % (kind, fins))
+        cfg.rate = ini.get("protocol", "rate", float, required=True)
+        if not 0 < cfg.rate < math.inf:
+            raise ConfigError("protocol.rate: must be positive and finite, got %r" % cfg.rate)
+
+    if kind in ("sweep-rate", "oracle-check"):
+        cfg.v_grid = _v_grid(ini)
+        if kind == "sweep-rate" and not cfg.v_grid:
+            raise ConfigError("grid: a rate grid (v_list or v_min/v_max/v_count) is required")
+    if length_grid:
+        cfg.n_grid = _n_grid(ini)
+        if not cfg.n_grid:
+            raise ConfigError("grid: a length grid (n_list or n_min/n_max) is required")
+
+    if kind != "sudden":
+        max_dmu = ini.get("stepping", "max_dmu_per_step", float)
+        steps = ini.get("stepping", "steps_per_span", int) if max_dmu is None else None
+        if steps is not None:
+            if steps < 1:
+                raise ConfigError("stepping.steps_per_span: must be >= 1")
+            max_dmu = max(abs(f - cfg.mu_in) for f in fins) / steps or None
+        try:
+            cfg.policy = dynamics.SteppingPolicy(
+                max_dmu_per_step=max_dmu,
+                purity_tol=ini.get("stepping", "purity_tol", float, default=1e-6),
+                richardson=ini.get("stepping", "richardson", bool, default=False),
+            )
+        except InvalidParameterError as exc:
+            raise ConfigError("stepping: %s" % exc)
+    if kind == "ramp":
+        cfg.sample_count = ini.get("samples", "count", int,
+                                   default=dynamics.DEFAULT_SAMPLE_COUNT)
+        if cfg.sample_count < 0:
+            raise ConfigError("samples.count: must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +689,6 @@ PRESETS: Dict[str, Dict] = {
         "description": "Final leakage vs even chain length at v=2e-2, mu_fin=0.03",
         "config": {
             "experiment": {"kind": "sweep-length"},
-            "model": {"n_sites": "40"},
             "protocol": {"mu_in": "0.0", "mu_fin": "0.03", "rate": "2e-2"},
             "grid": {"n_min": "2", "n_max": "100", "n_step": "2", "even_only": "true"},
             "stepping": {"steps_per_span": "1000"},
@@ -724,7 +698,6 @@ PRESETS: Dict[str, Dict] = {
         "description": "Sudden-quench leakage vs length with closed-form references",
         "config": {
             "experiment": {"kind": "sudden"},
-            "model": {"n_sites": "40"},
             "protocol": {"mu_in": "0.0", "mu_fin_list": "0.01, 0.03, 0.1, 0.5"},
             "grid": {"n_min": "2", "n_max": "100", "n_step": "2"},
         },

@@ -1,4 +1,5 @@
 import configparser
+import copy
 import json
 import os
 import re
@@ -104,6 +105,35 @@ path = {out}
 """
 
 
+# a config of each kind that reads every key it states
+UNREAD_KEY_BASES = {
+    "walk": {"walk": {"length_list": "2, 10", "trials": "10"}},
+    "sweep-rate": {"model": {"n_sites": "4"}, "protocol": {"mu_fin_list": "0.05, 0.1"},
+                   "grid": {"v_list": "1e-2"}, "stepping": {"max_dmu_per_step": "1e-3"}},
+    "oracle-check": {"model": {"n_sites": "3"}, "protocol": {"mu_fin_list": "0.05, 0.1"},
+                     "grid": {"v_list": "1e-2"}, "stepping": {"max_dmu_per_step": "1e-3"}},
+    "ramp": {"model": {"n_sites": "4"}, "protocol": {"mu_fin": "0.05", "rate": "1e-2"},
+             "stepping": {"max_dmu_per_step": "1e-3"}, "samples": {"count": "5"}},
+    "sweep-length": {"protocol": {"mu_fin": "0.05", "rate": "1e-2"}, "grid": {"n_list": "4, 6"},
+                     "stepping": {"max_dmu_per_step": "1e-3"}},
+    "sudden": {"protocol": {"mu_fin_list": "0.05, 0.1"}, "grid": {"n_list": "4, 6"}},
+}
+
+
+def _ini_text(value) -> str:
+    """A value of a sidecar's config echo as the INI text that reads back to it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        return ", ".join(map(str, value))
+    return str(value)
+
+
+def _readme_ini_blocks():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+
+
 class TestConfigValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="experiment.kind"):
@@ -172,15 +202,18 @@ class TestConfigValidation:
             "experiment": {"kind": "ramp"},
             "model": {"n_sites": "4"},
             "protocol": {"mu_fin": "0.05", "rate": "1e-2"},
-            "grid": {"v_list": "1e-2"},
         }
-        if section == "grid":
+        if key == "n_list":  # read by sweep-length, which takes no n_sites
+            mapping.update(experiment={"kind": "sweep-length"}, model={})
+        elif section == "grid":  # a rate grid is read by sweep-rate, which takes no rate
             mapping["experiment"]["kind"] = "sweep-rate"
+            del mapping["protocol"]["rate"]
             if key == "v_max":
                 mapping["grid"] = {"v_min": "1e-3", "v_max": value, "v_count": "3"}
         mapping.setdefault(section, {})[key] = value
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=key) as exc:
             config_from_mapping(mapping)
+        assert "not read" not in str(exc.value)
         ini = tmp_path / "bad.ini"
         ini.write_text("".join("[%s]\n" % sec + "".join("%s = %s\n" % kv for kv in keys.items())
                                for sec, keys in mapping.items()), encoding="utf-8")
@@ -198,15 +231,22 @@ class TestConfigValidation:
         ("sweep-rate", "stepping", "steps_per_span", "100"),
         ("walk", "model", "n_sites", "4"),
         ("walk", "walk", "length", "10"),
+        ("sudden", "protocol", "rate", "1e-2"),
+        ("sudden", "grid", "v_list", "1e-2"),
+        ("sudden", "stepping", "richardson", "true"),
+        ("sudden", "stepping", "steps_per_span", "10"),
+        ("sudden", "samples", "count", "5"),
+        ("sudden", "model", "n_sites", "20"),
+        ("ramp", "grid", "n_list", "4, 6"),
+        ("oracle-check", "protocol", "rate", "1e-2"),
+        ("oracle-check", "samples", "count", "5"),
+        ("sweep-rate", "protocol", "rate", "1e-2"),
+        ("sweep-rate", "samples", "count", "5"),
+        ("sweep-length", "model", "n_sites", "4"),
     ])
     def test_unread_keys_are_config_errors(self, tmp_path, kind, section, key, value):
         # a misspelt key, one the kind never reads, or one another key replaces
-        mapping = {"experiment": {"kind": kind}}
-        if kind == "walk":
-            mapping["walk"] = {"length_list": "2, 10", "trials": "10"}
-        else:
-            mapping.update({"model": {"n_sites": "4"}, "protocol": {"mu_fin_list": "0.05, 0.1"},
-                            "grid": {"v_list": "1e-2"}, "stepping": {"max_dmu_per_step": "1e-3"}})
+        mapping = {"experiment": {"kind": kind}, **copy.deepcopy(UNREAD_KEY_BASES[kind])}
         assert config_from_mapping(mapping).kind == kind
         mapping.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError, match=r"\b%s\.%s: not read by a %s run" % (section, key, kind)):
@@ -232,13 +272,31 @@ class TestConfigValidation:
         assert config_from_mapping(mapping).mu_fins == (0.03,)
 
     def test_readme_ini_examples_parse(self):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        blocks = _readme_ini_blocks()
         assert len(blocks) == 2
         for block in blocks:
             cp = configparser.ConfigParser()
             cp.read_string(block)
             experiments.config_from_parser(cp)
+
+    def test_echo_parses_back_to_the_same_config(self):
+        # the sidecar's config echo, written as INI, reproduces the run it describes
+        configs = {name: preset_config(name) for name in PRESETS}
+        for i, block in enumerate(_readme_ini_blocks()):
+            cp = configparser.ConfigParser()
+            cp.read_string(block)
+            configs["README block %d" % i] = experiments.config_from_parser(cp)
+        for name, template in [("walk", WALK_INI), ("sweep", SWEEP_INI),
+                               ("oracle", ORACLE_INI), ("length", LENGTH_INI)]:
+            cp = configparser.ConfigParser()
+            cp.read_string(template.format(out="x.csv"))
+            configs[name] = experiments.config_from_parser(cp)
+        assert {cfg.kind for cfg in configs.values()} >= {
+            "sweep-rate", "sweep-length", "sudden", "walk", "fit", "oracle-check"}
+        for name, cfg in configs.items():
+            echo = {section: {key: _ini_text(value) for key, value in keys.items()}
+                    for section, keys in cfg.resolved().items()}
+            assert config_from_mapping(echo) == cfg, name
 
     def test_no_output_file_on_invalid_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -335,17 +393,35 @@ class TestRunCommand:
         assert meta["n_steps"] == 7 * 22
         assert meta["dmu"] == pytest.approx(0.05 / 150, rel=1e-12)
 
-    def test_length_grid_sidecars_leave_n_sites_null(self, tmp_path):
-        # each row takes its length from the grid; [model] n_sites is absent or ignored
+    def test_length_grid_kinds_neither_read_nor_echo_n_sites(self, tmp_path):
+        # each row takes its length from the grid, so [model] n_sites is a key the run never reads
         out = tmp_path / "length.csv"
         ini = write_ini(tmp_path / "length.ini", LENGTH_INI.format(out=out))
         assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_OK
         meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
-        assert meta["config"]["model"]["n_sites"] is None
+        assert meta["config"]["model"] == {"hopping": 0.5, "pairing": 0.5}
         assert list(read_table(out).column("n_sites")) == [4, 6]
+        stated = write_ini(tmp_path / "stated.ini", LENGTH_INI.format(out=tmp_path / "no.csv")
+                           + "\n[model]\nn_sites = 4\n")
+        assert main(["run", "--config", str(stated), "--quiet"]) == EXIT_CONFIG
+        assert not (tmp_path / "no.csv").exists()
         for name in ("fig2-inset", "fig3"):
-            assert preset_config(name).resolved()["model"]["n_sites"] is None
+            assert "n_sites" not in preset_config(name).resolved()["model"]
+            mapping = copy.deepcopy(PRESETS[name]["config"])
+            mapping["model"] = {"n_sites": "40"}
+            with pytest.raises(ConfigError, match=r"^model\.n_sites: not read by a"):
+                config_from_mapping(mapping)
         assert preset_config("fig2-main").resolved()["model"]["n_sites"] == 40
+
+    def test_cli_seed_and_out_show_in_the_echo(self, tmp_path):
+        out = tmp_path / "elsewhere.csv"
+        ini = write_ini(tmp_path / "s.ini", SWEEP_INI.format(out=tmp_path / "s.csv"))
+        assert main(["run", "--config", str(ini), "--seed", "5", "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        config = json.loads(out.with_suffix(".csv.meta.json").read_text())["config"]
+        assert config["experiment"] == {"kind": "sweep-rate", "seed": 5}
+        assert config["output"] == {"path": str(out)}
+        assert not (tmp_path / "s.csv").exists()
 
     def test_sidecars_record_max_purity_defect(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -401,9 +477,6 @@ path = {out}
         ini = write_ini(tmp_path / "sudden.ini", """
 [experiment]
 kind = sudden
-
-[model]
-n_sites = 20
 
 [protocol]
 mu_in = 0.0
