@@ -1,11 +1,10 @@
 """Leakage dynamics of Kitaev-tetron qubits under chemical-potential ramps.
 
 The package simulates a tetron (two identical, uncoupled Kitaev chains) by
-evolving the occupied orbitals of each chain's Slater determinant, keeps the
-real Majorana covariance form as its reference, provides an exact
-Fock-space oracle for small chains, closed-form sudden/near-adiabatic leakage
-predictions with fitting routines, and a random-walk model for the Pauli
-errors caused by quasiparticle absorption.
+evolving the occupied orbitals of each chain's Slater determinant, and
+provides an exact Fock-space oracle for small chains, closed-form
+sudden/near-adiabatic leakage predictions with fitting routines, and a
+random-walk model for the Pauli errors caused by quasiparticle absorption.
 """
 
 from .analytics import (
@@ -42,7 +41,6 @@ from .errors import (
     InvalidParameterError,
     StepSizeTooCoarse,
 )
-from .gaussian import CovarianceMatrix, overlap_sq, rotate_to_qp_basis
 from .model import (
     ChainParams,
     ModeBasis,

@@ -285,14 +285,15 @@ def _evolve_lockstep(params: ChainParams, rows: Sequence[Row],
                      purity_tol: float) -> List[Outcome]:
     """Step several ramps together on the grid of the first row.
 
-    Every other row's grid is a prefix of that grid.  ``start`` is |+> at the rows' common first mu, its basis and its record at
-    t = 0.  Each step takes one :func:`chain_eigh` of S(mu) and advances the
-    orbitals of every row still running, stacked as (N, R, m), each with its
-    own dt: its segment's duration over the segment's step count.  At a sample,
-    the basis is resolved once for every row that samples there, and those
-    rows are measured; a step at the mu of a basis just resolved takes its
-    eigenvalues and vectors from that basis.  A row leaves the stack after its
-    last sample, or when it fails.  Which rows move and which are measured is
+    Every other row's grid is a prefix of that grid.  ``start`` is |+> at the
+    rows' common first mu, its basis and its record at t = 0.  Each step takes
+    one :func:`chain_eigh` of S(mu) and advances the orbitals of every row
+    still running, stacked as (N, R, m), each with its own dt: its segment's
+    duration over the segment's step count.  At a sample, the basis is
+    resolved once for every row that samples there, and those rows are
+    measured; a step at the mu of a basis just resolved takes its eigenvalues
+    and vectors from that basis.  A row leaves the stack after its last
+    sample, or when it fails.  Which rows move and which are measured is
     settled once per segment between samples, never per step.
 
     Returns, per row, its Trajectory, with ``n_steps`` the number of steps it
@@ -587,8 +588,9 @@ def fock_oracle(params: ChainParams,
     """Exact state-vector reference computation on the full Fock space.
 
     Exactly one of ``protocol`` (linear ramp) or ``quench`` ((mu_in, mu_fin))
-    must be given.  Ramps use the same left-endpoint frozen-Hamiltonian grid
-    as :func:`evolve_ramp`, so the two methods are directly comparable.
+    must be given.  Ramps step on the left-endpoint frozen-Hamiltonian grid of
+    :func:`evolve_ramp`, built by the same :func:`_path_steps`, so the two
+    methods are directly comparable.
     ``space`` lets several calls share one :class:`FockSpace` of ``params``;
     without it each call builds its own.
     """
@@ -612,12 +614,10 @@ def fock_oracle(params: ChainParams,
 
     records.append(space.measure(psi, basis, t=0.0))
     samples, mus = sample_points(protocol, sample_times)
-    dmu = policy.resolved_dmu(mu_fin - mu_in)
-    for k in range(len(samples) - 1):
-        grid = _step_mus(mus[k], mus[k + 1], dmu)
-        dt = (samples[k + 1] - samples[k]) / len(grid)
-        for mu in grid:
+    grid, counts = _path_steps(mus, policy.resolved_dmu(mu_fin - mu_in))
+    for k in range(1, len(samples)):
+        dt = (samples[k] - samples[k - 1]) / (counts[k] - counts[k - 1])
+        for mu in grid[counts[k - 1]:counts[k]]:
             psi = space.step(psi, mu, dt)
-        basis = resolved_basis(params, mus[k + 1])
-        records.append(space.measure(psi, basis, t=float(samples[k + 1])))
+        records.append(space.measure(psi, resolved_basis(params, mus[k]), t=float(samples[k])))
     return records
