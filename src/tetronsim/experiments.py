@@ -1,9 +1,11 @@
 """Declarative experiment configs, runners, and result tables for the CLI.
 
-Configs are INI files with typed sections; results are CSV tables with at
-least 12 significant digits plus a JSON metadata sidecar carrying the fully
-resolved configuration and per-row status flags, which is enough to re-run a
-table bit-identically.
+Configs are INI files with typed sections.  Each kind reads only the keys it
+uses, and any other key is a ConfigError.  Results are CSV tables with at
+least 12 significant digits plus a JSON metadata sidecar carrying the config
+as read (:meth:`ExperimentConfig.resolved`, which parses back to the same
+config) and per-row status flags, which is enough to re-run a table
+bit-identically.
 """
 
 from __future__ import annotations
