@@ -134,7 +134,7 @@ class ExperimentConfig:
         ``{section: {key: value}}``; the seed and output path are the fields,
         which the CLI may override.  As INI text it parses to an equal config."""
         out = {section: dict(keys) for section, keys in self.reads.items()}
-        out.setdefault("experiment", {}).update(kind=self.kind, seed=self.seed)
+        out["experiment"]["seed"] = self.seed
         if self.out_path is not None:
             out.setdefault("output", {})["path"] = self.out_path
         return out
