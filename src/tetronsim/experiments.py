@@ -330,7 +330,7 @@ def _read_chain_run(ini: _Reader, cfg: ExperimentConfig) -> None:
         if not cfg.n_grid:
             raise ConfigError("grid: a length grid (n_list or n_min/n_max) is required")
 
-    if kind != "sudden":
+    if kind != "sudden":  # the one chain kind that takes no steps
         max_dmu = ini.get("stepping", "max_dmu_per_step", float)
         steps = ini.get("stepping", "steps_per_span", int) if max_dmu is None else None
         if steps is not None:
