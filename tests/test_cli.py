@@ -810,6 +810,52 @@ class TestOracleCommand:
         assert meta["max_abs_diff"] == pytest.approx(1e-3, rel=1e-6)
         assert meta["within_tolerance"] is False
 
+    def _two_groups_ini(self, tmp_path, stepping):
+        out = tmp_path / "oracle.csv"
+        text = (ORACLE_INI.format(out=out).replace("mu_fin = 0.1", "mu_fin_list = 0.05, 0.1")
+                .replace("v_list = 1e-2", "v_list = 1e-2, 0.1")
+                .replace("steps_per_span = 200", stepping))
+        return write_ini(tmp_path / "oracle.ini", text), out
+
+    def test_failed_purity_fails_only_the_ramp_rows(self, tmp_path):
+        ini, out = self._two_groups_ini(tmp_path, "steps_per_span = 100\npurity_tol = 1e-18")
+        assert main(["oracle-check", "--config", str(ini), "--quiet"]) == EXIT_NUMERICAL
+        table = read_table(out)
+        assert len(table.rows) == 6
+        statuses = json.loads(out.with_suffix(".csv.meta.json").read_text())["row_status"]
+        # each ramp fails its purity check at its first sample after t = 0, at T / 10
+        first_samples = {(0.05, 1e-2): "0.5", (0.05, 0.1): "0.05",
+                         (0.1, 1e-2): "1", (0.1, 0.1): "0.1"}
+        for row, status in zip(table.rows, statuses):
+            case, v, mu_fin = row[:3]
+            if case == "sudden":
+                assert status == "ok"
+                assert np.all(np.isfinite(row[3:]))
+                continue
+            pattern = (r"failed: purity defect \S+ exceeds tolerance 1e-18 at t=%s"
+                       % re.escape(first_samples[(mu_fin, v)]))
+            assert re.fullmatch(pattern, status), status
+            assert np.all(np.isnan(row[3:]))
+
+    def test_an_oracle_failure_fails_only_its_row(self, tmp_path, monkeypatch):
+        from tetronsim.dynamics import FockSpace
+
+        measure = FockSpace.measure
+
+        def fail_at_first_sample_of_the_fast_ramp(self, psi, basis, t, *rest):
+            if t == 0.05:  # T / 10 of the v = 0.1 ramp to mu_fin = 0.05, of no other
+                raise ValueError("spoiled sample")
+            return measure(self, psi, basis, t, *rest)
+
+        monkeypatch.setattr(FockSpace, "measure", fail_at_first_sample_of_the_fast_ramp)
+        ini, out = self._two_groups_ini(tmp_path, "steps_per_span = 100")
+        assert main(["oracle-check", "--config", str(ini), "--quiet"]) == EXIT_NUMERICAL
+        statuses = json.loads(out.with_suffix(".csv.meta.json").read_text())["row_status"]
+        assert statuses == ["ok", "ok", "failed: spoiled sample", "ok", "ok", "ok"]
+        rows = read_table(out).rows
+        assert np.all(np.isnan(rows[2][3:]))
+        assert all(np.all(np.isfinite(row[3:])) for i, row in enumerate(rows) if i != 2)
+
     def test_diff_failure_exit_code(self, tmp_path, monkeypatch):
         from tetronsim import cli as cli_mod
         from tetronsim.cli import EXIT_ORACLE_DIFF
