@@ -614,39 +614,57 @@ def run_fit(cfg: ExperimentConfig) -> ResultTable:
     return table
 
 
+def _oracle_cells(covs, orks) -> tuple:
+    """Final orbital-method and oracle leakages, then their largest difference at any sample."""
+    diff = max(abs(getattr(cov, name) - getattr(ork, name))
+               for cov, ork in zip(covs, orks, strict=True)
+               for name in ("l_odd", "l_even", "l_g"))
+    cov, ork = covs[-1], orks[-1]
+    return (cov.l_odd, ork.l_odd, cov.l_even, ork.l_even, cov.l_g, ork.l_g, diff)
+
+
+def _oracle_ramps(cfg: ExperimentConfig, protocols, space: dynamics.FockSpace) -> list:
+    """Each ramp's oracle cells, sampled at 11 times, or the failure that stopped it.
+
+    The ramps go through one :func:`dynamics.evolve_ramps` and one
+    :func:`dynamics.fock_oracle` call; the oracle steps only the ramps whose
+    orbital half succeeded, so a ramp takes its orbital failure, else its
+    oracle failure.
+    """
+    times = [np.linspace(0.0, p.duration, 11) for p in protocols]
+    [covs] = _run_points([protocols], lambda ps: dynamics.evolve_ramps(
+        cfg.params, ps, cfg.policy, sample_times=times))
+    if isinstance(covs, Exception):
+        return [covs] * len(protocols)
+    live = [i for i, cov in enumerate(covs) if not isinstance(cov, Exception)]
+    [orks] = _run_points([live], lambda rows: dynamics.fock_oracle(
+        cfg.params, [protocols[i] for i in rows], cfg.policy, [times[i] for i in rows], space))
+    if isinstance(orks, Exception):
+        orks = [orks] * len(live)
+    for i, ork in zip(live, orks):
+        covs[i] = ork if isinstance(ork, Exception) else _oracle_cells(covs[i], ork)
+    return covs
+
+
 def run_oracle_check(cfg: ExperimentConfig) -> ResultTable:
     """Side-by-side orbital-method vs Fock-oracle leakages for every grid point.
 
     The orbital-method columns keep their ``*_cov`` names and show the final
     sample; ``max_abs_diff`` is the largest difference over every sample of a
-    case.  All points share one :class:`dynamics.FockSpace`.
+    case.  Each mu_fin gives a sudden row, then its ramps, stepped together
+    (:func:`_oracle_ramps`).  All points share one :class:`dynamics.FockSpace`.
     """
-    cases = []
+    space = dynamics.FockSpace(cfg.params)
+    cases, outcomes = [], []
     for mu_fin in cfg.mu_fins:
         cases.append(("sudden", _NAN, mu_fin))
-        for v in cfg.v_grid:
-            cases.append(("ramp", v, mu_fin))
+        outcomes += _run_points([mu_fin], lambda mu: _oracle_cells(
+            [dynamics.sudden_quench(cfg.params, cfg.mu_in, mu)],
+            [dynamics.fock_quench(cfg.params, cfg.mu_in, mu, space)]))
+        cases += [("ramp", v, mu_fin) for v in cfg.v_grid]
+        outcomes += _oracle_ramps(
+            cfg, [RampProtocol(cfg.mu_in, mu_fin, v) for v in cfg.v_grid], space)
 
-    space = dynamics.FockSpace(cfg.params)
-
-    def worker(point):
-        case, v, mu_fin = point
-        if case == "sudden":
-            covs = [dynamics.sudden_quench(cfg.params, cfg.mu_in, mu_fin)]
-            orks = dynamics.fock_oracle(cfg.params, quench=(cfg.mu_in, mu_fin), space=space)
-        else:
-            protocol = RampProtocol(cfg.mu_in, mu_fin, v)
-            times = np.linspace(0.0, protocol.duration, 11)
-            covs = dynamics.evolve_ramp(cfg.params, protocol, cfg.policy, sample_times=times)
-            orks = dynamics.fock_oracle(cfg.params, protocol=protocol, policy=cfg.policy,
-                                        sample_times=times, space=space)
-        diff = max(abs(getattr(cov, name) - getattr(ork, name))
-                   for cov, ork in zip(covs, orks, strict=True)
-                   for name in ("l_odd", "l_even", "l_g"))
-        cov, ork = covs[-1], orks[-1]
-        return (cov.l_odd, ork.l_odd, cov.l_even, ork.l_even, cov.l_g, ork.l_g, diff)
-
-    outcomes = _run_points(cases, worker)
     table = _table("oracle-check",
                    ("case", "v", "mu_fin", "l_odd_cov", "l_odd_oracle", "l_even_cov",
                     "l_even_oracle", "l_g_cov", "l_g_oracle", "max_abs_diff"),

@@ -380,6 +380,17 @@ def antisymmetry_defect(m: CovarianceMatrix) -> float:
     return float(np.max(np.abs(m.matrix + m.matrix.swapaxes(-1, -2))))
 
 
+def qp_annihilator(space: FockSpace, column: np.ndarray, chain: int) -> np.ndarray:
+    """The quasiparticle annihilator of one ``basis.vectors`` column on one chain, dense."""
+    n = space.params.n_sites
+    off = chain * n
+    op = np.zeros((space.dim, space.dim))
+    for i in range(n):
+        op += column[i] * space.c[off + i]
+        op += column[n + i] * space.cdag[off + i]
+    return op
+
+
 def total_parity_op(space: FockSpace) -> np.ndarray:
     """Total fermion parity prod_j (1 - 2 n_j) of both chains, as a diagonal matrix."""
     occupation = np.array([np.diag(cd @ c) for cd, c in zip(space.cdag, space.c)])

@@ -24,6 +24,7 @@ from tetronsim.dynamics import (
     evolve_ramp,
     evolve_ramps,
     fock_oracle,
+    fock_quench,
     sudden_quench,
 )
 from tetronsim.gaussian import CovarianceMatrix, overlap_sq, pfaffian4
@@ -91,7 +92,7 @@ def test_criterion_1_oracle_equivalence():
     for n in (2, 3):
         for mu_fin in (0.03, 0.1):
             cov = sudden_quench(params(n), 0.0, mu_fin)
-            ork = fock_oracle(params(n), quench=(0.0, mu_fin))[-1]
+            ork = fock_quench(params(n), 0.0, mu_fin)
             worst = max(worst, abs(cov.l_odd - ork.l_odd),
                         abs(cov.l_even - ork.l_even), abs(cov.l_g - ork.l_g))
             for v in (1e-3, 1e-2, 1e-1):
@@ -99,8 +100,7 @@ def test_criterion_1_oracle_equivalence():
                 pol = SteppingPolicy(max_dmu_per_step=mu_fin / steps)
                 times = np.linspace(0.0, proto.duration, 6)
                 cov_t = evolve_ramp(params(n), proto, pol, sample_times=times)
-                ork_t = fock_oracle(params(n), protocol=proto, policy=pol,
-                                    sample_times=times)
+                [ork_t] = fock_oracle(params(n), [proto], pol, [times])
                 for a, b in zip(cov_t, ork_t):
                     worst = max(worst, abs(a.l_odd - b.l_odd),
                                 abs(a.l_even - b.l_even), abs(a.l_g - b.l_g))

@@ -794,8 +794,8 @@ class TestOracleCommand:
 
         measure, spoiled = FockSpace.measure, []
 
-        def spoil_first_sample_after_zero(self, psi, basis, t):
-            record = measure(self, psi, basis, t)
+        def spoil_first_sample_after_zero(self, psi, basis, t, ground=None):
+            record = measure(self, psi, basis, t, ground)
             if t > 0.0 and not spoiled:
                 spoiled.append(t)
                 record = replace(record, l_odd=record.l_odd + 1e-3)
@@ -855,6 +855,55 @@ class TestOracleCommand:
         rows = read_table(out).rows
         assert np.all(np.isnan(rows[2][3:]))
         assert all(np.all(np.isfinite(row[3:])) for i, row in enumerate(rows) if i != 2)
+
+    def test_rates_share_ground_states_and_orbital_decompositions(self, tmp_path, monkeypatch):
+        # per mu_fin: one chain_eigh per mu of its grid, one set of ground
+        # states per distinct sample mu; the oracle still takes one
+        # Hamiltonian per step of each ramp
+        from tetronsim import dynamics
+        from tetronsim.dynamics import FockSpace
+
+        counts = {"eigh": 0, "ground": 0, "hamiltonian": 0}
+        expected = {"ground": 0, "hamiltonian": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        oracle = dynamics.fock_oracle
+
+        def fock_oracle(params, protocols, policy, sample_times, space):
+            ramps = [dynamics.sample_points(p, ts) for p, ts in zip(protocols, sample_times)]
+            expected["ground"] += len({mu for _, mus in ramps for mu in mus})
+            expected["hamiltonian"] += sum(
+                len(dynamics._path_steps(mus, policy.resolved_dmu(mus[-1] - mus[0]))[0])
+                for _, mus in ramps)
+            return oracle(params, protocols, policy, sample_times, space)
+
+        def fock_quench(params, mu_in, mu_fin, space):
+            expected["ground"] += 2
+            return quench(params, mu_in, mu_fin, space)
+
+        quench = dynamics.fock_quench
+        monkeypatch.setattr(dynamics, "fock_oracle", fock_oracle)
+        monkeypatch.setattr(dynamics, "fock_quench", fock_quench)
+        monkeypatch.setattr(dynamics, "chain_eigh", counted("eigh", dynamics.chain_eigh))
+        monkeypatch.setattr(FockSpace, "ground_states", counted("ground", FockSpace.ground_states))
+        monkeypatch.setattr(FockSpace, "hamiltonian", counted("hamiltonian", FockSpace.hamiltonian))
+        eighs = []
+        for rates in ("1e-2", "1e-2, 0.1, 0.3"):
+            ini, out = self._two_groups_ini(tmp_path, "steps_per_span = 100")
+            ini.write_text(ini.read_text().replace("v_list = 1e-2, 0.1", "v_list = " + rates))
+            assert main(["oracle-check", "--config", str(ini), "--quiet"]) == EXIT_OK
+            assert counts["ground"] == expected["ground"]
+            assert counts["hamiltonian"] == expected["hamiltonian"] > 0
+            eighs.append(counts["eigh"])
+            for tally in (counts, expected):
+                tally.update(dict.fromkeys(tally, 0))
+        # 50 and 100 steps, each less the 10 that start at a sample basis
+        assert eighs == [40 + 90] * 2
 
     def test_diff_failure_exit_code(self, tmp_path, monkeypatch):
         from tetronsim import cli as cli_mod

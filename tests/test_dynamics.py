@@ -12,6 +12,7 @@ from tetronsim.dynamics import (
     evolve_ramp,
     evolve_ramps,
     fock_oracle,
+    fock_quench,
     sudden_quench,
 )
 from tetronsim.errors import (
@@ -59,7 +60,7 @@ class TestRampBasics:
         assert [r.t for r in records] == [0.0, 1.0, proto.duration]
         still = RampProtocol(0.05, 0.05, 1e-2)
         assert len(evolve_ramp(params(4), still)) == 1
-        assert len(fock_oracle(params(2), protocol=still)) == 1
+        assert len(fock_oracle(params(2), [still])[0]) == 1
 
     def test_leakage_sum_identity(self):
         proto = RampProtocol(0.0, 0.1, 5e-3)
@@ -175,8 +176,7 @@ class TestRateSharedSweep:
         shared = evolve_ramps(params(3), ramps([0.1], rates), pol)
         for v, traj in zip(rates, shared):
             proto = RampProtocol(0.0, 0.1, v)
-            ork = fock_oracle(params(3), protocol=proto, policy=pol,
-                              sample_times=[proto.duration])[-1]
+            ork = fock_oracle(params(3), [proto], pol)[0][-1]
             assert [r.t for r in traj] == [0.0, proto.duration]
             assert abs(traj[-1].l_odd - ork.l_odd) < ORACLE_TOLERANCE
             assert abs(traj[-1].l_even - ork.l_even) < ORACLE_TOLERANCE
@@ -257,6 +257,36 @@ class TestSharedWork:
             assert traj[0] == initial
             assert list(traj) == list(ref)
             assert traj.richardson_defect == ref.richardson_defect
+
+    def test_sampled_ramps_match_each_ramp_alone(self, monkeypatch):
+        # the rates of one mu_fin sampled at the same fractions of their ramps
+        # share one mu grid and step in lockstep, one eigh per mu
+        pol = SteppingPolicy(max_dmu_per_step=0.1 / 120)
+        protocols = ramps([0.1], RATES) + [RampProtocol(0.0, 0.05, 2e-2)]
+        times = [np.linspace(0.0, p.duration, 11) for p in protocols[:-1]] + [[0.7, 2.0]]
+        chain_eigh, calls = dynamics.chain_eigh, []
+
+        def counted(params, mu):
+            calls.append(mu)
+            return chain_eigh(params, mu)
+
+        monkeypatch.setattr(dynamics, "chain_eigh", counted)
+        alone, counts = [], []
+        for p, ts in zip(protocols, times):
+            alone.append(evolve_ramp(params(6), p, pol, sample_times=ts))
+            counts.append(len(calls))
+            calls.clear()
+        together = evolve_ramps(params(6), protocols, pol, sample_times=times)
+        # the rates to mu_fin = 0.1 take the eighs of any one of them alone
+        assert len(set(counts[:-1])) == 1
+        assert len(calls) == counts[0] + counts[-1]
+        for traj, ref in zip(together, alone):
+            assert [r.t for r in traj] == [r.t for r in ref]
+            for a, b in zip(traj, ref):
+                for field in ("mu", "l_odd", "l_even", "l_g", "parity"):
+                    assert abs(getattr(a, field) - getattr(b, field)) <= 1e-15
+        assert evolve_ramps(params(6), protocols[:1], pol) == [
+            evolve_ramp(params(6), protocols[0], pol, sample_times=[protocols[0].duration])]
 
     def test_initial_purity_failure_stops_every_rate(self, monkeypatch):
         measure = dynamics.measure_leakage
@@ -484,7 +514,7 @@ class TestSuddenQuench:
             with pytest.raises(InvalidParameterError, match="outside the topological"):
                 sudden_quench(params(3), *quench)
             with pytest.raises(InvalidParameterError, match="outside the topological"):
-                fock_oracle(params(3), quench=quench)
+                fock_quench(params(3), *quench)
 
 
 class TestOddLeakageAccuracy:
@@ -510,16 +540,15 @@ class TestOddLeakageAccuracy:
 class TestFockOracle:
     def test_sudden_quench_agreement(self):
         cov = sudden_quench(params(2), 0.0, 0.1)
-        ork = fock_oracle(params(2), quench=(0.0, 0.1))[-1]
+        ork = fock_quench(params(2), 0.0, 0.1)
         assert abs(cov.l_odd - ork.l_odd) < 1e-8
         assert abs(cov.l_even - ork.l_even) < 1e-8
         assert abs(cov.l_g - ork.l_g) < 1e-8
 
     def test_norm_preserved(self):
         proto = RampProtocol(0.0, 0.1, 1e-2)
-        records = fock_oracle(params(2), protocol=proto,
-                              policy=SteppingPolicy(max_dmu_per_step=0.1 / 200),
-                              sample_times=np.linspace(0, proto.duration, 5))
+        [records] = fock_oracle(params(2), [proto], SteppingPolicy(max_dmu_per_step=0.1 / 200),
+                                [np.linspace(0, proto.duration, 5)])
         assert max(r.purity_defect for r in records) < 1e-10
 
     def test_ramp_trajectory_agreement(self):
@@ -527,7 +556,7 @@ class TestFockOracle:
         pol = SteppingPolicy(max_dmu_per_step=0.1 / 250)
         times = np.linspace(0, proto.duration, 6)
         cov = evolve_ramp(params(3), proto, pol, sample_times=times)
-        ork = fock_oracle(params(3), protocol=proto, policy=pol, sample_times=times)
+        [ork] = fock_oracle(params(3), [proto], pol, [times])
         for a, b in zip(cov, ork):
             assert abs(a.l_odd - b.l_odd) < 1e-6
             assert abs(a.l_even - b.l_even) < 1e-6
@@ -553,19 +582,38 @@ class TestFockOracle:
         pol = SteppingPolicy(max_dmu_per_step=0.1 / 100)
         times = np.linspace(0, proto.duration, 4)
         space = FockSpace(params(2))
-        for kwargs in ({"quench": (0.0, 0.1)},
-                       {"protocol": proto, "policy": pol, "sample_times": times}):
-            shared = fock_oracle(params(2), space=space, **kwargs)
-            assert shared == fock_oracle(params(2), **kwargs)
+        assert fock_quench(params(2), 0.0, 0.1, space) == fock_quench(params(2), 0.0, 0.1)
+        ramps = ([proto], pol, [times])
+        assert fock_oracle(params(2), *ramps, space=space) == fock_oracle(params(2), *ramps)
         with pytest.raises(InvalidParameterError, match="Fock space"):
-            fock_oracle(params(3), quench=(0.0, 0.1), space=space)
+            fock_quench(params(3), 0.0, 0.1, space)
+        with pytest.raises(InvalidParameterError, match="Fock space"):
+            fock_oracle(params(3), [proto], space=space)
 
     def test_size_limit(self):
         with pytest.raises(InvalidParameterError):
-            fock_oracle(params(4), quench=(0.0, 0.1))
+            fock_quench(params(4), 0.0, 0.1)
+        with pytest.raises(InvalidParameterError):
+            fock_oracle(params(4), [RampProtocol(0.0, 0.1, 1e-2)])
 
-    def test_exactly_one_mode(self):
-        with pytest.raises(InvalidParameterError):
-            fock_oracle(params(2))
-        with pytest.raises(InvalidParameterError):
-            fock_oracle(params(2), protocol=RampProtocol(0.0, 0.1, 1e-2), quench=(0.0, 0.1))
+    def test_rejects_ramps_it_cannot_step_together(self):
+        ramps = [RampProtocol(0.0, 0.1, 1e-2), RampProtocol(0.0, 0.05, 1e-2)]
+        for evolve in (evolve_ramps, fock_oracle):
+            with pytest.raises(InvalidParameterError, match="one mu_in"):
+                evolve(params(2), ramps + [RampProtocol(0.05, 0.1, 1e-2)])
+            with pytest.raises(InvalidParameterError, match="sample times for 2 ramps"):
+                evolve(params(2), ramps, sample_times=[[1.0]])
+            assert evolve(params(2), []) == []
+
+    def test_a_list_equals_each_ramp_alone(self):
+        # rows share |+> and the ground states of each sample mu, nothing that
+        # could change a record
+        pol = SteppingPolicy(max_dmu_per_step=0.1 / 60)
+        ramps = [RampProtocol(0.0, 0.1, v) for v in (1e-2, 5e-2, 0.2)]
+        ramps.append(RampProtocol(0.0, 0.05, 0.1))
+        times = [np.linspace(0.0, p.duration, 6) for p in ramps[:3]] + [[0.1, 0.25]]
+        space = FockSpace(params(3))
+        together = fock_oracle(params(3), ramps, pol, times, space)
+        assert [len(records) for records in together] == [6, 6, 6, 4]
+        for ramp, ts, records in zip(ramps, times, together):
+            assert records == fock_oracle(params(3), [ramp], pol, [ts], space)[0]

@@ -43,6 +43,7 @@ from reference import (
     dense_propagator,
     mzm_vectors,
     orientation,
+    qp_annihilator,
     reflected,
     rotate_to_site_basis,
     rotation,
@@ -376,8 +377,8 @@ def dense_fock_step(space, psi, mu, dt):
 
 def dense_mzm_parity(space, basis):
     """The MZM parity -g1 g2 g3 g4 as one dense Fock-space matrix."""
-    d1 = space.qp_annihilator(basis.vectors[:, 0], 0)
-    d2 = space.qp_annihilator(basis.vectors[:, 0], 1)
+    d1 = qp_annihilator(space, basis.vectors[:, 0], 0)
+    d2 = qp_annihilator(space, basis.vectors[:, 0], 1)
     return (d1 + d1.T) @ (d1 - d1.T) @ (d2 + d2.T) @ (d2 - d2.T)
 
 
@@ -394,6 +395,22 @@ def test_blocked_fock_step_matches_dense_eigh(n, w, delta, mu, dt, seed):
     space = FockSpace(ChainParams(n, w, delta))
     psi = random_state(space.dim, seed)
     assert np.max(np.abs(space.step(psi, mu, dt) - dense_fock_step(space, psi, mu, dt))) < 1e-13
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3]), st.floats(0.2, 1.0), st.floats(0.7, 1.4),
+       st.floats(-0.5, 0.5), st.floats(-1.9, 1.9), st.floats(1e-3, 5.0))
+def test_fock_step_of_plus_leaves_its_empty_sectors_zero(n, w, delta_ratio, mu_ratio,
+                                                         step_mu_ratio, dt):
+    # |+> occupies two chain-parity sectors; the step diagonalizes only those
+    space = FockSpace(ChainParams(n, w, w * delta_ratio))
+    vac, one, _ = space.ground_states(resolved_basis(space.params, w * mu_ratio))
+    psi = (vac + one) / np.sqrt(2.0)
+    empty = np.all(psi[space.sectors] == 0.0, axis=1)
+    assert np.count_nonzero(empty) == 2
+    stepped = space.step(psi, w * step_mu_ratio, dt)
+    assert np.all(stepped[space.sectors[empty]] == 0.0)
+    assert np.max(np.abs(stepped - dense_fock_step(space, psi, w * step_mu_ratio, dt))) < 1e-13
 
 
 class ChainCoupledFockSpace(FockSpace):
@@ -439,6 +456,17 @@ def test_fock_parity_matches_dense_parity_operator(n, w, delta_ratio, mu_ratio, 
     assert abs(space.measure(psi, basis, t=0.0).parity - expected) < 1e-13
 
 
+@PROPERTY
+@given(st.sampled_from([2, 3]), st.floats(0.2, 1.0), st.floats(0.7, 1.4),
+       st.floats(-0.5, 0.5))
+def test_ground_state_parity_matrix_matches_dense_majorana_product(n, w, delta_ratio,
+                                                                   mu_ratio):
+    space = FockSpace(ChainParams(n, w, w * delta_ratio))
+    basis = resolved_basis(space.params, w * mu_ratio)
+    _, _, parity = space.ground_states(basis)
+    assert np.max(np.abs(parity - dense_mzm_parity(space, basis))) < 1e-13
+
+
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(st.sampled_from([2, 3]), st.floats(0.2, 1.0), st.floats(0.7, 1.4),
        st.floats(0.05, 0.5), st.sampled_from([-1.0, 1.0]), st.floats(1e-3, 1.0))
@@ -448,7 +476,7 @@ def test_covariance_matches_fock_oracle(n, w, delta_ratio, mu_ratio, sign, v):
     policy = SteppingPolicy(max_dmu_per_step=w * mu_ratio / 200)
     times = np.linspace(0.0, protocol.duration, 5)
     cov = evolve_ramp(params, protocol, policy, sample_times=times)
-    ork = fock_oracle(params, protocol=protocol, policy=policy, sample_times=times)
+    [ork] = fock_oracle(params, [protocol], policy, [times])
     assert len(cov) == len(ork) == len(times)
     for a, b in zip(cov, ork):
         for field in ("l_odd", "l_even", "l_g"):
