@@ -29,6 +29,7 @@ from .dynamics import (
     evolve_ramp,
     evolve_ramps,
     fock_oracle,
+    fock_quench,
     initial_plus_state,
     measure_leakage,
     sudden_quench,

@@ -397,11 +397,10 @@ def _evolve(params: ChainParams, ramps: Sequence[Tuple[np.ndarray, Sequence[floa
 def _sampled_ramps(params: ChainParams, protocols: Sequence[RampProtocol],
                    sample_times: Optional[Sequence[Optional[Sequence[float]]]]
                    ) -> List[Tuple[np.ndarray, list]]:
-    """Each ramp's :func:`sample_points`; the ramps must start at one mu_in.
+    """Each ramp's :func:`sample_points`, from one sequence (or None) per ramp.
 
-    ``sample_times`` holds one sequence per protocol, None for its default;
-    without it, each ramp is sampled at its end only.  Every mu_fin and the
-    mu_in must lie in the topological phase.
+    Without ``sample_times`` each ramp is sampled at its end only.  The ramps
+    must start at one mu_in, and every mu must lie in the topological phase.
     """
     mu_in = protocols[0].mu_in
     if any(p.mu_in != mu_in for p in protocols):
@@ -594,7 +593,7 @@ class FockSpace:
     def measure(self, psi: np.ndarray, basis: ModeBasis, t: float,
                 ground: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
                 ) -> LeakageRecord:
-        """Leakage split of psi in ``basis``, whose :meth:`ground_states` ``ground`` may pass."""
+        """Leakage split of psi in ``basis``; ``ground`` is its :meth:`ground_states`, or None."""
         vac, one, parity_op = ground if ground is not None else self.ground_states(basis)
         parity = float((psi.conj() @ (parity_op @ psi)).real)
         l_odd = 0.5 * (1.0 - parity)
@@ -644,17 +643,14 @@ def fock_oracle(params: ChainParams, protocols: Sequence[RampProtocol],
                 policy: Optional[SteppingPolicy] = None,
                 sample_times: Optional[Sequence[Sequence[float]]] = None,
                 space: Optional[FockSpace] = None) -> List[Outcome]:
-    """Exact state-vector reference for ramps from one mu_in, one outcome per ramp.
+    """Exact state-vector reference for the ramps of :func:`evolve_ramps`, one outcome each.
 
-    Takes the arguments of :func:`evolve_ramps` and steps each ramp on the
-    same left-endpoint frozen-Hamiltonian grid, built by the same
-    :func:`_path_steps`, so the two methods are directly comparable.  Every
-    row advances one sample segment at a time, each step one
-    :meth:`FockSpace.step`; at each sample the basis and its ground states are
-    built once per distinct mu and every row sampled there is measured.  A
-    row that fails at a sample (basis resolve, ground states, measurement)
-    stops there and returns the exception, and the others go on.  ``space``
-    lets several calls share one :class:`FockSpace` of ``params``.
+    Each ramp steps on the same left-endpoint frozen-Hamiltonian grid, from
+    the same :func:`_path_steps`, so the two methods are directly comparable.
+    All ramps advance one sample segment at a time; at a sample, the basis and
+    its ground states are built once per distinct mu.  A ramp that fails at a
+    sample returns the exception, and the others go on.  ``space`` lets
+    several calls share one :class:`FockSpace` of ``params``.
     """
     space = _fock_space(params, space)
     if not protocols:

@@ -864,7 +864,7 @@ class TestOracleCommand:
         from tetronsim.dynamics import FockSpace
 
         counts = {"eigh": 0, "ground": 0, "hamiltonian": 0}
-        expected = {"ground": 0, "hamiltonian": 0}
+        expected = {"ground": 0, "hamiltonian": 0, "samples": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -877,6 +877,7 @@ class TestOracleCommand:
         def fock_oracle(params, protocols, policy, sample_times, space):
             ramps = [dynamics.sample_points(p, ts) for p, ts in zip(protocols, sample_times)]
             expected["ground"] += len({mu for _, mus in ramps for mu in mus})
+            expected["samples"] += sum(len(mus) for _, mus in ramps)
             expected["hamiltonian"] += sum(
                 len(dynamics._path_steps(mus, policy.resolved_dmu(mus[-1] - mus[0]))[0])
                 for _, mus in ramps)
@@ -890,9 +891,9 @@ class TestOracleCommand:
         monkeypatch.setattr(dynamics, "fock_oracle", fock_oracle)
         monkeypatch.setattr(dynamics, "fock_quench", fock_quench)
         monkeypatch.setattr(dynamics, "chain_eigh", counted("eigh", dynamics.chain_eigh))
-        monkeypatch.setattr(FockSpace, "ground_states", counted("ground", FockSpace.ground_states))
-        monkeypatch.setattr(FockSpace, "hamiltonian", counted("hamiltonian", FockSpace.hamiltonian))
-        eighs = []
+        for name, method in (("ground", "ground_states"), ("hamiltonian", "hamiltonian")):
+            monkeypatch.setattr(FockSpace, method, counted(name, getattr(FockSpace, method)))
+        eighs, samples = [], []
         for rates in ("1e-2", "1e-2, 0.1, 0.3"):
             ini, out = self._two_groups_ini(tmp_path, "steps_per_span = 100")
             ini.write_text(ini.read_text().replace("v_list = 1e-2, 0.1", "v_list = " + rates))
@@ -900,10 +901,14 @@ class TestOracleCommand:
             assert counts["ground"] == expected["ground"]
             assert counts["hamiltonian"] == expected["hamiltonian"] > 0
             eighs.append(counts["eigh"])
+            samples.append((counts["ground"], expected["samples"]))
             for tally in (counts, expected):
                 tally.update(dict.fromkeys(tally, 0))
         # 50 and 100 steps, each less the 10 that start at a sample basis
         assert eighs == [40 + 90] * 2
+        # three rates sample their ramps at mostly the same mus
+        (ground_1, samples_1), (ground_3, samples_3) = samples
+        assert samples_3 == 3 * samples_1 and ground_3 < 2 * ground_1
 
     def test_diff_failure_exit_code(self, tmp_path, monkeypatch):
         from tetronsim import cli as cli_mod

@@ -583,8 +583,8 @@ class TestFockOracle:
         times = np.linspace(0, proto.duration, 4)
         space = FockSpace(params(2))
         assert fock_quench(params(2), 0.0, 0.1, space) == fock_quench(params(2), 0.0, 0.1)
-        ramps = ([proto], pol, [times])
-        assert fock_oracle(params(2), *ramps, space=space) == fock_oracle(params(2), *ramps)
+        args = ([proto], pol, [times])
+        assert fock_oracle(params(2), *args, space=space) == fock_oracle(params(2), *args)
         with pytest.raises(InvalidParameterError, match="Fock space"):
             fock_quench(params(3), 0.0, 0.1, space)
         with pytest.raises(InvalidParameterError, match="Fock space"):
@@ -597,23 +597,23 @@ class TestFockOracle:
             fock_oracle(params(4), [RampProtocol(0.0, 0.1, 1e-2)])
 
     def test_rejects_ramps_it_cannot_step_together(self):
-        ramps = [RampProtocol(0.0, 0.1, 1e-2), RampProtocol(0.0, 0.05, 1e-2)]
+        protocols = [RampProtocol(0.0, 0.1, 1e-2), RampProtocol(0.0, 0.05, 1e-2)]
         for evolve in (evolve_ramps, fock_oracle):
             with pytest.raises(InvalidParameterError, match="one mu_in"):
-                evolve(params(2), ramps + [RampProtocol(0.05, 0.1, 1e-2)])
+                evolve(params(2), protocols + [RampProtocol(0.05, 0.1, 1e-2)])
             with pytest.raises(InvalidParameterError, match="sample times for 2 ramps"):
-                evolve(params(2), ramps, sample_times=[[1.0]])
+                evolve(params(2), protocols, sample_times=[[1.0]])
             assert evolve(params(2), []) == []
 
     def test_a_list_equals_each_ramp_alone(self):
         # rows share |+> and the ground states of each sample mu, nothing that
         # could change a record
         pol = SteppingPolicy(max_dmu_per_step=0.1 / 60)
-        ramps = [RampProtocol(0.0, 0.1, v) for v in (1e-2, 5e-2, 0.2)]
-        ramps.append(RampProtocol(0.0, 0.05, 0.1))
-        times = [np.linspace(0.0, p.duration, 6) for p in ramps[:3]] + [[0.1, 0.25]]
+        protocols = [RampProtocol(0.0, 0.1, v) for v in (1e-2, 5e-2, 0.2)]
+        protocols.append(RampProtocol(0.0, 0.05, 0.1))
+        times = [np.linspace(0.0, p.duration, 6) for p in protocols[:3]] + [[0.1, 0.25]]
         space = FockSpace(params(3))
-        together = fock_oracle(params(3), ramps, pol, times, space)
+        together = fock_oracle(params(3), protocols, pol, times, space)
         assert [len(records) for records in together] == [6, 6, 6, 4]
-        for ramp, ts, records in zip(ramps, times, together):
+        for ramp, ts, records in zip(protocols, times, together):
             assert records == fock_oracle(params(3), [ramp], pol, [ts], space)[0]
