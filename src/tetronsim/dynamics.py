@@ -33,16 +33,17 @@ projector Y Y^H gives n_0 (1 - n_0), n_0 the zero-mode occupation, as the sum
 of squares of its off-diagonal entries, so l_odd, the sum over E and O, keeps
 relative accuracy too and never reads below 0; the MZM parity is 1 - 2 l_odd.
 
-The oracle, :func:`fock_oracle`, steps the full two-chain Fock-space state
-vector of a chain of at most 3 sites on the same frozen-Hamiltonian grid, for
-the same list of ramps as :func:`evolve_ramps`; :func:`fock_quench` is its
-:func:`sudden_quench`.  Its Hamiltonian is real and linear in mu, H(mu) =
-H0 + mu H1, with both parts built once per :class:`FockSpace`.  It conserves
-the fermion parity of each chain, so each step is one batched real symmetric
-``eigh`` of the chain-parity blocks (16 x 16 at N = 3) the state occupies,
-two of the four for |+>, applied block by block.  Each ramp takes one such
-step per grid point; at a sample, the ground states and the MZM parity
-matrix are built once per distinct mu and shared by the ramps sampled there.
+Both methods run one schedule, :func:`_evolve`, with two engines: the
+orbitals above, and an exact oracle that steps the full two-chain Fock-space
+state vector of a chain of at most 3 sites (:func:`fock_oracle`, and
+:func:`fock_quench` for the sudden limit).  So the oracle's ramps take the
+rows, grids, samples, purity check, Richardson rows and per-row failures of
+:func:`evolve_ramps`.  Its Hamiltonian is real, H(mu) = H0 + mu H1 with both
+parts built once per :class:`FockSpace`, and conserves each chain's fermion
+parity, so a step is one batched real ``eigh`` of the chain-parity blocks
+(16 x 16 at N = 3) the state occupies, two of the four for |+>.  Each row
+takes one such step at each of its own grid points; at a sample, the ground
+states and the MZM parity matrix are built once per distinct mu.
 """
 
 from __future__ import annotations
@@ -133,16 +134,16 @@ def _chain_propagator(lam: np.ndarray, dt: float) -> np.ndarray:
     return np.exp(-1j * dt * lam)
 
 
-def _mode_step(w: np.ndarray, q: np.ndarray, phases: np.ndarray, work: np.ndarray) -> None:
+def _mode_step(w: np.ndarray, q: np.ndarray, phases: np.ndarray) -> None:
     """X <- Q (phases * (Q^T X)) in place for a stack ``w`` of shape (N, R, m).
 
     One row of ``phases`` per rate.  Q is real, so each product is one real
-    GEMM on the complex arrays viewed as floats; ``work`` is scratch of the
-    shape of ``w``.
+    GEMM on the complex arrays viewed as floats.
     """
     n = q.shape[0]
-    flat, scratch = w.view(float).reshape(n, -1), work.view(float).reshape(n, -1)
-    np.matmul(q.T, flat, out=scratch)
+    flat = w.view(float).reshape(n, -1)
+    scratch = q.T @ flat
+    work = scratch.view(complex).reshape(w.shape)
     work *= phases.T[:, :, None]
     np.matmul(q, scratch, out=flat)
 
@@ -163,7 +164,7 @@ def _path_steps(mus: Sequence[float], dmu: float) -> Tuple[np.ndarray, List[int]
 
 
 # A grid joins a lockstep run when it matches a prefix of the run's lead to
-# this, relative to the largest |mu| on the lead.
+# this times max(1, max |mu| on the lead): absolute on every grid with |mu| < 1.
 NEST_TOL = 1e-15
 
 
@@ -171,7 +172,8 @@ def _lockstep_runs(grids: Sequence[np.ndarray]) -> List[List[int]]:
     """The grids, by index, grouped into lockstep runs, each led by its longest grid.
 
     A grid joins a run when it equals a prefix of the lead's grid to
-    :data:`NEST_TOL`; otherwise it leads a run of its own.  The grids start at
+    :data:`NEST_TOL` max(1, max |mu| of the lead), an absolute 1e-15 for
+    |mu| < 1; otherwise it leads a run of its own.  The grids start at
     one mu, so a grid to the other side of it can join only as the single step
     at that mu, which is the lead's first step too.  The runs come in the order
     of their first grid.
@@ -279,32 +281,53 @@ def sample_points(protocol: RampProtocol,
     return ts, [protocol.mu_at(t) for t in ts[:-1]] + [protocol.mu_fin]
 
 
-# One ramp stepped in a lockstep run: its sample times and mus, the left
-# endpoint of each of its steps, and the steps taken before each sample.
-Row = Tuple[np.ndarray, Sequence[float], np.ndarray, List[int]]
+@dataclass(frozen=True)
+class _Orbitals:
+    """The orbital engine of :func:`_evolve`: the rows' orbitals, stacked as (N, R, m).
+
+    A step is one :func:`chain_eigh` at the first live row's grid point, or
+    the decomposition of the basis resolved there, for the whole stack.
+    """
+
+    params: ChainParams
+
+    def plus(self, mu: float) -> Tuple[np.ndarray, ModeBasis]:
+        state, basis = initial_plus_state(self.params, mu)
+        return state.orbitals, basis
+
+    def reference(self, mu: float) -> ModeBasis:
+        return resolved_basis(self.params, mu)
+
+    def step(self, x: np.ndarray, j: int, grids: Sequence[np.ndarray], dts: Sequence[float],
+             reused: Optional[ModeBasis]) -> None:
+        lam, q = ((reused.eigenvalues, reused.v) if reused is not None
+                  else chain_eigh(self.params, grids[0][j]))
+        _mode_step(x, q, np.array([_chain_propagator(lam, dt) for dt in dts]))
+
+    def measure(self, orbitals: np.ndarray, basis: ModeBasis, t: float) -> LeakageRecord:
+        return measure_leakage(PlusState(orbitals), basis, t=t)
 
 
-def _evolve_lockstep(params: ChainParams, rows: Sequence[Row],
-                     start: Tuple[PlusState, ModeBasis, LeakageRecord],
+def _evolve_lockstep(engine, rows: Sequence[tuple], start: tuple,
                      purity_tol: float) -> List[Outcome]:
-    """Step several ramps together on the grid of the first row.
+    """Step several ramps together through ``engine``, each on its own grid.
 
-    Every other row's grid is a prefix of that grid.  ``start`` is |+> at the
-    rows' common first mu, its basis and its record at t = 0.  Each step takes
-    one :func:`chain_eigh` of S(mu) and advances the orbitals of every row
-    still running, stacked as (N, R, m), each with its own dt: its segment's
-    duration over the segment's step count.  At a sample, the basis is
-    resolved once for every row that samples there, and those rows are
-    measured; a step at the mu of a basis just resolved takes its eigenvalues
-    and vectors from that basis.  A row leaves the stack after its last
-    sample, or when it fails.  Which rows move and which are measured is
-    settled once per segment between samples, never per step.
+    A row is a ramp's sample times and mus, the left endpoint of each of its
+    steps, and the steps taken before each sample; the other rows' grids are
+    prefixes of the first row's.  ``start`` is |+> at the rows' first mu, its
+    reference and its record at t = 0.  Each step advances every row still
+    running, each with its own dt: its segment's duration over the segment's
+    step count.  At a sample, the reference is built once per mu for the rows
+    sampled there, and they are measured; the step at the mu of a reference
+    just built is given it.  A row leaves the stack after its last sample, or
+    when it fails.  Which rows move and which are measured is settled once
+    per segment between samples, never per step.
 
     Returns, per row, its Trajectory, with ``n_steps`` the number of steps it
-    took, or the exception that stopped it: a purity failure, or a basis
-    resolve that raised at one of its samples.
+    took, or the exception that stopped it: a purity failure, or a reference
+    or measurement that raised at one of its samples.
     """
-    state, basis, first = start
+    state, reference, first = start
 
     def checked(record: LeakageRecord, trajectory: Trajectory) -> Outcome:
         if not record.purity_defect <= purity_tol:
@@ -315,44 +338,39 @@ def _evolve_lockstep(params: ChainParams, rows: Sequence[Row],
 
     outcomes = [checked(first, Trajectory()) for _ in rows]
     live = [i for i, out in enumerate(outcomes) if isinstance(out, Trajectory)]
-    x = np.repeat(state.orbitals[:, None], len(live), axis=1)
-    grid = rows[0][2]
-    bases = {basis.mu: basis}  # the bases, or resolve failures, at the last sample
+    x = np.repeat(np.asarray(state, complex)[:, None], len(live), axis=1)
+    references = {rows[0][1][0]: reference}  # the references at the last sample
     reached = [1] * len(rows)  # each row's next sample
     begin = 0
     for end in sorted({c for *_, counts in rows for c in counts[1:]}):
         if not live:
             break
-        dts = []
+        grids, dts = [], []
         for i in live:
-            times, _, _, counts = rows[i]
+            times, _, grid, counts = rows[i]
             k = reached[i]
+            grids.append(grid)
             dts.append((times[k] - times[k - 1]) / (counts[k] - counts[k - 1]))
-        work = np.empty_like(x)
-        for s, mu in enumerate(grid[begin:end]):
-            resolved = bases.get(mu) if s == 0 else None
-            lam, q = ((resolved.eigenvalues, resolved.v) if isinstance(resolved, ModeBasis)
-                      else chain_eigh(params, mu))
-            _mode_step(x, q, np.array([_chain_propagator(lam, dt) for dt in dts]), work)
-        bases = {}
+        for j in range(begin, end):
+            engine.step(x, j, grids, dts, references.get(grids[0][j]) if j == begin else None)
+        references = {}
         for slot, i in enumerate(live):
             times, mus, _, counts = rows[i]
             k = reached[i]
             if counts[k] != end:
                 continue
             reached[i] += 1
-            if mus[k] not in bases:
-                try:
-                    bases[mus[k]] = resolved_basis(params, mus[k])
-                except Exception as exc:  # noqa: BLE001 - fails only the rows sampled here
-                    bases[mus[k]] = exc
-            basis = bases[mus[k]]
-            outcomes[i] = basis if isinstance(basis, Exception) else checked(
-                measure_leakage(PlusState(x[:, slot]), basis, t=float(times[k])), outcomes[i])
+            try:
+                if mus[k] not in references:
+                    references[mus[k]] = engine.reference(mus[k])
+                outcomes[i] = checked(engine.measure(x[:, slot], references[mus[k]],
+                                                     float(times[k])), outcomes[i])
+            except Exception as exc:  # noqa: BLE001 - fails only this row
+                outcomes[i] = exc
         kept = [slot for slot, i in enumerate(live)
                 if reached[i] < len(rows[i][3]) and isinstance(outcomes[i], Trajectory)]
         if len(kept) < len(live):
-            # contiguous, so that _mode_step's float views write into x itself
+            # contiguous, so that a step's float views write into x itself
             x, live = np.ascontiguousarray(x[:, kept]), [live[slot] for slot in kept]
         begin = end
     for (*_, counts), out in zip(rows, outcomes):
@@ -361,25 +379,46 @@ def _evolve_lockstep(params: ChainParams, rows: Sequence[Row],
     return outcomes
 
 
-def _evolve(params: ChainParams, ramps: Sequence[Tuple[np.ndarray, Sequence[float]]],
-            policy: SteppingPolicy) -> List[Outcome]:
-    """One outcome per ramp, given as its sample times and mus; all start at one mu.
+def _evolve(engine, protocols: Sequence[RampProtocol], policy: Optional[SteppingPolicy],
+            sample_times: Optional[Sequence[Optional[Sequence[float]]]]) -> List[Outcome]:
+    """The one schedule of :func:`evolve_ramps` and :func:`fock_oracle`: one outcome per ramp.
 
-    Each ramp is a row stepped at the policy's dmu for its span and, with
-    Richardson on, a second row at half of it.  |+>, its basis and its t = 0
-    record are built once, and each run of :func:`_lockstep_runs` steps its
-    rows from them.  A ramp takes its coarse row's failure, else its fine
-    row's, else the coarse trajectory with its ``richardson_defect``.  A
-    failure of |+> raises.
+    The ramps start at one mu_in and stay in the topological phase;
+    ``sample_times`` holds one sequence (or None) per ramp, its end alone
+    without it.  Each ramp is a row at the policy's dmu for its span and,
+    with Richardson on, one at half of it.  |+>, its reference and its t = 0
+    record are built once for every run of :func:`_lockstep_runs`.  A ramp
+    takes its coarse row's failure, else its fine row's, else the coarse
+    trajectory with its ``richardson_defect``; a failure of |+> raises.
+
+    The ``engine`` stacks the rows' states along axis 1 and supplies four
+    operations: ``plus(mu)``, |+> at mu and the reference it was built in;
+    ``reference(mu)``, what a sample at mu is read against; ``step(x, j,
+    grids, dts, reused)``, each row of the stack ``x`` through step j of its
+    grid with its dt, ``reused`` being the reference built at that step's mu
+    or None; and ``measure(state, reference, t)``.
     """
+    if not protocols:
+        return []
+    mu_in = protocols[0].mu_in
+    if any(p.mu_in != mu_in for p in protocols):
+        raise InvalidParameterError("ramps stepped together must start at one mu_in")
+    require_topological(engine.params, mu_in, *(p.mu_fin for p in protocols))
+    if sample_times is None:
+        sample_times = [[p.duration] for p in protocols]
+    if len(sample_times) != len(protocols):
+        raise InvalidParameterError("%d sequences of sample times for %d ramps"
+                                    % (len(sample_times), len(protocols)))
+    policy = policy or SteppingPolicy()
     scales = (1.0, 0.5) if policy.richardson else (1.0,)
+    ramps = [sample_points(p, ts) for p, ts in zip(protocols, sample_times)]
     rows = [(times, mus, *_path_steps(mus, scale * policy.resolved_dmu(mus[-1] - mus[0])))
             for scale in scales for times, mus in ramps]
-    state, basis = initial_plus_state(params, ramps[0][1][0])
-    start = (state, basis, measure_leakage(state, basis, t=0.0))
+    state, reference = engine.plus(ramps[0][1][0])
+    start = (state, reference, engine.measure(state, reference, 0.0))
     outcomes: List[Outcome] = [None] * len(rows)
     for run in _lockstep_runs([grid for _, _, grid, _ in rows]):
-        results = _evolve_lockstep(params, [rows[i] for i in run], start, policy.purity_tol)
+        results = _evolve_lockstep(engine, [rows[i] for i in run], start, policy.purity_tol)
         for i, out in zip(run, results):
             outcomes[i] = out
     coarse = outcomes[:len(ramps)]
@@ -394,24 +433,11 @@ def _evolve(params: ChainParams, ramps: Sequence[Tuple[np.ndarray, Sequence[floa
     return coarse
 
 
-def _sampled_ramps(params: ChainParams, protocols: Sequence[RampProtocol],
-                   sample_times: Optional[Sequence[Optional[Sequence[float]]]]
-                   ) -> List[Tuple[np.ndarray, list]]:
-    """Each ramp's :func:`sample_points`, from one sequence (or None) per ramp.
-
-    Without ``sample_times`` each ramp is sampled at its end only.  The ramps
-    must start at one mu_in, and every mu must lie in the topological phase.
-    """
-    mu_in = protocols[0].mu_in
-    if any(p.mu_in != mu_in for p in protocols):
-        raise InvalidParameterError("ramps stepped together must start at one mu_in")
-    require_topological(params, mu_in, *(p.mu_fin for p in protocols))
-    if sample_times is None:
-        sample_times = [[p.duration] for p in protocols]
-    if len(sample_times) != len(protocols):
-        raise InvalidParameterError("%d sequences of sample times for %d ramps"
-                                    % (len(sample_times), len(protocols)))
-    return [sample_points(p, ts) for p, ts in zip(protocols, sample_times)]
+def _quench(engine, mu_in: float, mu_fin: float) -> LeakageRecord:
+    """|+> built at mu_in by an :func:`_evolve` engine, read against its reference at mu_fin."""
+    require_topological(engine.params, mu_in, mu_fin)
+    state, _ = engine.plus(mu_in)
+    return engine.measure(state, engine.reference(mu_fin), 0.0)
 
 
 def evolve_ramp(params: ChainParams, protocol: RampProtocol,
@@ -439,17 +465,11 @@ def evolve_ramps(params: ChainParams, protocols: Sequence[RampProtocol],
     Trajectory that :func:`evolve_ramp` gives for it with those sample times
     (``richardson_defect`` set if the policy asks for it), or the exception
     that stopped it: its purity check (StepSizeTooCoarse), or a basis resolve
-    at one of its samples.  The mu grid does not depend on the rate, and a
-    ramp whose grid is a prefix of another's, as when the policy fixes one
-    step and the ramps share their sample mus or a nearer mu_fin lies on a
-    farther ramp's grid, rides that ramp's lockstep: it is measured at its
-    own samples and leaves the stack after its last, so each mu takes one
-    decomposition for every ramp on it.
+    or measurement at one of its samples.  A ramp whose grid is a prefix of
+    another's rides that ramp's lockstep, so each mu takes one decomposition
+    for every ramp on it.
     """
-    if not protocols:
-        return []
-    return _evolve(params, _sampled_ramps(params, protocols, sample_times),
-                   policy or SteppingPolicy())
+    return _evolve(_Orbitals(params), protocols, policy, sample_times)
 
 
 def sudden_quench(params: ChainParams, mu_in: float, mu_fin: float) -> LeakageRecord:
@@ -458,9 +478,7 @@ def sudden_quench(params: ChainParams, mu_in: float, mu_fin: float) -> LeakageRe
     This is the infinite-rate limit of the ramp: no time evolution happens,
     only the instantaneous computational basis changes.
     """
-    require_topological(params, mu_in, mu_fin)
-    state, _ = initial_plus_state(params, mu_in)
-    return measure_leakage(state, resolved_basis(params, mu_fin), t=0.0)
+    return _quench(_Orbitals(params), mu_in, mu_fin)
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +609,9 @@ class FockSpace:
         return vac, one, parity
 
     def measure(self, psi: np.ndarray, basis: ModeBasis, t: float,
-                ground: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-                ) -> LeakageRecord:
-        """Leakage split of psi in ``basis``; ``ground`` is its :meth:`ground_states`, or None."""
-        vac, one, parity_op = ground if ground is not None else self.ground_states(basis)
+                ground: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> LeakageRecord:
+        """Leakage split of psi in ``basis``, whose :meth:`ground_states` are ``ground``."""
+        vac, one, parity_op = ground
         parity = float((psi.conj() @ (parity_op @ psi)).real)
         l_odd = 0.5 * (1.0 - parity)
         l_g_raw = 1.0 - abs(vac @ psi) ** 2 - abs(one @ psi) ** 2
@@ -610,20 +627,37 @@ class FockSpace:
         )
 
 
-def _fock_space(params: ChainParams, space: Optional[FockSpace]) -> FockSpace:
-    """``space`` if it was built for ``params``, a new FockSpace without it."""
-    if space is None:
-        return FockSpace(params)
-    if space.params != params:
-        raise InvalidParameterError("Fock space built for %r, not %r" % (space.params, params))
-    return space
+class _FockVectors:
+    """The oracle's engine of :func:`_evolve`: the rows' state vectors stacked as (dim, R).
 
+    A step takes each row one :meth:`FockSpace.step` at its own grid point;
+    a sample reference is the basis with its :meth:`FockSpace.ground_states`.
+    """
 
-def _fock_plus(space: FockSpace, basis: ModeBasis) -> Tuple[np.ndarray, tuple]:
-    """|+> = (|0_t> + |1_t>) / sqrt(2) in ``basis``, and the basis's ground states."""
-    ground = space.ground_states(basis)
-    vac, one, _ = ground
-    return (vac + one) / np.sqrt(2.0), ground
+    def __init__(self, params: ChainParams, space: Optional[FockSpace] = None):
+        self.params, self.space = params, space or FockSpace(params)
+        if self.space.params != params:
+            raise InvalidParameterError("Fock space built for %r, not %r"
+                                        % (self.space.params, params))
+
+    def plus(self, mu: float) -> Tuple[np.ndarray, tuple]:
+        reference = self.reference(mu)
+        vac, one, _ = reference[1]
+        return (vac + one) / np.sqrt(2.0), reference
+
+    def reference(self, mu: float) -> tuple:
+        basis = resolved_basis(self.params, mu)
+        return basis, self.space.ground_states(basis)
+
+    def step(self, x: np.ndarray, j: int, grids: Sequence[np.ndarray], dts: Sequence[float],
+             reused: Optional[tuple]) -> None:
+        for slot, (grid, dt) in enumerate(zip(grids, dts)):
+            x[:, slot] = self.space.step(x[:, slot], grid[j], dt)
+
+    def measure(self, psi: np.ndarray, reference: tuple, t: float) -> LeakageRecord:
+        basis, ground = reference
+        # contiguous: a column of the stack has a stride that BLAS sums by differently
+        return self.space.measure(np.ascontiguousarray(psi), basis, t, ground)
 
 
 def fock_quench(params: ChainParams, mu_in: float, mu_fin: float,
@@ -633,53 +667,18 @@ def fock_quench(params: ChainParams, mu_in: float, mu_fin: float,
     ``space`` lets several calls share one :class:`FockSpace` of ``params``;
     without it each call builds its own.
     """
-    space = _fock_space(params, space)
-    require_topological(params, mu_in, mu_fin)
-    psi, _ = _fock_plus(space, resolved_basis(params, mu_in))
-    return space.measure(psi, resolved_basis(params, mu_fin), 0.0)
+    return _quench(_FockVectors(params, space), mu_in, mu_fin)
 
 
 def fock_oracle(params: ChainParams, protocols: Sequence[RampProtocol],
                 policy: Optional[SteppingPolicy] = None,
                 sample_times: Optional[Sequence[Sequence[float]]] = None,
                 space: Optional[FockSpace] = None) -> List[Outcome]:
-    """Exact state-vector reference for the ramps of :func:`evolve_ramps`, one outcome each.
+    """Exact state-vector reference for :func:`evolve_ramps`: its arguments, its outcomes.
 
-    Each ramp steps on the same left-endpoint frozen-Hamiltonian grid, from
-    the same :func:`_path_steps`, so the two methods are directly comparable.
-    All ramps advance one sample segment at a time; at a sample, the basis and
-    its ground states are built once per distinct mu.  A ramp that fails at a
-    sample returns the exception, and the others go on.  ``space`` lets
-    several calls share one :class:`FockSpace` of ``params``.
+    Both run :func:`_evolve`, so a ramp here has the same grid, samples,
+    ``n_steps``, purity check (of its norm defect), Richardson row and
+    per-row failures; only the engine differs.  ``space`` lets several calls
+    share one :class:`FockSpace` of ``params``.
     """
-    space = _fock_space(params, space)
-    if not protocols:
-        return []
-    policy = policy or SteppingPolicy()
-    rows = [(times, mus, *_path_steps(mus, policy.resolved_dmu(mus[-1] - mus[0])))
-            for times, mus in _sampled_ramps(params, protocols, sample_times)]
-    basis = resolved_basis(params, protocols[0].mu_in)
-    psi, ground = _fock_plus(space, basis)
-    first = space.measure(psi, basis, 0.0, ground)
-    outcomes: List[Outcome] = [Trajectory([first]) for _ in rows]
-    states = [psi] * len(rows)
-    for k in range(1, max(len(times) for times, *_ in rows)):
-        live = [i for i, (times, *_) in enumerate(rows)
-                if k < len(times) and isinstance(outcomes[i], Trajectory)]
-        for i in live:
-            times, _, grid, counts = rows[i]
-            dt = (times[k] - times[k - 1]) / (counts[k] - counts[k - 1])
-            for mu in grid[counts[k - 1]:counts[k]]:
-                states[i] = space.step(states[i], mu, dt)
-        references = {}
-        for i in live:
-            times, mus, _, _ = rows[i]
-            try:
-                if mus[k] not in references:
-                    basis = resolved_basis(params, mus[k])
-                    references[mus[k]] = basis, space.ground_states(basis)
-                basis, ground = references[mus[k]]
-                outcomes[i].append(space.measure(states[i], basis, float(times[k]), ground))
-            except Exception as exc:  # noqa: BLE001 - fails only this row
-                outcomes[i] = exc
-    return outcomes
+    return _evolve(_FockVectors(params, space), protocols, policy, sample_times)

@@ -341,7 +341,9 @@ def _read_chain_run(ini: _Reader, cfg: ExperimentConfig) -> None:
             cfg.policy = dynamics.SteppingPolicy(
                 max_dmu_per_step=max_dmu,
                 purity_tol=ini.get("stepping", "purity_tol", float, default=1e-6),
-                richardson=ini.get("stepping", "richardson", bool, default=False),
+                # oracle-check writes no Richardson defect, so it takes no rerun
+                richardson=(kind != "oracle-check"
+                            and ini.get("stepping", "richardson", bool, default=False)),
             )
         except InvalidParameterError as exc:
             raise ConfigError("stepping: %s" % exc)
@@ -627,21 +629,20 @@ def _oracle_ramps(cfg: ExperimentConfig, protocols, space: dynamics.FockSpace) -
     """Each ramp's oracle cells, sampled at 11 times, or the failure that stopped it.
 
     The ramps go through one :func:`dynamics.evolve_ramps` and one
-    :func:`dynamics.fock_oracle` call; the oracle steps only the ramps whose
-    orbital half succeeded, so a ramp takes its orbital failure, else its
-    oracle failure.
+    :func:`dynamics.fock_oracle` call, which return alike; the oracle steps
+    only the ramps whose orbital half succeeded, so a ramp takes its orbital
+    failure, else its oracle failure.
     """
     times = [np.linspace(0.0, p.duration, 11) for p in protocols]
-    [covs] = _run_points([protocols], lambda ps: dynamics.evolve_ramps(
-        cfg.params, ps, cfg.policy, sample_times=times))
-    if isinstance(covs, Exception):
-        return [covs] * len(protocols)
+
+    def each(evolve, rows, *space):  # a failure of the whole call fails each row
+        [outs] = _run_points([rows], lambda ids: evolve(
+            cfg.params, [protocols[i] for i in ids], cfg.policy, [times[i] for i in ids], *space))
+        return [outs] * len(rows) if isinstance(outs, Exception) else outs
+
+    covs = each(dynamics.evolve_ramps, range(len(protocols)))
     live = [i for i, cov in enumerate(covs) if not isinstance(cov, Exception)]
-    [orks] = _run_points([live], lambda rows: dynamics.fock_oracle(
-        cfg.params, [protocols[i] for i in rows], cfg.policy, [times[i] for i in rows], space))
-    if isinstance(orks, Exception):
-        orks = [orks] * len(live)
-    for i, ork in zip(live, orks):
+    for i, ork in zip(live, each(dynamics.fock_oracle, live, space)):
         covs[i] = ork if isinstance(ork, Exception) else _oracle_cells(covs[i], ork)
     return covs
 

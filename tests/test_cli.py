@@ -240,6 +240,7 @@ class TestConfigValidation:
         ("ramp", "grid", "n_list", "4, 6"),
         ("oracle-check", "protocol", "rate", "1e-2"),
         ("oracle-check", "samples", "count", "5"),
+        ("oracle-check", "stepping", "richardson", "true"),
         ("sweep-rate", "protocol", "rate", "1e-2"),
         ("sweep-rate", "samples", "count", "5"),
         ("sweep-length", "model", "n_sites", "4"),
@@ -794,7 +795,7 @@ class TestOracleCommand:
 
         measure, spoiled = FockSpace.measure, []
 
-        def spoil_first_sample_after_zero(self, psi, basis, t, ground=None):
+        def spoil_first_sample_after_zero(self, psi, basis, t, ground):
             record = measure(self, psi, basis, t, ground)
             if t > 0.0 and not spoiled:
                 spoiled.append(t)

@@ -300,6 +300,25 @@ class TestSharedWork:
         assert len(outcomes) == len(RATES)
         assert all(isinstance(out, StepSizeTooCoarse) for out in outcomes)
 
+    def test_a_failed_measurement_fails_only_its_row(self, monkeypatch):
+        protocols = ramps([0.1], (1e-2, 3e-2, 7e-2))
+        times = [np.linspace(0.0, p.duration, 6) for p in protocols]
+        pol = SteppingPolicy(max_dmu_per_step=0.1 / 60)
+        clean = evolve_ramps(params(4), protocols, pol, times)
+        spoiled_t = times[1][1]
+        assert all(spoiled_t not in ts for ts in times[::2])
+        measure = dynamics.measure_leakage
+
+        def failing(state, basis, t=0.0):
+            if t == spoiled_t:
+                raise ValueError("spoiled sample")
+            return measure(state, basis, t)
+
+        monkeypatch.setattr(dynamics, "measure_leakage", failing)
+        outcomes = evolve_ramps(params(4), protocols, pol, times)
+        assert isinstance(outcomes[1], ValueError)
+        assert outcomes[::2] == clean[::2]
+
     def test_sampled_ramp_takes_one_svd_per_step_and_one_more(self, monkeypatch):
         proto = RampProtocol(0.0, 0.1, 5e-3)
         pol = SteppingPolicy(max_dmu_per_step=0.1 / 90)
@@ -604,6 +623,45 @@ class TestFockOracle:
             with pytest.raises(InvalidParameterError, match="sample times for 2 ramps"):
                 evolve(params(2), protocols, sample_times=[[1.0]])
             assert evolve(params(2), []) == []
+
+    def test_returns_what_evolve_ramps_returns(self):
+        # one schedule: the same step counts, and a Richardson row per ramp
+        pol = SteppingPolicy(max_dmu_per_step=0.1 / 60, richardson=True)
+        protocols = ramps([0.1], (1e-2, 5e-2, 0.2)) + [RampProtocol(0.0, 0.05, 0.1)]
+        times = [np.linspace(0.0, p.duration, 6) for p in protocols]
+        covs = evolve_ramps(params(3), protocols, pol, times)
+        orks = fock_oracle(params(3), protocols, pol, times)
+        assert [ork.n_steps for ork in orks] == [cov.n_steps for cov in covs] == [60] * 3 + [30]
+        for cov, ork in zip(covs, orks):
+            assert ork.richardson_defect > 0.0
+            assert ork.richardson_defect == pytest.approx(cov.richardson_defect, rel=1e-6)
+
+    def test_norm_defect_above_purity_tol_fails_the_ramp(self):
+        proto = RampProtocol(0.0, 0.1, 1e-2)
+        args = ([proto], SteppingPolicy(max_dmu_per_step=0.1 / 60),
+                [np.linspace(0.0, proto.duration, 6)])
+        [records] = fock_oracle(params(3), *args)
+        worst = records.max_purity_defect
+        assert worst > 0.0
+        policy = replace(args[1], purity_tol=worst / 2)
+        [failed] = fock_oracle(params(3), args[0], policy, args[2])
+        assert isinstance(failed, StepSizeTooCoarse)
+        assert "exceeds tolerance %g" % (worst / 2) in str(failed)
+
+    def test_both_engines_run_one_schedule(self, monkeypatch):
+        # a second copy of the segment loop would not pass through _evolve_lockstep
+        lockstep, calls = dynamics._evolve_lockstep, []
+
+        def counted(*args):
+            calls.append(None)
+            return lockstep(*args)
+
+        monkeypatch.setattr(dynamics, "_evolve_lockstep", counted)
+        proto = RampProtocol(0.0, 0.1, 1e-2)
+        evolve_ramps(params(2), [proto])
+        assert len(calls) == 1
+        fock_oracle(params(2), [proto])
+        assert len(calls) == 2
 
     def test_a_list_equals_each_ramp_alone(self):
         # rows share |+> and the ground states of each sample mu, nothing that

@@ -177,7 +177,7 @@ def test_mode_frame_step_is_the_dense_propagator(chain, dts):
     n = params.n_sites
     lam, q = chain_eigh(params, mu)
     z = _identity_frames(n, len(dts))
-    _mode_step(z, q, np.array([_chain_propagator(lam, dt) for dt in dts]), np.empty_like(z))
+    _mode_step(z, q, np.array([_chain_propagator(lam, dt) for dt in dts]))
     svd = np.linalg.svd(chain_s(params, mu))
     omega = majorana_rotation(n)[:2 * n, :2 * n]
     for o, dt in zip(_real_propagators(z), dts):
@@ -213,11 +213,10 @@ def test_mode_frame_steps_compose_as_dense_propagators(steps):
     params, mus, dts = steps
     n = params.n_sites
     w = _identity_frames(n, len(dts))
-    work = np.empty_like(w)
     expected = np.repeat(np.eye(2 * n)[None], len(dts), axis=0)
     for mu, step_dts in zip(mus, dts.T):
         lam, q = chain_eigh(params, mu)
-        _mode_step(w, q, np.array([_chain_propagator(lam, dt) for dt in step_dts]), work)
+        _mode_step(w, q, np.array([_chain_propagator(lam, dt) for dt in step_dts]))
         svd = np.linalg.svd(chain_s(params, mu))
         expected = np.array([dense_propagator(svd, dt) @ o for dt, o in zip(step_dts, expected)])
     assert np.max(np.abs(_real_propagators(w) - expected)) < 1e-12
@@ -453,7 +452,8 @@ def test_fock_parity_matches_dense_parity_operator(n, w, delta_ratio, mu_ratio, 
     basis = resolved_basis(space.params, w * mu_ratio)
     psi = random_state(space.dim, seed)
     expected = (psi.conj() @ (dense_mzm_parity(space, basis) @ psi)).real
-    assert abs(space.measure(psi, basis, t=0.0).parity - expected) < 1e-13
+    record = space.measure(psi, basis, 0.0, space.ground_states(basis))
+    assert abs(record.parity - expected) < 1e-13
 
 
 @PROPERTY
