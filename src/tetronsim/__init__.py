@@ -23,7 +23,6 @@ from .analytics import (
 from .dynamics import (
     FockSpace,
     LeakageRecord,
-    PlusState,
     SteppingPolicy,
     Trajectory,
     evolve_ramp,

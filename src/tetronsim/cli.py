@@ -7,8 +7,8 @@ fit           run a fitting config against a previously written table
 oracle-check  compare the orbital method with the exact small-N oracle
 presets       list the built-in named experiment presets
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 oracle-check difference above tolerance.
+Exit codes: 0 success, 2 configuration error or unwritable output path,
+3 numerical failure, 4 oracle-check difference above tolerance.
 """
 
 from __future__ import annotations
@@ -102,7 +102,11 @@ def _execute(args, expected_kind: Optional[str] = None) -> int:
         return EXIT_NUMERICAL
 
     out_path = _resolve_out_path(cfg)
-    table.write(out_path)
+    try:
+        table.write(out_path)
+    except OSError as exc:
+        print("config error: cannot write %s: %s" % (out_path, exc), file=sys.stderr)
+        return EXIT_CONFIG
     if not args.quiet:
         print("wrote %d rows to %s" % (len(table.rows), out_path))
 

@@ -8,9 +8,9 @@ opposite parity.  Each is a Slater determinant of complex N-dimensional
 orbitals (Onishi & Yoshida, Nucl. Phys. 80, 367 (1966)): S(mu) of
 :func:`tetronsim.model.chain_s` is persymmetric, so one symmetric ``eigh``,
 J S = Q Lambda Q^T (:func:`tetronsim.model.chain_eigh`), gives the modes, and
-a basis's vacuum occupies the columns of Q with lambda < 0.  :class:`PlusState`
-carries the (N, m) matrix X whose columns are E's orbitals: v_0 of the basis
-at mu_in, then that basis's bulk modes with lambda < 0.  O occupies X[:, 1:].
+a basis's vacuum occupies the columns of Q with lambda < 0.  |+> is the (N, m)
+matrix X of E's orbitals (:func:`initial_plus_state`): v_0 of the basis at
+mu_in, then that basis's bulk modes with lambda < 0.  O occupies X[:, 1:].
 
 A frozen-Hamiltonian step is the N x N unitary W = Q e^{-i Lambda dt} Q^T on
 the orbitals, X <- W X: it is the one-chain Majorana step O = D [[Re W, -Im W],
@@ -192,23 +192,11 @@ def _lockstep_runs(grids: Sequence[np.ndarray]) -> List[List[int]]:
     return sorted(runs, key=min)
 
 
-@dataclass(frozen=True)
-class PlusState:
-    """|+> as the occupied orbitals of its two single-chain states E and O.
-
-    ``orbitals`` is an (N, m) complex matrix with orthonormal columns: E
-    occupies all of them, O all but column 0, the zero mode of the basis |+>
-    was built in.
-    """
-
-    orbitals: np.ndarray
-
-
-def initial_plus_state(params: ChainParams, mu_in: float) -> Tuple[PlusState, ModeBasis]:
-    """|+> at mu_in, as its orbitals v_0 and the bulk modes with lambda < 0, and its basis."""
+def initial_plus_state(params: ChainParams, mu_in: float) -> Tuple[np.ndarray, ModeBasis]:
+    """|+> at mu_in, as (N, m) orbitals v_0 and the bulk modes with lambda < 0, and its basis."""
     basis = resolved_basis(params, mu_in)
     occupied = np.r_[0, 1 + np.flatnonzero(basis.signs[1:] < 0.0)]
-    return PlusState(basis.v[:, occupied].astype(complex)), basis
+    return basis.v[:, occupied].astype(complex), basis
 
 
 def _loss(y: np.ndarray) -> float:
@@ -222,8 +210,8 @@ def _loss(y: np.ndarray) -> float:
         return -float(np.expm1(np.sum(np.log1p(-s2))))
 
 
-def measure_leakage(state: PlusState, basis: ModeBasis, t: float = 0.0) -> LeakageRecord:
-    """Leakage split of |+> against an instantaneous basis.
+def measure_leakage(orbitals: np.ndarray, basis: ModeBasis, t: float = 0.0) -> LeakageRecord:
+    """Leakage split of |+>, the (N, m) array X of ``orbitals``, against an instantaneous basis.
 
     With Y = V^T X, E (m orbitals) is read against the reference that
     occupies v_0 and the bulk modes with lambda < 0, and O (m - 1 orbitals)
@@ -235,13 +223,12 @@ def measure_leakage(state: PlusState, basis: ModeBasis, t: float = 0.0) -> Leaka
     F^2.  The purity defect is the orthonormality defect max |X^H X - I| of
     the orbitals.
     """
-    x = state.orbitals
-    n, m = x.shape
+    n, m = orbitals.shape
     empty = 1 + np.flatnonzero(basis.signs[1:] > 0.0)
     if n != basis.params.n_sites or empty.size != n - m:
         raise BasisMismatchError("%d x %d orbitals do not match the basis at mu=%g"
                                  % (n, m, basis.mu))
-    y = basis.v.T @ x
+    y = basis.v.T @ orbitals
     l_odd = l_g_raw = 0.0
     for y_state, rows in ((y, empty), (y[:, 1:], np.concatenate(([0], empty)))):
         off_diagonal = y_state[1:] @ y_state[0].conj()
@@ -256,7 +243,7 @@ def measure_leakage(state: PlusState, basis: ModeBasis, t: float = 0.0) -> Leaka
         l_even=l_even,
         l_g=l_odd + l_even,
         parity=1.0 - 2.0 * l_odd,
-        purity_defect=float(np.max(np.abs(x.conj().T @ x - np.eye(m)))),
+        purity_defect=float(np.max(np.abs(orbitals.conj().T @ orbitals - np.eye(m)))),
     )
 
 
@@ -292,8 +279,7 @@ class _Orbitals:
     params: ChainParams
 
     def plus(self, mu: float) -> Tuple[np.ndarray, ModeBasis]:
-        state, basis = initial_plus_state(self.params, mu)
-        return state.orbitals, basis
+        return initial_plus_state(self.params, mu)
 
     def reference(self, mu: float) -> ModeBasis:
         return resolved_basis(self.params, mu)
@@ -305,7 +291,7 @@ class _Orbitals:
         _mode_step(x, q, np.array([_chain_propagator(lam, dt) for dt in dts]))
 
     def measure(self, orbitals: np.ndarray, basis: ModeBasis, t: float) -> LeakageRecord:
-        return measure_leakage(PlusState(orbitals), basis, t=t)
+        return measure_leakage(orbitals, basis, t=t)
 
 
 def _evolve_lockstep(engine, rows: Sequence[tuple], start: tuple,
@@ -387,9 +373,11 @@ def _evolve(engine, protocols: Sequence[RampProtocol], policy: Optional[Stepping
     ``sample_times`` holds one sequence (or None) per ramp, its end alone
     without it.  Each ramp is a row at the policy's dmu for its span and,
     with Richardson on, one at half of it.  |+>, its reference and its t = 0
-    record are built once for every run of :func:`_lockstep_runs`.  A ramp
-    takes its coarse row's failure, else its fine row's, else the coarse
-    trajectory with its ``richardson_defect``; a failure of |+> raises.
+    record are built once for every run of :func:`_lockstep_runs`; their
+    failure is every ramp's outcome.  Else a ramp takes its coarse row's
+    failure, else its fine row's, else the coarse trajectory with its
+    ``richardson_defect``.  Mixed mu_in, a non-topological mu or a wrong
+    count of ``sample_times`` raise.
 
     The ``engine`` stacks the rows' states along axis 1 and supplies four
     operations: ``plus(mu)``, |+> at mu and the reference it was built in;
@@ -414,8 +402,11 @@ def _evolve(engine, protocols: Sequence[RampProtocol], policy: Optional[Stepping
     ramps = [sample_points(p, ts) for p, ts in zip(protocols, sample_times)]
     rows = [(times, mus, *_path_steps(mus, scale * policy.resolved_dmu(mus[-1] - mus[0])))
             for scale in scales for times, mus in ramps]
-    state, reference = engine.plus(ramps[0][1][0])
-    start = (state, reference, engine.measure(state, reference, 0.0))
+    try:
+        state, reference = engine.plus(ramps[0][1][0])
+        start = (state, reference, engine.measure(state, reference, 0.0))
+    except Exception as exc:  # noqa: BLE001 - every ramp starts from this |+>
+        return [exc] * len(protocols)
     outcomes: List[Outcome] = [None] * len(rows)
     for run in _lockstep_runs([grid for _, _, grid, _ in rows]):
         results = _evolve_lockstep(engine, [rows[i] for i in run], start, policy.purity_tol)
@@ -464,10 +455,10 @@ def evolve_ramps(params: ChainParams, protocols: Sequence[RampProtocol],
     sampled at its end only.  Returns one entry per protocol, in order: the
     Trajectory that :func:`evolve_ramp` gives for it with those sample times
     (``richardson_defect`` set if the policy asks for it), or the exception
-    that stopped it: its purity check (StepSizeTooCoarse), or a basis resolve
-    or measurement at one of its samples.  A ramp whose grid is a prefix of
-    another's rides that ramp's lockstep, so each mu takes one decomposition
-    for every ramp on it.
+    that stopped it: its purity check (StepSizeTooCoarse), a basis resolve or
+    measurement at one of its samples, or, for every ramp, a failure to build
+    |+> at mu_in.  A ramp whose grid is a prefix of another's rides that
+    ramp's lockstep, so each mu takes one decomposition for every ramp on it.
     """
     return _evolve(_Orbitals(params), protocols, policy, sample_times)
 

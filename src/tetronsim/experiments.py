@@ -522,16 +522,14 @@ def _run_ramp(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _run_sweep_rate(cfg: ExperimentConfig) -> ResultTable:
-    """Every row of the sweep in one :func:`dynamics.evolve_ramps`.
+    """Every row of the sweep in one :func:`dynamics.evolve_ramps`, flagged by its outcome.
 
     A row that fails on its own (purity check, Richardson rerun, basis at its
-    mu_fin) is flagged alone; a failed |+> flags every row.
+    mu_fin) is flagged alone; a failed |+> is every row's outcome.
     """
     points = sorted((v, mu) for v in cfg.v_grid for mu in cfg.mu_fins)
-    [outcomes] = _run_points([points], lambda rows: dynamics.evolve_ramps(
-        cfg.params, [RampProtocol(cfg.mu_in, mu, v) for v, mu in rows], cfg.policy))
-    if isinstance(outcomes, Exception):
-        outcomes = [outcomes] * len(points)
+    outcomes = dynamics.evolve_ramps(
+        cfg.params, [RampProtocol(cfg.mu_in, mu, v) for v, mu in points], cfg.policy)
     return _sweep_table("sweep-rate", cfg, ("v", "mu_fin"), points, outcomes, cfg.mu_fins)
 
 
@@ -625,46 +623,32 @@ def _oracle_cells(covs, orks) -> tuple:
     return (cov.l_odd, ork.l_odd, cov.l_even, ork.l_even, cov.l_g, ork.l_g, diff)
 
 
-def _oracle_ramps(cfg: ExperimentConfig, protocols, space: dynamics.FockSpace) -> list:
-    """Each ramp's oracle cells, sampled at 11 times, or the failure that stopped it.
-
-    The ramps go through one :func:`dynamics.evolve_ramps` and one
-    :func:`dynamics.fock_oracle` call, which return alike; the oracle steps
-    only the ramps whose orbital half succeeded, so a ramp takes its orbital
-    failure, else its oracle failure.
-    """
-    times = [np.linspace(0.0, p.duration, 11) for p in protocols]
-
-    def each(evolve, rows, *space):  # a failure of the whole call fails each row
-        [outs] = _run_points([rows], lambda ids: evolve(
-            cfg.params, [protocols[i] for i in ids], cfg.policy, [times[i] for i in ids], *space))
-        return [outs] * len(rows) if isinstance(outs, Exception) else outs
-
-    covs = each(dynamics.evolve_ramps, range(len(protocols)))
-    live = [i for i, cov in enumerate(covs) if not isinstance(cov, Exception)]
-    for i, ork in zip(live, each(dynamics.fock_oracle, live, space)):
-        covs[i] = ork if isinstance(ork, Exception) else _oracle_cells(covs[i], ork)
-    return covs
-
-
 def run_oracle_check(cfg: ExperimentConfig) -> ResultTable:
     """Side-by-side orbital-method vs Fock-oracle leakages for every grid point.
 
     The orbital-method columns keep their ``*_cov`` names and show the final
     sample; ``max_abs_diff`` is the largest difference over every sample of a
-    case.  Each mu_fin gives a sudden row, then its ramps, stepped together
-    (:func:`_oracle_ramps`).  All points share one :class:`dynamics.FockSpace`.
+    case.  Each mu_fin gives a sudden row, then its ramps.  Every ramp goes
+    through one :func:`dynamics.evolve_ramps` call, then, unless it failed
+    there, one :func:`dynamics.fock_oracle` call; all points share one
+    :class:`dynamics.FockSpace`.
     """
     space = dynamics.FockSpace(cfg.params)
-    cases, outcomes = [], []
-    for mu_fin in cfg.mu_fins:
-        cases.append(("sudden", _NAN, mu_fin))
+    protocols = [RampProtocol(cfg.mu_in, mu_fin, v) for mu_fin in cfg.mu_fins for v in cfg.v_grid]
+    times = [np.linspace(0.0, p.duration, 11) for p in protocols]
+    ramps = dynamics.evolve_ramps(cfg.params, protocols, cfg.policy, times)
+    live = [i for i, cov in enumerate(ramps) if not isinstance(cov, Exception)]
+    orks = dynamics.fock_oracle(cfg.params, [protocols[i] for i in live], cfg.policy,
+                                [times[i] for i in live], space)
+    for i, ork in zip(live, orks, strict=True):
+        ramps[i] = ork if isinstance(ork, Exception) else _oracle_cells(ramps[i], ork)
+    cases, outcomes, n = [], [], len(cfg.v_grid)
+    for k, mu_fin in enumerate(cfg.mu_fins):
+        cases += [("sudden", _NAN, mu_fin)] + [("ramp", v, mu_fin) for v in cfg.v_grid]
         outcomes += _run_points([mu_fin], lambda mu: _oracle_cells(
             [dynamics.sudden_quench(cfg.params, cfg.mu_in, mu)],
             [dynamics.fock_quench(cfg.params, cfg.mu_in, mu, space)]))
-        cases += [("ramp", v, mu_fin) for v in cfg.v_grid]
-        outcomes += _oracle_ramps(
-            cfg, [RampProtocol(cfg.mu_in, mu_fin, v) for v in cfg.v_grid], space)
+        outcomes += ramps[k * n:(k + 1) * n]
 
     table = _table("oracle-check",
                    ("case", "v", "mu_fin", "l_odd_cov", "l_odd_oracle", "l_even_cov",

@@ -23,7 +23,7 @@ from typing import Tuple
 
 import numpy as np
 
-from tetronsim.dynamics import FockSpace, LeakageRecord, PlusState
+from tetronsim.dynamics import FockSpace, LeakageRecord
 from tetronsim.errors import BasisMismatchError, InvalidParameterError
 from tetronsim.gaussian import (
     QP,
@@ -181,8 +181,8 @@ def slater_covariance(c: np.ndarray) -> np.ndarray:
     return m
 
 
-def covariance_leakage(state: PlusState, basis: ModeBasis) -> LeakageRecord:
-    """The leakage split of |+> read from the 2N x 2N covariances of E and O.
+def covariance_leakage(x: np.ndarray, basis: ModeBasis) -> LeakageRecord:
+    """The leakage split of |+>, the orbitals ``x``, from the 2N x 2N covariances of E and O.
 
     With xi = R M R^T per chain state, p = xi[0, N], the MZM parity is
     (p_E^2 + p_O^2)/2 and the ground-state weight (F_E^2 + F_O^2)/2, F the
@@ -190,7 +190,6 @@ def covariance_leakage(state: PlusState, basis: ModeBasis) -> LeakageRecord:
     vacuum of ``basis`` when the state and that vacuum occupy counts of
     orbitals of the same parity, the occupied-zero-mode state otherwise.
     """
-    x = state.orbitals
     n, m = x.shape
     chains = CovarianceMatrix(np.array([slater_covariance(x), slater_covariance(x[:, 1:])]),
                               basis=SITE, n_sites=n)
@@ -207,7 +206,7 @@ def covariance_leakage(state: PlusState, basis: ModeBasis) -> LeakageRecord:
                          parity=parity, purity_defect=xi.purity_defect())
 
 
-def odd_leakage_mp(state: PlusState, basis: ModeBasis, dps: int = 40) -> float:
+def odd_leakage_mp(orbitals: np.ndarray, basis: ModeBasis, dps: int = 40) -> float:
     """l_odd of |+> in ``basis``, the sum over E and O of n_0 (1 - n_0), at ``dps`` digits.
 
     n_0 = v_0^T P v_0 / |v_0|^2, with P = X (X^H X)^-1 X^H the projector on the
@@ -218,7 +217,7 @@ def odd_leakage_mp(state: PlusState, basis: ModeBasis, dps: int = 40) -> float:
     with mpmath.workdps(dps):
         v0 = mpmath.matrix([float(c) for c in basis.v[:, 0]])
         total = mpmath.mpf(0)
-        for x in (state.orbitals, state.orbitals[:, 1:]):
+        for x in (orbitals, orbitals[:, 1:]):
             xm = mpmath.matrix([[complex(c) for c in row] for row in x])
             a = v0.T * xm
             n0 = mpmath.re((a * mpmath.inverse(xm.H * xm) * a.H)[0]) / (v0.T * v0)[0]

@@ -14,7 +14,7 @@ import pytest
 import tetronsim
 from tetronsim import experiments
 from tetronsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from tetronsim.errors import ConfigError
+from tetronsim.errors import ConfigError, DegenerateSubspaceError
 from tetronsim.experiments import (
     PRESETS,
     config_from_mapping,
@@ -127,6 +127,20 @@ def _ini_text(value) -> str:
     if isinstance(value, (list, tuple)):
         return ", ".join(map(str, value))
     return str(value)
+
+
+def fail_plus_state_at_mu_in(monkeypatch):
+    """Make every basis resolve at mu = 0, where |+> is built, raise."""
+    from tetronsim import dynamics
+
+    resolve = dynamics.resolved_basis
+
+    def failing(chain, mu):
+        if mu == 0.0:
+            raise DegenerateSubspaceError("no isolated near-zero pair at mu_in")
+        return resolve(chain, mu)
+
+    monkeypatch.setattr(dynamics, "resolved_basis", failing)
 
 
 def _readme_ini_blocks():
@@ -611,6 +625,30 @@ path = {out}
         assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_OK
         assert (tmp_path / "results" / "walk.csv").exists()
 
+    def test_unwritable_output_path_is_a_config_error(self, tmp_path, capsys):
+        # the run finishes, then the table cannot be written under a plain file
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory", encoding="utf-8")
+        out = blocker / "walk.csv"
+        text = WALK_INI.format(out=out).replace("length_list = 2, 100", "length_list = 2")
+        ini = write_ini(tmp_path / "walk.ini", text.replace("trials = 5000", "trials = 10"))
+        assert main(["run", "--config", str(ini)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write %s: " % out)
+        assert "Traceback" not in err
+        assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+    def test_failed_plus_state_flags_every_sweep_row(self, tmp_path, monkeypatch):
+        fail_plus_state_at_mu_in(monkeypatch)
+        out = tmp_path / "sweep.csv"
+        ini = write_ini(tmp_path / "sweep.ini", SWEEP_INI.format(out=out))
+        assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_NUMERICAL
+        table = read_table(out)
+        statuses = json.loads(out.with_suffix(".csv.meta.json").read_text())["row_status"]
+        assert len(table.rows) == 4
+        assert statuses == ["failed: no isolated near-zero pair at mu_in"] * 4
+        assert all(np.all(np.isnan(row[2:])) for row in table.rows)
+
 
 @pytest.mark.skipif(experiments.blas_threads() is None, reason="numpy's OpenBLAS not found")
 class TestSerialBlas:
@@ -858,9 +896,9 @@ class TestOracleCommand:
         assert all(np.all(np.isfinite(row[3:])) for i, row in enumerate(rows) if i != 2)
 
     def test_rates_share_ground_states_and_orbital_decompositions(self, tmp_path, monkeypatch):
-        # per mu_fin: one chain_eigh per mu of its grid, one set of ground
-        # states per distinct sample mu; the oracle still takes one
-        # Hamiltonian per step of each ramp
+        # the 0.05 ramps ride the 0.1 stack: one chain_eigh per mu of its
+        # grid, one set of ground states per distinct sample mu; the oracle
+        # still takes one Hamiltonian per step of each ramp
         from tetronsim import dynamics
         from tetronsim.dynamics import FockSpace
 
@@ -905,11 +943,59 @@ class TestOracleCommand:
             samples.append((counts["ground"], expected["samples"]))
             for tally in (counts, expected):
                 tally.update(dict.fromkeys(tally, 0))
-        # 50 and 100 steps, each less the 10 that start at a sample basis
-        assert eighs == [40 + 90] * 2
+        # 100 steps at dmu = 1e-3, less the 15 segment starts that reuse a
+        # sample basis: t = 0 and every 5 steps to 50 (the 0.05 ramps' samples),
+        # then every 10 steps to 90 (the 0.1 ramps')
+        assert eighs == [100 - 15] * 2
         # three rates sample their ramps at mostly the same mus
         (ground_1, samples_1), (ground_3, samples_3) = samples
         assert samples_3 == 3 * samples_1 and ground_3 < 2 * ground_1
+
+    def test_failed_plus_state_flags_every_row(self, tmp_path, monkeypatch):
+        fail_plus_state_at_mu_in(monkeypatch)
+        ini, out = self._two_groups_ini(tmp_path, "steps_per_span = 100")
+        assert main(["oracle-check", "--config", str(ini), "--quiet"]) == EXIT_NUMERICAL
+        table = read_table(out)
+        statuses = json.loads(out.with_suffix(".csv.meta.json").read_text())["row_status"]
+        assert [row[0] for row in table.rows] == ["sudden", "ramp", "ramp"] * 2
+        assert statuses == ["failed: no isolated near-zero pair at mu_in"] * 6
+        assert all(np.all(np.isnan(row[3:])) for row in table.rows)
+
+    def test_one_call_per_engine_matches_each_mu_fin_alone(self, tmp_path, monkeypatch):
+        # both mu_fins go through one evolve_ramps and one fock_oracle call; the
+        # 0.05 ramps then step with the 0.1 lead's decompositions
+        from tetronsim import dynamics
+
+        calls = {"evolve_ramps": 0, "fock_oracle": 0}
+
+        def counted(name):
+            fn = getattr(dynamics, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(dynamics, name, counted(name))
+        ini, out = self._two_groups_ini(tmp_path, "max_dmu_per_step = 1e-3")
+        assert main(["oracle-check", "--config", str(ini), "--quiet"]) == EXIT_OK
+        assert calls == {"evolve_ramps": 1, "fock_oracle": 1}
+        both, text, alone = read_table(out), ini.read_text(), []
+        for mu_fin in ("0.05", "0.1"):
+            ini.write_text(text.replace("mu_fin_list = 0.05, 0.1", "mu_fin = " + mu_fin))
+            assert main(["oracle-check", "--config", str(ini), "--quiet"]) == EXIT_OK
+            alone += read_table(out).rows
+        assert calls == {"evolve_ramps": 3, "fock_oracle": 3}
+        assert len(both.rows) == len(alone) == 6
+        for row, ref in zip(both.rows, alone):
+            assert row[0] == ref[0]
+            np.testing.assert_array_equal(row[1:3], ref[1:3])  # v is NaN on a sudden row
+            cells = dict(zip(both.columns, zip(row, ref)))
+            for name in ("l_odd_oracle", "l_even_oracle", "l_g_oracle"):
+                assert cells[name][0] == cells[name][1]
+            for name in ("l_odd_cov", "l_even_cov", "l_g_cov", "max_abs_diff"):
+                assert abs(cells[name][0] - cells[name][1]) < 1e-12
 
     def test_diff_failure_exit_code(self, tmp_path, monkeypatch):
         from tetronsim import cli as cli_mod

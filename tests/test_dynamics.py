@@ -7,7 +7,6 @@ from tetronsim import dynamics, model
 from tetronsim.analytics import sudden_even_prediction, sudden_odd_prediction
 from tetronsim.dynamics import (
     FockSpace,
-    PlusState,
     SteppingPolicy,
     evolve_ramp,
     evolve_ramps,
@@ -230,6 +229,42 @@ class TestRateSharedSweep:
                 assert status == "failed: no isolated near-zero pair" and defect is None
             else:
                 assert status == "ok" and defect > 0.0
+
+    @pytest.mark.parametrize("richardson", [False, True])
+    def test_failed_plus_state_is_every_ramps_outcome(self, monkeypatch, richardson):
+        # both engines return the failure of |+> for each ramp; evolve_ramp raises it
+        resolve = dynamics.resolved_basis
+        failure = DegenerateSubspaceError("no isolated near-zero pair at mu_in")
+
+        def failing(chain, mu):
+            if mu == 0.0:
+                raise failure
+            return resolve(chain, mu)
+
+        monkeypatch.setattr(dynamics, "resolved_basis", failing)
+        pol = SteppingPolicy(max_dmu_per_step=0.1 / 60, richardson=richardson)
+        protocols = ramps(MU_FINS, RATES[:2])
+        for evolve in (evolve_ramps, fock_oracle):
+            outcomes = evolve(params(3), protocols, pol)
+            assert len(outcomes) == len(protocols)
+            assert all(out is failure for out in outcomes)
+        with pytest.raises(DegenerateSubspaceError) as raised:
+            evolve_ramp(params(3), protocols[0], pol)
+        assert raised.value is failure
+
+    def test_failed_initial_record_is_every_ramps_outcome(self, monkeypatch):
+        measure = dynamics.measure_leakage
+
+        def failing(state, basis, t=0.0):
+            if t == 0.0:
+                raise BasisMismatchError("spoiled t = 0 record")
+            return measure(state, basis, t)
+
+        monkeypatch.setattr(dynamics, "measure_leakage", failing)
+        outcomes = evolve_ramps(params(6), ramps(MU_FINS, RATES),
+                                SteppingPolicy(max_dmu_per_step=0.1 / 60))
+        assert len(outcomes) == 8 and all(out is outcomes[0] for out in outcomes)
+        assert str(outcomes[0]) == "spoiled t = 0 record"
 
 
 class TestSharedWork:
@@ -523,7 +558,7 @@ class TestSuddenQuench:
             dynamics.measure_leakage(state, model.resolved_basis(params(7), 0.0))
         # one orbital short: no reference of the basis has that count
         with pytest.raises(BasisMismatchError, match="orbitals"):
-            dynamics.measure_leakage(PlusState(state.orbitals[:, :-1]), basis)
+            dynamics.measure_leakage(state[:, :-1], basis)
 
     def test_rejects_non_topological(self):
         with pytest.raises(InvalidParameterError):
@@ -545,7 +580,7 @@ class TestOddLeakageAccuracy:
         measure, seen = dynamics.measure_leakage, []
 
         def kept(state, basis, t=0.0):
-            seen.append((PlusState(state.orbitals.copy()), basis))
+            seen.append((state.copy(), basis))
             return measure(state, basis, t)
 
         monkeypatch.setattr(dynamics, "measure_leakage", kept)

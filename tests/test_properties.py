@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from tetronsim.dynamics import (
     FockSpace,
-    PlusState,
     SteppingPolicy,
     _chain_propagator,
     _mode_step,
@@ -271,7 +270,7 @@ def test_leakage_ignores_zero_mode_reflection(chain, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q = scipy.linalg.expm(0.1 / np.sqrt(n) * (x - x.conj().T))
-    state = PlusState(q @ state.orbitals)
+    state = q @ state
     ref = measure_leakage(state, basis)
     # u = J v sign(lambda): the sign of lambda_0 flips u_0, with v_0 as well it flips v_0
     v = basis.v.copy()
@@ -311,7 +310,7 @@ def test_orbital_measurement_is_the_covariance_measurement(n, w, delta_ratio, ra
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     # a small rotation keeps l_g spread over (1e-3, 1), not pinned at 1
     q = scipy.linalg.expm(0.3 * scale / np.sqrt(n) * (x - x.conj().T))
-    state = PlusState(q @ state.orbitals)
+    state = q @ state
     basis = resolved_basis(params, w * ratio_fin)
     record, reference = measure_leakage(state, basis), covariance_leakage(state, basis)
     for field in ("l_odd", "l_even", "l_g", "parity"):

@@ -19,7 +19,6 @@ import pytest
 import scipy.linalg
 
 from tetronsim.dynamics import (
-    PlusState,
     _step_mus,
     initial_plus_state,
     measure_leakage,
@@ -99,7 +98,7 @@ def test_ramp_matches_tetron_covariance(n, pairing, mu_fin, rate):
         dt = (samples[k + 1] - samples[k]) / len(grid)
         for mu in grid:
             o, _ = scipy.linalg.polar(dense_propagator(np.linalg.svd(chain_s(params, mu)), dt))
-            state = PlusState(mode_frame_unitary(o) @ state.orbitals)
+            state = mode_frame_unitary(o) @ state
             o2 = np.kron(np.eye(2), o)
             tetron = o2 @ tetron @ o2.T
         basis = resolved_basis(params, mus[k + 1])
