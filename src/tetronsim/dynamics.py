@@ -38,18 +38,21 @@ orbitals above, and an exact oracle that steps the full two-chain Fock-space
 state vector of a chain of at most 3 sites (:func:`fock_oracle`, and
 :func:`fock_quench` for the sudden limit).  So the oracle's ramps take the
 rows, grids, samples, purity check, Richardson rows and per-row failures of
-:func:`evolve_ramps`.  Its Hamiltonian is real, H(mu) = H0 + mu H1 with both
-parts built once per :class:`FockSpace`, and conserves each chain's fermion
-parity, so a step is one batched real ``eigh`` of the chain-parity blocks
-(16 x 16 at N = 3) the state occupies, two of the four for |+>.  Each row
-takes one such step at each of its own grid points; at a sample, the ground
-states and the MZM parity matrix are built once per distinct mu.
+:func:`evolve_ramps`.  The chains are uncoupled and each conserves its
+fermion parity, so in Jordan-Wigner order the tetron Hamiltonian is
+h x 1 + 1 x h, with h(mu) = h0 + mu h1 one chain's real Hamiltonian, both
+parts built once per :class:`FockSpace`.  A state vector, read as the
+2^N x 2^N matrix Psi, steps to U Psi U^T with U = exp(-i h dt): one real
+``eigh`` of h (8 x 8 at N = 3) per row at each of its own grid points, the
+rows' in one batched call.  At a sample, the ground states and the MZM
+parity matrix are built once per distinct mu.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -480,21 +483,23 @@ MAX_ORACLE_SITES = 3
 
 
 class FockSpace:
-    """Dense many-body operators for a tetron with at most 3 sites per chain.
+    """Dense many-body operators of one chain of a tetron, at most 3 sites.
 
-    Jordan-Wigner ordering runs through chain 1's sites then chain 2's, the
-    same layout as the single-particle operator vector.  Every operator is
-    real: ``c`` stacks the 2N annihilators, shape (2N, dim, dim), and the
-    creators ``cdag`` are its transposed view.  The Hamiltonian is linear in
-    mu, H(mu) = H0 + mu H1, with H0 the hopping and pairing terms of both
-    chains and H1 = -sum_j (n_j - 1/2); both are built once here from the
-    same operator products.
+    The two chains are identical and uncoupled.  In the Jordan-Wigner order of
+    the single-particle operator vector, chain 1's sites then chain 2's, chain
+    2's annihilators are P x c_j with P chain 1's fermion parity, so each of
+    chain 2's bilinears is 1 x (the same bilinear of one chain) and the tetron
+    Hamiltonian is H(mu) = h(mu) x 1 + 1 x h(mu).  A two-chain state vector,
+    ``dim`` = 4^N long, is the 2^N x 2^N matrix Psi of its entries, chain 1's
+    basis state by row and chain 2's by column, and exp(-i H dt) acts on it
+    as U Psi U^T with U = exp(-i h dt).
 
-    H0 and H1 conserve the fermion parity of each chain, so in this basis they
-    are block-diagonal over the four chain-parity sectors (even/odd on chain 1
-    x even/odd on chain 2).  ``sectors[s]`` lists the basis states of sector
-    s, 4^(N-1) of them; construction checks that no entry of H0 or H1 joins
-    two sectors, and the oracle diagonalizes sector by sector.
+    Every operator is real: ``c`` stacks the chain's N annihilators, shape
+    (N, 2^N, 2^N).  h is linear in mu, h(mu) = h0 + mu h1, with h0 the hopping
+    and pairing terms and h1 = -sum_j (n_j - 1/2), both built once here.
+    Construction checks that h0 and h1 conserve the chain's fermion parity,
+    which H = h x 1 + 1 x h needs: a parity-odd term of chain 2 would carry the
+    string P.
     """
 
     def __init__(self, params: ChainParams):
@@ -504,106 +509,92 @@ class FockSpace:
             )
         self.params = params
         n = params.n_sites
-        n_modes = 2 * n
-        self.dim = 2 ** n_modes
         lower = np.array([[0.0, 1.0], [0.0, 0.0]])
         zmat = np.diag([1.0, -1.0])
-        eye2 = np.eye(2)
-        self.c = np.empty((n_modes, self.dim, self.dim))
-        for j in range(n_modes):
-            ops = [zmat] * j + [lower] + [eye2] * (n_modes - j - 1)
-            mat = ops[0]
-            for op in ops[1:]:
-                mat = np.kron(mat, op)
-            self.c[j] = mat
-        self.cdag = self.c.transpose(0, 2, 1)
-        c, cdag = self.c, self.cdag
-        occupation = np.array([np.diag(cdag[j] @ c[j]) for j in range(n_modes)])
-        w, delta = params.hopping, params.pairing
-        self._h0 = np.zeros((self.dim, self.dim))
-        for i, j in self._bonds():
-            self._h0 += -w * (cdag[i] @ c[j] + cdag[j] @ c[i])
-            self._h0 += delta * (c[i] @ c[j] + cdag[j] @ cdag[i])
-        self._h1 = np.diag(-np.sum(occupation - 0.5, axis=0))
-        odd = np.sum(occupation.reshape(2, n, self.dim), axis=1) % 2
-        label = (2 * odd[0] + odd[1]).astype(int)
-        self.sectors = np.argsort(label, kind="stable").reshape(4, -1)
-        self._block_index = self.sectors[:, :, None] * self.dim + self.sectors[:, None, :]
-        coupling = label[:, None] != label[None, :]
-        if np.any(self._h0[coupling] != 0.0) or np.any(self._h1[coupling] != 0.0):
-            raise InvalidParameterError("Hamiltonian couples different chain-parity sectors")
+        self.c = np.array([reduce(np.kron, [zmat] * j + [lower] + [np.eye(2)] * (n - j - 1))
+                           for j in range(n)])
+        self.dim = self.c.shape[1] ** 2
+        # the chain's parity prod_j (1 - 2 n_j) is the string of all its sites
+        self._parity = np.diag(reduce(np.kron, [zmat] * n))
+        self._flips = self._parity[:, None] != self._parity[None, :]
+        self._h0, self._h1 = self._terms()
+        if np.any(self._h0[self._flips] != 0.0) or np.any(self._h1[self._flips] != 0.0):
+            raise InvalidParameterError("chain Hamiltonian couples the chain's parity sectors")
 
-    def _bonds(self) -> List[Tuple[int, int]]:
-        """Mode pairs (j, j + 1) joined by hopping and pairing, within each chain."""
-        n = self.params.n_sites
-        return [(j, j + 1) for off in (0, n) for j in range(off, off + n - 1)]
+    def _terms(self) -> Tuple[np.ndarray, np.ndarray]:
+        """h0, the hopping and pairing terms of the chain, and h1 = -sum_j (n_j - 1/2)."""
+        c, cdag = self.c, self.c.transpose(0, 2, 1)
+        w, delta = self.params.hopping, self.params.pairing
+        h0 = np.zeros(c.shape[1:])
+        for i in range(self.params.n_sites - 1):
+            h0 += -w * (cdag[i] @ c[i + 1] + cdag[i + 1] @ c[i])
+            h0 += delta * (c[i] @ c[i + 1] + cdag[i + 1] @ cdag[i])
+        occupation = np.array([np.diag(cd @ cj) for cd, cj in zip(cdag, c)])
+        return h0, np.diag(-np.sum(occupation - 0.5, axis=0))
 
     def hamiltonian(self, mu: float) -> np.ndarray:
-        """Real symmetric H(mu) = H0 + mu H1 on the full two-chain Fock space."""
+        """Real symmetric h(mu) = h0 + mu h1 of one chain."""
         return self._h0 + mu * self._h1
 
-    def sector_blocks(self, op: np.ndarray, sectors=slice(None)) -> np.ndarray:
-        """Diagonal blocks of a sector-conserving operator, all four by default, (s, d, d)."""
-        return op.take(self._block_index[sectors])
+    def step(self, psi: np.ndarray, mus: Sequence[float], dts: Sequence[float]) -> np.ndarray:
+        """Each column of the stack ``psi`` (dim, R) through exp(-i H(mu) dt), its own mu and dt.
 
-    def step(self, psi: np.ndarray, mu: float, dt: float) -> np.ndarray:
-        """exp(-i H(mu) dt) psi, with one batched ``eigh`` of the sector blocks psi occupies.
-
-        H(mu) conserves each chain's parity, so a sector where psi is exactly 0
-        stays 0; |+> occupies two of the four.
+        A column is stepped as U Psi U^T, with U = Q e^{-i Lambda dt} Q^T from
+        one ``eigh`` of h(mu) per column, the R of them in one batched call.
+        U conserves the chain's parity; its entries between the parity
+        sectors, rounding alone, are set to 0, so a chain-parity sector where
+        a column is exactly 0 stays 0.
         """
-        blocks = psi[self.sectors]
-        occupied = np.flatnonzero(np.any(blocks != 0.0, axis=1))
-        evals, q = np.linalg.eigh(self.sector_blocks(self.hamiltonian(mu), occupied))
-        image = q @ (np.exp(-1j * evals * dt)[..., None]
-                     * (q.transpose(0, 2, 1) @ blocks[occupied, :, None]))
-        out = np.zeros(self.dim, dtype=complex)
-        out[self.sectors[occupied]] = image[..., 0]
-        return out
+        evals, q = np.linalg.eigh(np.array([self.hamiltonian(mu) for mu in mus]))
+        u = (q * np.exp(-1j * np.asarray(dts)[:, None, None] * evals[:, None])) @ q.swapaxes(1, 2)
+        u[:, self._flips] = 0.0
+        size = q.shape[1]
+        # the reshape of psi^T gives each row a contiguous Psi, so that a row
+        # steps the same alone and among other rows
+        stepped = u @ psi.T.reshape(-1, size, size) @ u.swapaxes(1, 2)
+        return stepped.reshape(-1, self.dim).T
 
     def ground_states(self, basis: ModeBasis) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vacuum |0_t>, paired-excitation |1_t>, and the MZM parity as one matrix.
+        """Vacuum |0_t>, paired-excitation |1_t>, and the chain's MZM parity matrix.
 
-        The quasiparticle annihilators of a chain, d = sum_i a_i c_i + b_i c_i^T
+        The chain's quasiparticle annihilators, d = sum_i a_i c_i + b_i c_i^T
         with (a, b) a column of ``basis.vectors``, come from two ``tensordot``
-        calls with that chain's ``c``, and add d^T d to the number operator in
-        one product.  Chain by chain, no temporary exceeds N dense operators.
-        The number operator conserves each chain's parity, so it is
-        diagonalized sector by sector; the vacuum must be its one zero
-        eigenvalue across all sectors.  With the Majoranas of chain l as the
-        real matrices d_l + d_l^T and d_l - d_l^T, the second being gamma / i,
-        the MZM parity -gamma1 gamma2 gamma3 gamma4 is their plain product in
-        order: i * i cancels the minus.
+        calls, and the number operator sum_k d_k^T d_k from one product.  Its
+        one ``eigh`` gives the chain's vacuum vac, which must be its one zero
+        eigenvalue.  The tetron's vacuum is vac x vac, and d_{0,1}^T d_{0,2}^T
+        of it is p_v (d_0^T vac) x (d_0^T vac), p_v the chain parity of vac:
+        chain 2's operators carry chain 1's parity as their string.  With the
+        Majoranas of the chain as the real matrices d_0 + d_0^T and
+        d_0 - d_0^T, the second being gamma / i, Pi = (d_0 + d_0^T)(d_0 - d_0^T)
+        and the MZM parity -gamma1 gamma2 gamma3 gamma4 is Pi x Pi: i * i
+        cancels the minus.
         """
         n = self.params.n_sites
         top, bottom = basis.vectors[:n, :n].T, basis.vectors[n:, :n].T
-        number = np.zeros((self.dim, self.dim))
-        zero_modes = []
-        for chain in range(2):
-            c = self.c[chain * n:(chain + 1) * n]
-            d_ops = np.tensordot(top, c, axes=1)
-            d_ops += np.tensordot(bottom, c, axes=1).transpose(0, 2, 1)
-            flat = d_ops.reshape(-1, self.dim)
-            number += flat.T @ flat
-            zero_modes.append(d_ops[0])
-        evals, evecs = np.linalg.eigh(self.sector_blocks(number))
-        lowest = np.sort(evals, axis=None)
-        if lowest[0] > 1e-8 or lowest[1] < 0.5:
+        d_ops = np.tensordot(top, self.c, axes=1)
+        d_ops += np.tensordot(bottom, self.c, axes=1).transpose(0, 2, 1)
+        flat = d_ops.reshape(-1, d_ops.shape[-1])
+        evals, evecs = np.linalg.eigh(flat.T @ flat)
+        if evals[0] > 1e-8 or evals[1] < 0.5:
             raise InvalidParameterError("quasiparticle vacuum is not isolated")
-        sector = int(np.argmin(evals[:, 0]))
-        vac = np.zeros(self.dim)
-        vac[self.sectors[sector]] = evecs[sector, :, 0]
-        d0_1, d0_2 = zero_modes
-        one = d0_1.T @ (d0_2.T @ vac)
-        one = one / np.linalg.norm(one)
-        parity = (d0_1 + d0_1.T) @ (d0_1 - d0_1.T) @ (d0_2 + d0_2.T) @ (d0_2 - d0_2.T)
-        return vac, one, parity
+        p_v = self._parity[np.argmax(np.abs(evecs[:, 0]))]
+        # the vacuum has one chain parity; its entries in the other are rounding
+        vac = np.where(self._parity == p_v, evecs[:, 0], 0.0)
+        d0 = d_ops[0]
+        excited = d0.T @ vac
+        excited /= np.linalg.norm(excited)
+        return np.kron(vac, vac), p_v * np.kron(excited, excited), (d0 + d0.T) @ (d0 - d0.T)
 
     def measure(self, psi: np.ndarray, basis: ModeBasis, t: float,
                 ground: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> LeakageRecord:
-        """Leakage split of psi in ``basis``, whose :meth:`ground_states` are ``ground``."""
-        vac, one, parity_op = ground
-        parity = float((psi.conj() @ (parity_op @ psi)).real)
+        """Leakage split of psi in ``basis``, whose :meth:`ground_states` are ``ground``.
+
+        The MZM parity Pi x Pi reads Re <Psi, Pi Psi Pi^T>.
+        """
+        vac, one, mzm = ground
+        size = mzm.shape[0]
+        matrix = psi.reshape(size, size)
+        parity = float(np.vdot(matrix, mzm @ matrix @ mzm.T).real)
         l_odd = 0.5 * (1.0 - parity)
         l_g_raw = 1.0 - abs(vac @ psi) ** 2 - abs(one @ psi) ** 2
         l_even = l_g_raw - l_odd
@@ -621,8 +612,9 @@ class FockSpace:
 class _FockVectors:
     """The oracle's engine of :func:`_evolve`: the rows' state vectors stacked as (dim, R).
 
-    A step takes each row one :meth:`FockSpace.step` at its own grid point;
-    a sample reference is the basis with its :meth:`FockSpace.ground_states`.
+    A step is one :meth:`FockSpace.step` of the stack, each row at its own
+    grid point and dt; a sample reference is the basis with its
+    :meth:`FockSpace.ground_states`.
     """
 
     def __init__(self, params: ChainParams, space: Optional[FockSpace] = None):
@@ -642,12 +634,13 @@ class _FockVectors:
 
     def step(self, x: np.ndarray, j: int, grids: Sequence[np.ndarray], dts: Sequence[float],
              reused: Optional[tuple]) -> None:
-        for slot, (grid, dt) in enumerate(zip(grids, dts)):
-            x[:, slot] = self.space.step(x[:, slot], grid[j], dt)
+        x[:] = self.space.step(x, [grid[j] for grid in grids], dts)
 
     def measure(self, psi: np.ndarray, reference: tuple, t: float) -> LeakageRecord:
         basis, ground = reference
-        # contiguous: a column of the stack has a stride that BLAS sums by differently
+        # contiguous: the overlaps with the ground states sum a strided column of the
+        # stack in another order than a contiguous one, so a row would read
+        # differently alone and among other rows
         return self.space.measure(np.ascontiguousarray(psi), basis, t, ground)
 
 
@@ -669,7 +662,9 @@ def fock_oracle(params: ChainParams, protocols: Sequence[RampProtocol],
 
     Both run :func:`_evolve`, so a ramp here has the same grid, samples,
     ``n_steps``, purity check (of its norm defect), Richardson row and
-    per-row failures; only the engine differs.  ``space`` lets several calls
-    share one :class:`FockSpace` of ``params``.
+    per-row failures; only the engine differs.  Each row's two-chain state
+    vector Psi steps exactly, as U Psi U^T with U one chain's propagator
+    (:meth:`FockSpace.step`).  ``space`` lets several calls share one
+    :class:`FockSpace` of ``params``.
     """
     return _evolve(_FockVectors(params, space), protocols, policy, sample_times)

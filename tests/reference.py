@@ -1,8 +1,8 @@
 """Test-side references: the 4N tetron states, the chain covariance references and
 the site-basis rotation, a 40-digit odd leakage, the dense BdG matrix and
 propagator, the realified mode-frame propagators, the sorted SVD of S, the
-localized MZM vectors and their gauge alignment, and basis and Fock-space
-members that only tests read.
+localized MZM vectors and their gauge alignment, and the dense two-chain Fock
+space that the oracle's one-chain factorisation is tested against.
 
 The computational states |0>, |1>, |+> are defined through their complex
 correlation matrices in the block layout
@@ -23,7 +23,7 @@ from typing import Tuple
 
 import numpy as np
 
-from tetronsim.dynamics import FockSpace, LeakageRecord
+from tetronsim.dynamics import LeakageRecord
 from tetronsim.errors import BasisMismatchError, InvalidParameterError
 from tetronsim.gaussian import (
     QP,
@@ -379,22 +379,91 @@ def antisymmetry_defect(m: CovarianceMatrix) -> float:
     return float(np.max(np.abs(m.matrix + m.matrix.swapaxes(-1, -2))))
 
 
-def qp_annihilator(space: FockSpace, column: np.ndarray, chain: int) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# The dense two-chain Fock space, built here from params alone
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=8)
+def jordan_wigner(n_modes: int) -> np.ndarray:
+    """The real Jordan-Wigner annihilators of ``n_modes`` modes, (n_modes, 2^n, 2^n), read-only."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    zmat = np.diag([1.0, -1.0])
+    c = np.array([functools.reduce(np.kron, [zmat] * j + [lower] + [np.eye(2)] * (n_modes - j - 1))
+                  for j in range(n_modes)])
+    c.setflags(write=False)
+    return c
+
+
+def tetron_annihilators(params: ChainParams) -> np.ndarray:
+    """The tetron's 2N annihilators on the two-chain Fock space, chain 1's sites then chain 2's."""
+    return jordan_wigner(2 * params.n_sites)
+
+
+def reference_fock_hamiltonian(params: ChainParams, mu: float) -> np.ndarray:
+    """The two-chain H(mu), summed term by term from :func:`tetron_annihilators`."""
+    n = params.n_sites
+    c = tetron_annihilators(params)
+    cdag = c.transpose(0, 2, 1)
+    w, delta = params.hopping, params.pairing
+    eye = np.eye(c.shape[1])
+    h = np.zeros_like(eye)
+    for off in (0, n):
+        for j in range(off, off + n):
+            h += -mu * (cdag[j] @ c[j] - 0.5 * eye)
+        for j in range(off, off + n - 1):
+            h += -w * (cdag[j] @ c[j + 1] + cdag[j + 1] @ c[j])
+            h += delta * (c[j] @ c[j + 1] + cdag[j + 1] @ cdag[j])
+    return h
+
+
+def dense_fock_step(params: ChainParams, psi: np.ndarray, mu: float, dt: float) -> np.ndarray:
+    """exp(-i H(mu) dt) psi with a dense ``eigh`` of :func:`reference_fock_hamiltonian`."""
+    evals, q = np.linalg.eigh(reference_fock_hamiltonian(params, mu))
+    return q @ (np.exp(-1j * evals * dt) * (q.T @ psi))
+
+
+def qp_annihilator(params: ChainParams, column: np.ndarray, chain: int) -> np.ndarray:
     """The quasiparticle annihilator of one ``basis.vectors`` column on one chain, dense."""
-    n = space.params.n_sites
-    off = chain * n
-    op = np.zeros((space.dim, space.dim))
-    for i in range(n):
-        op += column[i] * space.c[off + i]
-        op += column[n + i] * space.cdag[off + i]
-    return op
+    n = params.n_sites
+    c = tetron_annihilators(params)[chain * n:(chain + 1) * n]
+    return np.tensordot(column[:n], c, axes=1) + np.tensordot(column[n:], c, axes=1).T
 
 
-def total_parity_op(space: FockSpace) -> np.ndarray:
+def dense_ground_states(params: ChainParams, basis: ModeBasis) -> Tuple[np.ndarray, np.ndarray]:
+    """The tetron's quasiparticle vacuum |0> and d_{0,1}^dag d_{0,2}^dag |0>, dense.
+
+    |0> is the zero eigenvector of the number operator of both chains' N
+    quasiparticles; its overall sign is arbitrary.
+    """
+    n = params.n_sites
+    d = [qp_annihilator(params, basis.vectors[:, k], chain)
+         for chain in (0, 1) for k in range(n)]
+    _, evecs = np.linalg.eigh(sum(op.T @ op for op in d))
+    vac = evecs[:, 0]
+    one = d[0].T @ (d[n].T @ vac)
+    return vac, one / np.linalg.norm(one)
+
+
+def dense_mzm_parity(params: ChainParams, basis: ModeBasis) -> np.ndarray:
+    """The MZM parity -g1 g2 g3 g4 as one dense two-chain Fock-space matrix."""
+    d1 = qp_annihilator(params, basis.vectors[:, 0], 0)
+    d2 = qp_annihilator(params, basis.vectors[:, 0], 1)
+    return (d1 + d1.T) @ (d1 - d1.T) @ (d2 + d2.T) @ (d2 - d2.T)
+
+
+def chain_parities(params: ChainParams) -> np.ndarray:
+    """Each two-chain basis state's fermion parity on chain 1 and on chain 2, shape (2, 4^N)."""
+    n = params.n_sites
+    c = tetron_annihilators(params)
+    occupation = np.array([np.diag(a.T @ a) for a in c])
+    return np.prod(1.0 - 2.0 * occupation.reshape(2, n, -1), axis=1)
+
+
+def total_parity_op(params: ChainParams) -> np.ndarray:
     """Total fermion parity prod_j (1 - 2 n_j) of both chains, as a diagonal matrix."""
-    occupation = np.array([np.diag(cd @ c) for cd, c in zip(space.cdag, space.c)])
-    return np.diag(np.prod(1.0 - 2.0 * occupation, axis=0))
+    return np.diag(np.prod(chain_parities(params), axis=0))
 
 
-def total_parity(space: FockSpace, psi: np.ndarray) -> float:
-    return float((psi.conj() @ (total_parity_op(space) @ psi)).real)
+def total_parity(params: ChainParams, psi: np.ndarray) -> float:
+    return float((psi.conj() @ (total_parity_op(params) @ psi)).real)

@@ -29,7 +29,13 @@ from tetronsim.experiments import (
 )
 from tetronsim.model import ChainParams, RampProtocol
 
-from reference import odd_leakage_mp, total_parity
+from reference import (
+    dense_fock_step,
+    dense_ground_states,
+    dense_mzm_parity,
+    odd_leakage_mp,
+    total_parity,
+)
 
 W = 0.5
 
@@ -619,17 +625,51 @@ class TestFockOracle:
     def test_total_parity_conserved(self):
         space = FockSpace(params(2))
         proto = RampProtocol(0.0, 0.1, 1e-2)
-        from tetronsim.model import resolved_basis
-
-        basis = resolved_basis(params(2), 0.0)
-        vac, one, _ = space.ground_states(basis)
-        psi = (vac + one) / np.sqrt(2)
-        start = total_parity(space, psi)
+        vac, one, _ = space.ground_states(model.resolved_basis(params(2), 0.0))
+        psi = ((vac + one) / np.sqrt(2))[:, None]
+        start = total_parity(params(2), psi[:, 0])
         dt = proto.duration / 100
         for i in range(100):
-            evals, q = np.linalg.eigh(space.hamiltonian(proto.mu_at(i * dt)))
-            psi = q @ (np.exp(-1j * evals * dt) * (q.conj().T @ psi))
-        assert total_parity(space, psi) == pytest.approx(start, abs=1e-10)
+            psi = space.step(psi, [proto.mu_at(i * dt)], [dt])
+        assert total_parity(params(2), psi[:, 0]) == pytest.approx(start, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_dense_two_chain_evolution(self, n):
+        # the same grid and dt with the dense H(mu), |+> and readout of the
+        # test-side operators: checks the factorisation end to end.  The
+        # records cannot see the sign of |1>, which lies in other chain-parity
+        # sectors than |0>; test_fock_ground_states_match_dense_quasiparticle_states does
+        chain = ChainParams(n, W, 0.9 * W)
+        pol = SteppingPolicy(max_dmu_per_step=0.1 / 40)
+        protocols = [RampProtocol(0.0, mu_fin, v) for mu_fin in (0.1, 0.05, -0.08)
+                     for v in (1e-2, 0.2)]
+        times = [np.linspace(0.0, p.duration, 5) for p in protocols]
+        outcomes = fock_oracle(chain, protocols, pol, times)
+
+        def ground(mu):
+            basis = model.resolved_basis(chain, mu)
+            return (*dense_ground_states(chain, basis), dense_mzm_parity(chain, basis))
+
+        for protocol, ts, records in zip(protocols, times, outcomes):
+            sample_ts, mus = dynamics.sample_points(protocol, ts)
+            grid, counts = dynamics._path_steps(mus, pol.resolved_dmu(mus[-1] - mus[0]))
+            vac, one, _ = ground(mus[0])
+            psi = (vac + one) / np.sqrt(2.0)
+            assert len(records) == len(sample_ts)
+            for k, record in enumerate(records):
+                if k:
+                    dt = (sample_ts[k] - sample_ts[k - 1]) / (counts[k] - counts[k - 1])
+                    for mu in grid[counts[k - 1]:counts[k]]:
+                        psi = dense_fock_step(chain, psi, mu, dt)
+                vac, one, parity_op = ground(mus[k])
+                parity = (psi.conj() @ parity_op @ psi).real
+                l_g = 1.0 - abs(vac @ psi) ** 2 - abs(one @ psi) ** 2
+                assert (record.t, record.mu) == (sample_ts[k], mus[k])
+                expected = {"l_odd": 0.5 * (1.0 - parity), "l_g": l_g, "parity": parity,
+                            "l_even": l_g - 0.5 * (1.0 - parity),
+                            "purity_defect": abs(np.linalg.norm(psi) - 1.0)}
+                for field, value in expected.items():
+                    assert abs(getattr(record, field) - value) < 1e-12, (field, k)
 
     def test_shared_space_gives_the_same_records(self):
         proto = RampProtocol(0.0, 0.1, 1e-2)

@@ -38,12 +38,18 @@ from reference import (
     _real_propagators,
     build_chain_bdg,
     chain_svd,
+    chain_parities,
     covariance_leakage,
+    dense_fock_step,
+    dense_ground_states,
+    dense_mzm_parity,
     dense_propagator,
+    jordan_wigner,
     mzm_vectors,
     orientation,
     qp_annihilator,
     reflected,
+    reference_fock_hamiltonian,
     rotate_to_site_basis,
     rotation,
     total_parity_op,
@@ -317,67 +323,23 @@ def test_orbital_measurement_is_the_covariance_measurement(n, w, delta_ratio, ra
         assert abs(getattr(record, field) - getattr(reference, field)) < 1e-12, field
 
 
-def reference_fock_hamiltonian(params, mu):
-    """Complex Jordan-Wigner operators and H(mu) summed term by term.
-
-    Returns (H, total parity) built as the oracle did before H = H0 + mu H1.
-    """
-    n = params.n_sites
-    n_modes = 2 * n
-    dim = 2 ** n_modes
-    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    zmat = np.diag([1.0, -1.0]).astype(complex)
-    eye2 = np.eye(2, dtype=complex)
-    c = []
-    for j in range(n_modes):
-        ops = [zmat] * j + [lower] + [eye2] * (n_modes - j - 1)
-        mat = ops[0]
-        for op in ops[1:]:
-            mat = np.kron(mat, op)
-        c.append(mat)
-    cdag = [m.conj().T for m in c]
-    parity = np.eye(dim, dtype=complex)
-    for j in range(n_modes):
-        parity = parity @ (np.eye(dim) - 2.0 * cdag[j] @ c[j])
-    w, delta = params.hopping, params.pairing
-    h = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(dim)
-    for off in (0, n):
-        for j in range(n):
-            h += -mu * (cdag[off + j] @ c[off + j] - 0.5 * eye)
-        for j in range(n - 1):
-            h += -w * (cdag[off + j] @ c[off + j + 1] + cdag[off + j + 1] @ c[off + j])
-            h += delta * (c[off + j] @ c[off + j + 1] + cdag[off + j + 1] @ cdag[off + j])
-    return h, parity
-
-
 @PROPERTY
 @given(st.sampled_from([2, 3]), st.floats(0.1, 1.0), st.floats(0.1, 1.0),
        st.floats(-2.0, 2.0))
 def test_fock_hamiltonian_is_real_linear_and_parity_even(n, w, delta, mu):
+    # one chain's h(mu) is the tetron's H(mu) = h x 1 + 1 x h
     params = ChainParams(n, w, delta)
-    space = FockSpace(params)
-    h = space.hamiltonian(mu)
-    ref_h, ref_parity = reference_fock_hamiltonian(params, mu)
-    p = total_parity_op(space)
+    h = FockSpace(params).hamiltonian(mu)
+    eye = np.eye(2 ** n)
+    occupation = np.array([np.diag(a.T @ a) for a in jordan_wigner(n)])
+    chain_parity = np.diag(np.prod(1.0 - 2.0 * occupation, axis=0))
+    p = total_parity_op(params)
     assert h.dtype == np.float64 and p.dtype == np.float64
     assert np.array_equal(h, h.T)
-    assert np.max(np.abs(h - ref_h)) < 1e-13
-    assert np.array_equal(p, ref_parity.real)
-    assert np.max(np.abs(h @ p - p @ h)) < 1e-13
-
-
-def dense_fock_step(space, psi, mu, dt):
-    """One oracle step with a dense eigh of the full Fock-space H(mu)."""
-    evals, q = np.linalg.eigh(space.hamiltonian(mu))
-    return q @ (np.exp(-1j * evals * dt) * (q.T @ psi))
-
-
-def dense_mzm_parity(space, basis):
-    """The MZM parity -g1 g2 g3 g4 as one dense Fock-space matrix."""
-    d1 = qp_annihilator(space, basis.vectors[:, 0], 0)
-    d2 = qp_annihilator(space, basis.vectors[:, 0], 1)
-    return (d1 + d1.T) @ (d1 - d1.T) @ (d2 + d2.T) @ (d2 - d2.T)
+    assert np.max(np.abs(np.kron(h, eye) + np.kron(eye, h)
+                         - reference_fock_hamiltonian(params, mu))) < 1e-13
+    assert np.array_equal(p, np.kron(chain_parity, chain_parity))
+    assert np.max(np.abs(h @ chain_parity - chain_parity @ h)) < 1e-13
 
 
 def random_state(dim, seed):
@@ -390,9 +352,19 @@ def random_state(dim, seed):
 @given(st.sampled_from([2, 3]), st.floats(0.1, 1.0), st.floats(0.1, 1.0),
        st.floats(-2.0, 2.0), st.floats(1e-3, 5.0), st.integers(0, 2 ** 32 - 1))
 def test_blocked_fock_step_matches_dense_eigh(n, w, delta, mu, dt, seed):
-    space = FockSpace(ChainParams(n, w, delta))
-    psi = random_state(space.dim, seed)
-    assert np.max(np.abs(space.step(psi, mu, dt) - dense_fock_step(space, psi, mu, dt))) < 1e-13
+    # U Psi U^T of one chain's U, two rows with their own mu and dt
+    params = ChainParams(n, w, delta)
+    psi = np.array([random_state(4 ** n, seed), random_state(4 ** n, seed + 1)]).T
+    stepped = FockSpace(params).step(psi, [mu, -0.5 * mu], [dt, 0.3 * dt])
+    assert np.max(np.abs(stepped[:, 0] - dense_fock_step(params, psi[:, 0], mu, dt))) < 1e-13
+    assert np.max(np.abs(stepped[:, 1] - dense_fock_step(params, psi[:, 1], -0.5 * mu,
+                                                         0.3 * dt))) < 1e-13
+
+
+def chain_parity_sectors(params):
+    """Each two-chain basis state's chain-parity sector, 0 to 3, from the test-side operators."""
+    odd = chain_parities(params) < 0.0
+    return 2 * odd[0] + odd[1]
 
 
 @PROPERTY
@@ -400,42 +372,44 @@ def test_blocked_fock_step_matches_dense_eigh(n, w, delta, mu, dt, seed):
        st.floats(-0.5, 0.5), st.floats(-1.9, 1.9), st.floats(1e-3, 5.0))
 def test_fock_step_of_plus_leaves_its_empty_sectors_zero(n, w, delta_ratio, mu_ratio,
                                                          step_mu_ratio, dt):
-    # |+> occupies two chain-parity sectors; the step diagonalizes only those
-    space = FockSpace(ChainParams(n, w, w * delta_ratio))
-    vac, one, _ = space.ground_states(resolved_basis(space.params, w * mu_ratio))
+    # |+> occupies two of the four chain-parity sectors, and U conserves each chain's parity
+    params = ChainParams(n, w, w * delta_ratio)
+    space = FockSpace(params)
+    vac, one, _ = space.ground_states(resolved_basis(params, w * mu_ratio))
     psi = (vac + one) / np.sqrt(2.0)
-    empty = np.all(psi[space.sectors] == 0.0, axis=1)
+    sector = chain_parity_sectors(params)
+    empty = np.array([np.all(psi[sector == s] == 0.0) for s in range(4)])
     assert np.count_nonzero(empty) == 2
-    stepped = space.step(psi, w * step_mu_ratio, dt)
-    assert np.all(stepped[space.sectors[empty]] == 0.0)
-    assert np.max(np.abs(stepped - dense_fock_step(space, psi, w * step_mu_ratio, dt))) < 1e-13
+    stepped = space.step(psi[:, None], [w * step_mu_ratio], [dt])[:, 0]
+    assert np.all(stepped[np.isin(sector, np.flatnonzero(empty))] == 0.0)
+    assert np.max(np.abs(stepped - dense_fock_step(params, psi, w * step_mu_ratio, dt))) < 1e-13
 
 
-class ChainCoupledFockSpace(FockSpace):
-    """Hops across the junction of the two chains, breaking each chain's parity."""
+class ParityBreakingFockSpace(FockSpace):
+    """Adds a field on the chain's first Majorana, c_1 + c_1^dag, which flips its parity."""
 
-    def _bonds(self):
-        n = self.params.n_sites
-        return super()._bonds() + [(n - 1, n)]
+    def _terms(self):
+        h0, h1 = super()._terms()
+        c1 = jordan_wigner(self.params.n_sites)[0]
+        return h0 + c1 + c1.T, h1
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_fock_space_rejects_coupling_between_sectors(n):
+    # only a chain Hamiltonian that conserves the chain's parity gives H = h x 1 + 1 x h
     with pytest.raises(InvalidParameterError, match="sectors"):
-        ChainCoupledFockSpace(ChainParams(n, 0.5, 0.5))
+        ParityBreakingFockSpace(ChainParams(n, 0.5, 0.5))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_fock_sectors_split_by_chain_parity(n):
-    space = FockSpace(ChainParams(n, 0.5, 0.4))
-    sectors = space.sectors
-    assert sectors.shape == (4, 4 ** (n - 1))
-    assert np.array_equal(np.sort(sectors, axis=None), np.arange(space.dim))
-    basis = resolved_basis(space.params, 0.05)
-    vac, one, _ = space.ground_states(basis)
+    # vac and one lie each in one chain-parity sector, and not the same one
+    params = ChainParams(n, 0.5, 0.4)
+    vac, one, _ = FockSpace(params).ground_states(resolved_basis(params, 0.05))
+    sector = chain_parity_sectors(params)
     homes = []
     for state in (vac, one):
-        weight = np.sum(np.abs(state[sectors]) ** 2, axis=1)
+        weight = np.array([np.sum(np.abs(state[sector == s]) ** 2) for s in range(4)])
         home = int(np.argmax(weight))
         assert weight[home] == pytest.approx(1.0, abs=1e-14)
         assert np.all(np.delete(weight, home) == 0.0)
@@ -445,12 +419,30 @@ def test_fock_sectors_split_by_chain_parity(n):
 
 @PROPERTY
 @given(st.sampled_from([2, 3]), st.floats(0.2, 1.0), st.floats(0.7, 1.4),
+       st.floats(-0.5, 0.5))
+def test_fock_ground_states_match_dense_quasiparticle_states(n, w, delta_ratio, mu_ratio):
+    # |1> = d_{0,1}^dag d_{0,2}^dag |0> with its sign: chain 2's string carries vac's parity
+    params = ChainParams(n, w, w * delta_ratio)
+    basis = resolved_basis(params, w * mu_ratio)
+    vac, one, _ = FockSpace(params).ground_states(basis)
+    dense_vac, _ = dense_ground_states(params, basis)
+    vac_sign = np.sign(dense_vac @ vac)
+    assert np.max(np.abs(vac - vac_sign * dense_vac)) < 1e-13
+    d1 = qp_annihilator(params, basis.vectors[:, 0], 0)
+    d2 = qp_annihilator(params, basis.vectors[:, 0], 1)
+    expected = d1.T @ (d2.T @ vac)
+    assert np.max(np.abs(one - expected / np.linalg.norm(expected))) < 1e-13
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3]), st.floats(0.2, 1.0), st.floats(0.7, 1.4),
        st.floats(-0.5, 0.5), st.integers(0, 2 ** 32 - 1))
 def test_fock_parity_matches_dense_parity_operator(n, w, delta_ratio, mu_ratio, seed):
-    space = FockSpace(ChainParams(n, w, w * delta_ratio))
-    basis = resolved_basis(space.params, w * mu_ratio)
+    params = ChainParams(n, w, w * delta_ratio)
+    space = FockSpace(params)
+    basis = resolved_basis(params, w * mu_ratio)
     psi = random_state(space.dim, seed)
-    expected = (psi.conj() @ (dense_mzm_parity(space, basis) @ psi)).real
+    expected = (psi.conj() @ (dense_mzm_parity(params, basis) @ psi)).real
     record = space.measure(psi, basis, 0.0, space.ground_states(basis))
     assert abs(record.parity - expected) < 1e-13
 
@@ -460,10 +452,11 @@ def test_fock_parity_matches_dense_parity_operator(n, w, delta_ratio, mu_ratio, 
        st.floats(-0.5, 0.5))
 def test_ground_state_parity_matrix_matches_dense_majorana_product(n, w, delta_ratio,
                                                                    mu_ratio):
-    space = FockSpace(ChainParams(n, w, w * delta_ratio))
-    basis = resolved_basis(space.params, w * mu_ratio)
-    _, _, parity = space.ground_states(basis)
-    assert np.max(np.abs(parity - dense_mzm_parity(space, basis))) < 1e-13
+    # the chain's Pi gives the tetron's MZM parity Pi x Pi
+    params = ChainParams(n, w, w * delta_ratio)
+    basis = resolved_basis(params, w * mu_ratio)
+    _, _, parity = FockSpace(params).ground_states(basis)
+    assert np.max(np.abs(np.kron(parity, parity) - dense_mzm_parity(params, basis))) < 1e-13
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
