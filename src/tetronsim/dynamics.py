@@ -34,18 +34,18 @@ of squares of its off-diagonal entries, so l_odd, the sum over E and O, keeps
 relative accuracy too and never reads below 0; the MZM parity is 1 - 2 l_odd.
 
 Both methods run one schedule, :func:`_evolve`, with two engines: the
-orbitals above, and an exact oracle that steps the full two-chain Fock-space
-state vector of a chain of at most 3 sites (:func:`fock_oracle`, and
-:func:`fock_quench` for the sudden limit).  So the oracle's ramps take the
-rows, grids, samples, purity check, Richardson rows and per-row failures of
-:func:`evolve_ramps`.  The chains are uncoupled and each conserves its
-fermion parity, so in Jordan-Wigner order the tetron Hamiltonian is
-h x 1 + 1 x h, with h(mu) = h0 + mu h1 one chain's real Hamiltonian, both
-parts built once per :class:`FockSpace`.  A state vector, read as the
-2^N x 2^N matrix Psi, steps to U Psi U^T with U = exp(-i h dt): one real
-``eigh`` of h (8 x 8 at N = 3) per row at each of its own grid points, the
-rows' in one batched call.  At a sample, the ground states and the MZM
-parity matrix are built once per distinct mu.
+orbitals above, and an exact oracle that steps E and O as many-body states of
+a chain of at most 3 sites (:func:`fock_oracle`, and :func:`fock_quench` for
+the sudden limit).  So the oracle's ramps take the rows, grids, samples,
+purity check, Richardson rows and per-row failures of :func:`evolve_ramps`.
+The chains are uncoupled and each conserves its fermion parity, so in
+Jordan-Wigner order the tetron Hamiltonian is h x 1 + 1 x h, with
+h(mu) = h0 + mu h1 one chain's real Hamiltonian, both parts built once per
+:class:`FockSpace`.  The oracle holds a row's |+> as the (2^N, 2) array
+[E, O], stacked (2^N, R, 2) as the orbitals are (N, R, m), and a step applies
+U = exp(-i h dt) to E and O: one real ``eigh`` of h (8 x 8 at N = 3) per row
+at each of its own grid points, the rows' in one batched call.  At a sample,
+the ground states and the MZM parity matrix are built once per distinct mu.
 """
 
 from __future__ import annotations
@@ -489,10 +489,10 @@ class FockSpace:
     the single-particle operator vector, chain 1's sites then chain 2's, chain
     2's annihilators are P x c_j with P chain 1's fermion parity, so each of
     chain 2's bilinears is 1 x (the same bilinear of one chain) and the tetron
-    Hamiltonian is H(mu) = h(mu) x 1 + 1 x h(mu).  A two-chain state vector,
-    ``dim`` = 4^N long, is the 2^N x 2^N matrix Psi of its entries, chain 1's
-    basis state by row and chain 2's by column, and exp(-i H dt) acts on it
-    as U Psi U^T with U = exp(-i h dt).
+    Hamiltonian is H(mu) = h(mu) x 1 + 1 x h(mu).  exp(-i H dt) is then U x U
+    with U = exp(-i h dt), and it keeps |+> a sum of two products,
+    (|E>|E> + |O>|O>)/sqrt(2), stepping E and O, one chain's states, by U.
+    The oracle holds |+> as the (2^N, 2) array [E, O].
 
     Every operator is real: ``c`` stacks the chain's N annihilators, shape
     (N, 2^N, 2^N).  h is linear in mu, h(mu) = h0 + mu h1, with h0 the hopping
@@ -513,7 +513,6 @@ class FockSpace:
         zmat = np.diag([1.0, -1.0])
         self.c = np.array([reduce(np.kron, [zmat] * j + [lower] + [np.eye(2)] * (n - j - 1))
                            for j in range(n)])
-        self.dim = self.c.shape[1] ** 2
         # the chain's parity prod_j (1 - 2 n_j) is the string of all its sites
         self._parity = np.diag(reduce(np.kron, [zmat] * n))
         self._flips = self._parity[:, None] != self._parity[None, :]
@@ -536,38 +535,32 @@ class FockSpace:
         """Real symmetric h(mu) = h0 + mu h1 of one chain."""
         return self._h0 + mu * self._h1
 
-    def step(self, psi: np.ndarray, mus: Sequence[float], dts: Sequence[float]) -> np.ndarray:
-        """Each column of the stack ``psi`` (dim, R) through exp(-i H(mu) dt), its own mu and dt.
+    def step(self, x: np.ndarray, mus: Sequence[float], dts: Sequence[float]) -> np.ndarray:
+        """Each row of the stack ``x`` (2^N, R, 2) through exp(-i h(mu) dt), its own mu and dt.
 
-        A column is stepped as U Psi U^T, with U = Q e^{-i Lambda dt} Q^T from
-        one ``eigh`` of h(mu) per column, the R of them in one batched call.
-        U conserves the chain's parity; its entries between the parity
-        sectors, rounding alone, are set to 0, so a chain-parity sector where
-        a column is exactly 0 stays 0.
+        A row's E and O step by U = Q e^{-i Lambda dt} Q^T, from one ``eigh``
+        of h(mu) per row, the R of them in one batched call.  U conserves the
+        chain's parity; its entries between the parity sectors, rounding
+        alone, are set to 0, so E and O stay each in its own sector.
         """
         evals, q = np.linalg.eigh(np.array([self.hamiltonian(mu) for mu in mus]))
         u = (q * np.exp(-1j * np.asarray(dts)[:, None, None] * evals[:, None])) @ q.swapaxes(1, 2)
         u[:, self._flips] = 0.0
-        size = q.shape[1]
-        # the reshape of psi^T gives each row a contiguous Psi, so that a row
-        # steps the same alone and among other rows
-        stepped = u @ psi.T.reshape(-1, size, size) @ u.swapaxes(1, 2)
-        return stepped.reshape(-1, self.dim).T
+        return (u @ x.swapaxes(0, 1)).swapaxes(0, 1)
 
     def ground_states(self, basis: ModeBasis) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vacuum |0_t>, paired-excitation |1_t>, and the chain's MZM parity matrix.
+        """The chain's vacuum vac, one = d_0^T vac / |d_0^T vac|, and its MZM parity matrix Pi.
 
         The chain's quasiparticle annihilators, d = sum_i a_i c_i + b_i c_i^T
         with (a, b) a column of ``basis.vectors``, come from two ``tensordot``
         calls, and the number operator sum_k d_k^T d_k from one product.  Its
-        one ``eigh`` gives the chain's vacuum vac, which must be its one zero
-        eigenvalue.  The tetron's vacuum is vac x vac, and d_{0,1}^T d_{0,2}^T
-        of it is p_v (d_0^T vac) x (d_0^T vac), p_v the chain parity of vac:
-        chain 2's operators carry chain 1's parity as their string.  With the
-        Majoranas of the chain as the real matrices d_0 + d_0^T and
-        d_0 - d_0^T, the second being gamma / i, Pi = (d_0 + d_0^T)(d_0 - d_0^T)
-        and the MZM parity -gamma1 gamma2 gamma3 gamma4 is Pi x Pi: i * i
-        cancels the minus.
+        one ``eigh`` gives vac, which must be its one zero eigenvalue.  The
+        tetron's two ground states are vac x vac and d_{0,1}^T d_{0,2}^T of
+        it, which is one x one up to a sign that no readout of
+        (|E>|E> + |O>|O>)/sqrt(2) sees.  With the Majoranas of the chain as
+        the real matrices d_0 + d_0^T and d_0 - d_0^T, the second being
+        gamma / i, Pi = (d_0 + d_0^T)(d_0 - d_0^T) and the MZM parity
+        -gamma1 gamma2 gamma3 gamma4 is Pi x Pi: i * i cancels the minus.
         """
         n = self.params.n_sites
         top, bottom = basis.vectors[:n, :n].T, basis.vectors[n:, :n].T
@@ -577,26 +570,30 @@ class FockSpace:
         evals, evecs = np.linalg.eigh(flat.T @ flat)
         if evals[0] > 1e-8 or evals[1] < 0.5:
             raise InvalidParameterError("quasiparticle vacuum is not isolated")
-        p_v = self._parity[np.argmax(np.abs(evecs[:, 0]))]
         # the vacuum has one chain parity; its entries in the other are rounding
-        vac = np.where(self._parity == p_v, evecs[:, 0], 0.0)
+        home = self._parity[np.argmax(np.abs(evecs[:, 0]))]
+        vac = np.where(self._parity == home, evecs[:, 0], 0.0)
         d0 = d_ops[0]
-        excited = d0.T @ vac
-        excited /= np.linalg.norm(excited)
-        return np.kron(vac, vac), p_v * np.kron(excited, excited), (d0 + d0.T) @ (d0 - d0.T)
+        one = d0.T @ vac
+        return vac, one / np.linalg.norm(one), (d0 + d0.T) @ (d0 - d0.T)
 
-    def measure(self, psi: np.ndarray, basis: ModeBasis, t: float,
+    def measure(self, x: np.ndarray, basis: ModeBasis, t: float,
                 ground: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> LeakageRecord:
-        """Leakage split of psi in ``basis``, whose :meth:`ground_states` are ``ground``.
+        """Leakage split of |+>, the (2^N, 2) array [E, O], in ``basis`` with ``ground``.
 
-        The MZM parity Pi x Pi reads Re <Psi, Pi Psi Pi^T>.
+        ``ground`` holds the :meth:`ground_states` of ``basis``.  E, O, vac and
+        one each lie in one chain-parity sector, E and O in different ones,
+        and Pi keeps a sector, so every cross term between the two products
+        vanishes.  The MZM parity Pi x Pi reads [(E^H Pi E)^2 + (O^H Pi O)^2] / 2,
+        and the weight on the two ground states is sum |r^T s|^4 / 2 over r in
+        (vac, one) and s in (E, O).  The purity defect |(|E|^2 + |O|^2) / 2 - 1|
+        is the norm defect of |+> to first order.
         """
         vac, one, mzm = ground
-        size = mzm.shape[0]
-        matrix = psi.reshape(size, size)
-        parity = float(np.vdot(matrix, mzm @ matrix @ mzm.T).real)
+        rayleigh = (x.conj() * (mzm @ x)).real.sum(axis=0)
+        parity = 0.5 * float(np.sum(rayleigh ** 2))
         l_odd = 0.5 * (1.0 - parity)
-        l_g_raw = 1.0 - abs(vac @ psi) ** 2 - abs(one @ psi) ** 2
+        l_g_raw = 1.0 - 0.5 * float(np.sum(np.abs(np.array([vac, one]) @ x) ** 4))
         l_even = l_g_raw - l_odd
         return LeakageRecord(
             t=t,
@@ -605,12 +602,12 @@ class FockSpace:
             l_even=l_even,
             l_g=l_odd + l_even,
             parity=parity,
-            purity_defect=abs(float(np.linalg.norm(psi)) - 1.0),
+            purity_defect=abs(0.5 * float(np.vdot(x, x).real) - 1.0),
         )
 
 
 class _FockVectors:
-    """The oracle's engine of :func:`_evolve`: the rows' state vectors stacked as (dim, R).
+    """The oracle's engine of :func:`_evolve`: the rows' |+>, each [E, O], stacked as (2^N, R, 2).
 
     A step is one :meth:`FockSpace.step` of the stack, each row at its own
     grid point and dt; a sample reference is the basis with its
@@ -626,7 +623,7 @@ class _FockVectors:
     def plus(self, mu: float) -> Tuple[np.ndarray, tuple]:
         reference = self.reference(mu)
         vac, one, _ = reference[1]
-        return (vac + one) / np.sqrt(2.0), reference
+        return np.stack((vac, one), axis=1), reference
 
     def reference(self, mu: float) -> tuple:
         basis = resolved_basis(self.params, mu)
@@ -636,12 +633,9 @@ class _FockVectors:
              reused: Optional[tuple]) -> None:
         x[:] = self.space.step(x, [grid[j] for grid in grids], dts)
 
-    def measure(self, psi: np.ndarray, reference: tuple, t: float) -> LeakageRecord:
+    def measure(self, x: np.ndarray, reference: tuple, t: float) -> LeakageRecord:
         basis, ground = reference
-        # contiguous: the overlaps with the ground states sum a strided column of the
-        # stack in another order than a contiguous one, so a row would read
-        # differently alone and among other rows
-        return self.space.measure(np.ascontiguousarray(psi), basis, t, ground)
+        return self.space.measure(x, basis, t, ground)
 
 
 def fock_quench(params: ChainParams, mu_in: float, mu_fin: float,
@@ -662,8 +656,8 @@ def fock_oracle(params: ChainParams, protocols: Sequence[RampProtocol],
 
     Both run :func:`_evolve`, so a ramp here has the same grid, samples,
     ``n_steps``, purity check (of its norm defect), Richardson row and
-    per-row failures; only the engine differs.  Each row's two-chain state
-    vector Psi steps exactly, as U Psi U^T with U one chain's propagator
+    per-row failures; only the engine differs.  Each row's |+>, the two
+    one-chain states E and O, steps exactly by U, one chain's propagator
     (:meth:`FockSpace.step`).  ``space`` lets several calls share one
     :class:`FockSpace` of ``params``.
     """

@@ -260,6 +260,8 @@ def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
         lengths = ini.get_list("walk", "length_list", int)
         if lengths is None:
             lengths = (ini.get("walk", "length", int, required=True),)
+        if not lengths:
+            raise ConfigError("walk.length_list: at least one length is required")
         if any(length < 1 for length in lengths):
             raise ConfigError("walk.length: must be >= 1")
         cfg.walk_lengths = lengths
@@ -274,8 +276,11 @@ def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
         cfg.fit_x = ini.get("fit", "x_column", str,
                             default="n_sites" if cfg.fit_family == "linear-n" else "v")
         cfg.fit_y = ini.get("fit", "y_column", str, default="l_odd")
-        cfg.fit_window = (ini.get("fit", "window_min", float),
-                          ini.get("fit", "window_max", float))
+        lo, hi = ini.get("fit", "window_min", float), ini.get("fit", "window_max", float)
+        if lo is not None and hi is not None and lo > hi:
+            raise ConfigError("fit.window_min/window_max: need window_min <= window_max, "
+                              "got %g > %g" % (lo, hi))
+        cfg.fit_window = (lo, hi)
         cfg.fit_l_inf = ini.get("fit", "l_inf", float)
         if cfg.fit_family == "power-approach" and cfg.fit_l_inf is None:
             raise ConfigError("fit.l_inf: required for the power-approach family")
@@ -581,8 +586,8 @@ def _run_walk(cfg: ExperimentConfig) -> ResultTable:
 def run_fit(cfg: ExperimentConfig) -> ResultTable:
     source = read_table(Path(cfg.fit_table))
     for col in (cfg.fit_x, cfg.fit_y):
-        if col not in source.columns:
-            raise ConfigError("fit: input table has no column %r" % col)
+        if col not in source.columns or col in _TEXT_COLUMNS:
+            raise ConfigError("fit: input table has no numeric column %r" % col)
     x = source.column(cfg.fit_x)
     y = source.column(cfg.fit_y)
     lo, hi = cfg.fit_window

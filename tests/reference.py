@@ -460,6 +460,11 @@ def chain_parities(params: ChainParams) -> np.ndarray:
     return np.prod(1.0 - 2.0 * occupation.reshape(2, n, -1), axis=1)
 
 
+def two_chain_state(x: np.ndarray) -> np.ndarray:
+    """(|E>|E> + |O>|O>)/sqrt(2) of one chain's two states, the columns of ``x``, dense."""
+    return (np.kron(x[:, 0], x[:, 0]) + np.kron(x[:, 1], x[:, 1])) / np.sqrt(2.0)
+
+
 def total_parity_op(params: ChainParams) -> np.ndarray:
     """Total fermion parity prod_j (1 - 2 n_j) of both chains, as a diagonal matrix."""
     return np.diag(np.prod(chain_parities(params), axis=0))

@@ -161,6 +161,18 @@ class TestConfigValidation:
                 "protocol": {"mu_fin": "0.05"},
             })
 
+    def test_empty_walk_length_list(self):
+        with pytest.raises(ConfigError, match="walk.length_list: at least one length"):
+            config_from_mapping({"experiment": {"kind": "walk"}, "walk": {"length_list": ""}})
+
+    def test_inverted_fit_window(self):
+        with pytest.raises(ConfigError, match="need window_min <= window_max, got 0.5 > 0.1"):
+            config_from_mapping({
+                "experiment": {"kind": "fit"},
+                "fit": {"table": "t.csv", "family": "half-lz",
+                        "window_min": "0.5", "window_max": "0.1"},
+            })
+
     def test_non_topological_mu(self):
         with pytest.raises(ConfigError, match="topological"):
             config_from_mapping({
@@ -765,6 +777,22 @@ family = half-lz
 y_column = no_such_column
 """)
         assert main(["fit", "--config", str(ini), "--quiet"]) == EXIT_CONFIG
+
+    def test_fit_text_column(self, tmp_path, capsys):
+        src = tmp_path / "src.csv"
+        src.write_text("case,v,l_odd\nsudden,nan,1.0\nramp,1e-2,2.0\n")
+        ini = write_ini(tmp_path / "fit.ini", f"""
+[experiment]
+kind = fit
+
+[fit]
+table = {src}
+family = half-lz
+x_column = case
+""")
+        assert main(["fit", "--config", str(ini), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: fit: input table has no numeric column 'case'" in err
 
     @pytest.mark.parametrize("text, where", [
         ("", "is empty"),

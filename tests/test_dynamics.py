@@ -35,6 +35,7 @@ from reference import (
     dense_mzm_parity,
     odd_leakage_mp,
     total_parity,
+    two_chain_state,
 )
 
 W = 0.5
@@ -626,12 +627,12 @@ class TestFockOracle:
         space = FockSpace(params(2))
         proto = RampProtocol(0.0, 0.1, 1e-2)
         vac, one, _ = space.ground_states(model.resolved_basis(params(2), 0.0))
-        psi = ((vac + one) / np.sqrt(2))[:, None]
-        start = total_parity(params(2), psi[:, 0])
+        x = np.stack((vac, one), axis=1)[:, None]
+        start = total_parity(params(2), two_chain_state(x[:, 0]))
         dt = proto.duration / 100
         for i in range(100):
-            psi = space.step(psi, [proto.mu_at(i * dt)], [dt])
-        assert total_parity(params(2), psi[:, 0]) == pytest.approx(start, abs=1e-10)
+            x = space.step(x, [proto.mu_at(i * dt)], [dt])
+        assert total_parity(params(2), two_chain_state(x[:, 0])) == pytest.approx(start, abs=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_dense_two_chain_evolution(self, n):

@@ -53,6 +53,7 @@ from reference import (
     rotate_to_site_basis,
     rotation,
     total_parity_op,
+    two_chain_state,
 )
 
 # derandomize keeps the suite reproducible run to run
@@ -331,8 +332,7 @@ def test_fock_hamiltonian_is_real_linear_and_parity_even(n, w, delta, mu):
     params = ChainParams(n, w, delta)
     h = FockSpace(params).hamiltonian(mu)
     eye = np.eye(2 ** n)
-    occupation = np.array([np.diag(a.T @ a) for a in jordan_wigner(n)])
-    chain_parity = np.diag(np.prod(1.0 - 2.0 * occupation, axis=0))
+    chain_parity = np.diag(one_chain_parity(n))
     p = total_parity_op(params)
     assert h.dtype == np.float64 and p.dtype == np.float64
     assert np.array_equal(h, h.T)
@@ -342,9 +342,18 @@ def test_fock_hamiltonian_is_real_linear_and_parity_even(n, w, delta, mu):
     assert np.max(np.abs(h @ chain_parity - chain_parity @ h)) < 1e-13
 
 
-def random_state(dim, seed):
+def one_chain_parity(n):
+    """One chain's fermion parity prod_j (1 - 2 n_j) on each of its basis states."""
+    occupation = np.array([np.diag(a.T @ a) for a in jordan_wigner(n)])
+    return np.prod(1.0 - 2.0 * occupation, axis=0)
+
+
+def random_state(dim, seed, support=None):
+    """A random normalised complex state, zero off the boolean ``support`` if given."""
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    if support is not None:
+        psi[~support] = 0.0
     return psi / np.linalg.norm(psi)
 
 
@@ -352,13 +361,14 @@ def random_state(dim, seed):
 @given(st.sampled_from([2, 3]), st.floats(0.1, 1.0), st.floats(0.1, 1.0),
        st.floats(-2.0, 2.0), st.floats(1e-3, 5.0), st.integers(0, 2 ** 32 - 1))
 def test_blocked_fock_step_matches_dense_eigh(n, w, delta, mu, dt, seed):
-    # U Psi U^T of one chain's U, two rows with their own mu and dt
+    # U x U of one chain's U on (|E>|E> + |O>|O>)/sqrt(2), two rows with their own mu and dt
     params = ChainParams(n, w, delta)
-    psi = np.array([random_state(4 ** n, seed), random_state(4 ** n, seed + 1)]).T
-    stepped = FockSpace(params).step(psi, [mu, -0.5 * mu], [dt, 0.3 * dt])
-    assert np.max(np.abs(stepped[:, 0] - dense_fock_step(params, psi[:, 0], mu, dt))) < 1e-13
-    assert np.max(np.abs(stepped[:, 1] - dense_fock_step(params, psi[:, 1], -0.5 * mu,
-                                                         0.3 * dt))) < 1e-13
+    x = np.array([random_state(2 ** n, seed + k) for k in range(4)]).T.reshape(2 ** n, 2, 2)
+    stepped = FockSpace(params).step(x, [mu, -0.5 * mu], [dt, 0.3 * dt])
+    assert stepped.shape == x.shape
+    for row, (row_mu, row_dt) in enumerate([(mu, dt), (-0.5 * mu, 0.3 * dt)]):
+        expected = dense_fock_step(params, two_chain_state(x[:, row]), row_mu, row_dt)
+        assert np.max(np.abs(two_chain_state(stepped[:, row]) - expected)) < 1e-13
 
 
 def chain_parity_sectors(params):
@@ -376,11 +386,12 @@ def test_fock_step_of_plus_leaves_its_empty_sectors_zero(n, w, delta_ratio, mu_r
     params = ChainParams(n, w, w * delta_ratio)
     space = FockSpace(params)
     vac, one, _ = space.ground_states(resolved_basis(params, w * mu_ratio))
-    psi = (vac + one) / np.sqrt(2.0)
+    x = np.stack((vac, one), axis=1)
+    psi = two_chain_state(x)
     sector = chain_parity_sectors(params)
     empty = np.array([np.all(psi[sector == s] == 0.0) for s in range(4)])
     assert np.count_nonzero(empty) == 2
-    stepped = space.step(psi[:, None], [w * step_mu_ratio], [dt])[:, 0]
+    stepped = two_chain_state(space.step(x[:, None], [w * step_mu_ratio], [dt])[:, 0])
     assert np.all(stepped[np.isin(sector, np.flatnonzero(empty))] == 0.0)
     assert np.max(np.abs(stepped - dense_fock_step(params, psi, w * step_mu_ratio, dt))) < 1e-13
 
@@ -403,12 +414,12 @@ def test_fock_space_rejects_coupling_between_sectors(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_fock_sectors_split_by_chain_parity(n):
-    # vac and one lie each in one chain-parity sector, and not the same one
+    # vac x vac and one x one lie each in one chain-parity sector, and not the same one
     params = ChainParams(n, 0.5, 0.4)
     vac, one, _ = FockSpace(params).ground_states(resolved_basis(params, 0.05))
     sector = chain_parity_sectors(params)
     homes = []
-    for state in (vac, one):
+    for state in (np.kron(vac, vac), np.kron(one, one)):
         weight = np.array([np.sum(np.abs(state[sector == s]) ** 2) for s in range(4)])
         home = int(np.argmax(weight))
         assert weight[home] == pytest.approx(1.0, abs=1e-14)
@@ -421,30 +432,46 @@ def test_fock_sectors_split_by_chain_parity(n):
 @given(st.sampled_from([2, 3]), st.floats(0.2, 1.0), st.floats(0.7, 1.4),
        st.floats(-0.5, 0.5))
 def test_fock_ground_states_match_dense_quasiparticle_states(n, w, delta_ratio, mu_ratio):
-    # |1> = d_{0,1}^dag d_{0,2}^dag |0> with its sign: chain 2's string carries vac's parity
+    # |0> = vac x vac, and |1> = d_{0,1}^dag d_{0,2}^dag |0> = one x one up to the sign
+    # of chain 2's string, which no readout of |+> sees
     params = ChainParams(n, w, w * delta_ratio)
     basis = resolved_basis(params, w * mu_ratio)
     vac, one, _ = FockSpace(params).ground_states(basis)
     dense_vac, _ = dense_ground_states(params, basis)
-    vac_sign = np.sign(dense_vac @ vac)
-    assert np.max(np.abs(vac - vac_sign * dense_vac)) < 1e-13
+    pair_vac, pair_one = np.kron(vac, vac), np.kron(one, one)
+    vac_sign = np.sign(dense_vac @ pair_vac)
+    assert np.max(np.abs(pair_vac - vac_sign * dense_vac)) < 1e-13
     d1 = qp_annihilator(params, basis.vectors[:, 0], 0)
     d2 = qp_annihilator(params, basis.vectors[:, 0], 1)
-    expected = d1.T @ (d2.T @ vac)
-    assert np.max(np.abs(one - expected / np.linalg.norm(expected))) < 1e-13
+    expected = d1.T @ (d2.T @ pair_vac)
+    expected /= np.linalg.norm(expected)
+    one_sign = np.sign(expected @ pair_one)
+    assert abs(one_sign) == 1.0
+    assert np.max(np.abs(pair_one - one_sign * expected)) < 1e-13
 
 
 @PROPERTY
 @given(st.sampled_from([2, 3]), st.floats(0.2, 1.0), st.floats(0.7, 1.4),
        st.floats(-0.5, 0.5), st.integers(0, 2 ** 32 - 1))
 def test_fock_parity_matches_dense_parity_operator(n, w, delta_ratio, mu_ratio, seed):
+    # random E and O in opposite chain-parity sectors, read as the dense |+> is
     params = ChainParams(n, w, w * delta_ratio)
     space = FockSpace(params)
     basis = resolved_basis(params, w * mu_ratio)
-    psi = random_state(space.dim, seed)
-    expected = (psi.conj() @ (dense_mzm_parity(params, basis) @ psi)).real
-    record = space.measure(psi, basis, 0.0, space.ground_states(basis))
-    assert abs(record.parity - expected) < 1e-13
+    e_sector = one_chain_parity(n) > 0.0
+    if seed % 2:
+        e_sector = ~e_sector
+    x = np.stack((random_state(2 ** n, seed, e_sector),
+                  random_state(2 ** n, seed + 1, ~e_sector)), axis=1)
+    psi = two_chain_state(x)
+    parity = (psi.conj() @ (dense_mzm_parity(params, basis) @ psi)).real
+    dense_vac, dense_one = dense_ground_states(params, basis)
+    l_g = 1.0 - abs(dense_vac @ psi) ** 2 - abs(dense_one @ psi) ** 2
+    record = space.measure(x, basis, 0.0, space.ground_states(basis))
+    assert abs(record.parity - parity) < 1e-13
+    assert abs(record.l_odd - 0.5 * (1.0 - parity)) < 1e-13
+    assert abs(record.l_g - l_g) < 1e-13
+    assert abs(record.purity_defect - abs(np.linalg.norm(psi) - 1.0)) < 1e-13
 
 
 @PROPERTY
