@@ -34,18 +34,22 @@ of squares of its off-diagonal entries, so l_odd, the sum over E and O, keeps
 relative accuracy too and never reads below 0; the MZM parity is 1 - 2 l_odd.
 
 Both methods run one schedule, :func:`_evolve`, with two engines: the
-orbitals above, and an exact oracle that steps E and O as many-body states of
-a chain of at most 3 sites (:func:`fock_oracle`, and :func:`fock_quench` for
-the sudden limit).  So the oracle's ramps take the rows, grids, samples,
-purity check, Richardson rows and per-row failures of :func:`evolve_ramps`.
-The chains are uncoupled and each conserves its fermion parity, so in
-Jordan-Wigner order the tetron Hamiltonian is h x 1 + 1 x h, with
-h(mu) = h0 + mu h1 one chain's real Hamiltonian, both parts built once per
-:class:`FockSpace`.  The oracle holds a row's |+> as the (2^N, 2) array
-[E, O], stacked (2^N, R, 2) as the orbitals are (N, R, m), and a step applies
-U = exp(-i h dt) to E and O: one real ``eigh`` of h (8 x 8 at N = 3) per row
-at each of its own grid points, the rows' in one batched call.  At a sample,
-the ground states and the MZM parity matrix are built once per distinct mu.
+orbitals above, and :class:`FockSpace`, an exact oracle that steps E and O as
+many-body states of a chain of at most 3 sites (:func:`fock_oracle`, and
+:func:`fock_quench` for the sudden limit).  The schedule alone picks the mu at
+which each step evaluates h: it hands every engine each live row's grid point
+and dt.  So the oracle's ramps take the rows, grids, samples, purity check,
+Richardson rows and per-row failures of :func:`evolve_ramps`.  The chains are
+uncoupled and each conserves its fermion parity, so in Jordan-Wigner order the
+tetron Hamiltonian is h x 1 + 1 x h, with h(mu) = h0 + mu h1 one chain's real
+Hamiltonian, both parts built once per :class:`FockSpace`.  The oracle holds a
+row's |+> as the (2^N, 2) array [E, O], stacked (2^N, R, 2) as the orbitals
+are (N, R, m), and a step applies U = exp(-i h dt) to E and O: one real
+``eigh`` of h (8 x 8 at N = 3) per row at each of its own grid points, the
+rows' in one batched call.  At a sample, the ground states and the MZM parity
+matrix are built once per distinct mu.  Both engines read a sample into a
+record the same way (:func:`_record`): l_even is the ground-state loss less
+l_odd, and the MZM parity is 1 - 2 l_odd.
 """
 
 from __future__ import annotations
@@ -110,6 +114,18 @@ class LeakageRecord:
     l_g: float
     parity: float
     purity_defect: float
+
+
+def _record(t: float, mu: float, l_odd: float, l_g_raw: float,
+            purity_defect: float) -> LeakageRecord:
+    """A sample's record from its l_odd (MZM poisoning) and its ground-state loss ``l_g_raw``.
+
+    l_even is the rest of the loss, l_g the sum of the two channels, and the
+    MZM parity 1 - 2 l_odd.
+    """
+    l_even = l_g_raw - l_odd
+    return LeakageRecord(t=t, mu=mu, l_odd=l_odd, l_even=l_even, l_g=l_odd + l_even,
+                         parity=1.0 - 2.0 * l_odd, purity_defect=purity_defect)
 
 
 class Trajectory(list):
@@ -238,16 +254,8 @@ def measure_leakage(orbitals: np.ndarray, basis: ModeBasis, t: float = 0.0) -> L
         l_odd += float(np.vdot(off_diagonal, off_diagonal).real)
         loss = _loss(y_state[rows])
         l_g_raw += 0.5 * loss * (2.0 - loss)
-    l_even = l_g_raw - l_odd
-    return LeakageRecord(
-        t=t,
-        mu=basis.mu,
-        l_odd=l_odd,
-        l_even=l_even,
-        l_g=l_odd + l_even,
-        parity=1.0 - 2.0 * l_odd,
-        purity_defect=float(np.max(np.abs(orbitals.conj().T @ orbitals - np.eye(m)))),
-    )
+    return _record(t, basis.mu, l_odd, l_g_raw,
+                   float(np.max(np.abs(orbitals.conj().T @ orbitals - np.eye(m)))))
 
 
 def default_sample_times(duration: float, count: int = DEFAULT_SAMPLE_COUNT) -> np.ndarray:
@@ -275,8 +283,9 @@ def sample_points(protocol: RampProtocol,
 class _Orbitals:
     """The orbital engine of :func:`_evolve`: the rows' orbitals, stacked as (N, R, m).
 
-    A step is one :func:`chain_eigh` at the first live row's grid point, or
-    the decomposition of the basis resolved there, for the whole stack.
+    A step is one :func:`chain_eigh` at the first live row's mu, or the
+    decomposition of the basis resolved there, for the whole stack, whose
+    rows' grids are prefixes of one grid.
     """
 
     params: ChainParams
@@ -287,11 +296,12 @@ class _Orbitals:
     def reference(self, mu: float) -> ModeBasis:
         return resolved_basis(self.params, mu)
 
-    def step(self, x: np.ndarray, j: int, grids: Sequence[np.ndarray], dts: Sequence[float],
-             reused: Optional[ModeBasis]) -> None:
+    def step(self, x: np.ndarray, mus: Sequence[float], dts: Sequence[float],
+             reused: Optional[ModeBasis]) -> np.ndarray:
         lam, q = ((reused.eigenvalues, reused.v) if reused is not None
-                  else chain_eigh(self.params, grids[0][j]))
+                  else chain_eigh(self.params, mus[0]))
         _mode_step(x, q, np.array([_chain_propagator(lam, dt) for dt in dts]))
+        return x
 
     def measure(self, orbitals: np.ndarray, basis: ModeBasis, t: float) -> LeakageRecord:
         return measure_leakage(orbitals, basis, t=t)
@@ -334,14 +344,14 @@ def _evolve_lockstep(engine, rows: Sequence[tuple], start: tuple,
     for end in sorted({c for *_, counts in rows for c in counts[1:]}):
         if not live:
             break
-        grids, dts = [], []
+        segments, dts = [], []
         for i in live:
             times, _, grid, counts = rows[i]
             k = reached[i]
-            grids.append(grid)
+            segments.append(grid[begin:end])
             dts.append((times[k] - times[k - 1]) / (counts[k] - counts[k - 1]))
-        for j in range(begin, end):
-            engine.step(x, j, grids, dts, references.get(grids[0][j]) if j == begin else None)
+        for j, points in enumerate(np.stack(segments, axis=1)):
+            x = engine.step(x, points, dts, references.get(points[0]) if j == 0 else None)
         references = {}
         for slot, i in enumerate(live):
             times, mus, _, counts = rows[i]
@@ -384,10 +394,13 @@ def _evolve(engine, protocols: Sequence[RampProtocol], policy: Optional[Stepping
 
     The ``engine`` stacks the rows' states along axis 1 and supplies four
     operations: ``plus(mu)``, |+> at mu and the reference it was built in;
-    ``reference(mu)``, what a sample at mu is read against; ``step(x, j,
-    grids, dts, reused)``, each row of the stack ``x`` through step j of its
-    grid with its dt, ``reused`` being the reference built at that step's mu
-    or None; and ``measure(state, reference, t)``.
+    ``reference(mu)``, what a sample at mu is read against; ``step(x, mus,
+    dts, reused)``, which returns the stack ``x`` with each row stepped at its
+    own grid point in ``mus`` by its own dt in ``dts``, ``reused`` being the
+    reference built at the first row's mu or None (the oracle, which
+    decomposes h and not the sample basis, ignores it); and
+    ``measure(state, reference, t)``.  Which mu each step evaluates h at is
+    chosen here alone.
     """
     if not protocols:
         return []
@@ -483,7 +496,7 @@ MAX_ORACLE_SITES = 3
 
 
 class FockSpace:
-    """Dense many-body operators of one chain of a tetron, at most 3 sites.
+    """Dense many-body operators of one chain of a tetron, at most 3 sites: the oracle's engine.
 
     The two chains are identical and uncoupled.  In the Jordan-Wigner order of
     the single-particle operator vector, chain 1's sites then chain 2's, chain
@@ -492,7 +505,10 @@ class FockSpace:
     Hamiltonian is H(mu) = h(mu) x 1 + 1 x h(mu).  exp(-i H dt) is then U x U
     with U = exp(-i h dt), and it keeps |+> a sum of two products,
     (|E>|E> + |O>|O>)/sqrt(2), stepping E and O, one chain's states, by U.
-    The oracle holds |+> as the (2^N, 2) array [E, O].
+    The oracle holds |+> as the (2^N, 2) array [E, O], and its rows' states
+    stacked as (2^N, R, 2): this class supplies the engine operations of
+    :func:`_evolve`, with a sample reference the basis at mu and its
+    :meth:`ground_states`.
 
     Every operator is real: ``c`` stacks the chain's N annihilators, shape
     (N, 2^N, 2^N).  h is linear in mu, h(mu) = h0 + mu h1, with h0 the hopping
@@ -535,13 +551,27 @@ class FockSpace:
         """Real symmetric h(mu) = h0 + mu h1 of one chain."""
         return self._h0 + mu * self._h1
 
-    def step(self, x: np.ndarray, mus: Sequence[float], dts: Sequence[float]) -> np.ndarray:
+    def plus(self, mu: float) -> Tuple[np.ndarray, tuple]:
+        """|+> at mu, the array [vac, one] of its :meth:`ground_states`, and its reference."""
+        reference = self.reference(mu)
+        vac, one, _ = reference[1]
+        return np.stack((vac, one), axis=1), reference
+
+    def reference(self, mu: float) -> tuple:
+        """The basis at mu and its :meth:`ground_states`, which a sample at mu is read against."""
+        basis = resolved_basis(self.params, mu)
+        return basis, self.ground_states(basis)
+
+    def step(self, x: np.ndarray, mus: Sequence[float], dts: Sequence[float],
+             reused: Optional[tuple] = None) -> np.ndarray:
         """Each row of the stack ``x`` (2^N, R, 2) through exp(-i h(mu) dt), its own mu and dt.
 
         A row's E and O step by U = Q e^{-i Lambda dt} Q^T, from one ``eigh``
         of h(mu) per row, the R of them in one batched call.  U conserves the
         chain's parity; its entries between the parity sectors, rounding
-        alone, are set to 0, so E and O stay each in its own sector.
+        alone, are set to 0, so E and O stay each in its own sector.  The
+        stepped stack is returned.  ``reused``, a sample reference at the
+        first row's mu, is ignored: a step decomposes h, not the sample basis.
         """
         evals, q = np.linalg.eigh(np.array([self.hamiltonian(mu) for mu in mus]))
         u = (q * np.exp(-1j * np.asarray(dts)[:, None, None] * evals[:, None])) @ q.swapaxes(1, 2)
@@ -552,18 +582,19 @@ class FockSpace:
         """The chain's vacuum vac, one = d_0^T vac / |d_0^T vac|, and its MZM parity matrix Pi.
 
         The chain's quasiparticle annihilators, d = sum_i a_i c_i + b_i c_i^T
-        with (a, b) a column of ``basis.vectors``, come from two ``tensordot``
-        calls, and the number operator sum_k d_k^T d_k from one product.  Its
-        one ``eigh`` gives vac, which must be its one zero eigenvalue.  The
-        tetron's two ground states are vac x vac and d_{0,1}^T d_{0,2}^T of
-        it, which is one x one up to a sign that no readout of
-        (|E>|E> + |O>|O>)/sqrt(2) sees.  With the Majoranas of the chain as
-        the real matrices d_0 + d_0^T and d_0 - d_0^T, the second being
-        gamma / i, Pi = (d_0 + d_0^T)(d_0 - d_0^T) and the MZM parity
+        with a a column of P = (v + u)/2 and b the same column of
+        Q = (v - u)/2 (one of the first N columns of ``basis.vectors``), come
+        from two ``tensordot`` calls, and the number operator sum_k d_k^T d_k
+        from one product.  Its one ``eigh`` gives vac, which must be its one
+        zero eigenvalue.  The tetron's two ground states are vac x vac and
+        d_{0,1}^T d_{0,2}^T of it, which is one x one up to a sign that no
+        readout of (|E>|E> + |O>|O>)/sqrt(2) sees.  With the Majoranas of the
+        chain as the real matrices d_0 + d_0^T and d_0 - d_0^T, the second
+        being gamma / i, Pi = (d_0 + d_0^T)(d_0 - d_0^T) and the MZM parity
         -gamma1 gamma2 gamma3 gamma4 is Pi x Pi: i * i cancels the minus.
         """
-        n = self.params.n_sites
-        top, bottom = basis.vectors[:n, :n].T, basis.vectors[n:, :n].T
+        u = basis.u
+        top, bottom = ((basis.v + u) / 2.0).T, ((basis.v - u) / 2.0).T
         d_ops = np.tensordot(top, self.c, axes=1)
         d_ops += np.tensordot(bottom, self.c, axes=1).transpose(0, 2, 1)
         flat = d_ops.reshape(-1, d_ops.shape[-1])
@@ -577,65 +608,33 @@ class FockSpace:
         one = d0.T @ vac
         return vac, one / np.linalg.norm(one), (d0 + d0.T) @ (d0 - d0.T)
 
-    def measure(self, x: np.ndarray, basis: ModeBasis, t: float,
-                ground: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> LeakageRecord:
-        """Leakage split of |+>, the (2^N, 2) array [E, O], in ``basis`` with ``ground``.
-
-        ``ground`` holds the :meth:`ground_states` of ``basis``.  E, O, vac and
-        one each lie in one chain-parity sector, E and O in different ones,
-        and Pi keeps a sector, so every cross term between the two products
-        vanishes.  The MZM parity Pi x Pi reads [(E^H Pi E)^2 + (O^H Pi O)^2] / 2,
-        and the weight on the two ground states is sum |r^T s|^4 / 2 over r in
-        (vac, one) and s in (E, O).  The purity defect |(|E|^2 + |O|^2) / 2 - 1|
-        is the norm defect of |+> to first order.
-        """
-        vac, one, mzm = ground
-        rayleigh = (x.conj() * (mzm @ x)).real.sum(axis=0)
-        parity = 0.5 * float(np.sum(rayleigh ** 2))
-        l_odd = 0.5 * (1.0 - parity)
-        l_g_raw = 1.0 - 0.5 * float(np.sum(np.abs(np.array([vac, one]) @ x) ** 4))
-        l_even = l_g_raw - l_odd
-        return LeakageRecord(
-            t=t,
-            mu=basis.mu,
-            l_odd=l_odd,
-            l_even=l_even,
-            l_g=l_odd + l_even,
-            parity=parity,
-            purity_defect=abs(0.5 * float(np.vdot(x, x).real) - 1.0),
-        )
-
-
-class _FockVectors:
-    """The oracle's engine of :func:`_evolve`: the rows' |+>, each [E, O], stacked as (2^N, R, 2).
-
-    A step is one :meth:`FockSpace.step` of the stack, each row at its own
-    grid point and dt; a sample reference is the basis with its
-    :meth:`FockSpace.ground_states`.
-    """
-
-    def __init__(self, params: ChainParams, space: Optional[FockSpace] = None):
-        self.params, self.space = params, space or FockSpace(params)
-        if self.space.params != params:
-            raise InvalidParameterError("Fock space built for %r, not %r"
-                                        % (self.space.params, params))
-
-    def plus(self, mu: float) -> Tuple[np.ndarray, tuple]:
-        reference = self.reference(mu)
-        vac, one, _ = reference[1]
-        return np.stack((vac, one), axis=1), reference
-
-    def reference(self, mu: float) -> tuple:
-        basis = resolved_basis(self.params, mu)
-        return basis, self.space.ground_states(basis)
-
-    def step(self, x: np.ndarray, j: int, grids: Sequence[np.ndarray], dts: Sequence[float],
-             reused: Optional[tuple]) -> None:
-        x[:] = self.space.step(x, [grid[j] for grid in grids], dts)
-
     def measure(self, x: np.ndarray, reference: tuple, t: float) -> LeakageRecord:
-        basis, ground = reference
-        return self.space.measure(x, basis, t, ground)
+        """Leakage split of |+>, the (2^N, 2) array [E, O], against a :meth:`reference`.
+
+        ``reference`` is the pair (basis, ground) with ground the
+        :meth:`ground_states` (vac, one, Pi) of the basis.  E, O, vac and one
+        each lie in one chain-parity sector, E and O in different ones, and Pi
+        keeps a sector, so every cross term between the two products vanishes.
+        The MZM parity Pi x Pi reads [(E^H Pi E)^2 + (O^H Pi O)^2] / 2, and
+        l_odd is half of 1 less it; the weight on the two ground states is
+        sum |r^T s|^4 / 2 over r in (vac, one) and s in (E, O).  The purity
+        defect |(|E|^2 + |O|^2) / 2 - 1| is the norm defect of |+> to first
+        order.
+        """
+        basis, (vac, one, mzm) = reference
+        rayleigh = (x.conj() * (mzm @ x)).real.sum(axis=0)
+        l_odd = 0.5 * (1.0 - 0.5 * float(np.sum(rayleigh ** 2)))
+        l_g_raw = 1.0 - 0.5 * float(np.sum(np.abs(np.array([vac, one]) @ x) ** 4))
+        return _record(t, basis.mu, l_odd, l_g_raw, abs(0.5 * float(np.vdot(x, x).real) - 1.0))
+
+
+def _fock_space(params: ChainParams, space: Optional[FockSpace]) -> FockSpace:
+    """``space``, which must be built for ``params``, or else a new :class:`FockSpace` of them."""
+    if space is None:
+        return FockSpace(params)
+    if space.params != params:
+        raise InvalidParameterError("Fock space built for %r, not %r" % (space.params, params))
+    return space
 
 
 def fock_quench(params: ChainParams, mu_in: float, mu_fin: float,
@@ -645,7 +644,7 @@ def fock_quench(params: ChainParams, mu_in: float, mu_fin: float,
     ``space`` lets several calls share one :class:`FockSpace` of ``params``;
     without it each call builds its own.
     """
-    return _quench(_FockVectors(params, space), mu_in, mu_fin)
+    return _quench(_fock_space(params, space), mu_in, mu_fin)
 
 
 def fock_oracle(params: ChainParams, protocols: Sequence[RampProtocol],
@@ -656,9 +655,9 @@ def fock_oracle(params: ChainParams, protocols: Sequence[RampProtocol],
 
     Both run :func:`_evolve`, so a ramp here has the same grid, samples,
     ``n_steps``, purity check (of its norm defect), Richardson row and
-    per-row failures; only the engine differs.  Each row's |+>, the two
-    one-chain states E and O, steps exactly by U, one chain's propagator
-    (:meth:`FockSpace.step`).  ``space`` lets several calls share one
-    :class:`FockSpace` of ``params``.
+    per-row failures; only the engine, a :class:`FockSpace`, differs.  Each
+    row's |+>, the two one-chain states E and O, steps exactly by U, one
+    chain's propagator (:meth:`FockSpace.step`).  ``space`` lets several calls
+    share one :class:`FockSpace` of ``params``.
     """
-    return _evolve(_FockVectors(params, space), protocols, policy, sample_times)
+    return _evolve(_fock_space(params, space), protocols, policy, sample_times)

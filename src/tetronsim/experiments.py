@@ -227,19 +227,27 @@ def parse_config(path: Path) -> ExperimentConfig:
     ``[stepping] steps_per_span`` fixes one mu step for the whole run, taken
     from the largest ``|mu_fin - mu_in|`` span: with ``mu_fin_list = 0.03, 0.1``
     and 1000 steps per span (preset ``fig2-main``) the 0.03 ramps run 300 steps.
-    Sweep sidecars record each row's count as ``row_n_steps``.
+    Sweep sidecars record each row's count as ``row_n_steps``.  Values are
+    read literally, with no ``%`` interpolation; a file that is not UTF-8 INI
+    is a ConfigError.
     """
-    cp = configparser.ConfigParser()
-    read = cp.read([str(path)])
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cp.read([str(path)], encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError("config file %s: %s" % (path, exc)) from exc
     if not read:
         raise ConfigError("config file %s not found or unreadable" % path)
     return config_from_parser(cp)
 
 
 def config_from_mapping(mapping: Dict[str, Dict[str, str]]) -> ExperimentConfig:
-    """Build a config from a nested dict with the same shape as the INI file."""
-    cp = configparser.ConfigParser()
-    cp.read_dict(mapping)
+    """Build a config from a nested dict with the same shape as the INI file, read literally."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read_dict(mapping)
+    except configparser.Error as exc:
+        raise ConfigError(str(exc)) from exc
     return config_from_parser(cp)
 
 
@@ -277,11 +285,15 @@ def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
                             default="n_sites" if cfg.fit_family == "linear-n" else "v")
         cfg.fit_y = ini.get("fit", "y_column", str, default="l_odd")
         lo, hi = ini.get("fit", "window_min", float), ini.get("fit", "window_max", float)
+        if any(bound is not None and math.isnan(bound) for bound in (lo, hi)):
+            raise ConfigError("fit.window_min/window_max: a bound is nan")
         if lo is not None and hi is not None and lo > hi:
             raise ConfigError("fit.window_min/window_max: need window_min <= window_max, "
                               "got %g > %g" % (lo, hi))
         cfg.fit_window = (lo, hi)
         cfg.fit_l_inf = ini.get("fit", "l_inf", float)
+        if cfg.fit_l_inf is not None and not math.isfinite(cfg.fit_l_inf):
+            raise ConfigError("fit.l_inf: must be finite, got %r" % cfg.fit_l_inf)
         if cfg.fit_family == "power-approach" and cfg.fit_l_inf is None:
             raise ConfigError("fit.l_inf: required for the power-approach family")
     else:

@@ -173,6 +173,52 @@ class TestConfigValidation:
                         "window_min": "0.5", "window_max": "0.1"},
             })
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("window_min", "nan", "window_max: a bound is nan"),
+        ("window_max", "nan", "window_max: a bound is nan"),
+        ("l_inf", "nan", "l_inf: must be finite, got nan"),
+        ("l_inf", "inf", "l_inf: must be finite, got inf"),
+    ])
+    def test_non_finite_fit_setting(self, key, value, message):
+        fit = {"table": "t.csv", "family": "power-approach", "l_inf": "0.01", key: value}
+        with pytest.raises(ConfigError, match=message):
+            config_from_mapping({"experiment": {"kind": "fit"}, "fit": fit})
+
+    def test_open_fit_window(self):
+        cfg = config_from_mapping({
+            "experiment": {"kind": "fit"},
+            "fit": {"table": "t.csv", "family": "half-lz", "window_max": "inf"},
+        })
+        assert cfg.fit_window == (None, float("inf"))
+
+    @pytest.mark.parametrize("text", [
+        b"kind = walk\n",
+        b"[experiment]\nkind = walk\nkind = walk\n",
+        b"[experiment]\nkind = walk\n\n[experiment]\nseed = 1\n",
+        "[experiment]\nkind = walk\n# café\n".encode("latin-1"),
+    ], ids=["no-section-header", "duplicate-key", "duplicate-section", "not-utf8"])
+    def test_malformed_ini_file(self, tmp_path, capsys, text):
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(text)
+        assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: config file %s: " % ini)
+
+    def test_duplicate_key_in_a_mapping(self):
+        with pytest.raises(ConfigError, match="already exists"):
+            config_from_mapping({"experiment": {"kind": "walk", "KIND": "walk"}})
+
+    def test_percent_in_a_value_is_read_literally(self, tmp_path):
+        # no interpolation: the sidecar's echo of the path parses back as written
+        out = tmp_path / "res_100%.csv"
+        ini = write_ini(tmp_path / "walk.ini", WALK_INI.format(out=out))
+        assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_OK
+        assert read_table(out).rows
+        config = json.loads(out.with_suffix(".csv.meta.json").read_text())["config"]
+        assert config["output"] == {"path": str(out)}
+        echo = {section: {key: _ini_text(value) for key, value in keys.items()}
+                for section, keys in config.items()}
+        assert config_from_mapping(echo) == experiments.parse_config(ini)
+
     def test_non_topological_mu(self):
         with pytest.raises(ConfigError, match="topological"):
             config_from_mapping({
@@ -861,8 +907,8 @@ class TestOracleCommand:
 
         measure, spoiled = FockSpace.measure, []
 
-        def spoil_first_sample_after_zero(self, psi, basis, t, ground):
-            record = measure(self, psi, basis, t, ground)
+        def spoil_first_sample_after_zero(self, psi, reference, t):
+            record = measure(self, psi, reference, t)
             if t > 0.0 and not spoiled:
                 spoiled.append(t)
                 record = replace(record, l_odd=record.l_odd + 1e-3)
@@ -909,10 +955,10 @@ class TestOracleCommand:
 
         measure = FockSpace.measure
 
-        def fail_at_first_sample_of_the_fast_ramp(self, psi, basis, t, *rest):
+        def fail_at_first_sample_of_the_fast_ramp(self, psi, reference, t):
             if t == 0.05:  # T / 10 of the v = 0.1 ramp to mu_fin = 0.05, of no other
                 raise ValueError("spoiled sample")
-            return measure(self, psi, basis, t, *rest)
+            return measure(self, psi, reference, t)
 
         monkeypatch.setattr(FockSpace, "measure", fail_at_first_sample_of_the_fast_ramp)
         ini, out = self._two_groups_ini(tmp_path, "steps_per_span = 100")

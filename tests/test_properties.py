@@ -467,7 +467,7 @@ def test_fock_parity_matches_dense_parity_operator(n, w, delta_ratio, mu_ratio, 
     parity = (psi.conj() @ (dense_mzm_parity(params, basis) @ psi)).real
     dense_vac, dense_one = dense_ground_states(params, basis)
     l_g = 1.0 - abs(dense_vac @ psi) ** 2 - abs(dense_one @ psi) ** 2
-    record = space.measure(x, basis, 0.0, space.ground_states(basis))
+    record = space.measure(x, (basis, space.ground_states(basis)), 0.0)
     assert abs(record.parity - parity) < 1e-13
     assert abs(record.l_odd - 0.5 * (1.0 - parity)) < 1e-13
     assert abs(record.l_g - l_g) < 1e-13
