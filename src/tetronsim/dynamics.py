@@ -344,14 +344,15 @@ def _evolve_lockstep(engine, rows: Sequence[tuple], start: tuple,
     for end in sorted({c for *_, counts in rows for c in counts[1:]}):
         if not live:
             break
-        segments, dts = [], []
+        grids, dts = [], []
         for i in live:
             times, _, grid, counts = rows[i]
             k = reached[i]
-            segments.append(grid[begin:end])
+            grids.append(grid)
             dts.append((times[k] - times[k - 1]) / (counts[k] - counts[k - 1]))
-        for j, points in enumerate(np.stack(segments, axis=1)):
-            x = engine.step(x, points, dts, references.get(points[0]) if j == 0 else None)
+        for j in range(begin, end):
+            points = [grid[j] for grid in grids]
+            x = engine.step(x, points, dts, references.get(points[0]) if j == begin else None)
         references = {}
         for slot, i in enumerate(live):
             times, mus, _, counts = rows[i]
