@@ -8,7 +8,6 @@ dynamic phase E_gap * mu_fin / v setting the oscillation frequency.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -31,15 +30,13 @@ class FitResult:
         return self.parameters[key]
 
 
-def sudden_even_prediction(n_sites: int, mu_fin: float, w: float = 0.5) -> float:
+def sudden_even_prediction(n_sites: int, mu_fin: float) -> float:
     """Bulk-pair leakage after a quench from mu=0: (N - 2) mu_fin^2 / 8.
 
-    Specialization to pairing equal to hopping w = 1/2 with the quench
-    starting at mu = 0; the two boundary sites are excluded from the bulk
-    count.
+    The closed form holds for pairing equal to hopping, both 1/2, with the
+    quench starting at mu = 0 (:func:`sudden_even_integral` takes any of
+    them); the two boundary sites are excluded from the bulk count.
     """
-    if w != 0.5:
-        warnings.warn("closed form assumes hopping = pairing = 1/2", stacklevel=2)
     return (n_sites - 2) * mu_fin ** 2 / 8.0
 
 
@@ -123,14 +120,19 @@ def half_lz_model(v: np.ndarray, k1: float, m1: float, k2: float, m2: float,
     return k1 * v ** m1 + k2 * v ** m2 * np.cos(omega / v)
 
 
-def fit_half_lz(samples: Sequence[Tuple[float, float]],
-                omega_max: float = 0.2,
-                omega_step: float = 1e-4) -> FitResult:
+# fit_half_lz's first stage scans omega from 0 to OMEGA_MAX in steps of OMEGA_STEP: the
+# largest oscillation frequency its refinement can start from, and how finely it is found.
+OMEGA_MAX = 0.2
+OMEGA_STEP = 1e-4
+
+
+def fit_half_lz(samples: Sequence[Tuple[float, float]]) -> FitResult:
     """Fit L(v) = k1 v^m1 + k2 v^m2 cos(omega/v) on a near-adiabatic window.
 
-    Stage one scans omega on a uniform grid with m1 = m2 = 2 fixed and the
-    amplitudes solved linearly; stage two refines all five parameters from
-    the best grid point.  Both stages are deterministic.
+    Stage one scans omega on the uniform grid of :data:`OMEGA_STEP` up to
+    :data:`OMEGA_MAX` with m1 = m2 = 2 fixed and the amplitudes solved
+    linearly; stage two refines all five parameters from the best grid
+    point.  Both stages are deterministic.
     """
     # scipy is imported here, not at module level, so importing the CLI stays light
     from scipy.optimize import least_squares
@@ -143,7 +145,7 @@ def fit_half_lz(samples: Sequence[Tuple[float, float]],
     inv_v = 1.0 / v
 
     best = None
-    for omega in np.arange(0.0, omega_max + omega_step / 2, omega_step):
+    for omega in np.arange(0.0, OMEGA_MAX + OMEGA_STEP / 2, OMEGA_STEP):
         design = np.column_stack([v2, v2 * np.cos(omega * inv_v)])
         coef, *_ = np.linalg.lstsq(design, ell, rcond=None)
         resid = float(np.sum((design @ coef - ell) ** 2))

@@ -584,9 +584,9 @@ class FockSpace:
 
         The chain's quasiparticle annihilators, d = sum_i a_i c_i + b_i c_i^T
         with a a column of P = (v + u)/2 and b the same column of
-        Q = (v - u)/2 (one of the first N columns of ``basis.vectors``), come
-        from two ``tensordot`` calls, and the number operator sum_k d_k^T d_k
-        from one product.  Its one ``eigh`` gives vac, which must be its one
+        Q = (v - u)/2 (v and u the basis's right and left singular vectors),
+        come from two ``tensordot`` calls, and the number operator
+        sum_k d_k^T d_k from one product.  Its one ``eigh`` gives vac, which must be its one
         zero eigenvalue.  The tetron's two ground states are vac x vac and
         d_{0,1}^T d_{0,2}^T of it, which is one x one up to a sign that no
         readout of (|E>|E> + |O>|O>)/sqrt(2) sees.  With the Majoranas of the
@@ -629,36 +629,20 @@ class FockSpace:
         return _record(t, basis.mu, l_odd, l_g_raw, abs(0.5 * float(np.vdot(x, x).real) - 1.0))
 
 
-def _fock_space(params: ChainParams, space: Optional[FockSpace]) -> FockSpace:
-    """``space``, which must be built for ``params``, or else a new :class:`FockSpace` of them."""
-    if space is None:
-        return FockSpace(params)
-    if space.params != params:
-        raise InvalidParameterError("Fock space built for %r, not %r" % (space.params, params))
-    return space
-
-
-def fock_quench(params: ChainParams, mu_in: float, mu_fin: float,
-                space: Optional[FockSpace] = None) -> LeakageRecord:
-    """The oracle's :func:`sudden_quench`: |+> built at mu_in, read in the mu_fin basis.
-
-    ``space`` lets several calls share one :class:`FockSpace` of ``params``;
-    without it each call builds its own.
-    """
-    return _quench(_fock_space(params, space), mu_in, mu_fin)
+def fock_quench(params: ChainParams, mu_in: float, mu_fin: float) -> LeakageRecord:
+    """The oracle's :func:`sudden_quench`: |+> built at mu_in, read in the mu_fin basis."""
+    return _quench(FockSpace(params), mu_in, mu_fin)
 
 
 def fock_oracle(params: ChainParams, protocols: Sequence[RampProtocol],
                 policy: Optional[SteppingPolicy] = None,
-                sample_times: Optional[Sequence[Sequence[float]]] = None,
-                space: Optional[FockSpace] = None) -> List[Outcome]:
+                sample_times: Optional[Sequence[Sequence[float]]] = None) -> List[Outcome]:
     """Exact state-vector reference for :func:`evolve_ramps`: its arguments, its outcomes.
 
     Both run :func:`_evolve`, so a ramp here has the same grid, samples,
     ``n_steps``, purity check (of its norm defect), Richardson row and
-    per-row failures; only the engine, a :class:`FockSpace`, differs.  Each
-    row's |+>, the two one-chain states E and O, steps exactly by U, one
-    chain's propagator (:meth:`FockSpace.step`).  ``space`` lets several calls
-    share one :class:`FockSpace` of ``params``.
+    per-row failures; only the engine, a :class:`FockSpace` of ``params``,
+    differs.  Each row's |+>, the two one-chain states E and O, steps exactly
+    by U, one chain's propagator (:meth:`FockSpace.step`).
     """
-    return _evolve(_fock_space(params, space), protocols, policy, sample_times)
+    return _evolve(FockSpace(params), protocols, policy, sample_times)

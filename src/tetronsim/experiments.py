@@ -39,7 +39,6 @@ _TEXT_COLUMNS = {"case"}
 class ResultTable:
     """Column-named rows of one experiment plus its reproducibility metadata."""
 
-    kind: str
     columns: Tuple[str, ...]
     rows: List[tuple]
     metadata: Dict = field(default_factory=dict)
@@ -94,7 +93,7 @@ def read_table(path: Path) -> ResultTable:
                 raise ConfigError("input table %s, line %d, column %s: cannot parse %r"
                                   % (path, lineno, name, cell)) from None
         rows.append(tuple(row))
-    return ResultTable(kind="file", columns=columns, rows=rows)
+    return ResultTable(columns=columns, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +205,15 @@ def _n_grid(ini: _Reader) -> Tuple[int, ...]:
     if explicit:
         if min(explicit) < 2:
             raise ConfigError("grid.n_list: lengths must be >= 2, got %r" % (explicit,))
-        values = explicit
-    else:
-        n_min = ini.get("grid", "n_min", int)
-        n_max = ini.get("grid", "n_max", int)
-        if n_min is None or n_max is None:
-            return ()
-        step = ini.get("grid", "n_step", int, default=1)
-        if n_min < 2 or n_max < n_min or step < 1:
-            raise ConfigError("grid.n_min/n_max/n_step: need 2 <= n_min <= n_max, step >= 1")
-        values = tuple(range(n_min, n_max + 1, step))
-    if ini.get("grid", "even_only", bool, default=False):
-        values = tuple(n for n in values if n % 2 == 0)
-    return values
+        return explicit
+    n_min = ini.get("grid", "n_min", int)
+    n_max = ini.get("grid", "n_max", int)
+    if n_min is None or n_max is None:
+        return ()
+    step = ini.get("grid", "n_step", int, default=1)
+    if n_min < 2 or n_max < n_min or step < 1:
+        raise ConfigError("grid.n_min/n_max/n_step: need 2 <= n_min <= n_max, step >= 1")
+    return tuple(range(n_min, n_max + 1, step))
 
 
 def parse_config(path: Path) -> ExperimentConfig:
@@ -237,7 +232,7 @@ def parse_config(path: Path) -> ExperimentConfig:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError("config file %s: %s" % (path, exc)) from exc
     if not read:
-        raise ConfigError("config file %s not found or unreadable" % path)
+        raise ConfigError("config file %s: not found or unreadable" % path)
     return config_from_parser(cp)
 
 
@@ -266,12 +261,10 @@ def config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
 
     if kind == "walk":
         lengths = ini.get_list("walk", "length_list", int)
-        if lengths is None:
-            lengths = (ini.get("walk", "length", int, required=True),)
         if not lengths:
             raise ConfigError("walk.length_list: at least one length is required")
         if any(length < 1 for length in lengths):
-            raise ConfigError("walk.length: must be >= 1")
+            raise ConfigError("walk.length_list: lengths must be >= 1")
         cfg.walk_lengths = lengths
         cfg.walk_trials = ini.get("walk", "trials", int, default=100000)
         if cfg.walk_trials < 1:
@@ -391,7 +384,7 @@ def _run_points(points, worker) -> list:
     return outcomes
 
 
-def _table(kind: str, columns, keys, outcomes, cells) -> ResultTable:
+def _table(columns, keys, outcomes, cells) -> ResultTable:
     """One row per outcome, ``key + cells(outcome)``, and its ``row_status``.
 
     An outcome that is an exception gives NaN cells and status
@@ -402,7 +395,7 @@ def _table(kind: str, columns, keys, outcomes, cells) -> ResultTable:
         failed = isinstance(out, Exception)
         rows.append(key + ((_NAN,) * (len(columns) - len(key)) if failed else cells(out)))
         statuses.append("failed: %s" % out if failed else "ok")
-    table = ResultTable(kind=kind, columns=columns, rows=rows)
+    table = ResultTable(columns=columns, rows=rows)
     table.metadata["row_status"] = statuses
     return table
 
@@ -431,10 +424,9 @@ def _trajectory_fields(table: ResultTable, cfg: ExperimentConfig, mu_fins, outco
     table.metadata["dmu"] = cfg.policy.resolved_dmu(max(abs(mu - cfg.mu_in) for mu in mu_fins))
 
 
-def _sweep_table(kind: str, cfg: ExperimentConfig, key_columns, keys, outcomes,
-                 mu_fins) -> ResultTable:
+def _sweep_table(cfg: ExperimentConfig, key_columns, keys, outcomes, mu_fins) -> ResultTable:
     """Rows of final records, one per ramp, with each trajectory's sidecar fields."""
-    table = _table(kind, key_columns + LEAKAGE_COLUMNS, keys, outcomes,
+    table = _table(key_columns + LEAKAGE_COLUMNS, keys, outcomes,
                    lambda trajectory: _record_cells(trajectory[-1]))
     _trajectory_fields(table, cfg, mu_fins, outcomes)
     return table
@@ -532,8 +524,7 @@ def _run_ramp(cfg: ExperimentConfig) -> ResultTable:
     [trajectory] = _run_points([times], lambda ts: dynamics.evolve_ramp(
         cfg.params, protocol, cfg.policy, sample_times=ts))
     records = [trajectory] * len(times) if isinstance(trajectory, Exception) else trajectory
-    table = _table("ramp", ("t", "mu") + LEAKAGE_COLUMNS, list(zip(times, mus)), records,
-                   _record_cells)
+    table = _table(("t", "mu") + LEAKAGE_COLUMNS, list(zip(times, mus)), records, _record_cells)
     _trajectory_fields(table, cfg, [protocol.mu_fin], [trajectory], per_row=False)
     return table
 
@@ -547,7 +538,7 @@ def _run_sweep_rate(cfg: ExperimentConfig) -> ResultTable:
     points = sorted((v, mu) for v in cfg.v_grid for mu in cfg.mu_fins)
     outcomes = dynamics.evolve_ramps(
         cfg.params, [RampProtocol(cfg.mu_in, mu, v) for v, mu in points], cfg.policy)
-    return _sweep_table("sweep-rate", cfg, ("v", "mu_fin"), points, outcomes, cfg.mu_fins)
+    return _sweep_table(cfg, ("v", "mu_fin"), points, outcomes, cfg.mu_fins)
 
 
 def _run_sweep_length(cfg: ExperimentConfig) -> ResultTable:
@@ -556,8 +547,7 @@ def _run_sweep_length(cfg: ExperimentConfig) -> ResultTable:
     outcomes = _run_points(points, lambda n: dynamics.evolve_ramp(
         ChainParams(n, cfg.params.hopping, cfg.params.pairing), protocol, cfg.policy,
         sample_times=[protocol.duration]))
-    return _sweep_table("sweep-length", cfg, ("n_sites",), [(n,) for n in points], outcomes,
-                        [protocol.mu_fin])
+    return _sweep_table(cfg, ("n_sites",), [(n,) for n in points], outcomes, [protocol.mu_fin])
 
 
 def _run_sudden(cfg: ExperimentConfig) -> ResultTable:
@@ -577,8 +567,7 @@ def _run_sudden(cfg: ExperimentConfig) -> ResultTable:
             odd_pred = _NAN
         return _record_cells(record) + (even_pred, odd_pred)
 
-    return _table("sudden",
-                  ("n_sites", "mu_fin") + LEAKAGE_COLUMNS + ("l_even_pred", "l_odd_pred"),
+    return _table(("n_sites", "mu_fin") + LEAKAGE_COLUMNS + ("l_even_pred", "l_odd_pred"),
                   points, _run_points(points, worker), tuple)
 
 
@@ -590,7 +579,7 @@ def _run_walk(cfg: ExperimentConfig) -> ResultTable:
         res = qpwalk.simulate_pair_walks(config)
         return res.p_opposite_exact, res.p_opposite_mc, res.mc_std_error
 
-    return _table("walk", ("length", "trials", "p_exact", "p_mc", "mc_std_error"),
+    return _table(("length", "trials", "p_exact", "p_mc", "mc_std_error"),
                   [(length, cfg.walk_trials) for length in points],
                   _run_points(points, worker), tuple)
 
@@ -617,7 +606,7 @@ def run_fit(cfg: ExperimentConfig) -> ResultTable:
     else:
         fit = analytics.fit_linear_in_n(samples)
 
-    table = _table("fit", tuple(fit.parameters) + ("residual_norm", "r_squared"), [()], [fit],
+    table = _table(tuple(fit.parameters) + ("residual_norm", "r_squared"), [()], [fit],
                    lambda f: tuple(f.parameters.values()) + (f.residual_norm, f.r_squared))
     table.metadata["fit"] = {
         "family": cfg.fit_family,
@@ -647,16 +636,14 @@ def run_oracle_check(cfg: ExperimentConfig) -> ResultTable:
     sample; ``max_abs_diff`` is the largest difference over every sample of a
     case.  Each mu_fin gives a sudden row, then its ramps.  Every ramp goes
     through one :func:`dynamics.evolve_ramps` call, then, unless it failed
-    there, one :func:`dynamics.fock_oracle` call; all points share one
-    :class:`dynamics.FockSpace`.
+    there, one :func:`dynamics.fock_oracle` call.
     """
-    space = dynamics.FockSpace(cfg.params)
     protocols = [RampProtocol(cfg.mu_in, mu_fin, v) for mu_fin in cfg.mu_fins for v in cfg.v_grid]
     times = [np.linspace(0.0, p.duration, 11) for p in protocols]
     ramps = dynamics.evolve_ramps(cfg.params, protocols, cfg.policy, times)
     live = [i for i, cov in enumerate(ramps) if not isinstance(cov, Exception)]
     orks = dynamics.fock_oracle(cfg.params, [protocols[i] for i in live], cfg.policy,
-                                [times[i] for i in live], space)
+                                [times[i] for i in live])
     for i, ork in zip(live, orks, strict=True):
         ramps[i] = ork if isinstance(ork, Exception) else _oracle_cells(ramps[i], ork)
     cases, outcomes, n = [], [], len(cfg.v_grid)
@@ -664,11 +651,10 @@ def run_oracle_check(cfg: ExperimentConfig) -> ResultTable:
         cases += [("sudden", _NAN, mu_fin)] + [("ramp", v, mu_fin) for v in cfg.v_grid]
         outcomes += _run_points([mu_fin], lambda mu: _oracle_cells(
             [dynamics.sudden_quench(cfg.params, cfg.mu_in, mu)],
-            [dynamics.fock_quench(cfg.params, cfg.mu_in, mu, space)]))
+            [dynamics.fock_quench(cfg.params, cfg.mu_in, mu)]))
         outcomes += ramps[k * n:(k + 1) * n]
 
-    table = _table("oracle-check",
-                   ("case", "v", "mu_fin", "l_odd_cov", "l_odd_oracle", "l_even_cov",
+    table = _table(("case", "v", "mu_fin", "l_odd_cov", "l_odd_oracle", "l_even_cov",
                     "l_even_oracle", "l_g_cov", "l_g_oracle", "max_abs_diff"),
                    cases, outcomes, tuple)
     ok = [out for out in outcomes if not isinstance(out, Exception)]
@@ -712,7 +698,7 @@ PRESETS: Dict[str, Dict] = {
         "config": {
             "experiment": {"kind": "sweep-length"},
             "protocol": {"mu_in": "0.0", "mu_fin": "0.03", "rate": "2e-2"},
-            "grid": {"n_min": "2", "n_max": "100", "n_step": "2", "even_only": "true"},
+            "grid": {"n_min": "2", "n_max": "100", "n_step": "2"},
             "stepping": {"steps_per_span": "1000"},
         },
     },

@@ -152,17 +152,6 @@ class ModeBasis:
         """Left singular vectors U = J V sign(lambda)."""
         return self.v[::-1] * self.signs
 
-    @property
-    def vectors(self) -> np.ndarray:
-        """Unitary [[P, Q], [Q, P]] with P = (v + u)/2, Q = (v - u)/2.
-
-        The first N columns are the modes of energy +energies, the last N
-        their tau_x K partners at -energies.
-        """
-        p = (self.v + self.u) / 2.0
-        q = (self.v - self.u) / 2.0
-        return np.block([[p, q], [q, p]])
-
 
 def resolved_basis(params: ChainParams, mu: float) -> ModeBasis:
     """Mode basis at mu; DegenerateSubspaceError unless its zero mode is isolated."""

@@ -1,8 +1,9 @@
 """Test-side references: the 4N tetron states, the chain covariance references and
 the site-basis rotation, a 40-digit odd leakage, the dense BdG matrix and
-propagator, the realified mode-frame propagators, the sorted SVD of S, the
-localized MZM vectors and their gauge alignment, and the dense two-chain Fock
-space that the oracle's one-chain factorisation is tested against.
+propagator, the realified mode-frame propagators, the sorted SVD of S, a
+basis's quasiparticle vectors, the localized MZM vectors and their gauge
+alignment, and the dense two-chain Fock space that the oracle's one-chain
+factorisation is tested against.
 
 The computational states |0>, |1>, |+> are defined through their complex
 correlation matrices in the block layout
@@ -423,8 +424,19 @@ def dense_fock_step(params: ChainParams, psi: np.ndarray, mu: float, dt: float) 
     return q @ (np.exp(-1j * evals * dt) * (q.T @ psi))
 
 
+def basis_vectors(basis: ModeBasis) -> np.ndarray:
+    """Unitary [[P, Q], [Q, P]] of a basis, with P = (v + u)/2, Q = (v - u)/2.
+
+    The first N columns are the modes of energy +energies, the last N
+    their tau_x K partners at -energies.
+    """
+    p = (basis.v + basis.u) / 2.0
+    q = (basis.v - basis.u) / 2.0
+    return np.block([[p, q], [q, p]])
+
+
 def qp_annihilator(params: ChainParams, column: np.ndarray, chain: int) -> np.ndarray:
-    """The quasiparticle annihilator of one ``basis.vectors`` column on one chain, dense."""
+    """The quasiparticle annihilator of one :func:`basis_vectors` column on one chain, dense."""
     n = params.n_sites
     c = tetron_annihilators(params)[chain * n:(chain + 1) * n]
     return np.tensordot(column[:n], c, axes=1) + np.tensordot(column[n:], c, axes=1).T
@@ -437,8 +449,8 @@ def dense_ground_states(params: ChainParams, basis: ModeBasis) -> Tuple[np.ndarr
     quasiparticles; its overall sign is arbitrary.
     """
     n = params.n_sites
-    d = [qp_annihilator(params, basis.vectors[:, k], chain)
-         for chain in (0, 1) for k in range(n)]
+    vectors = basis_vectors(basis)
+    d = [qp_annihilator(params, vectors[:, k], chain) for chain in (0, 1) for k in range(n)]
     _, evecs = np.linalg.eigh(sum(op.T @ op for op in d))
     vac = evecs[:, 0]
     one = d[0].T @ (d[n].T @ vac)
@@ -447,8 +459,9 @@ def dense_ground_states(params: ChainParams, basis: ModeBasis) -> Tuple[np.ndarr
 
 def dense_mzm_parity(params: ChainParams, basis: ModeBasis) -> np.ndarray:
     """The MZM parity -g1 g2 g3 g4 as one dense two-chain Fock-space matrix."""
-    d1 = qp_annihilator(params, basis.vectors[:, 0], 0)
-    d2 = qp_annihilator(params, basis.vectors[:, 0], 1)
+    column = basis_vectors(basis)[:, 0]
+    d1 = qp_annihilator(params, column, 0)
+    d2 = qp_annihilator(params, column, 1)
     return (d1 + d1.T) @ (d1 - d1.T) @ (d2 + d2.T) @ (d2 - d2.T)
 
 

@@ -196,10 +196,12 @@ class TestConfigValidation:
         b"[experiment]\nkind = walk\nkind = walk\n",
         b"[experiment]\nkind = walk\n\n[experiment]\nseed = 1\n",
         "[experiment]\nkind = walk\n# café\n".encode("latin-1"),
-    ], ids=["no-section-header", "duplicate-key", "duplicate-section", "not-utf8"])
+        None,
+    ], ids=["no-section-header", "duplicate-key", "duplicate-section", "not-utf8", "missing"])
     def test_malformed_ini_file(self, tmp_path, capsys, text):
         ini = tmp_path / "bad.ini"
-        ini.write_bytes(text)
+        if text is not None:
+            ini.write_bytes(text)
         assert main(["run", "--config", str(ini), "--quiet"]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: config file %s: " % ini)
 
@@ -268,21 +270,43 @@ class TestConfigValidation:
         ("grid", "n_list", "1, 4"),
         ("samples", "count", "-1"),
         ("experiment", "seed", "-1"),
+        ("model", "n_sites", "four"),
+        ("grid", "v_list", "1e-2, fast"),
+        ("protocol", "rate", None),
+        ("protocol", "mu_fin", None),
+        ("grid", "n_step", "0"),
+        ("grid", "n_list", None),
+        ("stepping", "steps_per_span", "0"),
+        ("walk", "trials", "0"),
+        ("walk", "length_list", "2, 0"),
+        ("fit", "family", "bogus"),
+        ("fit", "l_inf", None),
     ])
     def test_bad_numbers_are_config_errors(self, tmp_path, section, key, value):
+        # a value of None leaves the key out: a required key, or the only one of its kind
         mapping = {
             "experiment": {"kind": "ramp"},
             "model": {"n_sites": "4"},
             "protocol": {"mu_fin": "0.05", "rate": "1e-2"},
         }
-        if key == "n_list":  # read by sweep-length, which takes no n_sites
+        if section == "walk":
+            mapping = {"experiment": {"kind": "walk"}, "walk": {"length_list": "2"}}
+        elif section == "fit":
+            mapping = {"experiment": {"kind": "fit"},
+                       "fit": {"table": "t.csv", "family": "power-approach", "l_inf": "0.01"}}
+        elif key in ("n_list", "n_step"):  # read by sweep-length, which takes no n_sites
             mapping.update(experiment={"kind": "sweep-length"}, model={})
+            if key == "n_step":
+                mapping["grid"] = {"n_min": "2", "n_max": "6"}
         elif section == "grid":  # a rate grid is read by sweep-rate, which takes no rate
             mapping["experiment"]["kind"] = "sweep-rate"
             del mapping["protocol"]["rate"]
             if key == "v_max":
                 mapping["grid"] = {"v_min": "1e-3", "v_max": value, "v_count": "3"}
-        mapping.setdefault(section, {})[key] = value
+        if value is None:
+            mapping.get(section, {}).pop(key, None)
+        else:
+            mapping.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError, match=key) as exc:
             config_from_mapping(mapping)
         assert "not read" not in str(exc.value)
@@ -844,10 +868,12 @@ x_column = case
         ("", "is empty"),
         ("v,l_odd\n1e-3,1e-4\n2e-3,abc\n", "line 3, column l_odd: cannot parse 'abc'"),
         ("v,l_odd\n1e-3,1e-4\n2e-3\n", "line 3: 1 cells, header has 2"),
-    ], ids=["empty", "non-numeric", "short-row"])
+        (None, "does not exist"),
+    ], ids=["empty", "non-numeric", "short-row", "missing"])
     def test_malformed_input_table_is_a_config_error(self, tmp_path, capsys, text, where):
         src = tmp_path / "src.csv"
-        src.write_text(text)
+        if text is not None:
+            src.write_text(text)
         ini = write_ini(tmp_path / "fit.ini", f"""
 [experiment]
 kind = fit
@@ -881,25 +907,6 @@ class TestOracleCommand:
         table = read_table(out)
         assert max(table.column("max_abs_diff")) < 1e-8
 
-    def test_oracle_check_builds_one_fock_space_per_run(self, tmp_path, monkeypatch):
-        from tetronsim.dynamics import FockSpace
-
-        init = FockSpace.__init__
-        built = []
-
-        def counted(self, params):
-            built.append(params)
-            init(self, params)
-
-        monkeypatch.setattr(FockSpace, "__init__", counted)
-        out = tmp_path / "oracle.csv"
-        text = ORACLE_INI.format(out=out).replace("mu_fin = 0.1", "mu_fin_list = 0.05, 0.1")
-        ini = write_ini(tmp_path / "oracle.ini", text.replace("v_list = 1e-2", "v_list = 1e-2, 0.1"))
-        for run in (1, 2):
-            assert main(["oracle-check", "--config", str(ini), "--quiet"]) == EXIT_OK
-            assert len(built) == run
-        assert len(read_table(out).rows) == 6
-
     def test_every_sample_is_compared(self, tmp_path, monkeypatch):
         # a difference at a middle sample of a ramp fails the check, not only one at T
         from tetronsim.cli import EXIT_ORACLE_DIFF
@@ -930,8 +937,19 @@ class TestOracleCommand:
                 .replace("steps_per_span = 200", stepping))
         return write_ini(tmp_path / "oracle.ini", text), out
 
-    def test_failed_purity_fails_only_the_ramp_rows(self, tmp_path):
-        ini, out = self._two_groups_ini(tmp_path, "steps_per_span = 100\npurity_tol = 1e-18")
+    def test_failed_purity_fails_only_the_ramp_rows(self, tmp_path, monkeypatch):
+        # every orbital-method record after t = 0 carries a defect above the
+        # default tolerance; the sudden rows are read at t = 0
+        from tetronsim import dynamics
+
+        measure = dynamics.measure_leakage
+
+        def spoiled(orbitals, basis, t=0.0):
+            record = measure(orbitals, basis, t=t)
+            return replace(record, purity_defect=1.0) if t > 0.0 else record
+
+        monkeypatch.setattr(dynamics, "measure_leakage", spoiled)
+        ini, out = self._two_groups_ini(tmp_path, "steps_per_span = 100")
         assert main(["oracle-check", "--config", str(ini), "--quiet"]) == EXIT_NUMERICAL
         table = read_table(out)
         assert len(table.rows) == 6
@@ -945,7 +963,7 @@ class TestOracleCommand:
                 assert status == "ok"
                 assert np.all(np.isfinite(row[3:]))
                 continue
-            pattern = (r"failed: purity defect \S+ exceeds tolerance 1e-18 at t=%s"
+            pattern = (r"failed: purity defect 1 exceeds tolerance 1e-06 at t=%s"
                        % re.escape(first_samples[(mu_fin, v)]))
             assert re.fullmatch(pattern, status), status
             assert np.all(np.isnan(row[3:]))
@@ -987,18 +1005,18 @@ class TestOracleCommand:
 
         oracle = dynamics.fock_oracle
 
-        def fock_oracle(params, protocols, policy, sample_times, space):
+        def fock_oracle(params, protocols, policy, sample_times):
             ramps = [dynamics.sample_points(p, ts) for p, ts in zip(protocols, sample_times)]
             expected["ground"] += len({mu for _, mus in ramps for mu in mus})
             expected["samples"] += sum(len(mus) for _, mus in ramps)
             expected["hamiltonian"] += sum(
                 len(dynamics._path_steps(mus, policy.resolved_dmu(mus[-1] - mus[0]))[0])
                 for _, mus in ramps)
-            return oracle(params, protocols, policy, sample_times, space)
+            return oracle(params, protocols, policy, sample_times)
 
-        def fock_quench(params, mu_in, mu_fin, space):
+        def fock_quench(params, mu_in, mu_fin):
             expected["ground"] += 2
-            return quench(params, mu_in, mu_fin, space)
+            return quench(params, mu_in, mu_fin)
 
         quench = dynamics.fock_quench
         monkeypatch.setattr(dynamics, "fock_oracle", fock_oracle)
@@ -1102,3 +1120,10 @@ class TestPresets:
 
     def test_unknown_preset(self):
         assert main(["run", "--preset", "fig99", "--quiet"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("sources", [[], ["--config", "x.ini", "--preset", "fig3"]],
+                             ids=["neither", "both"])
+    def test_exactly_one_of_config_and_preset(self, capsys, sources):
+        assert main(["run", *sources, "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: provide exactly one of --config or --preset\n")

@@ -672,19 +672,6 @@ class TestFockOracle:
                 for field, value in expected.items():
                     assert abs(getattr(record, field) - value) < 1e-12, (field, k)
 
-    def test_shared_space_gives_the_same_records(self):
-        proto = RampProtocol(0.0, 0.1, 1e-2)
-        pol = SteppingPolicy(max_dmu_per_step=0.1 / 100)
-        times = np.linspace(0, proto.duration, 4)
-        space = FockSpace(params(2))
-        assert fock_quench(params(2), 0.0, 0.1, space) == fock_quench(params(2), 0.0, 0.1)
-        args = ([proto], pol, [times])
-        assert fock_oracle(params(2), *args, space=space) == fock_oracle(params(2), *args)
-        with pytest.raises(InvalidParameterError, match="Fock space"):
-            fock_quench(params(3), 0.0, 0.1, space)
-        with pytest.raises(InvalidParameterError, match="Fock space"):
-            fock_oracle(params(3), [proto], space=space)
-
     def test_size_limit(self):
         with pytest.raises(InvalidParameterError):
             fock_quench(params(4), 0.0, 0.1)
@@ -746,8 +733,7 @@ class TestFockOracle:
         protocols = [RampProtocol(0.0, 0.1, v) for v in (1e-2, 5e-2, 0.2)]
         protocols.append(RampProtocol(0.0, 0.05, 0.1))
         times = [np.linspace(0.0, p.duration, 6) for p in protocols[:3]] + [[0.1, 0.25]]
-        space = FockSpace(params(3))
-        together = fock_oracle(params(3), protocols, pol, times, space)
+        together = fock_oracle(params(3), protocols, pol, times)
         assert [len(records) for records in together] == [6, 6, 6, 4]
         for ramp, ts, records in zip(protocols, times, together):
-            assert records == fock_oracle(params(3), [ramp], pol, [ts], space)[0]
+            assert records == fock_oracle(params(3), [ramp], pol, [ts])[0]

@@ -16,6 +16,7 @@ from tetronsim.model import (
 )
 
 from reference import (
+    basis_vectors,
     build_chain_bdg,
     mzm_pair,
     mzm_vectors,
@@ -121,13 +122,13 @@ class TestDiagonalize:
         rng = np.random.default_rng(3)
         for _ in range(20):
             params, mu = random_params(rng, resolvable=True)
-            v = resolved_basis(params, mu).vectors
+            v = basis_vectors(resolved_basis(params, mu))
             assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))) < 1e-12
 
     def test_unitarity_at_degenerate_pair(self):
         # near mu = 0 the zero-mode pair is degenerate to rounding
         params = ChainParams(7, 0.625, 0.60546875)
-        v = resolved_basis(params, -1.0722505367690361e-135).vectors
+        v = basis_vectors(resolved_basis(params, -1.0722505367690361e-135))
         assert np.max(np.abs(v.conj().T @ v - np.eye(14))) < 1e-12
 
     def test_tetron_chains_identical(self):
@@ -141,11 +142,12 @@ class TestDiagonalize:
             h = build_chain_bdg(params, mu)
             basis = resolved_basis(params, mu)
             full = np.concatenate([basis.energies, -basis.energies])
-            rebuilt = (basis.vectors * full) @ basis.vectors.conj().T
+            vectors = basis_vectors(basis)
+            rebuilt = (vectors * full) @ vectors.conj().T
             assert np.max(np.abs(rebuilt - h.matrix)) < 1e-10
 
     def test_partner_columns_are_ph_images(self):
-        v = resolved_basis(ChainParams(6, 0.5, 0.5), 0.2).vectors
+        v = basis_vectors(resolved_basis(ChainParams(6, 0.5, 0.5), 0.2))
         n = 6
         for k in range(n):
             partner = np.concatenate([v[n:, k], v[:n, k]]).conj()

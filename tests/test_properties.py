@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetronsim.dynamics import (
+    MAX_ORACLE_SITES,
     FockSpace,
     SteppingPolicy,
     _chain_propagator,
     _mode_step,
     evolve_ramp,
+    evolve_ramps,
     fock_oracle,
     initial_plus_state,
     measure_leakage,
@@ -36,6 +38,7 @@ from reference import (
     _chain_matrix,
     _identity_frames,
     _real_propagators,
+    basis_vectors,
     build_chain_bdg,
     chain_svd,
     chain_parities,
@@ -245,7 +248,7 @@ def test_basis_vectors_are_unitary_ph_paired_eigenvectors(chain):
     params, mu = chain
     n = params.n_sites
     basis = resolved_basis(params, mu)
-    v = basis.vectors
+    v = basis_vectors(basis)
     assert np.max(np.abs(v.conj().T @ v - np.eye(2 * n))) < 1e-12
     assert np.max(np.abs(v[:, n:] - ph_image(v[:, :n]))) < 1e-15
     energies = np.concatenate([basis.energies, -basis.energies])
@@ -441,8 +444,8 @@ def test_fock_ground_states_match_dense_quasiparticle_states(n, w, delta_ratio, 
     pair_vac, pair_one = np.kron(vac, vac), np.kron(one, one)
     vac_sign = np.sign(dense_vac @ pair_vac)
     assert np.max(np.abs(pair_vac - vac_sign * dense_vac)) < 1e-13
-    d1 = qp_annihilator(params, basis.vectors[:, 0], 0)
-    d2 = qp_annihilator(params, basis.vectors[:, 0], 1)
+    d1 = qp_annihilator(params, basis_vectors(basis)[:, 0], 0)
+    d2 = qp_annihilator(params, basis_vectors(basis)[:, 0], 1)
     expected = d1.T @ (d2.T @ pair_vac)
     expected /= np.linalg.norm(expected)
     one_sign = np.sign(expected @ pair_one)
@@ -500,3 +503,33 @@ def test_covariance_matches_fock_oracle(n, w, delta_ratio, mu_ratio, sign, v):
     for a, b in zip(cov, ork):
         for field in ("l_odd", "l_even", "l_g"):
             assert abs(getattr(a, field) - getattr(b, field)) < ORACLE_TOLERANCE
+
+
+@pytest.mark.parametrize("w, delta", [(0.5, 0.5), (0.3, 0.4), (1.0, 0.8), (0.5, 0.7)])
+@pytest.mark.parametrize("n", [2, 3, 12])
+def test_mu_mirror_ramp_leaks_alike(n, w, delta):
+    # c_j -> (-1)^j c_j^dag maps H(mu) to H(-mu) plus a constant, and the step
+    # grid and sample mus of -mu_in -> -mu_fin are those of mu_in -> mu_fin
+    # negated, so the two ramps leak alike at every sample.  Rising and falling
+    # ramps, 400 steps each; the oracle's readout carries absolute rounding.
+    chain = ChainParams(n, w, delta)
+    engines = [(evolve_ramps, 1e-12, 1e-15)]
+    if n <= MAX_ORACLE_SITES:
+        engines.append((fock_oracle, 0.0, 1e-12))
+    for mu_in, mu_fin, v in [(0.0, 0.03, 1e-3), (0.0, 0.1, 2e-2), (0.05, -0.2, 0.3),
+                             (0.1, 0.3, 1.0)]:
+        ramp, mirror = RampProtocol(mu_in, mu_fin, v), RampProtocol(-mu_in, -mu_fin, v)
+        policy = SteppingPolicy(max_dmu_per_step=abs(mu_fin - mu_in) / 400)
+        times = [np.linspace(0.0, ramp.duration, 6)]
+        for evolve, rel, abs_tol in engines:
+            [records] = evolve(chain, [ramp], policy, times)
+            [mirrored] = evolve(chain, [mirror], policy, times)
+            if isinstance(records, Exception):  # (2, 0.3, 0.4) has no isolated MZM at 0.3
+                assert type(mirrored) is type(records)
+                continue
+            assert [r.n_steps for r in (records, mirrored)] == [400, 400]
+            for a, b in zip(records, mirrored, strict=True):
+                assert (b.t, b.mu) == (a.t, -a.mu)
+                for field in ("l_odd", "l_even", "l_g"):
+                    x, y = getattr(a, field), getattr(b, field)
+                    assert abs(x - y) <= rel * abs(x) + abs_tol, (mu_in, mu_fin, a.t, field)
