@@ -19,7 +19,12 @@ from .model import ModeBasis, band_gap, bulk_energy
 
 @dataclass(frozen=True)
 class FitResult:
-    """Named parameters plus residual diagnostics of a least-squares fit."""
+    """Named parameters plus residual diagnostics of a least-squares fit.
+
+    Every fit builds it with :func:`_fit_result`: ``residual_norm`` and
+    ``r_squared`` are of the residuals of the fitted quantity, and ``domain``
+    spans the rates or lengths of every sample passed in.
+    """
 
     parameters: Dict[str, float]
     residual_norm: float
@@ -104,13 +109,17 @@ def dynamic_phase_frequency(mu_fin: float, gap: Optional[float] = None,
     return gap * mu_fin
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
+def _fit_result(parameters: Dict[str, float], residuals: np.ndarray, y: np.ndarray,
+                x: np.ndarray) -> FitResult:
+    """A fit's summary: the residual norm, R^2 of the fitted ``y``, and the domain of ``x``.
+
+    R^2 is 1 - SS_res / SS_tot, or 1 when ``y`` is constant.
+    """
+    ss_res = float(np.sum(residuals ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+    return FitResult(parameters=parameters, residual_norm=float(np.sqrt(ss_res)),
+                     r_squared=1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
+                     domain=(float(x.min()), float(x.max())))
 
 
 def half_lz_model(v: np.ndarray, k1: float, m1: float, k2: float, m2: float,
@@ -132,7 +141,8 @@ def fit_half_lz(samples: Sequence[Tuple[float, float]]) -> FitResult:
     Stage one scans omega on the uniform grid of :data:`OMEGA_STEP` up to
     :data:`OMEGA_MAX` with m1 = m2 = 2 fixed and the amplitudes solved
     linearly; stage two refines all five parameters from the best grid
-    point.  Both stages are deterministic.
+    point.  Both stages are deterministic.  The residual norm and R^2 are
+    those of the refined model.
     """
     # scipy is imported here, not at module level, so importing the CLI stays light
     from scipy.optimize import least_squares
@@ -165,19 +175,17 @@ def fit_half_lz(samples: Sequence[Tuple[float, float]]) -> FitResult:
         raise FitConvergenceError("refinement failed: %s" % sol.message)
     k1, m1, k2, m2, omega = (float(x) for x in sol.x)
     # cos is even in omega and k2 can absorb a sign; report the canonical branch
-    omega = abs(omega)
-    ss_res = float(np.sum(sol.fun ** 2))
-    ss_tot = float(np.sum((ell - ell.mean()) ** 2))
-    return FitResult(
-        parameters={"k1": k1, "m1": m1, "k2": k2, "m2": m2, "omega": omega},
-        residual_norm=float(np.sqrt(ss_res)),
-        r_squared=1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
-        domain=(float(v.min()), float(v.max())),
-    )
+    return _fit_result({"k1": k1, "m1": m1, "k2": k2, "m2": m2, "omega": abs(omega)},
+                       sol.fun, ell, v)
 
 
 def fit_power_approach(samples: Sequence[Tuple[float, float]], l_inf: float) -> FitResult:
-    """Log-log slope of the approach L(v) = L(inf) - k / v^|m| at high rates."""
+    """Log-log slope of the approach L(v) = L(inf) - k / v^|m| at high rates.
+
+    The line is fitted to log(L(inf) - L) against log v over the samples below
+    the asymptote, so the residual norm and R^2 are of that log; the domain
+    spans every sample.
+    """
     data = np.asarray(samples, dtype=float).reshape(-1, 2)
     v = data[:, 0]
     ell = data[:, 1]
@@ -189,29 +197,18 @@ def fit_power_approach(samples: Sequence[Tuple[float, float]], l_inf: float) -> 
         )
     if np.count_nonzero(keep) < 2:
         raise FitConvergenceError("not enough usable samples")
-    x = np.log(v[keep])
-    y = np.log(diff[keep])
-    slope, intercept, r2 = _ols(x, y)
-    return FitResult(
-        parameters={"slope": slope, "intercept": intercept, "k": float(np.exp(intercept)),
-                    "l_inf": l_inf},
-        residual_norm=float(np.sqrt(np.sum((slope * x + intercept - y) ** 2))),
-        r_squared=r2,
-        domain=(float(v.min()), float(v.max())),
-    )
+    x, y = np.log(v[keep]), np.log(diff[keep])
+    slope, intercept = (float(c) for c in np.polyfit(x, y, 1))
+    return _fit_result({"slope": slope, "intercept": intercept, "k": float(np.exp(intercept)),
+                        "l_inf": l_inf}, slope * x + intercept - y, y, v)
 
 
 def fit_linear_in_n(samples: Sequence[Tuple[float, float]]) -> FitResult:
-    """Ordinary least squares of leakage against chain length."""
+    """Ordinary least squares of leakage against chain length, with its residual norm and R^2."""
     data = np.asarray(samples, dtype=float)
     if data.shape[0] < 5:
         raise FitConvergenceError("need at least 5 lengths, got %d" % data.shape[0])
-    n = data[:, 0]
-    ell = data[:, 1]
-    slope, intercept, r2 = _ols(n, ell)
-    return FitResult(
-        parameters={"slope": slope, "intercept": intercept},
-        residual_norm=float(np.sqrt(np.sum((slope * n + intercept - ell) ** 2))),
-        r_squared=r2,
-        domain=(float(n.min()), float(n.max())),
-    )
+    n, ell = data[:, 0], data[:, 1]
+    slope, intercept = (float(c) for c in np.polyfit(n, ell, 1))
+    return _fit_result({"slope": slope, "intercept": intercept}, slope * n + intercept - ell,
+                       ell, n)

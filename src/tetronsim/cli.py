@@ -60,6 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config of ``--config`` or ``--preset`` with the overrides; only ConfigError raises."""
     if (args.config is None) == (args.preset is None):
         raise ConfigError("provide exactly one of --config or --preset")
     cfg = parse_config(args.config) if args.config else preset_config(args.preset)
@@ -88,11 +89,6 @@ def _execute(args, expected_kind: Optional[str] = None) -> int:
         if expected_kind is not None and cfg.kind != expected_kind:
             raise ConfigError("experiment.kind: subcommand requires kind=%s, got %s"
                               % (expected_kind, cfg.kind))
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         table = run_experiment(cfg)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

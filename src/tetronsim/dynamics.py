@@ -35,11 +35,13 @@ relative accuracy too and never reads below 0; the MZM parity is 1 - 2 l_odd.
 
 Both methods run one schedule, :func:`_evolve`, with two engines: the
 orbitals above, and :class:`FockSpace`, an exact oracle that steps E and O as
-many-body states of a chain of at most 3 sites (:func:`fock_oracle`, and
-:func:`fock_quench` for the sudden limit).  The schedule alone picks the mu at
-which each step evaluates h: it hands every engine each live row's grid point
-and dt.  So the oracle's ramps take the rows, grids, samples, purity check,
-Richardson rows and per-row failures of :func:`evolve_ramps`.  The chains are
+many-body states of a chain of at most :data:`MAX_ORACLE_SITES` = 6 sites
+(:func:`fock_oracle`, and :func:`fock_quench` for the sudden limit).  The
+schedule alone picks the mu at which each step evaluates h: it hands every
+engine each live row's grid point and dt.  So the oracle's ramps take the
+rows, grids, samples, Richardson rows and per-row failures of
+:func:`evolve_ramps`, and its purity check: a record of either engine whose
+purity defect exceeds :data:`PURITY_TOL` = 1e-6 fails its ramp.  The chains are
 uncoupled and each conserves its fermion parity, so in Jordan-Wigner order the
 tetron Hamiltonian is h x 1 + 1 x h, with h(mu) = h0 + mu h1 one chain's real
 Hamiltonian, both parts built once per :class:`FockSpace`.  The oracle holds a
@@ -74,6 +76,9 @@ from .model import (
 
 DEFAULT_STEPS_PER_SPAN = 2000
 DEFAULT_SAMPLE_COUNT = 200
+# A record whose purity defect exceeds this fails its ramp.  Both engines step
+# by exact unitaries, so on a sound run the defect is rounding whatever the step.
+PURITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,19 +88,18 @@ class SteppingPolicy:
     ``max_dmu_per_step`` defaults to the ramp span divided by
     ``DEFAULT_STEPS_PER_SPAN``.  With ``richardson`` enabled the trajectory is
     recomputed at half the step size and the relative change of the final
-    total leakage is exposed as ``Trajectory.richardson_defect``.
+    total leakage is exposed as ``Trajectory.richardson_defect``.  Every
+    record is checked against :data:`PURITY_TOL`, which no policy changes.
     """
 
     max_dmu_per_step: Optional[float] = None
-    purity_tol: float = 1e-6
     richardson: bool = False
 
     def __post_init__(self):
-        for name in ("max_dmu_per_step", "purity_tol"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise InvalidParameterError("%s must be positive and finite, got %r"
-                                            % (name, value))
+        value = self.max_dmu_per_step
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise InvalidParameterError("max_dmu_per_step must be positive and finite, got %r"
+                                        % (value,))
 
     def resolved_dmu(self, span: float) -> float:
         if self.max_dmu_per_step is not None:
@@ -307,8 +311,7 @@ class _Orbitals:
         return measure_leakage(orbitals, basis, t=t)
 
 
-def _evolve_lockstep(engine, rows: Sequence[tuple], start: tuple,
-                     purity_tol: float) -> List[Outcome]:
+def _evolve_lockstep(engine, rows: Sequence[tuple], start: tuple) -> List[Outcome]:
     """Step several ramps together through ``engine``, each on its own grid.
 
     A row is a ramp's sample times and mus, the left endpoint of each of its
@@ -323,15 +326,16 @@ def _evolve_lockstep(engine, rows: Sequence[tuple], start: tuple,
     per segment between samples, never per step.
 
     Returns, per row, its Trajectory, with ``n_steps`` the number of steps it
-    took, or the exception that stopped it: a purity failure, or a reference
-    or measurement that raised at one of its samples.
+    took, or the exception that stopped it: a record whose purity defect
+    exceeds :data:`PURITY_TOL`, or a reference or measurement that raised at
+    one of its samples.
     """
     state, reference, first = start
 
     def checked(record: LeakageRecord, trajectory: Trajectory) -> Outcome:
-        if not record.purity_defect <= purity_tol:
+        if not record.purity_defect <= PURITY_TOL:
             return StepSizeTooCoarse("purity defect %g exceeds tolerance %g at t=%g"
-                                     % (record.purity_defect, purity_tol, record.t))
+                                     % (record.purity_defect, PURITY_TOL, record.t))
         trajectory.append(record)
         return trajectory
 
@@ -426,7 +430,7 @@ def _evolve(engine, protocols: Sequence[RampProtocol], policy: Optional[Stepping
         return [exc] * len(protocols)
     outcomes: List[Outcome] = [None] * len(rows)
     for run in _lockstep_runs([grid for _, _, grid, _ in rows]):
-        results = _evolve_lockstep(engine, [rows[i] for i in run], start, policy.purity_tol)
+        results = _evolve_lockstep(engine, [rows[i] for i in run], start)
         for i, out in zip(run, results):
             outcomes[i] = out
     coarse = outcomes[:len(ramps)]
@@ -493,11 +497,11 @@ def sudden_quench(params: ChainParams, mu_in: float, mu_fin: float) -> LeakageRe
 # Exact Fock-space oracle for small chains
 # ---------------------------------------------------------------------------
 
-MAX_ORACLE_SITES = 3
+MAX_ORACLE_SITES = 6
 
 
 class FockSpace:
-    """Dense many-body operators of one chain of a tetron, at most 3 sites: the oracle's engine.
+    """Dense many-body operators of one chain of a tetron, at most 6 sites: the oracle's engine.
 
     The two chains are identical and uncoupled.  In the Jordan-Wigner order of
     the single-particle operator vector, chain 1's sites then chain 2's, chain
@@ -640,9 +644,9 @@ def fock_oracle(params: ChainParams, protocols: Sequence[RampProtocol],
     """Exact state-vector reference for :func:`evolve_ramps`: its arguments, its outcomes.
 
     Both run :func:`_evolve`, so a ramp here has the same grid, samples,
-    ``n_steps``, purity check (of its norm defect), Richardson row and
-    per-row failures; only the engine, a :class:`FockSpace` of ``params``,
-    differs.  Each row's |+>, the two one-chain states E and O, steps exactly
-    by U, one chain's propagator (:meth:`FockSpace.step`).
+    ``n_steps``, purity check (of its norm defect, against :data:`PURITY_TOL`),
+    Richardson row and per-row failures; only the engine, a :class:`FockSpace`
+    of ``params``, differs.  Each row's |+>, the two one-chain states E and O,
+    steps exactly by U, one chain's propagator (:meth:`FockSpace.step`).
     """
     return _evolve(FockSpace(params), protocols, policy, sample_times)

@@ -350,7 +350,6 @@ def _read_chain_run(ini: _Reader, cfg: ExperimentConfig) -> None:
         try:
             cfg.policy = dynamics.SteppingPolicy(
                 max_dmu_per_step=max_dmu,
-                purity_tol=ini.get("stepping", "purity_tol", float, default=1e-6),
                 # oracle-check writes no Richardson defect, so it takes no rerun
                 richardson=(kind != "oracle-check"
                             and ini.get("stepping", "richardson", bool, default=False)),

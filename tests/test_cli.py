@@ -14,6 +14,7 @@ import pytest
 import tetronsim
 from tetronsim import experiments
 from tetronsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from tetronsim.dynamics import MAX_ORACLE_SITES
 from tetronsim.errors import ConfigError, DegenerateSubspaceError
 from tetronsim.experiments import (
     PRESETS,
@@ -143,6 +144,20 @@ def fail_plus_state_at_mu_in(monkeypatch):
     monkeypatch.setattr(dynamics, "resolved_basis", failing)
 
 
+def spoil_purity_after_t0(monkeypatch):
+    """Make every orbital-method record after t = 0 carry a purity defect of 1.0,
+    above the fixed tolerance; the records at t = 0, sudden ones included, stay sound."""
+    from tetronsim import dynamics
+
+    measure = dynamics.measure_leakage
+
+    def spoiled(orbitals, basis, t=0.0):
+        record = measure(orbitals, basis, t=t)
+        return replace(record, purity_defect=1.0) if t > 0.0 else record
+
+    monkeypatch.setattr(dynamics, "measure_leakage", spoiled)
+
+
 def _readme_ini_blocks():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     return re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
@@ -231,13 +246,16 @@ class TestConfigValidation:
             })
 
     def test_oracle_check_size_limit(self):
-        with pytest.raises(ConfigError, match="n_sites"):
-            config_from_mapping({
-                "experiment": {"kind": "oracle-check"},
-                "model": {"n_sites": "4"},
-                "protocol": {"mu_fin": "0.1"},
-                "grid": {"v_list": "1e-2"},
-            })
+        mapping = {
+            "experiment": {"kind": "oracle-check"},
+            "model": {"n_sites": str(MAX_ORACLE_SITES + 1)},
+            "protocol": {"mu_fin": "0.1"},
+            "grid": {"v_list": "1e-2"},
+        }
+        with pytest.raises(ConfigError, match="n_sites <= %d" % MAX_ORACLE_SITES):
+            config_from_mapping(mapping)
+        mapping["model"]["n_sites"] = str(MAX_ORACLE_SITES)
+        assert config_from_mapping(mapping).params.n_sites == MAX_ORACLE_SITES
 
     def test_field_named_in_error(self):
         with pytest.raises(ConfigError, match="grid.v_count"):
@@ -258,7 +276,6 @@ class TestConfigValidation:
         ("model", "hopping", "inf"),
         ("model", "pairing", "inf"),
         ("model", "hopping", "nan"),
-        ("stepping", "purity_tol", "nan"),
         ("stepping", "max_dmu_per_step", "nan"),
         ("protocol", "rate", "nan"),
         ("protocol", "rate", "inf"),
@@ -340,6 +357,7 @@ class TestConfigValidation:
         ("sweep-rate", "protocol", "rate", "1e-2"),
         ("sweep-rate", "samples", "count", "5"),
         ("sweep-length", "model", "n_sites", "4"),
+        ("sweep-rate", "stepping", "purity_tol", "1e-6"),
     ])
     def test_unread_keys_are_config_errors(self, tmp_path, kind, section, key, value):
         # a misspelt key, one the kind never reads, or one another key replaces
@@ -645,13 +663,15 @@ path = {out}
 """, {"v": [1e-2, 1e-2, 3e-2, 3e-2], "mu_fin": [0.05, 0.1, 0.05, 0.1]}),
         (LENGTH_INI, {"n_sites": [4, 6]}),
     ], ids=["rate", "length"])
-    def test_per_row_numerical_failure_exit_code(self, tmp_path, template, keys):
-        # an unsatisfiable purity budget trips every sweep point
+    def test_per_row_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                 template, keys):
+        # a purity defect above the tolerance at each final sample trips every sweep point
+        spoil_purity_after_t0(monkeypatch)
         out = tmp_path / "sweep.csv"
-        ini = write_ini(tmp_path / "bad_purity.ini", template.format(out=out).replace(
-            "[stepping]\n", "[stepping]\npurity_tol = 1e-18\n"))
+        ini = write_ini(tmp_path / "bad_purity.ini", template.format(out=out))
         code = main(["run", "--config", str(ini), "--quiet"])
         assert code == EXIT_NUMERICAL
+        assert capsys.readouterr() == ("", "")
         table = read_table(out)  # table still written, every row flagged
         meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
         rows = len(next(iter(keys.values())))
@@ -664,9 +684,16 @@ path = {out}
         leakage = [name for name in table.columns if name not in keys]
         assert leakage == ["l_odd", "l_even", "l_g", "parity", "purity_defect"]
         assert all(np.all(np.isnan(table.column(name))) for name in leakage)
+        # without --quiet: the rows-written line, then each failed row on stderr
+        assert main(["run", "--config", str(ini)]) == EXIT_NUMERICAL
+        printed = capsys.readouterr()
+        assert printed.out == "wrote %d rows to %s\n" % (rows, out)
+        assert printed.err.splitlines() == ["row %d: %s" % (i, status)
+                                            for i, status in enumerate(meta["row_status"])]
 
-    def test_ramp_purity_failure_writes_its_table(self, tmp_path):
+    def test_ramp_purity_failure_writes_its_table(self, tmp_path, monkeypatch):
         # the ramp's rows are its samples, so each carries the ramp's failure
+        spoil_purity_after_t0(monkeypatch)
         out = tmp_path / "ramp.csv"
         ini = write_ini(tmp_path / "ramp.ini", """
 [experiment]
@@ -682,7 +709,6 @@ rate = 2e-2
 
 [stepping]
 steps_per_span = 100
-purity_tol = 1e-18
 
 [samples]
 count = 4
@@ -719,6 +745,19 @@ path = {out}
         assert err.startswith("config error: cannot write %s: " % out)
         assert "Traceback" not in err
         assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+    def test_runner_exception_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # an exception that no row caught stops the run: exit 3 and no table
+        def broken(cfg):
+            raise RuntimeError("walk diverged")
+
+        monkeypatch.setitem(experiments.RUNNERS, "walk", broken)
+        out = tmp_path / "walk.csv"
+        ini = write_ini(tmp_path / "walk.ini", WALK_INI.format(out=out))
+        assert main(["run", "--config", str(ini)]) == EXIT_NUMERICAL
+        assert capsys.readouterr() == ("", "numerical failure: walk diverged\n")
+        assert not out.exists()
+        assert not out.with_suffix(".csv.meta.json").exists()
 
     def test_failed_plus_state_flags_every_sweep_row(self, tmp_path, monkeypatch):
         fail_plus_state_at_mu_in(monkeypatch)
@@ -834,6 +873,30 @@ path = {out}
             assert row["l_inf"] == 0.01
             assert row["slope"] == pytest.approx(-1.5, rel=1e-9)
 
+    def test_fit_window_keeps_only_the_rows_inside(self, tmp_path):
+        # rows below window_min and above window_max leave the fit, as if absent
+        n = np.arange(2, 32, 2)
+        ell = 3e-4 * n + 1e-3 + 1e-5 * np.sin(n)
+        lines = ["%d,%.12e" % row for row in zip(n, ell)]
+        inside = (n >= 6) & (n <= 20)
+        fits = {}
+        for name, rows, window in [("windowed", lines, "window_min = 6\nwindow_max = 20\n"),
+                                   ("inside", [r for r, k in zip(lines, inside) if k], "")]:
+            src = tmp_path / (name + ".src.csv")
+            src.write_text("\n".join(["n_sites,l_even"] + rows) + "\n")
+            out = tmp_path / (name + ".csv")
+            ini = write_ini(tmp_path / (name + ".ini"),
+                            "[experiment]\nkind = fit\n\n[fit]\ntable = %s\nfamily = linear-n\n"
+                            "y_column = l_even\n%s\n[output]\npath = %s\n" % (src, window, out))
+            assert main(["fit", "--config", str(ini), "--quiet"]) == EXIT_OK
+            fits[name] = (read_table(out).rows,
+                          json.loads(out.with_suffix(".csv.meta.json").read_text())["fit"])
+        (windowed, meta), (alone, alone_meta) = fits["windowed"], fits["inside"]
+        assert meta["n_samples"] == alone_meta["n_samples"] == np.count_nonzero(inside) == 8
+        assert meta["window"] == [6.0, 20.0] and alone_meta["window"] == [None, None]
+        assert meta["domain"] == alone_meta["domain"] == [6.0, 20.0]
+        assert windowed == alone
+
     def test_fit_missing_column(self, tmp_path):
         src = tmp_path / "src.csv"
         src.write_text("v,l_odd\n1.0,1.0\n")
@@ -939,16 +1002,8 @@ class TestOracleCommand:
 
     def test_failed_purity_fails_only_the_ramp_rows(self, tmp_path, monkeypatch):
         # every orbital-method record after t = 0 carries a defect above the
-        # default tolerance; the sudden rows are read at t = 0
-        from tetronsim import dynamics
-
-        measure = dynamics.measure_leakage
-
-        def spoiled(orbitals, basis, t=0.0):
-            record = measure(orbitals, basis, t=t)
-            return replace(record, purity_defect=1.0) if t > 0.0 else record
-
-        monkeypatch.setattr(dynamics, "measure_leakage", spoiled)
+        # tolerance; the sudden rows are read at t = 0
+        spoil_purity_after_t0(monkeypatch)
         ini, out = self._two_groups_ini(tmp_path, "steps_per_span = 100")
         assert main(["oracle-check", "--config", str(ini), "--quiet"]) == EXIT_NUMERICAL
         table = read_table(out)
@@ -1089,7 +1144,7 @@ class TestOracleCommand:
             for name in ("l_odd_cov", "l_even_cov", "l_g_cov", "max_abs_diff"):
                 assert abs(cells[name][0] - cells[name][1]) < 1e-12
 
-    def test_diff_failure_exit_code(self, tmp_path, monkeypatch):
+    def test_diff_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from tetronsim import cli as cli_mod
         from tetronsim.cli import EXIT_ORACLE_DIFF
         from tetronsim.experiments import run_experiment
@@ -1104,6 +1159,11 @@ class TestOracleCommand:
         out = tmp_path / "oracle.csv"
         ini = write_ini(tmp_path / "oracle.ini", ORACLE_INI.format(out=out))
         assert main(["oracle-check", "--config", str(ini), "--quiet"]) == EXIT_ORACLE_DIFF
+        assert capsys.readouterr().err == ""
+        assert main(["oracle-check", "--config", str(ini)]) == EXIT_ORACLE_DIFF
+        printed = capsys.readouterr()
+        assert printed.out == "wrote 2 rows to %s\n" % out
+        assert printed.err == "oracle difference 1 exceeds tolerance 1e-06\n"
 
 
 class TestPresets:

@@ -112,7 +112,7 @@ class TestRampBasics:
         with pytest.raises(InvalidParameterError):
             evolve_ramp(params(4), proto)
 
-    @pytest.mark.parametrize("field", ["max_dmu_per_step", "purity_tol"])
+    @pytest.mark.parametrize("field", ["max_dmu_per_step"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
     def test_policy_rejects_bad_values(self, field, value):
         with pytest.raises(InvalidParameterError, match=field):
@@ -672,11 +672,31 @@ class TestFockOracle:
                 for field, value in expected.items():
                     assert abs(getattr(record, field) - value) < 1e-12, (field, k)
 
+    @pytest.mark.parametrize("n, w, delta", [(5, 0.5, 0.7), (6, 1.0, 0.8)])
+    def test_matches_evolve_ramps_up_to_the_cap(self, n, w, delta):
+        # beyond criterion 1's N <= 3, where the orbital readout meets larger
+        # Grams; rising and falling ramps at three rates, 200 steps per 0.25.
+        # Measured: largest difference 9.8e-14 at N = 5 and 5.3e-14 at N = 6.
+        chain = ChainParams(n, w, delta)
+        protocols = ramps([0.3, -0.2], (1e-2, 0.1, 1.0), mu_in=0.05)
+        pol = SteppingPolicy(max_dmu_per_step=0.25 / 200)
+        times = [np.linspace(0.0, p.duration, 6) for p in protocols]
+        covs = evolve_ramps(chain, protocols, pol, times)
+        orks = fock_oracle(chain, protocols, pol, times)
+        for cov, ork in zip(covs, orks, strict=True):
+            assert cov.n_steps == ork.n_steps == 200
+            assert len(cov) == len(ork) == 6
+            for a, b in zip(cov, ork):
+                assert (a.t, a.mu) == (b.t, b.mu)
+                for field in ("l_odd", "l_even", "l_g"):
+                    assert abs(getattr(a, field) - getattr(b, field)) < 1e-10, (a.t, field)
+
     def test_size_limit(self):
-        with pytest.raises(InvalidParameterError):
-            fock_quench(params(4), 0.0, 0.1)
-        with pytest.raises(InvalidParameterError):
-            fock_oracle(params(4), [RampProtocol(0.0, 0.1, 1e-2)])
+        too_long = params(dynamics.MAX_ORACLE_SITES + 1)
+        with pytest.raises(InvalidParameterError, match="n_sites <= 6"):
+            fock_quench(too_long, 0.0, 0.1)
+        with pytest.raises(InvalidParameterError, match="n_sites <= 6"):
+            fock_oracle(too_long, [RampProtocol(0.0, 0.1, 1e-2)])
 
     def test_rejects_ramps_it_cannot_step_together(self):
         protocols = [RampProtocol(0.0, 0.1, 1e-2), RampProtocol(0.0, 0.05, 1e-2)]
@@ -699,15 +719,15 @@ class TestFockOracle:
             assert ork.richardson_defect > 0.0
             assert ork.richardson_defect == pytest.approx(cov.richardson_defect, rel=1e-6)
 
-    def test_norm_defect_above_purity_tol_fails_the_ramp(self):
+    def test_norm_defect_above_purity_tol_fails_the_ramp(self, monkeypatch):
         proto = RampProtocol(0.0, 0.1, 1e-2)
         args = ([proto], SteppingPolicy(max_dmu_per_step=0.1 / 60),
                 [np.linspace(0.0, proto.duration, 6)])
         [records] = fock_oracle(params(3), *args)
         worst = records.max_purity_defect
         assert worst > 0.0
-        policy = replace(args[1], purity_tol=worst / 2)
-        [failed] = fock_oracle(params(3), args[0], policy, args[2])
+        monkeypatch.setattr(dynamics, "PURITY_TOL", worst / 2)
+        [failed] = fock_oracle(params(3), *args)
         assert isinstance(failed, StepSizeTooCoarse)
         assert "exceeds tolerance %g" % (worst / 2) in str(failed)
 
