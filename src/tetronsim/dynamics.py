@@ -17,12 +17,16 @@ the orbitals, X <- W X: it is the one-chain Majorana step O = D [[Re W, -Im W],
 [Im W, Re W]] D, D = diag(I, J), acting on the covariance of a Slater
 determinant.  The mu grid does not depend on the ramp rate, so the X of
 ramps from one mu_in are stacked, (N, R, m), on one grid: a step is one
-``eigh``, two real GEMMs and a phase per ramp (:func:`evolve_ramps`;
-:func:`evolve_ramp` is the one-ramp case).  At a fixed step, the grid of a
-ramp to a nearer mu_fin is the start of the grid to a farther one on the same
-side of mu_in, so every ramp whose grid is a prefix of a longer one rides that
-lockstep: each mu takes one ``eigh`` for every ramp on it, and a ramp leaves
-the stack at its mu_fin.  |+> and its t = 0 record are built once per call.
+decomposition of J S, two real GEMMs and a phase per ramp
+(:func:`evolve_ramps`; :func:`evolve_ramp` is the one-ramp case).  A step's
+decomposition depends on the grid alone, never on the state, so the steps of
+a segment between two samples are decomposed together, one stacked ``eigh``
+per batch of at most :data:`BATCH_FLOATS` floats, and then applied in order.
+At a fixed step, the grid of a ramp to a nearer mu_fin is the start of the
+grid to a farther one on the same side of mu_in, so every ramp whose grid is
+a prefix of a longer one rides that lockstep: each mu takes one decomposition
+for every ramp on it, and a ramp leaves the stack at its mu_fin.  |+> and its
+t = 0 record are built once per call.
 
 :func:`measure_leakage` reads |+> in a sample basis from Y = V^T X alone.  A
 state of m orbitals is compared with the reference of the same orbital count,
@@ -38,20 +42,21 @@ orbitals above, and :class:`FockSpace`, an exact oracle that steps E and O as
 many-body states of a chain of at most :data:`MAX_ORACLE_SITES` = 6 sites
 (:func:`fock_oracle`, and :func:`fock_quench` for the sudden limit).  The
 schedule alone picks the mu at which each step evaluates h: it hands every
-engine each live row's grid point and dt.  So the oracle's ramps take the
-rows, grids, samples, Richardson rows and per-row failures of
-:func:`evolve_ramps`, and its purity check: a record of either engine whose
-purity defect exceeds :data:`PURITY_TOL` = 1e-6 fails its ramp.  The chains are
-uncoupled and each conserves its fermion parity, so in Jordan-Wigner order the
-tetron Hamiltonian is h x 1 + 1 x h, with h(mu) = h0 + mu h1 one chain's real
+engine a whole segment at once, each step's grid point of every live row and
+each row's dt.  So the oracle's ramps take the rows, grids, samples,
+Richardson rows and per-row failures of :func:`evolve_ramps`, and its purity
+check: a record of either engine whose purity defect exceeds
+:data:`PURITY_TOL` = 1e-6 fails its ramp.  The chains are uncoupled and each
+conserves its fermion parity, so in Jordan-Wigner order the tetron
+Hamiltonian is h x 1 + 1 x h, with h(mu) = h0 + mu h1 one chain's real
 Hamiltonian, both parts built once per :class:`FockSpace`.  The oracle holds a
 row's |+> as the (2^N, 2) array [E, O], stacked (2^N, R, 2) as the orbitals
 are (N, R, m), and a step applies U = exp(-i h dt) to E and O: one real
-``eigh`` of h (8 x 8 at N = 3) per row at each of its own grid points, the
-rows' in one batched call.  At a sample, the ground states and the MZM parity
-matrix are built once per distinct mu.  Both engines read a sample into a
-record the same way (:func:`_record`): l_even is the ground-state loss less
-l_odd, and the MZM parity is 1 - 2 l_odd.
+``eigh`` of h (8 x 8 at N = 3) per row at each of its own grid points, those
+of a batch of a segment's row-steps in one stacked call.  At a sample, the
+ground states and the MZM parity matrix are built once per distinct mu.  Both
+engines read a sample into a record the same way (:func:`_record`): l_even is
+the ground-state loss less l_odd, and the MZM parity is 1 - 2 l_odd.
 """
 
 from __future__ import annotations
@@ -79,6 +84,11 @@ DEFAULT_SAMPLE_COUNT = 200
 # A record whose purity defect exceeds this fails its ramp.  Both engines step
 # by exact unitaries, so on a sound run the defect is rounding whatever the step.
 PURITY_TOL = 1e-6
+# The floats of one stack of matrices that a step engine decomposes in one
+# ``eigh`` call.  A segment's steps are decomposed in batches of at most this
+# size, one step at least: small matrices share the call's overhead, and a
+# long segment of large ones does not build a large stack.
+BATCH_FLOATS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -169,6 +179,12 @@ def _mode_step(w: np.ndarray, q: np.ndarray, phases: np.ndarray) -> None:
     work = scratch.view(complex).reshape(w.shape)
     work *= phases.T[:, :, None]
     np.matmul(q, scratch, out=flat)
+
+
+def _batches(n_steps: int, floats_per_step: int) -> List[slice]:
+    """Consecutive slices of a segment's steps, each of at most :data:`BATCH_FLOATS` floats."""
+    size = max(1, BATCH_FLOATS // floats_per_step)
+    return [slice(i, min(i + size, n_steps)) for i in range(0, n_steps, size)]
 
 
 def _step_mus(mu_a: float, mu_b: float, dmu: float) -> np.ndarray:
@@ -287,9 +303,12 @@ def sample_points(protocol: RampProtocol,
 class _Orbitals:
     """The orbital engine of :func:`_evolve`: the rows' orbitals, stacked as (N, R, m).
 
-    A step is one :func:`chain_eigh` at the first live row's mu, or the
-    decomposition of the basis resolved there, for the whole stack, whose
-    rows' grids are prefixes of one grid.
+    The rows' grids are prefixes of one grid, so each step of a segment takes
+    one decomposition of J S, at the first live row's grid point, for the
+    whole stack.  The first step takes the decomposition of the basis
+    resolved at its mu when there is one; the others come from
+    :func:`chain_eigh`, one stacked call per batch of :func:`_batches`.  Each
+    step then applies its own W by :func:`_mode_step`, in grid order.
     """
 
     params: ChainParams
@@ -300,11 +319,18 @@ class _Orbitals:
     def reference(self, mu: float) -> ModeBasis:
         return resolved_basis(self.params, mu)
 
-    def step(self, x: np.ndarray, mus: Sequence[float], dts: Sequence[float],
-             reused: Optional[ModeBasis]) -> np.ndarray:
-        lam, q = ((reused.eigenvalues, reused.v) if reused is not None
-                  else chain_eigh(self.params, mus[0]))
-        _mode_step(x, q, np.array([_chain_propagator(lam, dt) for dt in dts]))
+    def advance(self, x: np.ndarray, points: np.ndarray, dts: Sequence[float],
+                reused: Optional[ModeBasis]) -> np.ndarray:
+        def step(lam, q):
+            _mode_step(x, q, np.array([_chain_propagator(lam, dt) for dt in dts]))
+
+        mus = points[:, 0]
+        if reused is not None:
+            step(reused.eigenvalues, reused.v)
+            mus = mus[1:]
+        for batch in _batches(len(mus), self.params.n_sites ** 2):
+            for lam, q in zip(*chain_eigh(self.params, mus[batch])):
+                step(lam, q)
         return x
 
     def measure(self, orbitals: np.ndarray, basis: ModeBasis, t: float) -> LeakageRecord:
@@ -319,9 +345,10 @@ def _evolve_lockstep(engine, rows: Sequence[tuple], start: tuple) -> List[Outcom
     prefixes of the first row's.  ``start`` is |+> at the rows' first mu, its
     reference and its record at t = 0.  Each step advances every row still
     running, each with its own dt: its segment's duration over the segment's
-    step count.  At a sample, the reference is built once per mu for the rows
-    sampled there, and they are measured; the step at the mu of a reference
-    just built is given it.  A row leaves the stack after its last sample, or
+    step count; the engine takes a whole segment in one ``advance``.  At a
+    sample, the reference is built once per mu for the rows sampled there,
+    and they are measured; the segment that starts at the mu of a reference
+    just built is given it for its first step.  A row leaves the stack after its last sample, or
     when it fails.  Which rows move and which are measured is settled once
     per segment between samples, never per step.
 
@@ -352,11 +379,10 @@ def _evolve_lockstep(engine, rows: Sequence[tuple], start: tuple) -> List[Outcom
         for i in live:
             times, _, grid, counts = rows[i]
             k = reached[i]
-            grids.append(grid)
+            grids.append(grid[begin:end])
             dts.append((times[k] - times[k - 1]) / (counts[k] - counts[k - 1]))
-        for j in range(begin, end):
-            points = [grid[j] for grid in grids]
-            x = engine.step(x, points, dts, references.get(points[0]) if j == begin else None)
+        points = np.stack(grids, axis=1)
+        x = engine.advance(x, points, dts, references.get(points[0, 0]))
         references = {}
         for slot, i in enumerate(live):
             times, mus, _, counts = rows[i]
@@ -399,13 +425,14 @@ def _evolve(engine, protocols: Sequence[RampProtocol], policy: Optional[Stepping
 
     The ``engine`` stacks the rows' states along axis 1 and supplies four
     operations: ``plus(mu)``, |+> at mu and the reference it was built in;
-    ``reference(mu)``, what a sample at mu is read against; ``step(x, mus,
-    dts, reused)``, which returns the stack ``x`` with each row stepped at its
-    own grid point in ``mus`` by its own dt in ``dts``, ``reused`` being the
-    reference built at the first row's mu or None (the oracle, which
-    decomposes h and not the sample basis, ignores it); and
-    ``measure(state, reference, t)``.  Which mu each step evaluates h at is
-    chosen here alone.
+    ``reference(mu)``, what a sample at mu is read against; ``advance(x,
+    points, dts, reused)``, which returns the stack ``x`` taken through one
+    segment between samples, each row stepped at its own grid points, a
+    column of ``points`` (shape (steps, rows)), by its own dt in ``dts``,
+    ``reused`` being the reference built at the segment's first mu of the
+    first row, for its first step, or None (the oracle, which decomposes h
+    and not the sample basis, ignores it); and ``measure(state, reference,
+    t)``.  Which mu each step evaluates h at is chosen here alone.
     """
     if not protocols:
         return []
@@ -567,21 +594,32 @@ class FockSpace:
         basis = resolved_basis(self.params, mu)
         return basis, self.ground_states(basis)
 
-    def step(self, x: np.ndarray, mus: Sequence[float], dts: Sequence[float],
-             reused: Optional[tuple] = None) -> np.ndarray:
-        """Each row of the stack ``x`` (2^N, R, 2) through exp(-i h(mu) dt), its own mu and dt.
+    def advance(self, x: np.ndarray, points: np.ndarray, dts: Sequence[float],
+                reused: Optional[tuple] = None) -> np.ndarray:
+        """The stack ``x`` (2^N, R, 2) through a segment's steps, each row at its own mu and dt.
 
-        A row's E and O step by U = Q e^{-i Lambda dt} Q^T, from one ``eigh``
-        of h(mu) per row, the R of them in one batched call.  U conserves the
-        chain's parity; its entries between the parity sectors, rounding
-        alone, are set to 0, so E and O stay each in its own sector.  The
-        stepped stack is returned.  ``reused``, a sample reference at the
-        first row's mu, is ignored: a step decomposes h, not the sample basis.
+        ``points`` holds each step's grid point of every row, shape (steps, R),
+        and ``dts`` each row's dt.  At a step a row's E and O step by
+        U = Q e^{-i Lambda dt} Q^T, from one ``eigh`` of h(mu).  The h of
+        every row-step of a batch of :func:`_batches` are decomposed in one
+        stacked call, and their U built at once; U conserves the chain's
+        parity, and its entries between the parity sectors, rounding alone,
+        are set to 0, so E and O stay each in its own sector.  The steps are
+        then applied in order, and the stepped stack is returned.
+        ``reused``, a sample reference at the first row's first mu, is
+        ignored: a step decomposes h, not the sample basis.
         """
-        evals, q = np.linalg.eigh(np.array([self.hamiltonian(mu) for mu in mus]))
-        u = (q * np.exp(-1j * np.asarray(dts)[:, None, None] * evals[:, None])) @ q.swapaxes(1, 2)
-        u[:, self._flips] = 0.0
-        return (u @ x.swapaxes(0, 1)).swapaxes(0, 1)
+        n_steps, n_rows = points.shape
+        dim = self._h0.shape[0]
+        phase = -1j * np.asarray(dts)[:, None, None]
+        for batch in _batches(n_steps, n_rows * dim * dim):
+            evals, q = np.linalg.eigh(np.array([[self.hamiltonian(mu) for mu in step]
+                                                for step in points[batch]]))
+            u = (q * np.exp(phase * evals[:, :, None])) @ q.swapaxes(-1, -2)
+            u[:, :, self._flips] = 0.0
+            for step_u in u:
+                x = (step_u @ x.swapaxes(0, 1)).swapaxes(0, 1)
+        return x
 
     def ground_states(self, basis: ModeBasis) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The chain's vacuum vac, one = d_0^T vac / |d_0^T vac|, and its MZM parity matrix Pi.
@@ -647,6 +685,6 @@ def fock_oracle(params: ChainParams, protocols: Sequence[RampProtocol],
     ``n_steps``, purity check (of its norm defect, against :data:`PURITY_TOL`),
     Richardson row and per-row failures; only the engine, a :class:`FockSpace`
     of ``params``, differs.  Each row's |+>, the two one-chain states E and O,
-    steps exactly by U, one chain's propagator (:meth:`FockSpace.step`).
+    steps exactly by U, one chain's propagator (:meth:`FockSpace.advance`).
     """
     return _evolve(FockSpace(params), protocols, policy, sample_times)

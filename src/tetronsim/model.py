@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -111,16 +111,25 @@ def _flush_negligible(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x) < NEGLIGIBLE, 0.0, x)
 
 
-def chain_eigh(params: ChainParams, mu: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(lambda, Q) with J S = Q diag(lambda) Q^T (lambda ascending), negligible entries zeroed."""
-    lam, q = np.linalg.eigh(chain_s(params, mu)[::-1])
+def chain_eigh(params: ChainParams, mus: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """(lambda, Q) per mu, J S(mu) = Q diag(lambda) Q^T (lambda ascending), in one stacked ``eigh``.
+
+    J S(mu) is J S(0) with -mu on the anti-diagonal, so the stack, shape
+    (len(mus), N, N), is one copy of J S(0) per mu with that diagonal set.
+    Negligible entries of Q are zeroed.
+    """
+    n = params.n_sites
+    js = np.repeat(chain_s(params, 0.0)[None, ::-1], len(mus), axis=0)
+    # + 0.0 as in chain_s, so that each J S(mu) is the one chain_s(params, mu) gives
+    js[:, np.arange(n), np.arange(n)[::-1]] = -np.asarray(mus, dtype=float)[:, None] + 0.0
+    lam, q = np.linalg.eigh(js)
     return lam, _flush_negligible(q)
 
 
 def _modes_by_energy(params: ChainParams,
                      mu: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(|lambda|, sign(lambda), Q) of :func:`chain_eigh` by ascending |lambda|; sign(0) = 1."""
-    lam, q = chain_eigh(params, mu)
+    [lam], [q] = chain_eigh(params, [mu])
     order = np.argsort(np.abs(lam), kind="stable")
     return np.abs(lam[order]), np.where(lam[order] < 0.0, -1.0, 1.0), q[:, order]
 

@@ -1043,9 +1043,9 @@ class TestOracleCommand:
         assert all(np.all(np.isfinite(row[3:])) for i, row in enumerate(rows) if i != 2)
 
     def test_rates_share_ground_states_and_orbital_decompositions(self, tmp_path, monkeypatch):
-        # the 0.05 ramps ride the 0.1 stack: one chain_eigh per mu of its
-        # grid, one set of ground states per distinct sample mu; the oracle
-        # still takes one Hamiltonian per step of each ramp
+        # the 0.05 ramps ride the 0.1 stack: chain_eigh decomposes one J S per
+        # mu of its grid, and one set of ground states is built per distinct
+        # sample mu; the oracle still takes one Hamiltonian per step of each ramp
         from tetronsim import dynamics
         from tetronsim.dynamics import FockSpace
 
@@ -1076,7 +1076,13 @@ class TestOracleCommand:
         quench = dynamics.fock_quench
         monkeypatch.setattr(dynamics, "fock_oracle", fock_oracle)
         monkeypatch.setattr(dynamics, "fock_quench", fock_quench)
-        monkeypatch.setattr(dynamics, "chain_eigh", counted("eigh", dynamics.chain_eigh))
+        chain_eigh = dynamics.chain_eigh
+
+        def counted_mus(params, mus):
+            counts["eigh"] += len(mus)
+            return chain_eigh(params, mus)
+
+        monkeypatch.setattr(dynamics, "chain_eigh", counted_mus)
         for name, method in (("ground", "ground_states"), ("hamiltonian", "hamiltonian")):
             monkeypatch.setattr(FockSpace, method, counted(name, getattr(FockSpace, method)))
         eighs, samples = [], []

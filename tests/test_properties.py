@@ -186,7 +186,7 @@ def test_mode_frame_step_is_the_dense_propagator(chain, dts):
     """One mode-frame step of a batch of rates, from the identity, gives each rate's O."""
     params, mu = chain
     n = params.n_sites
-    lam, q = chain_eigh(params, mu)
+    [lam], [q] = chain_eigh(params, [mu])
     z = _identity_frames(n, len(dts))
     _mode_step(z, q, np.array([_chain_propagator(lam, dt) for dt in dts]))
     svd = np.linalg.svd(chain_s(params, mu))
@@ -226,7 +226,7 @@ def test_mode_frame_steps_compose_as_dense_propagators(steps):
     w = _identity_frames(n, len(dts))
     expected = np.repeat(np.eye(2 * n)[None], len(dts), axis=0)
     for mu, step_dts in zip(mus, dts.T):
-        lam, q = chain_eigh(params, mu)
+        [lam], [q] = chain_eigh(params, [mu])
         _mode_step(w, q, np.array([_chain_propagator(lam, dt) for dt in step_dts]))
         svd = np.linalg.svd(chain_s(params, mu))
         expected = np.array([dense_propagator(svd, dt) @ o for dt, o in zip(step_dts, expected)])
@@ -311,6 +311,28 @@ def test_even_leakage_is_not_negative(n, w, delta_ratio, mu_ratio, log_rate):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 12), st.floats(0.2, 1.0), st.floats(0.7, 1.4), st.floats(-0.5, 0.5),
+       st.floats(-0.5, 0.5), st.floats(-4.0, 0.5))
+def test_leakage_is_not_negative_on_either_engine(n, w, delta_ratio, ratio_in, ratio_fin,
+                                                  log_rate):
+    """l_odd, l_even and l_g >= 0 at every sample of a rising or falling ramp, to rounding.
+
+    Each is a sum of squares or a loss 1 - F^2 with F <= 1; the oracle runs at N <= 6.
+    """
+    params = ChainParams(n, w, w * delta_ratio)
+    mu_in, mu_fin = w * ratio_in, w * ratio_fin
+    protocol = RampProtocol(mu_in, mu_fin, 10.0 ** log_rate)
+    policy = SteppingPolicy(max_dmu_per_step=max(abs(mu_fin - mu_in), 1e-3) / 40)
+    times = [np.linspace(0.0, protocol.duration, 5)]
+    engines = [evolve_ramps] + ([fock_oracle] if n <= MAX_ORACLE_SITES else [])
+    for evolve in engines:
+        [records] = evolve(params, [protocol], policy, times)
+        assert isinstance(records, list), records
+        for field in ("l_odd", "l_even", "l_g"):
+            assert min(getattr(r, field) for r in records) >= -1e-13, (evolve, field)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(2, 40), st.floats(0.2, 1.0), st.floats(0.7, 1.4), st.floats(-0.5, 0.5),
        st.floats(-0.5, 0.5), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
 def test_orbital_measurement_is_the_covariance_measurement(n, w, delta_ratio, ratio_in,
@@ -369,7 +391,7 @@ def test_blocked_fock_step_matches_dense_eigh(n, w, delta, mu, dt, seed):
     # U x U of one chain's U on (|E>|E> + |O>|O>)/sqrt(2), two rows with their own mu and dt
     params = ChainParams(n, w, delta)
     x = np.array([random_state(2 ** n, seed + k) for k in range(4)]).T.reshape(2 ** n, 2, 2)
-    stepped = FockSpace(params).step(x, [mu, -0.5 * mu], [dt, 0.3 * dt])
+    stepped = FockSpace(params).advance(x, np.array([[mu, -0.5 * mu]]), [dt, 0.3 * dt])
     assert stepped.shape == x.shape
     for row, (row_mu, row_dt) in enumerate([(mu, dt), (-0.5 * mu, 0.3 * dt)]):
         expected = dense_fock_step(params, two_chain_state(x[:, row]), row_mu, row_dt)
@@ -396,7 +418,8 @@ def test_fock_step_of_plus_leaves_its_empty_sectors_zero(n, w, delta_ratio, mu_r
     sector = chain_parity_sectors(params)
     empty = np.array([np.all(psi[sector == s] == 0.0) for s in range(4)])
     assert np.count_nonzero(empty) == 2
-    stepped = two_chain_state(space.step(x[:, None], [w * step_mu_ratio], [dt])[:, 0])
+    stepped = two_chain_state(space.advance(x[:, None], np.array([[w * step_mu_ratio]]),
+                                            [dt])[:, 0])
     assert np.all(stepped[np.isin(sector, np.flatnonzero(empty))] == 0.0)
     assert np.max(np.abs(stepped - dense_fock_step(params, psi, w * step_mu_ratio, dt))) < 1e-13
 
